@@ -24,7 +24,9 @@ checks by recomputing tables in a second characteristic.
 
 Determinism: pivoting is lexicographic, generator selection is greedy in
 canonical kernel order, and all caches are keyed by exact presentations.
-Instances are safe for concurrent reads once constructed.
+Those caches live on the algebra (``_comp_store`` and ``_omega_store``) and
+Ext and Tor computations fill them, so an algebra must not be shared between
+threads that compute with it.
 """
 
 from __future__ import annotations
@@ -232,7 +234,9 @@ class MonomialArtinianAlgebra:
 def truncation_algebra(
     semigroup: NumericalSemigroup, q: int, char: int | None = None
 ) -> MonomialArtinianAlgebra:
-    """k[H]/(t^q) with basis the Apery set of q."""
+    """k[H]/(t^q) with basis the Apery set of q; q must be positive."""
+    if q <= 0:
+        raise NonPositive(f"truncation degree must be positive, got {q}")
     principal = SemigroupIdeal.from_generators(semigroup, [q])
     return MonomialArtinianAlgebra(principal, char, truncation_q=q)
 

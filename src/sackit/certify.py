@@ -153,6 +153,10 @@ def _ints(xs) -> str:
 
 _TOKEN = re.compile(r"\s*([a-z]+|\d+|[(),?])")
 
+# Most rings that parse_ring accepts nested inside one another; the parser,
+# the validator and the certificate search all recurse once per level.
+MAX_NESTING = 64
+
 
 def _tokenize(text: str):
     out = []
@@ -173,6 +177,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -207,6 +212,16 @@ class _Parser:
         return SemigroupRing(gens)
 
     def ring(self, allow_hole=False):
+        if self.depth > MAX_NESTING:
+            raise MalformedDescriptor(
+                f"descriptor nested deeper than {MAX_NESTING} levels"
+            )
+        self.depth += 1
+        desc = self._ring(allow_hole)
+        self.depth -= 1
+        return desc
+
+    def _ring(self, allow_hole):
         head = self.peek()
         if head == "?":
             if not allow_hole:

@@ -1,15 +1,16 @@
 """Monomial ideals of a numerical semigroup ring and Ulrich verification.
 
 A (semigroup) ideal is a set E of members closed under adding members,
-stored by its minimal generator degrees.  Lengths of finite quotients are
-computed by exact enumeration: every element above min(generators) +
-frobenius is automatically inside the ideal, so all set differences live in
-a finite window.
+stored by its minimal generator degrees and, like its semigroup, by its
+least element in each residue class mod the multiplicity m: E meets class
+r in the progression from there in steps of m.  Membership is one
+comparison, complements are unions of m finite progressions, and lengths
+of quotients are sums of m differences.
 
-The module also carries the arithmetic used to compare enumerated power
-layers with their predicted free ranks: ulrich_rank_formula,
-estimate_ratio_holds and cumulative_rank_identity.  Everything is integer
-arithmetic; there is no floating point in this package.
+The module also carries the arithmetic used to compare power layers with
+their predicted free ranks: ulrich_rank_formula, estimate_ratio_holds and
+cumulative_rank_identity.  Everything is integer arithmetic; there is no
+floating point in this package.
 """
 
 from __future__ import annotations
@@ -34,11 +35,17 @@ from .semigroup import NumericalSemigroup
 class SemigroupIdeal:
     """Ideal of a numerical semigroup, given by minimal generator degrees."""
 
-    __slots__ = ("ambient", "generators")
+    __slots__ = ("ambient", "generators", "_least")
 
     def __init__(self, ambient: NumericalSemigroup, generators: tuple[int, ...]):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "generators", generators)
+        # least element in each residue class mod m; () for the zero ideal
+        m, ap = ambient.multiplicity, ambient._apery
+        least = tuple(
+            min(g + ap[(r - g) % m] for g in generators) for r in range(m)
+        ) if generators else ()
+        object.__setattr__(self, "_least", least)
 
     def __setattr__(self, name, value):
         raise AttributeError("SemigroupIdeal is immutable")
@@ -53,9 +60,11 @@ class SemigroupIdeal:
         for d in degs:
             if not ambient.contains(d):
                 raise NotAMember(f"{d} is not a member of <{ambient}>")
+        # d is redundant when d - e is a member for a smaller degree e, and
+        # then also for a smaller minimal one
         minimal = []
         for d in degs:
-            if not any(ambient.contains(d - e) for e in degs if e < d):
+            if not any(ambient.contains(d - e) for e in minimal):
                 minimal.append(d)
         return cls(ambient, tuple(minimal))
 
@@ -66,7 +75,7 @@ class SemigroupIdeal:
 
     def member(self, x: int) -> bool:
         """Whether x = g + h for a generator g and a member h."""
-        return any(self.ambient.contains(x - g) for g in self.generators)
+        return bool(self._least) and x >= self._least[x % len(self._least)]
 
     def is_empty(self) -> bool:
         return not self.generators
@@ -83,14 +92,13 @@ class SemigroupIdeal:
         return SemigroupIdeal.from_generators(self.ambient, sums)
 
     def power(self, exponent: int) -> "SemigroupIdeal":
-        """The exponent-fold product, generated by sums of that many generators."""
+        """The exponent-fold product, by repeated products."""
         if exponent < 1:
             raise NonPositive(f"power wants exponent >= 1, got {exponent}")
-        sums = {
-            sum(combo)
-            for combo in combinations_with_replacement(self.generators, exponent)
-        }
-        return SemigroupIdeal.from_generators(self.ambient, sums)
+        out = self
+        for _ in range(exponent - 1):
+            out = out.product(self)
+        return out
 
     def shift(self, q: int) -> "SemigroupIdeal":
         """The ideal q + E, i.e. the product with the principal ideal (q)."""
@@ -105,25 +113,29 @@ class SemigroupIdeal:
     def colength(self) -> int:
         """Number of semigroup members outside the ideal (the length of the
         quotient by the ideal)."""
-        return len(self.complement())
+        ap, least = self._outside()
+        return (sum(least) - sum(ap)) // len(ap)
 
     def complement(self) -> tuple[int, ...]:
-        """Members of the ambient semigroup not in the ideal."""
-        if self.is_empty():
-            raise EmptyIdeal("the zero ideal has infinite colength")
-        bound = self.generators[0] + self.ambient.frobenius + 1
-        return tuple(
-            x
-            for x in range(bound + 1)
-            if self.ambient.contains(x) and not self.member(x)
-        )
+        """Members of the ambient semigroup not in the ideal, sorted."""
+        return _span(*self._outside())
 
     def relative_length(self, other: "SemigroupIdeal") -> int:
         """Length of (this ideal) / (other ideal); requires other <= this."""
-        return len(self.relative_complement(other))
+        self._check_contains(other)
+        return (sum(other._least) - sum(self._least)) // len(self._least)
 
     def relative_complement(self, other: "SemigroupIdeal") -> tuple[int, ...]:
-        """Elements of this ideal outside ``other``."""
+        """Elements of this ideal outside ``other``, sorted."""
+        self._check_contains(other)
+        return _span(self._least, other._least)
+
+    def _outside(self):
+        if self.is_empty():
+            raise EmptyIdeal("the zero ideal has infinite colength")
+        return self.ambient._apery, self._least
+
+    def _check_contains(self, other: "SemigroupIdeal") -> None:
         if self.ambient != other.ambient:
             raise AmbientMismatch(f"<{self.ambient}> vs <{other.ambient}>")
         if other.is_empty():
@@ -133,12 +145,6 @@ class SemigroupIdeal:
                 raise NotContained(
                     f"generator {g} of the smaller ideal is outside the larger one"
                 )
-        bound = other.generators[0] + self.ambient.frobenius + 1
-        return tuple(
-            x
-            for x in range(bound + 1)
-            if self.member(x) and not other.member(x)
-        )
 
     def mu(self) -> int:
         """Minimal number of generators.
@@ -164,6 +170,13 @@ class SemigroupIdeal:
 
     def __hash__(self) -> int:
         return hash((self.ambient, self.generators))
+
+
+def _span(lo, hi) -> tuple[int, ...]:
+    """Sorted union of the progressions range(lo[r], hi[r], m), where m is
+    the number of residue classes."""
+    m = len(lo)
+    return tuple(sorted(x for a, b in zip(lo, hi) for x in range(a, b, m)))
 
 
 @dataclass(frozen=True)
@@ -253,7 +266,7 @@ def search_reduction(ideal: SemigroupIdeal) -> int | None:
 
 
 def power_layer_lengths(ideal: SemigroupIdeal, up_to: int) -> tuple[int, ...]:
-    """Lengths of ideal^i / ideal^(i+1) for i = 1..up_to, by enumeration."""
+    """Lengths of ideal^i / ideal^(i+1) for i = 1..up_to."""
     if up_to < 1:
         raise NonPositive(f"want up_to >= 1, got {up_to}")
     out = []

@@ -1,11 +1,18 @@
 """Numerical semigroups with exact integer arithmetic.
 
-A numerical semigroup is a subset of the nonnegative integers containing 0,
-closed under addition, whose complement is finite.  It is described here by
-its minimal generating set.  All queries are answered from a boolean sieve
-that is extended until it provably covers every gap: once the table ends
-with multiplicity-many consecutive members, everything beyond the table is a
-member as well, so the largest non-member found is the Frobenius number.
+A numerical semigroup H is a subset of the nonnegative integers containing
+0, closed under addition, whose complement is finite.  It is described here
+by its minimal generating set and represented by its Apery set with respect
+to the multiplicity m: Ap[r] is the least member congruent to r mod m.  Ap
+is computed once, as shortest paths over the m residues with the generators
+as edges (Boecker & Liptak 2007).  The standard facts (Rosales &
+Garcia-Sanchez, *Numerical Semigroups*, 2009, ch. 1-2) then answer every
+query in O(m) time and memory, however large the Frobenius number F:
+
+- x is a member exactly when x >= Ap[x mod m];
+- F = max(Ap) - m;
+- the genus is sum(Ap)/m - (m-1)/2 (Selmer's formula);
+- H is symmetric exactly when its genus is (F+1)/2.
 
 Instances are immutable; every operation returns plain values or fresh
 instances.
@@ -13,6 +20,7 @@ instances.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from math import gcd
 
 from .errors import (
@@ -29,16 +37,17 @@ class NumericalSemigroup:
 
     Use :meth:`from_generators` (or :meth:`from_text`) rather than the raw
     constructor; they normalize the generating set to the minimal one and
-    build the membership sieve.
+    compute the Apery set of the multiplicity.
     """
 
-    __slots__ = ("generators", "frobenius", "genus", "_table")
+    __slots__ = ("generators", "frobenius", "genus", "_apery")
 
-    def __init__(self, generators, frobenius, genus, table):
+    def __init__(self, generators, apery):
+        m = generators[0]
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "frobenius", frobenius)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "frobenius", max(apery) - m)
+        object.__setattr__(self, "genus", (2 * sum(apery) - m * (m - 1)) // (2 * m))
+        object.__setattr__(self, "_apery", apery)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericalSemigroup is immutable")
@@ -62,30 +71,15 @@ class NumericalSemigroup:
         if g != 1:
             raise GcdNotOne(f"gcd of generators is {g}, not 1")
 
-        bound = max(gens[0] * gens[-1], gens[-1] + gens[0])
-        table = _sieve(gens, bound)
-        # A trailing run of multiplicity-many members certifies the bound;
-        # otherwise the sieve was too short and is doubled.
-        while not all(table[bound - gens[0] + 1 : bound + 1]):
-            bound *= 2
-            table = _sieve(gens, bound)
-
-        frobenius = -1
-        genus = 0
-        for x in range(bound, -1, -1):
-            if not table[x]:
-                frobenius = x
-                break
-        genus = sum(1 for x in range(frobenius + 1) if not table[x])
-
-        minimal = []
-        for cand in gens:
-            redundant = any(
-                table[a] and table[cand - a] for a in range(1, cand)
-            )
-            if not redundant:
-                minimal.append(cand)
-        return cls(tuple(minimal), frobenius, genus, bytes(table))
+        m = gens[0]
+        apery = _apery(gens, m)
+        # c is redundant exactly when c - h is a member for a smaller
+        # generator h: every member below c is a sum of generators below c.
+        minimal = tuple(
+            c for c in gens
+            if not any(c - h >= apery[(c - h) % m] for h in gens if h < c)
+        )
+        return cls(minimal, apery)
 
     @classmethod
     def from_text(cls, text: str) -> "NumericalSemigroup":
@@ -103,11 +97,7 @@ class NumericalSemigroup:
 
     def contains(self, x: int) -> bool:
         """Whether ``x`` lies in the semigroup."""
-        if x < 0:
-            return False
-        if x >= len(self._table):
-            return True
-        return bool(self._table[x])
+        return x >= 0 and x >= self._apery[x % self.multiplicity]
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
@@ -148,21 +138,15 @@ class NumericalSemigroup:
         """
         if q <= 0 or not self.contains(q):
             raise NotAMember(f"{q} is not a nonzero member of <{self}>")
-        found: dict[int, int] = {}
-        for x in range(self.frobenius + q + 1):
-            if len(found) == q:
-                break
-            if self.contains(x):
-                found.setdefault(x % q, x)
-        assert len(found) == q
-        return tuple(sorted(found.values()))
+        if q == self.multiplicity:
+            return tuple(sorted(self._apery))
+        return tuple(sorted(_apery(self.generators, q)))
 
     def is_gap_symmetric(self) -> bool:
-        """Mirror test on [0, frobenius]: x is a member exactly when
-        frobenius - x is a gap.  This is the standard symmetry criterion
-        for the value semigroup."""
-        f = self.frobenius
-        return all(self.contains(x) != self.contains(f - x) for x in range(f + 1))
+        """Whether x is a member exactly when frobenius - x is a gap, for
+        every x in [0, frobenius].  The gaps and the members of that window
+        then pair off, so this holds exactly when 2 * genus = frobenius + 1."""
+        return 2 * self.genus == self.frobenius + 1
 
     def has_minimal_multiplicity(self) -> bool:
         """Whether the embedding dimension equals the multiplicity."""
@@ -173,30 +157,26 @@ class NumericalSemigroup:
         by exactly one.
 
         Computed combinatorially and cross-checked against the length
-        criterion: the set 2M \\ (e + M) with M the nonzero members and e
+        criterion: the set 2M \\ (m + M) with M the nonzero members and m
         the multiplicity must have exactly one element.  The two tests are
-        equivalent and both are evaluated.
+        equivalent and both are evaluated.  Both sets are closed under
+        adding m, so each meets a residue class mod m in the tail above its
+        least element there, and the length is the sum of the differences
+        of those least elements divided by m.
         """
         combinatorial = self.embedding_dim + 1 == self.multiplicity
-        e = self.multiplicity
-        length = len(self._double_ideal_difference(e))
+        m, ap, gens = self.multiplicity, self._apery, self.generators
+        least_m = (m,) + ap[1:]
+        # 2M is the set of pairwise generator sums plus members
+        sums = {a + b for i, a in enumerate(gens) for b in gens[i:]}
+        length = sum(
+            m + least_m[r] - min(s + ap[(r - s) % m] for s in sums)
+            for r in range(m)
+        ) // m
         assert combinatorial == (length == 1), (
             f"almost-minimal-multiplicity criteria disagree on <{self}>"
         )
         return combinatorial
-
-    def _double_ideal_difference(self, shift: int) -> tuple[int, ...]:
-        """Elements of 2M \\ (shift + M), M the nonzero members."""
-        out = []
-        for y in range(2, shift + self.frobenius + 2):
-            in_2m = any(
-                self.contains(a) and self.contains(y - a)
-                for a in range(1, y)
-            )
-            in_shifted = y - shift > 0 and self.contains(y - shift)
-            if in_2m and not in_shifted:
-                out.append(y)
-        return tuple(out)
 
     # -- constructions ---------------------------------------------------
 
@@ -238,14 +218,20 @@ class NumericalSemigroup:
         return hash(self.generators)
 
 
-def _sieve(gens: list[int], bound: int) -> bytearray:
-    table = bytearray(bound + 1)
-    table[0] = 1
-    for x in range(gens[0], bound + 1):
+def _apery(gens, q: int) -> tuple[int, ...]:
+    """Least element of <gens> in each residue class mod q, indexed by the
+    residue: Dijkstra over the q residues, where generator g is an edge of
+    weight g from r to (r + g) mod q.  The gcd of gens must be 1."""
+    dist = [None] * q
+    dist[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        d, r = heappop(heap)
+        if d > dist[r]:
+            continue
         for g in gens:
-            if g > x:
-                break
-            if table[x - g]:
-                table[x] = 1
-                break
-    return table
+            s = (r + g) % q
+            if dist[s] is None or d + g < dist[s]:
+                dist[s] = d + g
+                heappush(heap, (d + g, s))
+    return tuple(dist)

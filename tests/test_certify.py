@@ -20,7 +20,7 @@ from sackit import (
     validate_descriptor,
     verify_premise,
 )
-from sackit.certify import SemigroupRing, Truncation
+from sackit.certify import MAX_NESTING, SemigroupRing, Truncation
 from sackit.errors import MalformedDescriptor, UnknownPremiseKind
 
 
@@ -76,6 +76,16 @@ def test_malformed_descriptors(text):
         certify(text)
     with pytest.raises(MalformedDescriptor):
         certify(None)
+
+
+def test_nesting_limit():
+    def nested(n):
+        return "powser(" * n + "sgp(3,4,5)" + ")" * n
+
+    assert str(parse_ring(nested(MAX_NESTING))) == nested(MAX_NESTING)
+    for n in (MAX_NESTING + 1, 3000):
+        with pytest.raises(MalformedDescriptor):
+            parse_ring(nested(n))
 
 
 def test_route_minimal_multiplicity():

@@ -180,6 +180,31 @@ def test_extdeg():
     }
 
 
+def test_truncation_degree_must_be_positive():
+    # q = 0 would be the zero algebra; the trunc(...) descriptor rejects it too
+    for args in (
+        ("ext", "table", "--H", "3,4,5", "--q", "0", "--mod", "k", "--range", "0..3"),
+        ("ext", "table", "--H", "3,4,5", "--q", "-3", "--mod", "k", "--range", "0..3"),
+        ("extdeg", "--H", "3,4,5", "--q", "0", "--mod", "k"),
+    ):
+        r = run(*args)
+        assert r.exit_code == 1, args
+        assert r.output.startswith("error:"), args
+
+
+def test_certify_nesting_limit():
+    deep = "powser(" * 3000 + "sgp(3,4,5)" + ")" * 3000
+    r = run("certify", "--ring", deep)
+    assert r.exit_code == 1
+    assert r.output.startswith("error:")
+    ok = run("certify", "--ring", "powser(" * 50 + "sgp(3,4,5)" + ")" * 50,
+             "--depth", "60", "--json")
+    assert ok.exit_code == 0
+    doc = json.loads(ok.output)
+    jsonschema.validate(doc, CERT_SCHEMA)
+    assert doc["verdict"] == "Certified"
+
+
 def test_lemma42():
     r = run("lemma42", "--n", "6", "--cmax", "10", "--json")
     assert r.exit_code == 0

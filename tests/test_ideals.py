@@ -310,3 +310,55 @@ def test_random_ideal_invariants(hgens, data):
     assert I.relative_length(sq) == sq.colength() - I.colength()
     whole = SemigroupIdeal.from_generators(H, [0])
     assert whole.colength() == 0
+
+
+def window_power(H, gens, k, bound):
+    """Members up to bound of the ideal generated by gens, raised to the
+    k-th power: sums of k ideal members, enumerated in the window."""
+    base = brute_ideal_members(H, gens, bound)
+    out = base
+    for _ in range(k - 1):
+        out = {a + b for a in out for b in base if a + b <= bound}
+    return out
+
+
+def window_minimal(H, members):
+    """Members with no smaller member below them by a semigroup element."""
+    return tuple(
+        x for x in sorted(members)
+        if not any(y < x and H.contains(x - y) for y in members)
+    )
+
+
+wider_semigroups = st.sampled_from(
+    [(3, 4, 5), (5, 7, 9), (6, 9, 20), (7, 9, 11, 13), (8, 11, 12, 14, 18),
+     (10, 11, 13)]
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(wider_semigroups, st.data())
+def test_ideal_representation_matches_window(hgens, data):
+    H = NumericalSemigroup.from_generators(hgens)
+    pool = H.members(12)[1:]
+    gens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    I = SemigroupIdeal.from_generators(H, gens)
+    # every class mod m meets I^3 below max(I^3) + F + m, so the window
+    # holds every complement and every layer up to the cube
+    bound = 3 * max(gens) + H.frobenius + 2 * H.multiplicity
+    window = range(-2, bound + 1)
+    powers = {k: window_power(H, gens, k, bound) for k in (1, 2, 3)}
+    assert [I.member(x) for x in window] == [x in powers[1] for x in window]
+    assert I.complement() == tuple(
+        x for x in range(bound + 1) if H.contains(x) and x not in powers[1]
+    )
+    assert I.colength() == len(I.complement())
+    for k in (2, 3):
+        P = I.power(k)
+        assert P.generators == window_minimal(H, powers[k])
+        assert [P.member(x) for x in window] == \
+            [x in powers[k] for x in window]
+        assert I.power(k - 1).relative_length(P) == \
+            len(powers[k - 1] - powers[k])
+        assert I.power(k - 1).relative_complement(P) == \
+            tuple(sorted(powers[k - 1] - powers[k]))

@@ -252,3 +252,79 @@ def test_random_semigroup_invariants(gens):
     assert all(H.contains(F + i) for i in range(1, 2 * H.multiplicity))
     ap = H.apery_set(H.multiplicity)
     assert sorted(a % H.multiplicity for a in ap) == list(range(H.multiplicity))
+
+
+def least_per_class(members, q):
+    """Least element of each residue class mod q among ``members``, sorted."""
+    least = {}
+    for x in sorted(members):
+        least.setdefault(x % q, x)
+    assert len(least) == q
+    return tuple(sorted(least.values()))
+
+
+few_gens = st.lists(st.integers(2, 60), min_size=2, max_size=4).filter(
+    lambda g: math.gcd(*g) == 1
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(few_gens, st.data())
+def test_apery_representation_matches_sieve(gens, data):
+    H = NumericalSemigroup.from_generators(gens)
+    # Schur's bound F <= (min - 1)(max - 1) - 1 puts every gap, and the
+    # least member of each class mod any q <= 2 max, below this bound
+    bound = min(gens) * max(gens) + max(gens)
+    members = sieve_members(gens, bound)
+    window = range(-3, bound + 1)
+    assert [H.contains(x) for x in window] == [x in members for x in window]
+    gaps = [x for x in range(bound + 1) if x not in members]
+    assert H.frobenius == max(gaps, default=-1)
+    assert H.genus == len(gaps)
+    # minimal generators never exceed the largest given one
+    assert H.generators == oracle_min_generators(gens, max(gens))
+    assert H.gaps() == tuple(gaps)
+    F = H.frobenius
+    assert H.is_gap_symmetric() == all(
+        (x in members) != (F - x in members) for x in range(F + 1)
+    )
+    # the cross-check inside agrees with the combinatorial answer
+    assert H.has_almost_minimal_multiplicity() == \
+        (H.embedding_dim + 1 == H.multiplicity)
+    pool = sorted(x for x in members if 0 < x <= 2 * max(gens))
+    for q in (H.multiplicity, data.draw(st.sampled_from(pool))):
+        assert H.apery_set(q) == least_per_class(members, q)
+
+
+# Two generators a, b: F = ab - a - b and genus (a-1)(b-1)/2 (Sylvester),
+# and the semigroup is symmetric.  The three-generator row is checked
+# against the sieve below.
+LARGE_FROBENIUS = [
+    ((2, 99999999), 99999997, 49999999, True),
+    ((1001, 1003, 1007), 335333, 168000, False),
+    ((2, 10**12 + 1), 10**12 - 1, 10**12 // 2, True),
+]
+
+
+@pytest.mark.parametrize("gens,frob,genus,symmetric", LARGE_FROBENIUS)
+def test_large_frobenius_rows(gens, frob, genus, symmetric):
+    # O(F) work in any step would not finish on the 10**12 row
+    H = NumericalSemigroup.from_generators(gens)
+    assert H.generators == gens
+    assert (H.frobenius, H.genus) == (frob, genus)
+    assert H.is_gap_symmetric() == symmetric
+    assert not H.contains(frob) and H.contains(frob + 1)
+    assert H.has_minimal_multiplicity() == (len(gens) == gens[0])
+    assert H.has_almost_minimal_multiplicity() == (len(gens) + 1 == gens[0])
+    assert len(H.apery_set(gens[0])) == gens[0]
+
+
+def test_large_frobenius_row_against_sieve():
+    gens = (1001, 1003, 1007)
+    H = NumericalSemigroup.from_generators(gens)
+    bound = H.frobenius + 2 * max(gens)
+    members = sieve_members(gens, bound)
+    gaps = [x for x in range(bound + 1) if x not in members]
+    assert (max(gaps), len(gaps)) == (335333, 168000)
+    assert all(H.contains(x) == (x in members) for x in range(bound + 1))
+    assert H.apery_set(1001) == least_per_class(members, 1001)
