@@ -2,16 +2,19 @@
 
 The algebras are quotients k[H]/E of a numerical semigroup algebra by a
 cofinite monomial ideal E, most often the truncation E = (t^q).  Their
-k-basis is the finite set of member degrees outside E, and the product of
-two basis monomials is either a basis monomial or zero, so the whole
-multiplication table is a partial map on indices.
+k-basis is the finite set of member degrees outside E.  Products come from
+degree sums: t^a * t^b is t^(a+b) when a + b is a basis degree and zero
+otherwise, read from the degree index, so no multiplication table is stored.
 
 Modules are finitely presented by a relation matrix over the algebra
 (columns are relations).  Presentations are minimalized on construction:
 unit entries are eliminated, then redundant relation columns are dropped by
 the Nakayama criterion.  Syzygies are computed as exact kernels over the
 prime field followed by minimal generator selection, so every resolution
-produced here has all differential entries inside the radical.
+produced here has all differential entries inside the radical.  One kernel
+serves all of this: ``_multiples`` lists a column times every basis monomial
+by moving coefficients, and ``_nakayama`` keeps the vectors that are
+independent modulo the radical multiples of all of them.
 
 Ext and Tor dimensions come from the minimal resolution via dimension
 shifting.  Presentations are first split into their direct summands
@@ -100,7 +103,6 @@ class MonomialArtinianAlgebra:
         "char",
         "degrees",
         "_index",
-        "_prod",
         "_comp_store",
         "_omega_store",
     )
@@ -111,16 +113,12 @@ class MonomialArtinianAlgebra:
             raise DomainError(f"characteristic {p} is not prime")
         degrees = ideal.complement()
         index = {d: i for i, d in enumerate(degrees)}
-        prod = tuple(
-            tuple(index.get(a + b) for b in degrees) for a in degrees
-        )
         object.__setattr__(self, "semigroup", ideal.ambient)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "truncation_q", truncation_q)
         object.__setattr__(self, "char", p)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_prod", prod)
         object.__setattr__(self, "_comp_store", {})
         object.__setattr__(self, "_omega_store", {})
 
@@ -157,15 +155,14 @@ class MonomialArtinianAlgebra:
     def mul(self, a, b) -> tuple[int, ...]:
         p = self.char
         out = [0] * self.dim
-        prod = self._prod
+        index, degrees = self._index, self.degrees
+        right = [(degrees[j], bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai:
-                row = prod[i]
-                for j, bj in enumerate(b):
-                    if bj:
-                        k = row[j]
-                        if k is not None:
-                            out[k] = (out[k] + ai * bj) % p
+                for d, bj in right:
+                    k = index.get(degrees[i] + d)
+                    if k is not None:
+                        out[k] = (out[k] + ai * bj) % p
         return tuple(out)
 
     def is_unit(self, a) -> bool:
@@ -175,10 +172,8 @@ class MonomialArtinianAlgebra:
     def invert(self, a) -> tuple[int, ...]:
         if not self.is_unit(a):
             raise DomainError("element is not a unit")
-        mat = [
-            [self.mul(a, self.monomial(self.degrees[j]))[i] for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
+        # column j is a * t^(degrees[j])
+        mat = list(zip(*_multiples(self, a, self.degrees)))
         rhs = [1] + [0] * (self.dim - 1)
         sol = solve(mat, rhs, self.char)
         assert sol is not None
@@ -187,29 +182,22 @@ class MonomialArtinianAlgebra:
     # -- structure ---------------------------------------------------------
 
     def radical_index(self) -> int:
-        """Least r with m^r = 0, m the ideal of positive-degree monomials."""
-        current = set(range(1, self.dim))
-        r = 1
-        while current:
-            r += 1
-            positive = range(1, self.dim)
-            current = {
-                self._prod[i][j]
-                for i in positive
-                for j in current
-                if self._prod[i][j] is not None
-            }
-        return r
+        """Least r with m^r = 0, m the ideal of positive-degree monomials:
+        one more than the longest product of positive basis monomials."""
+        positive = self.degrees[1:]
+        longest = {0: 0}
+        for d in positive:
+            longest[d] = 1 + max(longest.get(d - a, -1) for a in positive if a <= d)
+        return 1 + max(longest.values())
 
     def embedding_dim(self) -> int:
         """Number of minimal generators of the radical: positive basis
         monomials that are not products of two positive ones."""
-        products = {
-            self._prod[i][j]
-            for i in range(1, self.dim)
-            for j in range(1, self.dim)
-        }
-        return sum(1 for i in range(1, self.dim) if i not in products)
+        positive = self.degrees[1:]
+        members = set(positive)
+        return sum(
+            1 for d in positive if not any(d - a in members for a in positive if a < d)
+        )
 
     # -- plumbing ------------------------------------------------------------
 
@@ -218,11 +206,7 @@ class MonomialArtinianAlgebra:
             return True
         if not isinstance(other, MonomialArtinianAlgebra):
             return NotImplemented
-        return (
-            self.degrees == other.degrees
-            and self.char == other.char
-            and self._prod == other._prod
-        )
+        return self.degrees == other.degrees and self.char == other.char
 
     def __hash__(self) -> int:
         return hash((self.degrees, self.char))
@@ -384,24 +368,45 @@ def _minimalize(algebra, rank0, cols):
             changed = True
             break
 
-    cols = [col for col in cols if any(any(x for x in e) for e in col)]
-    if not cols:
-        return rank0, ()
+    cols = [tuple(col) for col in cols if any(any(x for x in e) for e in col)]
+    keep = _nakayama(algebra, [_flatten(col) for col in cols])
+    return rank0, tuple(col for col, kept in zip(cols, keep) if kept)
 
-    # Nakayama: keep only columns independent modulo m * (column span)
-    dim_a = algebra.dim
-    total = rank0 * dim_a
-    radical_span = Span(total, p)
-    for col in cols:
-        for d in algebra.degrees[1:]:
-            mono = algebra.monomial(d)
-            scaled = [algebra.mul(mono, e) for e in col]
-            radical_span.add(_flatten(scaled))
-    kept = []
-    for col in cols:
-        if radical_span.add(_flatten(col)):
-            kept.append(tuple(col))
-    return rank0, tuple(kept)
+
+def _multiples(algebra, flat, degrees):
+    """The flattened column ``flat`` times t^d, for each d in ``degrees``.
+
+    A monomial only moves coefficients: position g*dim + i goes to
+    g*dim + index(degrees[i] + d), or drops out when that sum is no basis
+    degree.  Distinct positions never meet, so nothing is accumulated.
+    """
+    dim_a, index, basis = algebra.dim, algebra._index, algebra.degrees
+    support = [
+        (pos - pos % dim_a, basis[pos % dim_a], x) for pos, x in enumerate(flat) if x
+    ]
+    out = []
+    for d in degrees:
+        vec = [0] * len(flat)
+        for base, deg, x in support:
+            k = index.get(deg + d)
+            if k is not None:
+                vec[base + k] = x
+        out.append(vec)
+    return out
+
+
+def _nakayama(algebra, vecs):
+    """Nakayama selection over flattened columns: whether each one is kept.
+
+    The radical multiples of all columns go into one span first; then the
+    columns are taken in order, and one is kept when it enlarges the span.
+    The kept columns minimally generate the submodule all of them generate.
+    """
+    span = Span(len(vecs[0]) if vecs else 0, algebra.char)
+    for vec in vecs:
+        for scaled in _multiples(algebra, vec, algebra.degrees[1:]):
+            span.add(scaled)
+    return [span.add(vec) for vec in vecs]
 
 
 def _flatten(column):
@@ -424,34 +429,17 @@ def _unflatten(vec, rank0, dim_a):
 def _syzygy_columns(algebra, rank0, cols):
     """Minimal generating columns of ker(A^s -> A^rank0) for the map with
     the given columns.  The output columns have length s."""
-    p = algebra.char
     dim_a = algebra.dim
     s = len(cols)
     # k-matrix of the map: domain basis (column j, monomial b)
-    rows = [[0] * (s * dim_a) for _ in range(rank0 * dim_a)]
-    for j, col in enumerate(cols):
-        for b, d in enumerate(algebra.degrees):
-            mono = algebra.monomial(d)
-            image = [algebra.mul(e, mono) for e in col]
-            flat = _flatten(image)
-            cidx = j * dim_a + b
-            for ridx, val in enumerate(flat):
-                if val:
-                    rows[ridx][cidx] = val
-    kern = kernel_basis(rows, s * dim_a, p)
-
-    radical_span = Span(s * dim_a, p)
-    for vec in kern:
-        as_cols = _unflatten(vec, s, dim_a)
-        for d in algebra.degrees[1:]:
-            mono = algebra.monomial(d)
-            scaled = [algebra.mul(mono, e) for e in as_cols]
-            radical_span.add(_flatten(scaled))
-    picked = []
-    for vec in kern:
-        if radical_span.add(vec):
-            picked.append(_unflatten(vec, s, dim_a))
-    return tuple(picked)
+    images = [
+        image
+        for col in cols
+        for image in _multiples(algebra, _flatten(col), algebra.degrees)
+    ]
+    kern = kernel_basis(list(zip(*images)), s * dim_a, algebra.char)
+    keep = _nakayama(algebra, kern)
+    return tuple(_unflatten(vec, s, dim_a) for vec, kept in zip(kern, keep) if kept)
 
 
 def syzygy_step(algebra, matrix):
@@ -557,15 +545,14 @@ def _realize(module: PresentedModule) -> Realization:
     r = module.rank0
     total = r * dim_a
 
-    spanning = []
-    for col in module.relations:
-        for d in algebra.degrees:
-            mono = algebra.monomial(d)
-            spanning.append(_flatten([algebra.mul(e, mono) for e in col]))
+    spanning = [
+        image
+        for col in module.relations
+        for image in _multiples(algebra, _flatten(col), algebra.degrees)
+    ]
     reduced, pivots = rref(spanning, p) if spanning else ([], [])
     pivot_set = set(pivots)
     free_pos = [pos for pos in range(total) if pos not in pivot_set]
-    pos_index = {pos: i for i, pos in enumerate(free_pos)}
 
     def project(vec):
         v = list(vec)
@@ -577,11 +564,11 @@ def _realize(module: PresentedModule) -> Realization:
 
     dim_m = len(free_pos)
     action = []
-    for b in range(dim_a):
+    for d in algebra.degrees:
         mat = [[0] * dim_m for _ in range(dim_m)]
         for j, pos in enumerate(free_pos):
             gen, mono_idx = divmod(pos, dim_a)
-            k = algebra._prod[b][mono_idx]
+            k = algebra._index.get(d + algebra.degrees[mono_idx])
             if k is None:
                 continue
             image = [0] * total
@@ -673,10 +660,6 @@ def _component_split(algebra, rank0, cols):
     return counter, free
 
 
-def _module_components(module: PresentedModule):
-    return _component_split(module.algebra, module.rank0, module.relations)
-
-
 def _omega(algebra, key):
     """Components of the first syzygy module of a registered component."""
     cached = algebra._omega_store.get(key)
@@ -689,112 +672,68 @@ def _omega(algebra, key):
     return result
 
 
-def _component_module(algebra, key) -> PresentedModule:
-    rank0, cols = algebra._comp_store[key]
-    return PresentedModule(algebra, rank0, cols)
+def _transposed_act(real, elem, p):
+    return tuple(zip(*_act_matrix(real, elem, p)))
 
 
-class _HomSession:
-    """Per-target caches for Hom/tensor/Ext/Tor dimension queries."""
+class _DerivedSession:
+    """Per-target caches for the dimensions of a derived functor of Hom(-, N)
+    or - tensor N.  ``block`` picks the base functor F: what F makes of a
+    relation entry, its action matrix on N for Hom (``_act_matrix``) and the
+    transpose for the tensor product (``_transposed_act``).
 
-    def __init__(self, algebra, target_real):
+    Dimension shift on minimal presentations, for F = Hom (Ext) and
+    F = tensor (Tor) alike:
+      F^0(M) = F(M)
+      F^1(M) = F(Omega M) - rank0 * dim N + F(M)
+      F^i(M) = F^(i-1)(Omega M)          for i >= 2
+    and additivity over direct summand components.
+    """
+
+    def __init__(self, algebra, target_real, block):
         self.algebra = algebra
         self.real = target_real
-        self.hom: dict = {}
-        self.ten: dict = {}
-        self.ext: dict = {}
-        self.tor: dict = {}
+        self.block = block
+        self.base: dict = {}
+        self.derived: dict = {}
 
-    def hom_dim_key(self, key) -> int:
-        if key in self.hom:
-            return self.hom[key]
+    def base_dim(self, key) -> int:
+        """dim F(M) for a component M: F of its free cover, rank0 * dim N,
+        less the rank of what F makes of its relation columns."""
+        if key in self.base:
+            return self.base[key]
         rank0, cols = self.algebra._comp_store[key]
-        val = self._hom_dim(rank0, cols)
-        self.hom[key] = val
-        return val
-
-    def _hom_dim(self, rank0, cols) -> int:
         p = self.algebra.char
         n = self.real.dim
         rows = []
         for col in cols:
-            blocks = [_act_matrix(self.real, e, p) for e in col]
+            blocks = [self.block(self.real, e, p) for e in col]
             for i in range(n):
-                row = []
-                for blk in blocks:
-                    row.extend(blk[i])
-                rows.append(row)
-        return rank0 * n - rank(rows, p)
-
-    def ten_dim_key(self, key) -> int:
-        if key in self.ten:
-            return self.ten[key]
-        rank0, cols = self.algebra._comp_store[key]
-        p = self.algebra.char
-        n = self.real.dim
-        spanning = []
-        for col in cols:
-            blocks = [_act_matrix(self.real, e, p) for e in col]
-            for j in range(n):
-                vec = []
-                for blk in blocks:
-                    vec.extend(blk[i][j] for i in range(n))
-                spanning.append(vec)
-        val = rank0 * n - rank(spanning, p)
-        self.ten[key] = val
+                rows.append([x for blk in blocks for x in blk[i]])
+        val = rank0 * n - rank(rows, p)
+        self.base[key] = val
         return val
 
-    # Ext via dimension shift on minimal presentations:
-    #   Ext^0(M, N) = Hom(M, N)
-    #   Ext^1(M, N) = Hom(Omega M, N) - rank0 * dim N + Hom(M, N)
-    #   Ext^i(M, N) = Ext^(i-1)(Omega M, N)          for i >= 2
-    # and additivity over direct summand components.
-
-    def ext_counter(self, counter, free, i) -> int:
+    def counter_dim(self, counter, free, i) -> int:
         if i == 0:
             return (
-                sum(m * self.hom_dim_key(k) for k, m in counter.items())
+                sum(m * self.base_dim(k) for k, m in counter.items())
                 + free * self.real.dim
             )
-        return sum(m * self.ext_key(k, i) for k, m in counter.items())
+        return sum(m * self.key_dim(k, i) for k, m in counter.items())
 
-    def ext_key(self, key, i) -> int:
+    def key_dim(self, key, i) -> int:
         memo = (key, i)
-        if memo in self.ext:
-            return self.ext[memo]
+        if memo in self.derived:
+            return self.derived[memo]
         omega_counter, omega_free = _omega(self.algebra, key)
         if i == 1:
             rank0, _ = self.algebra._comp_store[key]
-            hom_omega = self.ext_counter(omega_counter, omega_free, 0)
-            val = hom_omega - rank0 * self.real.dim + self.hom_dim_key(key)
+            base_omega = self.counter_dim(omega_counter, omega_free, 0)
+            val = base_omega - rank0 * self.real.dim + self.base_dim(key)
         else:
-            val = self.ext_counter(omega_counter, omega_free, i - 1)
-        self.ext[memo] = val
-        return val
-
-    # Tor mirrors Ext with the tensor functor:
-    #   Tor_1(M, N) = (Omega M tensor N) - rank0 * dim N + (M tensor N)
-
-    def tor_counter(self, counter, free, i) -> int:
-        if i == 0:
-            return (
-                sum(m * self.ten_dim_key(k) for k, m in counter.items())
-                + free * self.real.dim
-            )
-        return sum(m * self.tor_key(k, i) for k, m in counter.items())
-
-    def tor_key(self, key, i) -> int:
-        memo = (key, i)
-        if memo in self.tor:
-            return self.tor[memo]
-        omega_counter, omega_free = _omega(self.algebra, key)
-        if i == 1:
-            rank0, _ = self.algebra._comp_store[key]
-            ten_omega = self.tor_counter(omega_counter, omega_free, 0)
-            val = ten_omega - rank0 * self.real.dim + self.ten_dim_key(key)
-        else:
-            val = self.tor_counter(omega_counter, omega_free, i - 1)
-        self.tor[memo] = val
+            val = self.counter_dim(omega_counter, omega_free, i - 1)
+        self.derived[memo] = val
         return val
 
 
@@ -805,24 +744,23 @@ def _require_same_algebra(left: PresentedModule, right: PresentedModule):
         )
 
 
-def ext_dims(module: PresentedModule, target: PresentedModule, upto: int):
-    """dim_k Ext^i(module, target) for i = 0..upto, as a tuple."""
+def _derived_dims(module, target, upto, block):
     _require_same_algebra(module, target)
     if upto < 0:
         raise NonPositive(f"upto must be >= 0, got {upto}")
-    session = _HomSession(module.algebra, _realize(target))
-    counter, free = _module_components(module)
-    return tuple(session.ext_counter(counter, free, i) for i in range(upto + 1))
+    session = _DerivedSession(module.algebra, _realize(target), block)
+    counter, free = _component_split(module.algebra, module.rank0, module.relations)
+    return tuple(session.counter_dim(counter, free, i) for i in range(upto + 1))
+
+
+def ext_dims(module: PresentedModule, target: PresentedModule, upto: int):
+    """dim_k Ext^i(module, target) for i = 0..upto, as a tuple."""
+    return _derived_dims(module, target, upto, _act_matrix)
 
 
 def tor_dims(module: PresentedModule, target: PresentedModule, upto: int):
     """dim_k Tor_i(module, target) for i = 0..upto, as a tuple."""
-    _require_same_algebra(module, target)
-    if upto < 0:
-        raise NonPositive(f"upto must be >= 0, got {upto}")
-    session = _HomSession(module.algebra, _realize(target))
-    counter, free = _module_components(module)
-    return tuple(session.tor_counter(counter, free, i) for i in range(upto + 1))
+    return _derived_dims(module, target, upto, _transposed_act)
 
 
 def is_free(module: PresentedModule) -> bool:

@@ -1,20 +1,28 @@
 """Resolutions, Ext and Tor over monomial Artinian algebras.
 
-Three independent oracles cross-check the dimension-shift engine:
+Three oracles cross-check the dimension-shift engine:
 
  * commuting_hom_dim  -- Hom as the solution space of the linear system
    "f commutes with every basis monomial action" on concrete realizations;
  * hom_complex_ext    -- cohomology of the materialized Hom complex;
  * tensor_complex_tor -- homology of the materialized tensor complex.
 
-All three go through _act_matrix/rank only, never through the syzygy or
-component-splitting code paths they are checking.
+Only commuting_hom_dim is independent of the syzygy code: it uses
+realizations and rank, nothing else.  hom_complex_ext and tensor_complex_tor
+build their complexes from minimal_resolution, which finds syzygies with
+_syzygy_columns; they check the component splitting and the dimension shift
+of ext_dims/tor_dims, not the syzygies.  The syzygies are checked by
+test_resolution_is_a_minimal_exact_complex, which builds its k-matrices
+(flatten_map) with mul.  mul, invert, realization and the structure
+invariants are checked against a dense product table built here
+(dense_table).
 """
 
 import itertools
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sackit import (
     NumericalSemigroup,
@@ -171,6 +179,80 @@ def test_quotient_algebra_by_nonprincipal_ideal():
     assert Q.radical_index() == 3
 
 
+def dense_table(A):
+    """The product table the algebra does not store: t^a * t^b as a basis
+    index, or None when a + b is no basis degree."""
+    index = {d: i for i, d in enumerate(A.degrees)}
+    return tuple(tuple(index.get(a + b) for b in A.degrees) for a in A.degrees)
+
+
+def dense_mul(A, table, a, b):
+    out = [0] * A.dim
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        k = table[i][j]
+        if k is not None:
+            out[k] = (out[k] + a[i] * b[j]) % A.char
+    return tuple(out)
+
+
+@st.composite
+def quotient_algebras(draw):
+    gens = draw(st.lists(st.integers(2, 20), min_size=2, max_size=4, unique=True))
+    assume(gcd(*gens) == 1)
+    H = NumericalSemigroup.from_generators(gens)
+    members = [x for x in range(1, 31) if H.contains(x)]
+    ideal_gens = draw(st.lists(st.sampled_from(members), min_size=1, max_size=2))
+    return quotient_algebra(SemigroupIdeal.from_generators(H, ideal_gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(quotient_algebras(), st.data())
+def test_products_match_dense_table(A, data):
+    table = dense_table(A)
+    positive = range(1, A.dim)
+    products = {table[i][j] for i in positive for j in positive}
+    assert A.embedding_dim() == sum(1 for i in positive if i not in products)
+    power, r = set(positive), 1  # m^r as a set of basis indices
+    while power:
+        r += 1
+        power = {table[i][j] for i in positive for j in power} - {None}
+    assert A.radical_index() == r
+
+    elems = st.tuples(*[st.integers(0, A.char - 1)] * A.dim)
+    a, b = data.draw(elems), data.draw(elems)
+    assert A.mul(a, b) == dense_mul(A, table, a, b)
+    unit = (data.draw(st.integers(1, A.char - 1)),) + a[1:]
+    assert dense_mul(A, table, unit, A.invert(unit)) == A.monomial(0)
+
+    # A/(t^c) has the basis monomials outside t^c * A, and its action
+    # matrices multiply as the table says
+    c = data.draw(st.sampled_from(range(A.dim)))
+    real = realization(cyclic_quotient(A, A.degrees[c]))
+    n = real.dim
+    assert n == A.dim - sum(k is not None for k in table[c])
+    vec = data.draw(st.tuples(*[st.integers(0, A.char - 1)] * n))
+
+    def act(b, v):
+        return tuple(
+            sum(x * y for x, y in zip(row, v)) % A.char for row in real.action[b]
+        )
+
+    assert act(0, vec) == vec
+    i = data.draw(st.sampled_from(range(A.dim)))
+    for j in range(A.dim):
+        k = table[i][j]
+        assert act(i, act(j, vec)) == (act(k, vec) if k is not None else (0,) * n)
+
+
+def test_wide_quotient_products():
+    # the emb_dim_le1 premise of certify --ring sgp(5,1001) builds this algebra
+    H = NumericalSemigroup.from_generators([5, 1001])
+    A = quotient_algebra(SemigroupIdeal.from_generators(H, [1001]))
+    assert A.dim == 1001
+    assert A.embedding_dim() == 1
+    assert A.radical_index() == 1001  # t^5000 = (t^5)^1000 survives
+
+
 def test_residue_field_betti_doubling():
     A = trunc([3, 4, 5], 3)  # radical square zero, embedding dimension 2
     k = residue_field(A)
@@ -207,11 +289,28 @@ def _samples():
     return SAMPLE_MODULES
 
 
-@pytest.mark.parametrize("idx", range(7))
-def test_resolution_is_a_minimal_exact_complex(idx):
-    M = _samples()[idx]
+# Deeper truncations, whose presentations do not split into trivial
+# components: (generators of H, q, the degree c of the cyclic module cyc(c)).
+DEEP_ALGEBRAS = [
+    ((3, 4, 5), 6, 4),
+    ((3, 4, 5), 8, 4),
+    ((4, 5, 6), 8, 5),
+    ((2, 5), 10, 5),
+    ((3, 7), 9, 7),
+    ((3, 5, 7), 9, 5),
+    ((4, 6, 7, 9), 8, 6),
+]
+DEEP_IDS = [f"H{','.join(map(str, g))}-q{q}" for g, q, _ in DEEP_ALGEBRAS]
+
+
+def deep_module(algebra, c, name):
+    """k or cyc(c) = A/(t^c) over a DEEP_ALGEBRAS algebra."""
+    return residue_field(algebra) if name == "k" else cyclic_quotient(algebra, c)
+
+
+def assert_minimal_exact(M, length):
     A = M.algebra
-    res = minimal_resolution(M, 4)
+    res = minimal_resolution(M, length)
     betti = res.betti
     # consecutive maps compose to zero
     for d_next, d_here in zip(res.matrices[1:], res.matrices):
@@ -235,7 +334,18 @@ def test_resolution_is_a_minimal_exact_complex(idx):
         assert ranks[i] + nullity == ncols
         if i + 1 < len(flats):
             # ker(d_{i+1}) = im(d_{i+2}) as k-spaces
-            assert nullity == ranks[i + 1], (idx, i)
+            assert nullity == ranks[i + 1], i
+
+
+@pytest.mark.parametrize("idx", range(7))
+def test_resolution_is_a_minimal_exact_complex(idx):
+    assert_minimal_exact(_samples()[idx], 4)
+
+
+@pytest.mark.parametrize("name", ["k", "cyc"])
+@pytest.mark.parametrize("gens,q,c", DEEP_ALGEBRAS, ids=DEEP_IDS)
+def test_resolution_is_a_minimal_exact_complex_deep(gens, q, c, name):
+    assert_minimal_exact(deep_module(trunc(gens, q), c, name), 3)
 
 
 @pytest.mark.parametrize("idx", range(7))
@@ -272,6 +382,16 @@ def test_tor_matches_tensor_complex_oracle():
         assert tor_dims(M, N, 5) == tensor_complex_tor(M, N, 5)
         # Tor is symmetric in its arguments
         assert tor_dims(M, N, 5) == tor_dims(N, M, 5)
+
+
+@pytest.mark.parametrize("n_name", ["k", "cyc"])
+@pytest.mark.parametrize("m_name", ["k", "cyc"])
+@pytest.mark.parametrize("gens,q,c", DEEP_ALGEBRAS, ids=DEEP_IDS)
+def test_deep_ext_tor_match_complex_oracles(gens, q, c, m_name, n_name):
+    A = trunc(gens, q)
+    M, N = deep_module(A, c, m_name), deep_module(A, c, n_name)
+    assert ext_dims(M, N, 3) == hom_complex_ext(M, N, 3)
+    assert tor_dims(M, N, 3) == tensor_complex_tor(M, N, 3)
 
 
 def test_free_modules_are_homologically_trivial():
