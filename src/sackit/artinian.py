@@ -11,10 +11,18 @@ Modules are finitely presented by a relation matrix over the algebra
 unit entries are eliminated, then redundant relation columns are dropped by
 the Nakayama criterion.  Syzygies are computed as exact kernels over the
 prime field followed by minimal generator selection, so every resolution
-produced here has all differential entries inside the radical.  One kernel
-serves all of this: ``_multiples`` lists a column times every basis monomial
-by moving coefficients, and ``_nakayama`` keeps the vectors that are
-independent modulo the radical multiples of all of them.
+produced here has all differential entries inside the radical.
+
+The syzygy engine is sparse.  Inside it a column of rank0 algebra elements
+is one flattened sparse vector {g*dim A + i: coeff} (generator g, basis
+index i); dense tuples appear only at the public boundary
+(``PresentedModule.relations``, ``MinimalResolution.matrices`` and the
+result of ``syzygy_step``).  ``_multiples`` lists a column times every
+basis monomial by moving coefficients; the syzygy k-matrix is made of these
+multiples and its kernel is taken per connected block of its sparsity
+pattern (``modp.sparse_kernel``); ``_nakayama`` keeps the kernel vectors
+that are independent modulo the radical multiples of all of them, in a
+sparse ``modp.Span``.
 
 Ext and Tor dimensions come from the minimal resolution via dimension
 shifting.  Presentations are first split into their direct summands
@@ -27,9 +35,9 @@ checks by recomputing tables in a second characteristic.
 
 Determinism: pivoting is lexicographic, generator selection is greedy in
 canonical kernel order, and all caches are keyed by exact presentations.
-Those caches live on the algebra (``_comp_store`` and ``_omega_store``) and
-Ext and Tor computations fill them, so an algebra must not be shared between
-threads that compute with it.
+The syzygy cache lives on the algebra (``_omega_store``) and Ext and Tor
+computations fill it, so an algebra must not be shared between threads that
+compute with it.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .ideals import SemigroupIdeal
-from .modp import Span, kernel_basis, rank, rref, solve
+from .modp import Span, connected_blocks, solve, sparse_kernel
 from .semigroup import NumericalSemigroup
 
 DEFAULT_PRIME = 32003
@@ -103,7 +111,6 @@ class MonomialArtinianAlgebra:
         "char",
         "degrees",
         "_index",
-        "_comp_store",
         "_omega_store",
     )
 
@@ -119,7 +126,6 @@ class MonomialArtinianAlgebra:
         object.__setattr__(self, "char", p)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_comp_store", {})
         object.__setattr__(self, "_omega_store", {})
 
     def __setattr__(self, name, value):
@@ -173,7 +179,8 @@ class MonomialArtinianAlgebra:
         if not self.is_unit(a):
             raise DomainError("element is not a unit")
         # column j is a * t^(degrees[j])
-        mat = list(zip(*_multiples(self, a, self.degrees)))
+        cols = _multiples(self, _sparse_column((a,), self.dim), self.degrees)
+        mat = [[col.get(i, 0) for col in cols] for i in range(self.dim)]
         rhs = [1] + [0] * (self.dim - 1)
         sol = solve(mat, rhs, self.char)
         assert sol is not None
@@ -369,57 +376,66 @@ def _minimalize(algebra, rank0, cols):
             break
 
     cols = [tuple(col) for col in cols if any(any(x for x in e) for e in col)]
-    keep = _nakayama(algebra, [_flatten(col) for col in cols])
+    keep = _nakayama(algebra, [_sparse_column(col, algebra.dim) for col in cols])
     return rank0, tuple(col for col, kept in zip(cols, keep) if kept)
 
 
-def _multiples(algebra, flat, degrees):
-    """The flattened column ``flat`` times t^d, for each d in ``degrees``.
+def _multiples(algebra, vec, degrees):
+    """The sparse flattened column ``vec`` times t^d, for each d in ``degrees``.
 
     A monomial only moves coefficients: position g*dim + i goes to
     g*dim + index(degrees[i] + d), or drops out when that sum is no basis
     degree.  Distinct positions never meet, so nothing is accumulated.
     """
     dim_a, index, basis = algebra.dim, algebra._index, algebra.degrees
-    support = [
-        (pos - pos % dim_a, basis[pos % dim_a], x) for pos, x in enumerate(flat) if x
-    ]
+    support = [(pos - pos % dim_a, basis[pos % dim_a], x) for pos, x in vec.items()]
     out = []
     for d in degrees:
-        vec = [0] * len(flat)
+        image = {}
         for base, deg, x in support:
             k = index.get(deg + d)
             if k is not None:
-                vec[base + k] = x
-        out.append(vec)
+                image[base + k] = x
+        out.append(image)
     return out
 
 
 def _nakayama(algebra, vecs):
-    """Nakayama selection over flattened columns: whether each one is kept.
+    """Nakayama selection over sparse flattened columns: whether each one is
+    kept.
 
     The radical multiples of all columns go into one span first; then the
     columns are taken in order, and one is kept when it enlarges the span.
     The kept columns minimally generate the submodule all of them generate.
     """
-    span = Span(len(vecs[0]) if vecs else 0, algebra.char)
+    span = Span(algebra.char)
     for vec in vecs:
         for scaled in _multiples(algebra, vec, algebra.degrees[1:]):
-            span.add(scaled)
+            if scaled:
+                span.add(scaled)
     return [span.add(vec) for vec in vecs]
 
 
-def _flatten(column):
-    out = []
-    for entry in column:
-        out.extend(entry)
-    return out
+def _sparse_column(column, dim_a):
+    """A column of algebra elements as a sparse flattened vector."""
+    return {
+        g * dim_a + i: x
+        for g, entry in enumerate(column)
+        for i, x in enumerate(entry)
+        if x
+    }
 
 
-def _unflatten(vec, rank0, dim_a):
-    return tuple(
-        tuple(vec[i * dim_a : (i + 1) * dim_a]) for i in range(rank0)
-    )
+def _dense_column(vec, rank0, dim_a):
+    """The tuple of rank0 algebra elements that a sparse flattened vector holds."""
+    entries: dict[int, list[int]] = {}
+    for pos, x in vec.items():
+        g, i = divmod(pos, dim_a)
+        entries.setdefault(g, [0] * dim_a)[i] = x
+    out = [(0,) * dim_a] * rank0
+    for g, entry in entries.items():
+        out[g] = tuple(entry)
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------------
@@ -428,18 +444,15 @@ def _unflatten(vec, rank0, dim_a):
 
 def _syzygy_columns(algebra, rank0, cols):
     """Minimal generating columns of ker(A^s -> A^rank0) for the map with
-    the given columns.  The output columns have length s."""
-    dim_a = algebra.dim
-    s = len(cols)
-    # k-matrix of the map: domain basis (column j, monomial b)
+    the given sparse flattened columns, as sparse flattened columns of
+    length s."""
+    # k-matrix of the map, by columns: domain basis (column j, monomial b)
     images = [
-        image
-        for col in cols
-        for image in _multiples(algebra, _flatten(col), algebra.degrees)
+        image for col in cols for image in _multiples(algebra, col, algebra.degrees)
     ]
-    kern = kernel_basis(list(zip(*images)), s * dim_a, algebra.char)
+    kern = sparse_kernel(images, algebra.char)
     keep = _nakayama(algebra, kern)
-    return tuple(_unflatten(vec, s, dim_a) for vec, kept in zip(kern, keep) if kept)
+    return [vec for vec, kept in zip(kern, keep) if kept]
 
 
 def syzygy_step(algebra, matrix):
@@ -461,14 +474,12 @@ def syzygy_step(algebra, matrix):
         for entry in col:
             if algebra.is_unit(entry):
                 raise NonMinimalInput("unit entry in presentation matrix")
-    out = _syzygy_columns(algebra, rank0, cols)
-    for col in out:
-        for entry in col:
-            if algebra.is_unit(entry):
-                raise NonMinimalInput(
-                    "input columns do not minimally generate their span"
-                )
-    return out
+    dim_a = algebra.dim
+    out = _syzygy_columns(algebra, rank0, [_sparse_column(col, dim_a) for col in cols])
+    # a unit entry has a nonzero constant coefficient
+    if any(pos % dim_a == 0 for vec in out for pos in vec):
+        raise NonMinimalInput("input columns do not minimally generate their span")
+    return tuple(_dense_column(vec, len(cols), dim_a) for vec in out)
 
 
 @dataclass(frozen=True)
@@ -494,17 +505,16 @@ def minimal_resolution(module: PresentedModule, length: int) -> MinimalResolutio
     if length < 1:
         raise NonPositive(f"resolution length must be >= 1, got {length}")
     algebra = module.algebra
+    dim_a = algebra.dim
     betti = [module.rank0]
-    mats = []
+    mats = [module.relations]
     rank0 = module.rank0
-    cols = module.relations
-    for step in range(length):
-        mats.append(cols)
-        betti.append(len(cols))
-        if step + 1 < length:
-            nxt = _syzygy_columns(algebra, rank0, cols) if cols else ()
-            rank0 = len(cols)
-            cols = nxt
+    cols = [_sparse_column(col, dim_a) for col in module.relations]
+    for _ in range(length - 1):
+        rank0, cols = len(cols), _syzygy_columns(algebra, rank0, cols)
+        betti.append(rank0)
+        mats.append(tuple(_dense_column(vec, rank0, dim_a) for vec in cols))
+    betti.append(len(cols))
     return MinimalResolution(module, tuple(betti), tuple(mats))
 
 
@@ -540,28 +550,15 @@ def _realize(module: PresentedModule) -> Realization:
     if module._real is not None:
         return module._real
     algebra = module.algebra
-    p = algebra.char
     dim_a = algebra.dim
-    r = module.rank0
-    total = r * dim_a
-
-    spanning = [
-        image
-        for col in module.relations
-        for image in _multiples(algebra, _flatten(col), algebra.degrees)
-    ]
-    reduced, pivots = rref(spanning, p) if spanning else ([], [])
-    pivot_set = set(pivots)
-    free_pos = [pos for pos in range(total) if pos not in pivot_set]
-
-    def project(vec):
-        v = list(vec)
-        for row, pcol in zip(reduced, pivots):
-            if v[pcol]:
-                f = v[pcol]
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        return [v[pos] for pos in free_pos]
-
+    span = Span(algebra.char)
+    for col in module.relations:
+        for image in _multiples(algebra, _sparse_column(col, dim_a), algebra.degrees):
+            span.add(image)
+    # the positions that lead no row of the relation span index a k-basis of
+    # the module; a vector's coordinates are its remainder modulo the span
+    free_pos = [pos for pos in range(module.rank0 * dim_a) if pos not in span.rows]
+    coord = {pos: i for i, pos in enumerate(free_pos)}
     dim_m = len(free_pos)
     action = []
     for d in algebra.degrees:
@@ -571,12 +568,8 @@ def _realize(module: PresentedModule) -> Realization:
             k = algebra._index.get(d + algebra.degrees[mono_idx])
             if k is None:
                 continue
-            image = [0] * total
-            image[gen * dim_a + k] = 1
-            coords = project(image)
-            for i, val in enumerate(coords):
-                if val:
-                    mat[i][j] = val
+            for i, val in span.reduce({gen * dim_a + k: 1}).items():
+                mat[coord[i]][j] = val
         action.append(tuple(tuple(row) for row in mat))
     real = Realization(dim_m, tuple(action))
     object.__setattr__(module, "_real", real)
@@ -589,18 +582,18 @@ def realization(module: PresentedModule) -> Realization:
 
 
 def _act_matrix(real: Realization, elem, p):
-    """Action of an algebra element on the realization, as a dim x dim matrix."""
+    """Action of an algebra element, given sparse as {basis index: coeff}, on
+    the realization, as a dim x dim matrix."""
     n = real.dim
     out = [[0] * n for _ in range(n)]
-    for b, coeff in enumerate(elem):
-        if coeff:
-            mat = real.action[b]
-            for i in range(n):
-                row_out = out[i]
-                row_in = mat[i]
-                for j in range(n):
-                    if row_in[j]:
-                        row_out[j] = (row_out[j] + coeff * row_in[j]) % p
+    for b, coeff in elem.items():
+        mat = real.action[b]
+        for i in range(n):
+            row_out = out[i]
+            row_in = mat[i]
+            for j in range(n):
+                if row_in[j]:
+                    row_out[j] = (row_out[j] + coeff * row_in[j]) % p
     return out
 
 
@@ -609,64 +602,36 @@ def _act_matrix(real: Realization, elem, p):
 
 
 def _component_split(algebra, rank0, cols):
-    """Split a minimal presentation into incidence components.
+    """Split a minimal presentation, given by sparse flattened columns, into
+    incidence components: columns that share a generator are in one.
 
-    Returns (Counter of component keys, free rank) and registers each key's
-    local presentation on the algebra.
+    Returns (Counter of components, free rank).  A component is its own
+    cache key: (rank0, columns), with its generators renumbered in order, each
+    column a sorted tuple of (position, coeff) pairs and the columns sorted.
     """
-    parent = list(range(rank0))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    supports = []
-    for col in cols:
-        sup = [i for i, e in enumerate(col) if any(e)]
-        supports.append(sup)
-        for a, b in zip(sup, sup[1:]):
-            union(a, b)
-
-    touched = set()
-    groups: dict[int, list[int]] = {}
-    for col_idx, sup in enumerate(supports):
-        root = find(sup[0])
-        groups.setdefault(root, []).append(col_idx)
-        touched.update(sup)
-    for row in range(rank0):
-        if row in touched:
-            groups.setdefault(find(row), [])
-
+    dim_a = algebra.dim
+    supports = [{pos // dim_a for pos in col} for col in cols]
     counter: Counter = Counter()
-    free = rank0 - len(touched)
-    for root, col_indices in groups.items():
-        rows = sorted(r for r in range(rank0) if find(r) == root)
-        local = {row: i for i, row in enumerate(rows)}
-        local_cols = []
-        for ci in col_indices:
-            col = cols[ci]
-            local_cols.append(tuple(col[row] for row in rows))
-        local_cols.sort()
-        key = (len(rows), tuple(local_cols))
-        algebra._comp_store.setdefault(key, (len(rows), tuple(local_cols)))
-        counter[key] += 1
+    free = rank0
+    for block in connected_blocks(supports):
+        gens = sorted(set().union(*(supports[j] for j in block)))
+        local = {g: i * dim_a for i, g in enumerate(gens)}
+        local_cols = sorted(
+            tuple(sorted((local[pos // dim_a] + pos % dim_a, x) for pos, x in col))
+            for col in (cols[j].items() for j in block)
+        )
+        counter[(len(gens), tuple(local_cols))] += 1
+        free -= len(gens)
     return counter, free
 
 
 def _omega(algebra, key):
-    """Components of the first syzygy module of a registered component."""
+    """Components of the first syzygy module of a component."""
     cached = algebra._omega_store.get(key)
     if cached is not None:
         return cached
-    rank0, cols = algebra._comp_store[key]
-    syz = _syzygy_columns(algebra, rank0, cols)
+    rank0, cols = key
+    syz = _syzygy_columns(algebra, rank0, [dict(col) for col in cols])
     result = _component_split(algebra, len(cols), syz)
     algebra._omega_store[key] = result
     return result
@@ -699,18 +664,26 @@ class _DerivedSession:
 
     def base_dim(self, key) -> int:
         """dim F(M) for a component M: F of its free cover, rank0 * dim N,
-        less the rank of what F makes of its relation columns."""
+        less the rank of what F makes of its relation columns.  Each column
+        gives dim N sparse rows, with the block of its entry at generator g
+        in the coordinates g*dim N onward."""
         if key in self.base:
             return self.base[key]
-        rank0, cols = self.algebra._comp_store[key]
-        p = self.algebra.char
-        n = self.real.dim
-        rows = []
+        rank0, cols = key
+        p, n, dim_a = self.algebra.char, self.real.dim, self.algebra.dim
+        span = Span(p)
         for col in cols:
-            blocks = [self.block(self.real, e, p) for e in col]
-            for i in range(n):
-                rows.append([x for blk in blocks for x in blk[i]])
-        val = rank0 * n - rank(rows, p)
+            entries: dict[int, dict[int, int]] = {}
+            for pos, x in col:
+                g, b = divmod(pos, dim_a)
+                entries.setdefault(g, {})[b] = x
+            rows: list[dict[int, int]] = [{} for _ in range(n)]
+            for g, elem in entries.items():
+                for row, blk_row in zip(rows, self.block(self.real, elem, p)):
+                    row.update((g * n + j, x) for j, x in enumerate(blk_row) if x)
+            for row in rows:
+                span.add(row)
+        val = rank0 * n - span.dim
         self.base[key] = val
         return val
 
@@ -728,7 +701,7 @@ class _DerivedSession:
             return self.derived[memo]
         omega_counter, omega_free = _omega(self.algebra, key)
         if i == 1:
-            rank0, _ = self.algebra._comp_store[key]
+            rank0, _ = key
             base_omega = self.counter_dim(omega_counter, omega_free, 0)
             val = base_omega - rank0 * self.real.dim + self.base_dim(key)
         else:
@@ -749,7 +722,9 @@ def _derived_dims(module, target, upto, block):
     if upto < 0:
         raise NonPositive(f"upto must be >= 0, got {upto}")
     session = _DerivedSession(module.algebra, _realize(target), block)
-    counter, free = _component_split(module.algebra, module.rank0, module.relations)
+    dim_a = module.algebra.dim
+    cols = [_sparse_column(col, dim_a) for col in module.relations]
+    counter, free = _component_split(module.algebra, module.rank0, cols)
     return tuple(session.counter_dim(counter, free, i) for i in range(upto + 1))
 
 

@@ -859,50 +859,26 @@ def _rule_glue(desc, depth, search):
 
 
 def _rule_upow(desc, depth, search):
-    if isinstance(desc, SemigroupRing):
-        # upward: some Ulrich ideal I with mu(I) - dim R > 1 whose power
-        # quotient is itself certified
-        H = _semigroup(desc.generators)
-        for gens in _ulrich_candidates(H):
-            ok, p_ulr = verify_premise("ulrich", semigroup=H, ideal_gens=gens)
-            if not ok:
-                continue
-            mu = dict(p_ulr.evidence)["mu"]
-            if mu - 1 <= 1:
-                continue
-            p_mu = _verified(
-                f"mu(I) - dim R = {mu - 1} > 1 for I=({_ints(gens)})",
-                mu=mu,
-                dim=1,
-            )
-            child = _child(UlrichPowerQuotient(desc, tuple(gens), 1), depth, search)
-            if child.verdict != "Certified":
-                continue
-            return _certified(desc, "R-UPOW", [p_ulr, p_mu], [child])
-        return None
-    if isinstance(desc, UlrichPowerQuotient):
-        # downward: R/I Gorenstein and certified, ambient dimension >= 2
-        # asserted (no ring of dimension >= 2 is representable here)
-        if desc.power < 2 or not isinstance(desc.inner, SemigroupRing):
-            return None
-        H = _semigroup(desc.inner.generators)
-        ok, p_ulr = verify_premise(
-            "ulrich", semigroup=H, ideal_gens=desc.ideal_gens
-        )
+    # some Ulrich ideal I with mu(I) - dim R > 1 whose power quotient is
+    # itself certified; the rule runs upward only (R/I^l => R), so it applies
+    # to semigroup rings alone
+    H = _semigroup(desc.generators)
+    for gens in _ulrich_candidates(H):
+        ok, p_ulr = verify_premise("ulrich", semigroup=H, ideal_gens=gens)
         if not ok:
-            return None
-        ok, p_gor = verify_premise(
-            "colength_le2", semigroup=H, ideal_gens=desc.ideal_gens
+            continue
+        mu = dict(p_ulr.evidence)["mu"]
+        if mu - 1 <= 1:
+            continue
+        p_mu = _verified(
+            f"mu(I) - dim R = {mu - 1} > 1 for I=({_ints(gens)})",
+            mu=mu,
+            dim=1,
         )
-        if not ok:
-            p_gor = _asserted("R/I is Gorenstein")
-        p_dim = _asserted("dim R >= 2")
-        child = _child(
-            UlrichPowerQuotient(desc.inner, desc.ideal_gens, 1), depth, search
-        )
+        child = _child(UlrichPowerQuotient(desc, tuple(gens), 1), depth, search)
         if child.verdict != "Certified":
-            return None
-        return _certified(desc, "R-UPOW", [p_ulr, p_gor, p_dim], [child])
+            continue
+        return _certified(desc, "R-UPOW", [p_ulr, p_mu], [child])
     return None
 
 
@@ -987,7 +963,7 @@ _VARIANT_RULES = {
     Glued: ("R-GLUE",),
     PowerSeriesExt: ("R-POW",),
     ParameterPowerQuotient: ("R-QPOW",),
-    UlrichPowerQuotient: ("R-CI", "R-UPOW"),
+    UlrichPowerQuotient: ("R-CI",),
     AbstractCI: ("R-CI",),
     AbstractWithFiniteFlatCover: ("R-FFD",),
 }

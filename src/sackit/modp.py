@@ -1,13 +1,22 @@
-"""Dense exact linear algebra over a prime field.
+"""Exact linear algebra over a prime field, dense and sparse.
 
-Matrices are lists of rows of Python ints reduced into [0, p).  Pivot
-selection is lexicographic (first usable column, first usable row), so
+Dense matrices are lists of rows of Python ints reduced into [0, p).  Sparse
+vectors are dicts {position: coefficient} that hold only nonzero
+coefficients; the syzygy engine works on them, because its k-matrices are
+(rank·dim A)×(s·dim A) with a handful of nonzeros per column and fall apart
+into many small independent blocks.  ``sparse_kernel`` takes a kernel per
+connected block of the sparsity pattern with the dense ``kernel_basis``, and
+``Span`` keeps sparse echelon rows.
+
+Pivot selection is lexicographic (first usable column, first usable row), so
 reduced forms, ranks, kernel bases and greedy span completions are
 deterministic functions of the input.  Everything is arbitrary-precision
 integer arithmetic; inverses come from pow(x, -1, p).
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 
 def rref(rows, p):
@@ -62,6 +71,56 @@ def kernel_basis(rows, ncols, p):
     return basis
 
 
+def connected_blocks(supports):
+    """The indices of ``supports`` (a list of sets) grouped into connected
+    blocks, two sets meeting when they share an element.  Blocks come in the
+    order of their first index, and list their indices in increasing order."""
+    parent = list(range(len(supports)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    first: dict = {}  # element -> the first index whose set holds it
+    for i, support in enumerate(supports):
+        for key in support:
+            a, b = find(i), find(first.setdefault(key, i))
+            if a != b:
+                parent[a] = b
+    blocks: dict[int, list[int]] = {}
+    for i in range(len(supports)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
+def sparse_kernel(columns, p):
+    """``kernel_basis`` of the matrix whose columns are the sparse vectors
+    ``columns``, as sparse vectors over the column indices.
+
+    The columns are grouped into the connected blocks of the sparsity pattern
+    (two columns meet when they share a nonzero row) and each block gets its
+    own dense ``kernel_basis``.  The reduced echelon form of a block diagonal
+    matrix is the union of the blocks' forms, so the union of the block
+    bases, ordered by free column, is the canonical basis of the whole
+    matrix.  A canonical vector's free column is its largest position: its
+    other nonzeros sit at pivots of rows that reach the free column.
+    """
+    basis = []
+    for cols in connected_blocks(columns):
+        support = sorted({r for c in cols for r in columns[c]})
+        rows = {r: i for i, r in enumerate(support)}
+        mat = [[0] * len(cols) for _ in rows]
+        for j, c in enumerate(cols):
+            for r, x in columns[c].items():
+                mat[rows[r]][j] = x
+        for vec in kernel_basis(mat, len(cols), p):
+            basis.append({cols[j]: x for j, x in enumerate(vec) if x})
+    basis.sort(key=max)
+    return basis
+
+
 def solve(rows, rhs, p):
     """One solution of rows * x = rhs, or None if inconsistent."""
     if not rows:
@@ -80,37 +139,54 @@ def solve(rows, rhs, p):
 class Span:
     """Incrementally built row space with membership tests.
 
-    Rows are kept in echelon form indexed by leading column; adding reduces
-    the candidate against current rows first, so the span is independent of
+    Rows are kept sparse, in echelon form indexed by leading column, and
+    scaled to lead with 1.  A candidate, dense or sparse, is reduced along its
+    own support in increasing column order, so the span is independent of
     insertion order while the add() return value reports growth.
     """
 
-    def __init__(self, ncols: int, p: int):
-        self.ncols = ncols
+    def __init__(self, p: int):
         self.p = p
-        self.rows: dict[int, list[int]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
 
-    def _reduce(self, vec):
-        v = [x % self.p for x in vec]
-        for lead in sorted(self.rows):
-            if v[lead]:
-                f = v[lead]
-                row = self.rows[lead]
-                v = [(a - f * b) % self.p for a, b in zip(v, row)]
+    def reduce(self, vec) -> dict[int, int]:
+        """The remainder of vec modulo the span, sparse: the one vector of
+        vec + span that is zero at every leading column."""
+        p, rows = self.p, self.rows
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {i: x % p for i, x in items if x % p}
+        heap = list(v)
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)
+            f = v.get(lead)
+            row = rows.get(lead)
+            if not f or row is None:
+                continue
+            for col, x in row.items():
+                y = v.get(col)
+                if y is None:
+                    heappush(heap, col)
+                    y = 0
+                y = (y - f * x) % p
+                if y:
+                    v[col] = y
+                else:
+                    del v[col]
         return v
 
     def add(self, vec) -> bool:
         """Insert vec; True when it enlarged the span."""
-        v = self._reduce(vec)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
+        v = self.reduce(vec)
+        if not v:
             return False
+        lead = min(v)
         inv = pow(v[lead], -1, self.p)
-        self.rows[lead] = [(x * inv) % self.p for x in v]
+        self.rows[lead] = {col: (x * inv) % self.p for col, x in v.items()}
         return True
 
     def contains(self, vec) -> bool:
-        return all(x == 0 for x in self._reduce(vec))
+        return not self.reduce(vec)
 
     @property
     def dim(self) -> int:

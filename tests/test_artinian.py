@@ -13,9 +13,10 @@ build their complexes from minimal_resolution, which finds syzygies with
 _syzygy_columns; they check the component splitting and the dimension shift
 of ext_dims/tor_dims, not the syzygies.  The syzygies are checked by
 test_resolution_is_a_minimal_exact_complex, which builds its k-matrices
-(flatten_map) with mul.  mul, invert, realization and the structure
-invariants are checked against a dense product table built here
-(dense_table).
+(flatten_map) with mul, and byte for byte against the dense engine that the
+sparse one replaced (test_dense_oracle.py).  mul, invert, realization and
+the structure invariants are checked against a dense product table built
+here (dense_table).
 """
 
 import itertools
@@ -102,7 +103,7 @@ def hom_complex_ext(M, N, upto):
         rows = [[0] * src for _ in range(res.betti[i + 1] * n)]
         for j, col in enumerate(cols):
             for g, entry in enumerate(col):
-                blk = _act_matrix(realN, entry, p)
+                blk = _act_matrix(realN, dict(enumerate(entry)), p)
                 for a in range(n):
                     for b in range(n):
                         rows[j * n + a][g * n + b] = blk[a][b]
@@ -126,7 +127,7 @@ def tensor_complex_tor(M, N, upto):
         rows = [[0] * (res.betti[i + 1] * n) for _ in range(res.betti[i] * n)]
         for j, col in enumerate(cols):
             for g, entry in enumerate(col):
-                blk = _act_matrix(realN, entry, p)
+                blk = _act_matrix(realN, dict(enumerate(entry)), p)
                 for a in range(n):
                     for b in range(n):
                         rows[g * n + a][j * n + b] = blk[a][b]
@@ -259,6 +260,19 @@ def test_residue_field_betti_doubling():
     assert minimal_resolution(k, 6).betti == (1, 2, 4, 8, 16, 32, 64)
     assert ext_dims(k, k, 6) == (1, 2, 4, 8, 16, 32, 64)
     assert tor_dims(k, k, 6) == (1, 2, 4, 8, 16, 32, 64)
+
+
+def test_radical_square_zero_ext_tor_closed_form():
+    # k[3,4,5]/m^2 has basis 1, t^3, t^4, t^5 and m^2 = 0, so the Poincare
+    # series of k is 1/(1 - 3z): Ext^i(k, k) and Tor_i(k, k) have dimension 3^i
+    H = NumericalSemigroup.from_generators([3, 4, 5])
+    m = SemigroupIdeal.from_generators(H, [3, 4, 5])
+    A = quotient_algebra(m.power(2))
+    assert A.degrees == (0, 3, 4, 5)
+    k = residue_field(A)
+    powers = tuple(3**i for i in range(7))
+    assert ext_dims(k, k, 6) == powers
+    assert tor_dims(k, k, 6) == powers
 
 
 def test_chain_algebra_betti_constant():

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from sackit.modp import Span, kernel_basis, rank, rref, solve
+from sackit.modp import Span, kernel_basis, rank, rref, solve, sparse_kernel
 
 
 def matmul_vec(rows, vec, p):
@@ -92,7 +92,7 @@ def test_solve_round_trip(rows, data):
 @settings(max_examples=40, deadline=None)
 @given(matrix, st.sampled_from([2, 7]))
 def test_span_tracks_rank(rows, p):
-    span = Span(len(rows[0]), p)
+    span = Span(p)
     current = []
     for row in rows:
         grew = span.add(row)
@@ -101,3 +101,42 @@ def test_span_tracks_rank(rows, p):
         assert span.contains(row)
     assert span.dim == rank(rows, p)
     assert span.contains([0] * len(rows[0]))
+
+
+sparse_entries = st.sampled_from([0, 0, 0, 0, 1, 2, 6])
+sparse_matrix = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+    lambda shape: st.lists(
+        st.lists(sparse_entries, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+def as_dict(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix, st.sampled_from([2, 7, 32003]), st.data())
+def test_span_takes_dense_and_sparse_rows_alike(rows, p, data):
+    dense, sparse = Span(p), Span(p)
+    for row in rows:
+        assert dense.add(row) == sparse.add(as_dict(row))
+    assert dense.dim == sparse.dim == rank(rows, p)
+    n = len(rows[0])
+    probes = data.draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                                max_size=4))
+    for vec in rows + probes:
+        inside = rank(rows + [vec], p) == rank(rows, p)
+        assert dense.contains(vec) == sparse.contains(as_dict(vec)) == inside
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrix, st.sampled_from([2, 7, 32003]))
+def test_sparse_kernel_is_the_canonical_kernel(rows, p):
+    # columns that share no nonzero row fall into separate blocks
+    ncols = len(rows[0])
+    columns = [as_dict(col) for col in zip(*rows)]
+    dense = kernel_basis(rows, ncols, p)
+    assert sparse_kernel(columns, p) == [as_dict(v) for v in dense]
