@@ -518,21 +518,6 @@ def minimal_resolution(module: PresentedModule, length: int) -> MinimalResolutio
     return MinimalResolution(module, tuple(betti), tuple(mats))
 
 
-def apply_columns(algebra, cols, vec):
-    """Matrix action: sum of column_j * vec_j, for a vector of algebra
-    elements; used to verify that consecutive differentials compose to 0."""
-    if not cols:
-        return ()
-    rank0 = len(cols[0])
-    out = [algebra.zero()] * rank0
-    p = algebra.char
-    for col, scalar in zip(cols, vec):
-        for i, entry in enumerate(col):
-            term = algebra.mul(entry, scalar)
-            out[i] = tuple((a + b) % p for a, b in zip(out[i], term))
-    return tuple(out)
-
-
 # ----------------------------------------------------------------------------
 # realizations (concrete k-vector space with the monomial action)
 
@@ -736,10 +721,6 @@ def ext_dims(module: PresentedModule, target: PresentedModule, upto: int):
 def tor_dims(module: PresentedModule, target: PresentedModule, upto: int):
     """dim_k Tor_i(module, target) for i = 0..upto, as a tuple."""
     return _derived_dims(module, target, upto, _transposed_act)
-
-
-def is_free(module: PresentedModule) -> bool:
-    return module.is_free()
 
 
 @dataclass(frozen=True)

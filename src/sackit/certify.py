@@ -39,93 +39,98 @@ SCHEMA_VERSION = "cert-v1"
 # ring descriptors
 
 
-@dataclass(frozen=True)
-class SemigroupRing:
-    """k[[H]] for a numerical semigroup H."""
-
-    generators: tuple[int, ...]
+class _Descriptor:
+    """Base of the ring descriptors.  Each declares its text form once: HEAD
+    is its head word and SLOTS names one slot kind (see _SLOT_KINDS) per
+    field, in field order.  The parser, str(), validate_descriptor and
+    descriptor_grammar all read these two class attributes."""
 
     def __str__(self) -> str:
-        return f"sgp({_ints(self.generators)})"
+        args = ",".join(
+            _SLOT_KINDS[kind][2](getattr(self, name))
+            for kind, name in zip(self.SLOTS, self.__dataclass_fields__)
+        )
+        return f"{self.HEAD}({args})"
 
 
 @dataclass(frozen=True)
-class Truncation:
+class SemigroupRing(_Descriptor):
+    """k[[H]] for a numerical semigroup H."""
+
+    HEAD = "sgp"
+    SLOTS = ("ints",)
+    generators: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Truncation(_Descriptor):
     """k[H]/(t^q), the Artinian truncation of k[[H]]."""
 
+    HEAD = "trunc"
+    SLOTS = ("gens", "int")
     generators: tuple[int, ...]
     q: int
 
-    def __str__(self) -> str:
-        return f"trunc(sgp({_ints(self.generators)}),{self.q})"
-
 
 @dataclass(frozen=True)
-class Glued:
+class Glued(_Descriptor):
     """The semigroup ring of n*H + <m>, presented as a gluing."""
 
+    HEAD = "glued"
+    SLOTS = ("sgp", "int", "int")
     inner: SemigroupRing
     n: int
     m: int
 
-    def __str__(self) -> str:
-        return f"glued({self.inner},{self.n},{self.m})"
-
 
 @dataclass(frozen=True)
-class PowerSeriesExt:
+class PowerSeriesExt(_Descriptor):
     """R[[T]] over an inner ring R."""
 
+    HEAD = "powser"
+    SLOTS = ("ring",)
     inner: "RingDescriptor"
-
-    def __str__(self) -> str:
-        return f"powser({self.inner})"
 
 
 @dataclass(frozen=True)
-class ParameterPowerQuotient:
+class ParameterPowerQuotient(_Descriptor):
     """R/Q^power with Q generated by a regular sequence of length regseq_len."""
 
+    HEAD = "qpow"
+    SLOTS = ("ring", "int", "int")
     inner: "RingDescriptor"
     power: int
     regseq_len: int
 
-    def __str__(self) -> str:
-        return f"qpow({self.inner},{self.power},{self.regseq_len})"
-
 
 @dataclass(frozen=True)
-class UlrichPowerQuotient:
+class UlrichPowerQuotient(_Descriptor):
     """R/I^power for a declared Ulrich ideal I of the inner ring."""
 
+    HEAD = "upow"
+    SLOTS = ("ring", "(ints)", "int")
     inner: "RingDescriptor"
     ideal_gens: tuple[int, ...]
     power: int
 
-    def __str__(self) -> str:
-        return f"upow({self.inner},({_ints(self.ideal_gens)}),{self.power})"
-
 
 @dataclass(frozen=True)
-class AbstractCI:
+class AbstractCI(_Descriptor):
     """A ring declared to be a complete intersection."""
 
-    def __str__(self) -> str:
-        return "ci()"
+    HEAD = "ci"
+    SLOTS = ()
 
 
 @dataclass(frozen=True)
-class AbstractWithFiniteFlatCover:
-    """A ring R together with a module-finite extension S of finite flat
-    dimension over R; either slot may be left unspecified."""
+class AbstractWithFiniteFlatCover(_Descriptor):
+    """A ring R with a module-finite extension S of finite flat dimension
+    over R; ? leaves either one unspecified."""
 
+    HEAD = "ffd"
+    SLOTS = ("ring?", "ring?")
     inner: "RingDescriptor | None"
     cover: "RingDescriptor | None"
-
-    def __str__(self) -> str:
-        left = "?" if self.inner is None else str(self.inner)
-        right = "?" if self.cover is None else str(self.cover)
-        return f"ffd({left},{right})"
 
 
 RingDescriptor = (
@@ -139,17 +144,12 @@ RingDescriptor = (
     | AbstractWithFiniteFlatCover
 )
 
+_HEADS = {cls.HEAD: cls for cls in RingDescriptor.__args__}
+
 
 def _ints(xs) -> str:
     return ",".join(str(x) for x in xs)
 
-
-# ----------------------------------------------------------------------------
-# descriptor text form: LL(1) mini-grammar
-#
-#   ring  := sgp(ints) | trunc(sgp(ints),int) | glued(sgp(ints),int,int)
-#          | powser(ring) | qpow(ring,int,int) | upow(ring,(ints),int)
-#          | ci() | ffd(ring-or-?,ring-or-?)
 
 _TOKEN = re.compile(r"\s*([a-z]+|\d+|[(),?])")
 
@@ -174,6 +174,8 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """LL(1) descent over the grammar that HEAD and SLOTS declare."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
@@ -195,7 +197,12 @@ class _Parser:
         tok = self.take()
         if not tok.isdigit():
             raise MalformedDescriptor(f"expected an integer, got {tok!r}")
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # past the interpreter's integer string limit
+            raise MalformedDescriptor(
+                f"integer of {len(tok)} digits is too long"
+            ) from None
 
     def int_list(self):
         out = [self.int_()]
@@ -204,92 +211,42 @@ class _Parser:
             out.append(self.int_())
         return tuple(out)
 
-    def sgp(self) -> SemigroupRing:
-        self.take("sgp")
+    def paren_ints(self):
         self.take("(")
-        gens = self.int_list()
+        out = self.int_list()
         self.take(")")
-        return SemigroupRing(gens)
+        return out
 
     def ring(self, allow_hole=False):
         if self.depth > MAX_NESTING:
             raise MalformedDescriptor(
                 f"descriptor nested deeper than {MAX_NESTING} levels"
             )
-        self.depth += 1
-        desc = self._ring(allow_hole)
-        self.depth -= 1
-        return desc
-
-    def _ring(self, allow_hole):
         head = self.peek()
         if head == "?":
             if not allow_hole:
                 raise MalformedDescriptor("'?' is only valid inside ffd(...)")
             self.take("?")
             return None
-        if head == "sgp":
-            return self.sgp()
-        if head == "trunc":
-            self.take("trunc")
-            self.take("(")
-            inner = self.sgp()
-            self.take(",")
-            q = self.int_()
-            self.take(")")
-            return Truncation(inner.generators, q)
-        if head == "glued":
-            self.take("glued")
-            self.take("(")
-            inner = self.sgp()
-            self.take(",")
-            n = self.int_()
-            self.take(",")
-            m = self.int_()
-            self.take(")")
-            return Glued(inner, n, m)
-        if head == "powser":
-            self.take("powser")
-            self.take("(")
-            inner = self.ring()
-            self.take(")")
-            return PowerSeriesExt(inner)
-        if head == "qpow":
-            self.take("qpow")
-            self.take("(")
-            inner = self.ring()
-            self.take(",")
-            power = self.int_()
-            self.take(",")
-            regseq = self.int_()
-            self.take(")")
-            return ParameterPowerQuotient(inner, power, regseq)
-        if head == "upow":
-            self.take("upow")
-            self.take("(")
-            inner = self.ring()
-            self.take(",")
-            self.take("(")
-            gens = self.int_list()
-            self.take(")")
-            self.take(",")
-            power = self.int_()
-            self.take(")")
-            return UlrichPowerQuotient(inner, gens, power)
-        if head == "ci":
-            self.take("ci")
-            self.take("(")
-            self.take(")")
-            return AbstractCI()
-        if head == "ffd":
-            self.take("ffd")
-            self.take("(")
-            inner = self.ring(allow_hole=True)
-            self.take(",")
-            cover = self.ring(allow_hole=True)
-            self.take(")")
-            return AbstractWithFiniteFlatCover(inner, cover)
-        raise MalformedDescriptor(f"unknown descriptor head {head!r}")
+        cls = _HEADS.get(head)
+        if cls is None:
+            raise MalformedDescriptor(f"unknown descriptor head {head!r}")
+        self.depth += 1
+        desc = self.node(cls)
+        self.depth -= 1
+        return desc
+
+    def node(self, cls):
+        """HEAD(slot,...,slot) of one descriptor class."""
+        self.take(cls.HEAD)
+        self.take("(")
+        args = []
+        for i, kind in enumerate(cls.SLOTS):
+            if i:
+                self.take(",")
+            args.append(_SLOT_KINDS[kind][1](self))
+        self.take(")")
+        return cls(*args)
 
 
 def parse_ring(text: str) -> RingDescriptor:
@@ -310,60 +267,87 @@ def _semigroup(gens) -> NumericalSemigroup:
         raise MalformedDescriptor(f"bad semigroup {_ints(gens)}: {exc}") from exc
 
 
+def _check_int(desc, value):
+    if not isinstance(value, int) or value < 1:
+        raise MalformedDescriptor(
+            f"{desc.HEAD}() integer arguments must be >= 1, got {value!r}"
+        )
+
+
+def _check_ints(desc, values):
+    if not values:
+        raise MalformedDescriptor(f"{desc.HEAD}() needs a nonempty (a,b,...)")
+
+
+def _check_sgp(desc, inner):
+    if not isinstance(inner, SemigroupRing):
+        raise MalformedDescriptor(f"{desc.HEAD}() needs a semigroup ring inside")
+
+
+def _check_ring(desc, inner):
+    if inner is None:
+        raise MalformedDescriptor(f"{desc.HEAD}() needs an inner ring")
+
+
+def _check_members(gens, xs, what):
+    H = _semigroup(gens)
+    for x in xs:
+        if x <= 0 or not H.contains(x):
+            raise MalformedDescriptor(f"{what} {x} is not a positive member of H")
+
+
+# slot kind -> (grammar placeholder, parse, text form, validate)
+_SLOT_KINDS = {
+    "int": ("{name}", _Parser.int_, str, _check_int),
+    "ints": ("a,b,...", _Parser.int_list, _ints,
+             lambda desc, gens: _semigroup(gens)),
+    "(ints)": ("(a,b,...)", _Parser.paren_ints, lambda xs: f"({_ints(xs)})",
+               _check_ints),
+    "sgp": ("sgp(a,b,...)", lambda p: p.node(SemigroupRing), str, _check_sgp),
+    "gens": ("sgp(a,b,...)", lambda p: p.node(SemigroupRing).generators,
+             lambda gens: str(SemigroupRing(gens)),
+             lambda desc, gens: _semigroup(gens)),
+    "ring": ("ring", _Parser.ring, str, _check_ring),
+    "ring?": ("ring|?", lambda p: p.ring(allow_hole=True),
+              lambda inner: "?" if inner is None else str(inner),
+              lambda desc, inner: None),
+}
+
+
 def validate_descriptor(desc) -> None:
     """Structural well-formedness; raises MalformedDescriptor.
 
     Glue preconditions are deliberately not enforced here: they are premises
     that R-GLUE verifies, so a bad gluing yields Unknown, not an error.
     """
-    if isinstance(desc, SemigroupRing):
-        _semigroup(desc.generators)
-    elif isinstance(desc, Truncation):
-        H = _semigroup(desc.generators)
-        if desc.q <= 0 or not H.contains(desc.q):
-            raise MalformedDescriptor(
-                f"truncation degree {desc.q} is not a positive member of H"
-            )
-    elif isinstance(desc, Glued):
-        if not isinstance(desc.inner, SemigroupRing):
-            raise MalformedDescriptor("glued() needs a semigroup ring inside")
-        _semigroup(desc.inner.generators)
-        if desc.n < 1 or desc.m < 1:
-            raise MalformedDescriptor("gluing parameters must be positive")
-    elif isinstance(desc, PowerSeriesExt):
-        if desc.inner is None:
-            raise MalformedDescriptor("powser() needs an inner ring")
-        validate_descriptor(desc.inner)
-    elif isinstance(desc, ParameterPowerQuotient):
-        if desc.inner is None:
-            raise MalformedDescriptor("qpow() needs an inner ring")
-        validate_descriptor(desc.inner)
-        if desc.power < 1 or desc.regseq_len < 1:
-            raise MalformedDescriptor("qpow() exponents must be >= 1")
-    elif isinstance(desc, UlrichPowerQuotient):
-        if desc.inner is None:
-            raise MalformedDescriptor("upow() needs an inner ring")
-        validate_descriptor(desc.inner)
-        if desc.power < 1:
-            raise MalformedDescriptor("upow() power must be >= 1")
-        if not desc.ideal_gens:
-            raise MalformedDescriptor("upow() needs ideal generators")
-        if isinstance(desc.inner, SemigroupRing):
-            H = _semigroup(desc.inner.generators)
-            for g in desc.ideal_gens:
-                if g <= 0 or not H.contains(g):
-                    raise MalformedDescriptor(
-                        f"ideal generator {g} is not a positive member of H"
-                    )
-    elif isinstance(desc, AbstractCI):
-        pass
-    elif isinstance(desc, AbstractWithFiniteFlatCover):
-        if desc.inner is not None:
-            validate_descriptor(desc.inner)
-        if desc.cover is not None:
-            validate_descriptor(desc.cover)
-    else:
+    if not isinstance(desc, _Descriptor):
         raise MalformedDescriptor(f"not a ring descriptor: {desc!r}")
+    for kind, name in zip(desc.SLOTS, desc.__dataclass_fields__):
+        value = getattr(desc, name)
+        _SLOT_KINDS[kind][3](desc, value)
+        if isinstance(value, _Descriptor):
+            validate_descriptor(value)
+    if isinstance(desc, Truncation):
+        _check_members(desc.generators, (desc.q,), "truncation degree")
+    elif isinstance(desc, UlrichPowerQuotient) and isinstance(
+        desc.inner, SemigroupRing
+    ):
+        _check_members(desc.inner.generators, desc.ideal_gens, "ideal generator")
+
+
+def descriptor_grammar() -> str:
+    """The descriptor grammar, one line per head, rendered from the table."""
+    rows = []
+    for cls in _HEADS.values():
+        args = ",".join(
+            _SLOT_KINDS[kind][0].format(name=name)
+            for kind, name in zip(cls.SLOTS, cls.__dataclass_fields__)
+        )
+        rows.append((f"{cls.HEAD}({args})", " ".join((cls.__doc__ or "").split())))
+    width = max(len(form) for form, _ in rows)
+    return f"Ring descriptors, nested at most {MAX_NESTING} deep:\n" + "\n".join(
+        f"  {form.ljust(width)}  {doc}" for form, doc in rows
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -458,9 +442,7 @@ def _premise_gap_symmetric(semigroup):
 
 
 def _premise_colength_le2(semigroup, ideal_gens, power=1):
-    ideal = SemigroupIdeal.from_generators(semigroup, ideal_gens)
-    if power > 1:
-        ideal = ideal.power(power)
+    ideal = SemigroupIdeal.from_generators(semigroup, ideal_gens).power(power)
     col = ideal.colength()
     premise = _verified(
         f"colength of ({_ints(ideal_gens)})^{power} over H={semigroup} "
@@ -473,9 +455,7 @@ def _premise_colength_le2(semigroup, ideal_gens, power=1):
 def _premise_emb_dim_le1(semigroup=None, ideal_gens=None, power=1, q=None):
     if ideal_gens is not None:
         ideal = SemigroupIdeal.from_generators(semigroup, ideal_gens)
-        if power > 1:
-            ideal = ideal.power(power)
-        algebra = quotient_algebra(ideal)
+        algebra = quotient_algebra(ideal.power(power))
         v = algebra.embedding_dim()
         what = f"k[H]/({_ints(ideal_gens)})^{power} with H={semigroup}"
     elif q is not None:
@@ -680,21 +660,9 @@ CERT_SCHEMA = {
 
 
 class _Search:
-    def __init__(self, depth: int):
-        self.depth = depth
+    def __init__(self):
         self.memo: dict = {}
         self.stack: set = set()
-
-
-def _certified(desc, rule, premises, children) -> Certificate:
-    return Certificate(
-        goal=str(desc),
-        verdict="Certified",
-        rule=rule,
-        citation=CITATIONS[rule],
-        premises=tuple(premises),
-        children=tuple(children),
-    )
 
 
 def _unknown(desc, attempted) -> Certificate:
@@ -720,47 +688,54 @@ def _ulrich_candidates(H: NumericalSemigroup):
 
 
 def _child(desc, depth, search):
-    return _certify_inner(desc, depth - 1, search)
+    """The certificate of desc one level down, or None unless Certified."""
+    cert = _certify_inner(desc, depth - 1, search)
+    return cert if cert.verdict == "Certified" else None
 
 
-# Each rule returns a Certificate or None (rule does not apply / premises
-# failed / child Unknown).
-
-
-def _rule_ci(desc, depth, search):
-    if isinstance(desc, AbstractCI):
-        return _certified(
-            desc, "R-CI", [_asserted("declared complete intersection")], []
-        )
-    if isinstance(desc, SemigroupRing):
-        H = _semigroup(desc.generators)
-        ok, pr = verify_premise("emb_dim_le1", semigroup=H)
-        if ok:
-            return _certified(desc, "R-CI", [pr], [])
-        return None
-    if isinstance(desc, Truncation):
-        H = _semigroup(desc.generators)
-        ok, pr = verify_premise("emb_dim_le1", semigroup=H, q=desc.q)
-        if ok:
-            return _certified(desc, "R-CI", [pr], [])
-        return None
-    if isinstance(desc, UlrichPowerQuotient):
-        if not isinstance(desc.inner, SemigroupRing):
-            return None
-        H = _semigroup(desc.inner.generators)
+def _ci_quotient(H, ideal_gens, power=1):
+    """Premise that k[[H]]/I^power is a complete intersection: colength
+    <= 2, else embedding dimension <= 1."""
+    ok, pr = verify_premise(
+        "colength_le2", semigroup=H, ideal_gens=ideal_gens, power=power
+    )
+    if not ok:
         ok, pr = verify_premise(
-            "colength_le2", semigroup=H, ideal_gens=desc.ideal_gens,
-            power=desc.power,
+            "emb_dim_le1", semigroup=H, ideal_gens=ideal_gens, power=power
         )
-        if not ok:
-            ok, pr = verify_premise(
-                "emb_dim_le1", semigroup=H, ideal_gens=desc.ideal_gens,
-                power=desc.power,
-            )
-        if ok:
-            return _certified(desc, "R-CI", [pr], [])
+    return ok, pr
+
+
+def _nonzerodivisor(H, q) -> Premise:
+    return _verified(f"t^{q} is a non-zerodivisor on k[[H]], H={H}", q=q)
+
+
+# Each rule returns (premises, children) when it applies, its premises hold
+# and its children are Certified, else None.
+
+
+def _rule_ci_declared(desc, depth, search):
+    return [_asserted("declared complete intersection")], []
+
+
+def _rule_ci_sgp(desc, depth, search):
+    ok, pr = verify_premise("emb_dim_le1", semigroup=_semigroup(desc.generators))
+    return ([pr], []) if ok else None
+
+
+def _rule_ci_trunc(desc, depth, search):
+    ok, pr = verify_premise(
+        "emb_dim_le1", semigroup=_semigroup(desc.generators), q=desc.q
+    )
+    return ([pr], []) if ok else None
+
+
+def _rule_ci_upow(desc, depth, search):
+    if not isinstance(desc.inner, SemigroupRing):
         return None
-    return None
+    H = _semigroup(desc.inner.generators)
+    ok, pr = _ci_quotient(H, desc.ideal_gens, desc.power)
+    return ([pr], []) if ok else None
 
 
 def _rule_min(desc, depth, search):
@@ -778,7 +753,7 @@ def _rule_min(desc, depth, search):
     )
     if not ok:
         return None
-    return _certified(desc, "R-MIN", [p_min, p_ulr, p_col], [])
+    return [p_min, p_ulr, p_col], []
 
 
 _RAD3_EXTERNAL = _asserted(
@@ -787,24 +762,17 @@ _RAD3_EXTERNAL = _asserted(
 )
 
 
-def _rule_rad3(desc, depth, search):
-    if isinstance(desc, SemigroupRing):
-        H = _semigroup(desc.generators)
-        q = H.multiplicity
-        ok, p_rad = verify_premise("radical_index_le3", semigroup=H, q=q)
-        if not ok:
-            return None
-        p_nzd = _verified(
-            f"t^{q} is a non-zerodivisor on k[[H]], H={H}", q=q
-        )
-        return _certified(desc, "R-RAD3", [p_rad, _RAD3_EXTERNAL, p_nzd], [])
-    if isinstance(desc, Truncation):
-        H = _semigroup(desc.generators)
-        ok, p_rad = verify_premise("radical_index_le3", semigroup=H, q=desc.q)
-        if not ok:
-            return None
-        return _certified(desc, "R-RAD3", [p_rad, _RAD3_EXTERNAL], [])
-    return None
+def _rule_rad3_sgp(desc, depth, search):
+    H = _semigroup(desc.generators)
+    q = H.multiplicity
+    ok, p_rad = verify_premise("radical_index_le3", semigroup=H, q=q)
+    return ([p_rad, _RAD3_EXTERNAL, _nonzerodivisor(H, q)], []) if ok else None
+
+
+def _rule_rad3_trunc(desc, depth, search):
+    H = _semigroup(desc.generators)
+    ok, p_rad = verify_premise("radical_index_le3", semigroup=H, q=desc.q)
+    return ([p_rad, _RAD3_EXTERNAL], []) if ok else None
 
 
 def _rule_ulci(desc, depth, search):
@@ -813,14 +781,9 @@ def _rule_ulci(desc, depth, search):
         ok, p_ulr = verify_premise("ulrich", semigroup=H, ideal_gens=gens)
         if not ok:
             continue
-        ok, p_ci = verify_premise("colength_le2", semigroup=H, ideal_gens=gens)
-        if not ok:
-            ok, p_ci = verify_premise(
-                "emb_dim_le1", semigroup=H, ideal_gens=gens
-            )
-        if not ok:
-            continue
-        return _certified(desc, "R-ULCI", [p_ulr, p_ci], [])
+        ok, p_ci = _ci_quotient(H, gens)
+        if ok:
+            return [p_ulr, p_ci], []
     return None
 
 
@@ -834,14 +797,10 @@ def _glue_decompositions(H: NumericalSemigroup):
             yield divisible, n, rest[0]
 
 
-def _rule_glue(desc, depth, search):
-    if isinstance(desc, Glued):
-        candidates = [(desc.inner.generators, desc.n, desc.m)]
-    else:
-        H = _semigroup(desc.generators)
-        candidates = list(_glue_decompositions(H))
+def _glue(candidates, expected, depth, search):
+    """R-GLUE by the first candidate gluing that is valid, gives `expected`
+    (if set) and has a Certified inner ring."""
     for inner_gens, n, m in candidates:
-        expected = desc.generators if isinstance(desc, SemigroupRing) else None
         try:
             ok, p_glue = verify_premise(
                 "glue_preconditions", inner_gens=inner_gens, n=n, m=m,
@@ -852,10 +811,18 @@ def _rule_glue(desc, depth, search):
         if not ok:
             continue
         child = _child(SemigroupRing(tuple(inner_gens)), depth, search)
-        if child.verdict != "Certified":
-            continue
-        return _certified(desc, "R-GLUE", [p_glue], [child])
+        if child is not None:
+            return [p_glue], [child]
     return None
+
+
+def _rule_glue_sgp(desc, depth, search):
+    H = _semigroup(desc.generators)
+    return _glue(_glue_decompositions(H), desc.generators, depth, search)
+
+
+def _rule_glue_glued(desc, depth, search):
+    return _glue([(desc.inner.generators, desc.n, desc.m)], None, depth, search)
 
 
 def _rule_upow(desc, depth, search):
@@ -876,35 +843,31 @@ def _rule_upow(desc, depth, search):
             dim=1,
         )
         child = _child(UlrichPowerQuotient(desc, tuple(gens), 1), depth, search)
-        if child.verdict != "Certified":
-            continue
-        return _certified(desc, "R-UPOW", [p_ulr, p_mu], [child])
+        if child is not None:
+            return [p_ulr, p_mu], [child]
     return None
 
 
-def _rule_modx(desc, depth, search):
-    if isinstance(desc, SemigroupRing):
-        H = _semigroup(desc.generators)
-        q = H.multiplicity
-        child_desc = Truncation(desc.generators, q)
-    else:
-        H = _semigroup(desc.generators)
-        q = desc.q
-        child_desc = SemigroupRing(desc.generators)
-    p_nzd = _verified(
-        f"t^{q} is a non-zerodivisor on k[[H]], H={H}", q=q
-    )
+def _modx(H, q, child_desc, depth, search):
+    """R-MODX between k[[H]] and k[H]/(t^q), whichever one child_desc is."""
     child = _child(child_desc, depth, search)
-    if child.verdict != "Certified":
-        return None
-    return _certified(desc, "R-MODX", [p_nzd], [child])
+    return None if child is None else ([_nonzerodivisor(H, q)], [child])
+
+
+def _rule_modx_sgp(desc, depth, search):
+    H = _semigroup(desc.generators)
+    q = H.multiplicity
+    return _modx(H, q, Truncation(desc.generators, q), depth, search)
+
+
+def _rule_modx_trunc(desc, depth, search):
+    H = _semigroup(desc.generators)
+    return _modx(H, desc.q, SemigroupRing(desc.generators), depth, search)
 
 
 def _rule_pow(desc, depth, search):
     child = _child(desc.inner, depth, search)
-    if child.verdict != "Certified":
-        return None
-    return _certified(desc, "R-POW", [], [child])
+    return None if child is None else ([], [child])
 
 
 def _rule_qpow(desc, depth, search):
@@ -925,9 +888,7 @@ def _rule_qpow(desc, depth, search):
     else:
         p_gor = _asserted("the inner ring is Gorenstein")
     child = _child(desc.inner, depth, search)
-    if child.verdict != "Certified":
-        return None
-    return _certified(desc, "R-QPOW", [p_range, p_gor], [child])
+    return None if child is None else ([p_range, p_gor], [child])
 
 
 def _rule_ffd(desc, depth, search):
@@ -937,35 +898,32 @@ def _rule_ffd(desc, depth, search):
         "the cover is module-finite with finite flat dimension over the ring"
     )
     child = _child(desc.cover, depth, search)
-    if child.verdict != "Certified":
-        return None
-    return _certified(desc, "R-FFD", [p_fd], [child])
+    return None if child is None else ([p_fd], [child])
 
-
-_RULE_FUNCTIONS = {
-    "R-CI": _rule_ci,
-    "R-MIN": _rule_min,
-    "R-RAD3": _rule_rad3,
-    "R-ULCI": _rule_ulci,
-    "R-GLUE": _rule_glue,
-    "R-UPOW": _rule_upow,
-    "R-MODX": _rule_modx,
-    "R-POW": _rule_pow,
-    "R-QPOW": _rule_qpow,
-    "R-FFD": _rule_ffd,
-}
 
 # Fixed per-variant rule order: cheap combinatorial rules first.  R-RAD3
 # precedes R-ULCI so rings reachable by both take the cheaper radical route.
-_VARIANT_RULES = {
-    SemigroupRing: ("R-CI", "R-MIN", "R-RAD3", "R-ULCI", "R-GLUE", "R-UPOW", "R-MODX"),
-    Truncation: ("R-CI", "R-RAD3", "R-MODX"),
-    Glued: ("R-GLUE",),
-    PowerSeriesExt: ("R-POW",),
-    ParameterPowerQuotient: ("R-QPOW",),
-    UlrichPowerQuotient: ("R-CI",),
-    AbstractCI: ("R-CI",),
-    AbstractWithFiniteFlatCover: ("R-FFD",),
+_RULES = {
+    SemigroupRing: (
+        ("R-CI", _rule_ci_sgp),
+        ("R-MIN", _rule_min),
+        ("R-RAD3", _rule_rad3_sgp),
+        ("R-ULCI", _rule_ulci),
+        ("R-GLUE", _rule_glue_sgp),
+        ("R-UPOW", _rule_upow),
+        ("R-MODX", _rule_modx_sgp),
+    ),
+    Truncation: (
+        ("R-CI", _rule_ci_trunc),
+        ("R-RAD3", _rule_rad3_trunc),
+        ("R-MODX", _rule_modx_trunc),
+    ),
+    Glued: (("R-GLUE", _rule_glue_glued),),
+    PowerSeriesExt: (("R-POW", _rule_pow),),
+    ParameterPowerQuotient: (("R-QPOW", _rule_qpow),),
+    UlrichPowerQuotient: (("R-CI", _rule_ci_upow),),
+    AbstractCI: (("R-CI", _rule_ci_declared),),
+    AbstractWithFiniteFlatCover: (("R-FFD", _rule_ffd),),
 }
 
 
@@ -978,19 +936,28 @@ def _certify_inner(desc, depth, search, rules=None):
     if desc in search.stack:
         return _unknown(desc, ("(cyclic goal)",))
 
-    order = _VARIANT_RULES.get(type(desc), ())
+    order = _RULES.get(type(desc), ())
     if rules is not None:
-        order = tuple(r for r in rules if r in order)
+        by_id = dict(order)
+        order = tuple((r, by_id[r]) for r in rules if r in by_id)
 
     search.stack.add(desc)
     try:
         attempted = []
         result = None
-        for rule_id in order:
+        for rule_id, rule in order:
             attempted.append(rule_id)
-            cert = _RULE_FUNCTIONS[rule_id](desc, depth, search)
-            if cert is not None:
-                result = cert
+            found = rule(desc, depth, search)
+            if found is not None:
+                premises, children = found
+                result = Certificate(
+                    goal=str(desc),
+                    verdict="Certified",
+                    rule=rule_id,
+                    citation=CITATIONS[rule_id],
+                    premises=tuple(premises),
+                    children=tuple(children),
+                )
                 break
         if result is None:
             result = _unknown(desc, attempted)
@@ -1015,5 +982,4 @@ def certify(goal, depth: int = 8, root_rules=None) -> Certificate:
     if goal is None:
         raise MalformedDescriptor("no descriptor given")
     validate_descriptor(goal)
-    search = _Search(depth)
-    return _certify_inner(goal, depth, search, rules=root_rules)
+    return _certify_inner(goal, depth, _Search(), rules=root_rules)

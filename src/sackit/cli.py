@@ -9,16 +9,7 @@ offending flag).
 The default field characteristic is 32003 and can be overridden with the
 SACKIT_PRIME environment variable or, where algebras are involved, --p.
 
-Descriptor mini-grammar for `certify --ring` (LL(1)):
-
-    ring  := sgp(a,b,...)            numerical semigroup ring k[[H]]
-           | trunc(sgp(...),q)       Artinian truncation k[H]/(t^q)
-           | glued(sgp(...),n,m)     ring of the gluing n*H + <m>
-           | powser(ring)            R[[T]]
-           | qpow(ring,l,n)          R/Q^l, Q a length-n regular sequence
-           | upow(ring,(a,b,...),l)  R/I^l for the ideal I = (a,b,...)
-           | ci()                    declared complete intersection
-           | ffd(ring|?,ring|?)      ring with a finite-flat-dimension cover
+`certify --help` prints the ring descriptor grammar for --ring.
 
 Module mini-language for --mod: `k`, `A`, `cyc(g)`, joined with `+`,
 e.g. `cyc(5)+A`.
@@ -32,7 +23,7 @@ import json
 import click
 
 from . import __version__, artinian as ar
-from .certify import CITATIONS, certify as run_certify
+from .certify import CITATIONS, certify as run_certify, descriptor_grammar
 from .errors import DomainError, MalformedDescriptor, SackitError
 from .ideals import (
     SemigroupIdeal,
@@ -350,8 +341,8 @@ def lemma42(n_max: int, cmax: int, as_json: bool) -> None:
 # ---------------------------------------------------------------- certify
 
 
-@main.command("certify")
-@click.option("--ring", required=True, help="ring descriptor, see --help")
+@main.command("certify", epilog="\b\n" + descriptor_grammar())
+@click.option("--ring", required=True, help="ring descriptor, grammar below")
 @click.option("--rule", type=click.Choice(sorted(CITATIONS)), default=None,
               help="restrict the root to one rule")
 @click.option("--depth", type=int, default=8, show_default=True)

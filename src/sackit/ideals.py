@@ -232,10 +232,7 @@ def is_ulrich(ideal: SemigroupIdeal, q: int) -> UlrichReport:
         raise NonPositive(f"reduction witness must be positive, got {q}")
     if not ideal.member(q):
         raise NotInIdeal(f"{q} is not in the ideal ({ideal})")
-    stable = all(
-        ideal.member(a + b - q)
-        for a, b in combinations_with_replacement(ideal.generators, 2)
-    )
+    stable = _stable(ideal, q)
     col = ideal.colength()
     c = ideal.mu()
     layer = ideal.relative_length(ideal.power(2))
@@ -257,12 +254,18 @@ def search_reduction(ideal: SemigroupIdeal) -> int | None:
     on the witness for the full verification.
     """
     for q in ideal.generators:
-        if all(
-            ideal.member(a + b - q)
-            for a, b in combinations_with_replacement(ideal.generators, 2)
-        ):
+        if _stable(ideal, q):
             return q
     return None
+
+
+def _stable(ideal: SemigroupIdeal, q: int) -> bool:
+    """Whether ideal^2 = q + ideal: every pairwise generator sum minus q
+    stays in the ideal."""
+    return all(
+        ideal.member(a + b - q)
+        for a, b in combinations_with_replacement(ideal.generators, 2)
+    )
 
 
 def power_layer_lengths(ideal: SemigroupIdeal, up_to: int) -> tuple[int, ...]:

@@ -154,29 +154,9 @@ class NumericalSemigroup:
 
     def has_almost_minimal_multiplicity(self) -> bool:
         """Whether the embedding dimension falls short of the multiplicity
-        by exactly one.
-
-        Computed combinatorially and cross-checked against the length
-        criterion: the set 2M \\ (m + M) with M the nonzero members and m
-        the multiplicity must have exactly one element.  The two tests are
-        equivalent and both are evaluated.  Both sets are closed under
-        adding m, so each meets a residue class mod m in the tail above its
-        least element there, and the length is the sum of the differences
-        of those least elements divided by m.
-        """
-        combinatorial = self.embedding_dim + 1 == self.multiplicity
-        m, ap, gens = self.multiplicity, self._apery, self.generators
-        least_m = (m,) + ap[1:]
-        # 2M is the set of pairwise generator sums plus members
-        sums = {a + b for i, a in enumerate(gens) for b in gens[i:]}
-        length = sum(
-            m + least_m[r] - min(s + ap[(r - s) % m] for s in sums)
-            for r in range(m)
-        ) // m
-        assert combinatorial == (length == 1), (
-            f"almost-minimal-multiplicity criteria disagree on <{self}>"
-        )
-        return combinatorial
+        by exactly one; equivalently, the set 2M \\ (m + M), with M the
+        nonzero members and m the multiplicity, has exactly one element."""
+        return self.embedding_dim + 1 == self.multiplicity
 
     # -- constructions ---------------------------------------------------
 

@@ -21,7 +21,6 @@ from sackit import (
     ext_deg_window,
     ext_dims,
     free_module,
-    is_free,
     is_ulrich,
     power_layer_lengths,
     residue_field,
@@ -183,7 +182,7 @@ def test_certified_rings_have_nonvanishing_windows():
         modules += [residue_field(A), free_module(A, 1)]
         for M in modules:
             checked_modules += 1
-            if is_free(M):
+            if M.is_free():
                 continue
             report = ext_deg_window(M, 12)
             # a non-free module must show self-extensions inside the window

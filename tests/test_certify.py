@@ -6,10 +6,14 @@ assertions: every number in them is recomputed by the library calls
 used here, not trusted from the engine).
 """
 
+import hashlib
 import json
+from itertools import combinations
+from math import gcd
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sackit import (
     CERT_SCHEMA,
@@ -20,7 +24,17 @@ from sackit import (
     validate_descriptor,
     verify_premise,
 )
-from sackit.certify import MAX_NESTING, SemigroupRing, Truncation
+from sackit.certify import (
+    MAX_NESTING,
+    AbstractCI,
+    AbstractWithFiniteFlatCover,
+    Glued,
+    ParameterPowerQuotient,
+    PowerSeriesExt,
+    SemigroupRing,
+    Truncation,
+    UlrichPowerQuotient,
+)
 from sackit.errors import MalformedDescriptor, UnknownPremiseKind
 
 
@@ -47,6 +61,37 @@ def test_parse_round_trip(text):
     validate_descriptor(desc)
 
 
+_ints = st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(tuple)
+_int = st.integers(0, 10**6)
+
+
+def _descriptors(depth):
+    """Descriptor trees over every variant, nested up to `depth` rings deep;
+    parse_ring does not validate, so the numbers need not make sense."""
+    leaves = st.one_of(
+        st.builds(SemigroupRing, _ints),
+        st.builds(Truncation, _ints, _int),
+        st.builds(Glued, st.builds(SemigroupRing, _ints), _int, _int),
+        st.just(AbstractCI()),
+    )
+    if depth == 0:
+        return leaves
+    inner = _descriptors(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(PowerSeriesExt, inner),
+        st.builds(ParameterPowerQuotient, inner, _int, _int),
+        st.builds(UlrichPowerQuotient, inner, _ints, _int),
+        st.builds(AbstractWithFiniteFlatCover, st.none() | inner, st.none() | inner),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_descriptors(3))
+def test_parse_inverts_str(desc):
+    assert parse_ring(str(desc)) == desc
+
+
 def test_parse_tolerates_whitespace():
     assert parse_ring(" sgp( 3 , 4 ,5 ) ") == SemigroupRing((3, 4, 5))
     assert parse_ring("trunc(sgp(3,4,5), 3)") == Truncation((3, 4, 5), 3)
@@ -67,6 +112,10 @@ MALFORMED = [
     "bogus(3)",
     "sgp(3,4,5) trailing",
     "sgp(3,4,5",
+    "glued(sgp(2,3),0,4)",
+    # integers longer than int() converts from text (4300 digits)
+    pytest.param("sgp(" + "9" * 5000 + ",2)", id="sgp(long-int,2)"),
+    pytest.param("trunc(sgp(3,4,5)," + "9" * 5000 + ")", id="trunc(sgp(3,4,5),long-int)"),
 ]
 
 
@@ -76,6 +125,19 @@ def test_malformed_descriptors(text):
         certify(text)
     with pytest.raises(MalformedDescriptor):
         certify(None)
+
+
+@pytest.mark.parametrize("desc", [
+    PowerSeriesExt(None),
+    UlrichPowerQuotient(AbstractCI(), (), 1),
+    Glued(AbstractCI(), 2, 3),
+], ids=repr)
+def test_malformed_descriptor_objects(desc):
+    # built directly, past the parser: the validator alone must refuse them
+    with pytest.raises(MalformedDescriptor):
+        validate_descriptor(desc)
+    with pytest.raises(MalformedDescriptor):
+        certify(desc)
 
 
 def test_nesting_limit():
@@ -313,3 +375,36 @@ def test_citation_fragments():
     ]
     wheres = [c.where for c in CITATIONS.values()]
     assert len(set(wheres)) == len(wheres)
+
+
+# sha256 of the certificate JSON and render() over the corpus below; a
+# refactor of the parser or the rule engine must keep every byte
+CORPUS_SHA256 = "cdfc0402b3a61af2fc50fab91d7d9582d39b251f2206520b3c77e1356de1a532"
+DIGEST_CORPUS = ROUND_TRIPS + [
+    "sgp(6,7,11)",
+    "sgp(5,1001)",
+    "glued(sgp(2,2001),3,4004)",
+    "qpow(qpow(sgp(2,3),1,2),1,1)",
+    "ffd(qpow(ci(),1,2),powser(sgp(2,3)))",
+    "ffd(sgp(3,4,5),ffd(?,trunc(sgp(4,5,6),4)))",
+    "powser(qpow(upow(sgp(3,4,5),(3,4,5),1),1,2))",
+] + [
+    "sgp(" + ",".join(map(str, gens)) + ")"
+    for k in (2, 3)
+    for gens in combinations(range(3, 13), k)
+    if gcd(*gens) == 1
+]
+
+
+def test_certificate_bytes_are_frozen():
+    digest = hashlib.sha256()
+    for text in DIGEST_CORPUS:
+        for rule in (None, "R-ULCI", "R-GLUE", "R-UPOW", "R-MODX"):
+            for depth in (3, 8):
+                cert = certify(text, depth=depth,
+                               root_rules=None if rule is None else [rule])
+                digest.update(
+                    f"{text} {rule} {depth}\n{cert.to_json()}\n"
+                    f"{cert.render()}\n".encode()
+                )
+    assert digest.hexdigest() == CORPUS_SHA256

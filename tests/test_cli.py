@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from sackit import CERT_SCHEMA
+from sackit.certify import RingDescriptor
 from sackit.cli import main
 
 
@@ -245,6 +246,20 @@ def test_certify_errors():
     assert run("certify", "--ring", "sgp(3,4,5)",
                "--rule", "R-NOPE").exit_code == 2
     assert run("certify").exit_code == 2
+    # integers longer than int() converts from text (4300 digits)
+    big = "9" * 5000
+    for ring in (f"sgp({big},2)", f"trunc(sgp(3,4,5),{big})"):
+        r = run("certify", "--ring", ring)
+        assert r.exit_code == 1, ring[:20]
+        assert r.output.startswith("error:"), ring[:20]
+
+
+def test_certify_help_lists_every_head():
+    r = run("certify", "--help")
+    assert r.exit_code == 0
+    lines = r.output.splitlines()
+    for cls in RingDescriptor.__args__:
+        assert any(line.lstrip().startswith(f"{cls.HEAD}(") for line in lines), cls
 
 
 def test_usage_errors_are_exit_2():
