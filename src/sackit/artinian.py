@@ -13,16 +13,18 @@ the Nakayama criterion.  Syzygies are computed as exact kernels over the
 prime field followed by minimal generator selection, so every resolution
 produced here has all differential entries inside the radical.
 
-The syzygy engine is sparse.  Inside it a column of rank0 algebra elements
-is one flattened sparse vector {g*dim A + i: coeff} (generator g, basis
-index i); dense tuples appear only at the public boundary
-(``PresentedModule.relations``, ``MinimalResolution.matrices`` and the
-result of ``syzygy_step``).  ``_multiples`` lists a column times every
-basis monomial by moving coefficients; the syzygy k-matrix is made of these
-multiples and its kernel is taken per connected block of its sparsity
-pattern (``modp.sparse_kernel``); ``_nakayama`` keeps the kernel vectors
-that are independent modulo the radical multiples of all of them, in a
-sparse ``modp.Span``.
+A column of rank0 algebra elements has one stored form, from construction
+(``PresentedModule.columns``) through minimalization and resolution: the
+sparse flattened vector {g*dim A + i: coeff} (generator g, basis index i).
+Dense tuples appear only at the public edge: ``_check_shape`` reads them in;
+``PresentedModule.relations``, ``MinimalResolution.matrices`` and the result
+of ``syzygy_step`` give them out.  ``_multiples`` lists a column times every
+basis monomial by moving coefficients, and a product by an algebra element
+is a sum of these multiples.  The syzygy k-matrix is made of them and its
+kernel is taken per connected block of its sparsity pattern
+(``modp.sparse_kernel``); ``_nakayama`` keeps the kernel vectors that are
+independent modulo the radical multiples of all of them, in a sparse
+``modp.Span``.
 
 Ext and Tor dimensions come from the minimal resolution via dimension
 shifting.  Presentations are first split into their direct summands
@@ -153,23 +155,11 @@ class MonomialArtinianAlgebra:
         """The basis monomial t^degree as a coefficient vector; degrees
         outside the basis give the zero element."""
         i = self._index.get(degree)
-        out = [0] * self.dim
-        if i is not None:
-            out[i] = 1
-        return tuple(out)
+        return _dense_column({} if i is None else {i: 1}, 1, self.dim)[0]
 
     def mul(self, a, b) -> tuple[int, ...]:
-        p = self.char
-        out = [0] * self.dim
-        index, degrees = self._index, self.degrees
-        right = [(degrees[j], bj) for j, bj in enumerate(b) if bj]
-        for i, ai in enumerate(a):
-            if ai:
-                for d, bj in right:
-                    k = index.get(degrees[i] + d)
-                    if k is not None:
-                        out[k] = (out[k] + ai * bj) % p
-        return tuple(out)
+        a, b = _check_shape(self, 1, [(a,), (b,)])
+        return _dense_column(_times(self, b, a), 1, self.dim)[0]
 
     def is_unit(self, a) -> bool:
         # local algebra: invertible iff the constant coefficient is nonzero
@@ -178,33 +168,35 @@ class MonomialArtinianAlgebra:
     def invert(self, a) -> tuple[int, ...]:
         if not self.is_unit(a):
             raise DomainError("element is not a unit")
-        # column j is a * t^(degrees[j])
-        cols = _multiples(self, _sparse_column((a,), self.dim), self.degrees)
-        mat = [[col.get(i, 0) for col in cols] for i in range(self.dim)]
-        rhs = [1] + [0] * (self.dim - 1)
-        sol = solve(mat, rhs, self.char)
-        assert sol is not None
-        return tuple(sol)
+        inv = _inverse(self, _check_shape(self, 1, [(a,)])[0])
+        return _dense_column(inv, 1, self.dim)[0]
 
     # -- structure ---------------------------------------------------------
 
+    def _atoms(self) -> list[int]:
+        """Degrees of the minimal generators (atoms) of the radical: the
+        positive basis degrees d with no smaller atom a such that d - a is a
+        basis degree.  The basis is closed under division, so every product
+        of positive basis monomials factors into atoms through basis
+        monomials."""
+        atoms = []
+        for d in self.degrees[1:]:
+            if not any(d - a in self._index for a in atoms):
+                atoms.append(d)
+        return atoms
+
     def radical_index(self) -> int:
         """Least r with m^r = 0, m the ideal of positive-degree monomials:
-        one more than the longest product of positive basis monomials."""
-        positive = self.degrees[1:]
-        longest = {0: 0}
-        for d in positive:
-            longest[d] = 1 + max(longest.get(d - a, -1) for a in positive if a <= d)
+        one more than the longest product of positive basis monomials, which
+        is the longest path from degree 0 that steps only by atoms."""
+        atoms, longest = self._atoms(), {0: 0}
+        for d in self.degrees[1:]:
+            longest[d] = 1 + max(longest.get(d - a, -1) for a in atoms if a <= d)
         return 1 + max(longest.values())
 
     def embedding_dim(self) -> int:
-        """Number of minimal generators of the radical: positive basis
-        monomials that are not products of two positive ones."""
-        positive = self.degrees[1:]
-        members = set(positive)
-        return sum(
-            1 for d in positive if not any(d - a in members for a in positive if a < d)
-        )
+        """Number of minimal generators of the radical."""
+        return len(self._atoms())
 
     # -- plumbing ------------------------------------------------------------
 
@@ -246,24 +238,33 @@ def quotient_algebra(
 class PresentedModule:
     """Cokernel of a relation matrix over a MonomialArtinianAlgebra.
 
-    relations is a tuple of columns; each column is a tuple of rank0
-    algebra elements.  Constructed instances always carry a minimal
-    presentation: no unit entries, no Nakayama-redundant columns.
+    columns holds the relation columns as the engine's sparse flattened
+    vectors {g*dim A + i: coeff} (generator g, basis index i, coefficients
+    in 1..p-1); relations is the same matrix as dense tuples, a tuple of
+    columns of rank0 algebra elements, derived on access.  Constructed
+    instances always carry a minimal presentation: no unit entries, no
+    Nakayama-redundant columns.
     """
 
-    __slots__ = ("algebra", "rank0", "relations", "_real")
+    __slots__ = ("algebra", "rank0", "columns", "_real")
 
-    def __init__(self, algebra, rank0, relations):
+    def __init__(self, algebra, rank0, columns):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "rank0", rank0)
-        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "_real", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PresentedModule is immutable")
 
+    @property
+    def relations(self) -> tuple:
+        return tuple(
+            _dense_column(vec, self.rank0, self.algebra.dim) for vec in self.columns
+        )
+
     def is_free(self) -> bool:
-        return not self.relations
+        return not self.columns
 
     def dimension(self) -> int:
         """k-dimension of the module."""
@@ -272,27 +273,29 @@ class PresentedModule:
     def __repr__(self) -> str:
         return (
             f"PresentedModule(rank0={self.rank0}, "
-            f"relations={len(self.relations)}, over {self.algebra.descriptor()})"
+            f"relations={len(self.columns)}, over {self.algebra.descriptor()})"
         )
 
 
 def _check_shape(algebra, rank0, relations):
+    """Dense columns of rank0 algebra elements, validated, as sparse
+    flattened columns with coefficients reduced mod p."""
     if rank0 < 0:
         raise ShapeMismatch(f"rank0 must be >= 0, got {rank0}")
+    p, dim_a = algebra.char, algebra.dim
     cols = []
     for col in relations:
-        col = tuple(tuple(int(x) % algebra.char for x in entry) for entry in col)
+        col = [tuple(entry) for entry in col]
         if len(col) != rank0:
-            raise ShapeMismatch(
-                f"column has {len(col)} entries, expected {rank0}"
-            )
+            raise ShapeMismatch(f"column has {len(col)} entries, expected {rank0}")
         for entry in col:
-            if len(entry) != algebra.dim:
+            if len(entry) != dim_a:
                 raise ShapeMismatch(
-                    f"entry has {len(entry)} coefficients, expected {algebra.dim}"
+                    f"entry has {len(entry)} coefficients, expected {dim_a}"
                 )
-        cols.append(col)
-    return tuple(cols)
+        flat = [int(x) % p for entry in col for x in entry]
+        cols.append({pos: x for pos, x in enumerate(flat) if x})
+    return cols
 
 
 def module_from_presentation(algebra, rank0, relations) -> PresentedModule:
@@ -303,16 +306,13 @@ def module_from_presentation(algebra, rank0, relations) -> PresentedModule:
     are pruned to a minimal generating set of the relation submodule.
     """
     cols = _check_shape(algebra, rank0, relations)
-    r, cols = _minimalize(algebra, rank0, cols)
-    return PresentedModule(algebra, r, cols)
+    return PresentedModule(algebra, *_minimalize(algebra, rank0, cols))
 
 
 def residue_field(algebra) -> PresentedModule:
     """The simple module k = A/m."""
-    cols = tuple(
-        (algebra.monomial(d),) for d in algebra.degrees[1:]
-    )
-    return module_from_presentation(algebra, 1, cols)
+    cols = [{i: 1} for i in range(1, algebra.dim)]
+    return PresentedModule(algebra, *_minimalize(algebra, 1, cols))
 
 
 def free_module(algebra, rank: int) -> PresentedModule:
@@ -323,61 +323,85 @@ def free_module(algebra, rank: int) -> PresentedModule:
 def cyclic_quotient(algebra, degree: int) -> PresentedModule:
     """A/(t^degree A).  Degrees outside the basis give the free module A;
     degree 0 gives the zero module."""
-    elem = algebra.monomial(degree)
-    if all(x == 0 for x in elem):
+    i = algebra._index.get(degree)
+    if i is None:
         return free_module(algebra, 1)
-    return module_from_presentation(algebra, 1, ((elem,),))
+    return PresentedModule(algebra, *_minimalize(algebra, 1, [{i: 1}]))
 
 
 def direct_sum(left: PresentedModule, right: PresentedModule) -> PresentedModule:
-    if left.algebra != right.algebra:
-        raise AlgebraMismatch("direct sum over different algebras")
-    algebra = left.algebra
-    zero = algebra.zero()
-    cols = [
-        tuple(col) + (zero,) * right.rank0 for col in left.relations
-    ] + [
-        (zero,) * left.rank0 + tuple(col) for col in right.relations
-    ]
+    _require_same_algebra(left, right)
+    shift = left.rank0 * left.algebra.dim
+    cols = left.columns + tuple(
+        {pos + shift: x for pos, x in col.items()} for col in right.columns
+    )
     # blocks of a minimal presentation stay minimal
-    return PresentedModule(algebra, left.rank0 + right.rank0, tuple(cols))
+    return PresentedModule(left.algebra, left.rank0 + right.rank0, cols)
+
+
+def _units(vec, dim_a):
+    """The positions of a sparse flattened column that hold the constant
+    coefficient of an entry; the entry is a unit exactly when one is there."""
+    return [pos for pos in vec if pos % dim_a == 0]
 
 
 def _minimalize(algebra, rank0, cols):
-    """Unit elimination, zero column removal, Nakayama column selection."""
-    p = algebra.char
-    cols = [list(col) for col in cols]
+    """Unit elimination, zero column removal and Nakayama column selection
+    on sparse flattened columns.  Returns (rank0, columns).
 
-    changed = True
-    while changed:
-        changed = False
-        for j, col in enumerate(cols):
-            i = next((i for i, e in enumerate(col) if algebra.is_unit(e)), None)
-            if i is None:
-                continue
-            inv = algebra.invert(col[i])
-            norm = [algebra.mul(inv, e) for e in col]
-            for j2, other in enumerate(cols):
-                if j2 == j or all(x == 0 for x in other[i]):
-                    continue
-                f = other[i]
-                cols[j2] = [
-                    tuple(
-                        (a - b) % p
-                        for a, b in zip(other[row], algebra.mul(f, norm[row]))
-                    )
-                    for row in range(rank0)
-                ]
-            del cols[j]
-            for j2 in range(len(cols)):
-                del cols[j2][i]
-            rank0 -= 1
-            changed = True
+    The first column with a unit entry, at its first such generator g, is
+    scaled so that entry becomes 1 and subtracted, times their entry at g,
+    from the other columns; then the column and generator g go.
+    """
+    dim_a = algebra.dim
+    cols = list(cols)
+    while True:
+        j = next((j for j, col in enumerate(cols) if _units(col, dim_a)), None)
+        if j is None:
             break
-
-    cols = [tuple(col) for col in cols if any(any(x for x in e) for e in col)]
-    keep = _nakayama(algebra, [_sparse_column(col, algebra.dim) for col in cols])
+        col = cols.pop(j)
+        base = min(_units(col, dim_a))
+        norm = _times(algebra, col, _inverse(algebra, _entry(col, base, dim_a)))
+        for j2, other in enumerate(cols):
+            f = {b: -x for b, x in _entry(other, base, dim_a).items()}
+            # clears this column's entry at generator base // dim_a, which goes
+            other = _times(algebra, norm, f, other)
+            cols[j2] = {pos - dim_a * (pos > base): x for pos, x in other.items()}
+        rank0 -= 1
+    cols = [col for col in cols if col]
+    keep = _nakayama(algebra, cols)
     return rank0, tuple(col for col, kept in zip(cols, keep) if kept)
+
+
+def _entry(vec, base, dim_a):
+    """The entry of a sparse flattened column at the generator whose
+    positions start at ``base``, as {basis index: coeff}."""
+    return {pos - base: x for pos, x in vec.items() if base <= pos < base + dim_a}
+
+
+def _inverse(algebra, elem):
+    """The inverse of a unit given as {basis index: coeff}, in that form."""
+    # column j is elem * t^(degrees[j])
+    cols = _multiples(algebra, elem, algebra.degrees)
+    mat = [[col.get(i, 0) for col in cols] for i in range(algebra.dim)]
+    sol = solve(mat, [1] + [0] * (algebra.dim - 1), algebra.char)
+    return {i: x for i, x in enumerate(sol) if x}
+
+
+def _times(algebra, vec, elem, acc=None):
+    """acc + elem * vec for a sparse flattened column vec and an algebra
+    element elem given as {basis index: coeff}; acc is not changed."""
+    p, basis = algebra.char, algebra.degrees
+    out = {} if acc is None else dict(acc)
+    monomials = _multiples(algebra, vec, [basis[b] for b in elem])
+    for c, image in zip(elem.values(), monomials):
+        for pos, x in image.items():
+            y = (out.get(pos, 0) + c * x) % p
+            if y:
+                out[pos] = y
+            else:
+                del out[pos]
+    return out
 
 
 def _multiples(algebra, vec, degrees):
@@ -416,16 +440,6 @@ def _nakayama(algebra, vecs):
     return [span.add(vec) for vec in vecs]
 
 
-def _sparse_column(column, dim_a):
-    """A column of algebra elements as a sparse flattened vector."""
-    return {
-        g * dim_a + i: x
-        for g, entry in enumerate(column)
-        for i, x in enumerate(entry)
-        if x
-    }
-
-
 def _dense_column(vec, rank0, dim_a):
     """The tuple of rank0 algebra elements that a sparse flattened vector holds."""
     entries: dict[int, list[int]] = {}
@@ -442,7 +456,7 @@ def _dense_column(vec, rank0, dim_a):
 # syzygies and resolutions
 
 
-def _syzygy_columns(algebra, rank0, cols):
+def _syzygy_columns(algebra, cols):
     """Minimal generating columns of ker(A^s -> A^rank0) for the map with
     the given sparse flattened columns, as sparse flattened columns of
     length s."""
@@ -466,18 +480,15 @@ def syzygy_step(algebra, matrix):
     cols = list(matrix)
     if not cols:
         raise ShapeMismatch("syzygy_step needs at least one column")
-    rank0 = len(cols[0])
-    cols = _check_shape(algebra, rank0, cols)
-    for col in cols:
-        if all(all(x == 0 for x in e) for e in col):
-            raise NonMinimalInput("zero column in presentation matrix")
-        for entry in col:
-            if algebra.is_unit(entry):
-                raise NonMinimalInput("unit entry in presentation matrix")
+    cols = _check_shape(algebra, len(cols[0]), cols)
     dim_a = algebra.dim
-    out = _syzygy_columns(algebra, rank0, [_sparse_column(col, dim_a) for col in cols])
-    # a unit entry has a nonzero constant coefficient
-    if any(pos % dim_a == 0 for vec in out for pos in vec):
+    for col in cols:
+        if not col:
+            raise NonMinimalInput("zero column in presentation matrix")
+        if _units(col, dim_a):
+            raise NonMinimalInput("unit entry in presentation matrix")
+    out = _syzygy_columns(algebra, cols)
+    if any(_units(vec, dim_a) for vec in out):
         raise NonMinimalInput("input columns do not minimally generate their span")
     return tuple(_dense_column(vec, len(cols), dim_a) for vec in out)
 
@@ -508,10 +519,9 @@ def minimal_resolution(module: PresentedModule, length: int) -> MinimalResolutio
     dim_a = algebra.dim
     betti = [module.rank0]
     mats = [module.relations]
-    rank0 = module.rank0
-    cols = [_sparse_column(col, dim_a) for col in module.relations]
+    cols = module.columns
     for _ in range(length - 1):
-        rank0, cols = len(cols), _syzygy_columns(algebra, rank0, cols)
+        rank0, cols = len(cols), _syzygy_columns(algebra, cols)
         betti.append(rank0)
         mats.append(tuple(_dense_column(vec, rank0, dim_a) for vec in cols))
     betti.append(len(cols))
@@ -537,33 +547,25 @@ def _realize(module: PresentedModule) -> Realization:
     algebra = module.algebra
     dim_a = algebra.dim
     span = Span(algebra.char)
-    for col in module.relations:
-        for image in _multiples(algebra, _sparse_column(col, dim_a), algebra.degrees):
+    for col in module.columns:
+        for image in _multiples(algebra, col, algebra.degrees):
             span.add(image)
     # the positions that lead no row of the relation span index a k-basis of
     # the module; a vector's coordinates are its remainder modulo the span
     free_pos = [pos for pos in range(module.rank0 * dim_a) if pos not in span.rows]
     coord = {pos: i for i, pos in enumerate(free_pos)}
     dim_m = len(free_pos)
-    action = []
-    for d in algebra.degrees:
-        mat = [[0] * dim_m for _ in range(dim_m)]
-        for j, pos in enumerate(free_pos):
-            gen, mono_idx = divmod(pos, dim_a)
-            k = algebra._index.get(d + algebra.degrees[mono_idx])
-            if k is None:
-                continue
-            for i, val in span.reduce({gen * dim_a + k: 1}).items():
+    action = [[[0] * dim_m for _ in free_pos] for _ in algebra.degrees]
+    for j, pos in enumerate(free_pos):
+        for mat, image in zip(action, _multiples(algebra, {pos: 1}, algebra.degrees)):
+            for i, val in span.reduce(image).items():
                 mat[coord[i]][j] = val
-        action.append(tuple(tuple(row) for row in mat))
-    real = Realization(dim_m, tuple(action))
+    real = Realization(dim_m, tuple(tuple(map(tuple, mat)) for mat in action))
     object.__setattr__(module, "_real", real)
     return real
 
 
-def realization(module: PresentedModule) -> Realization:
-    """Public access to the concrete k-realization (for oracles and reports)."""
-    return _realize(module)
+realization = _realize  # public access, for oracles and reports
 
 
 def _act_matrix(real: Realization, elem, p):
@@ -615,8 +617,8 @@ def _omega(algebra, key):
     cached = algebra._omega_store.get(key)
     if cached is not None:
         return cached
-    rank0, cols = key
-    syz = _syzygy_columns(algebra, rank0, [dict(col) for col in cols])
+    _, cols = key
+    syz = _syzygy_columns(algebra, [dict(col) for col in cols])
     result = _component_split(algebra, len(cols), syz)
     algebra._omega_store[key] = result
     return result
@@ -707,9 +709,7 @@ def _derived_dims(module, target, upto, block):
     if upto < 0:
         raise NonPositive(f"upto must be >= 0, got {upto}")
     session = _DerivedSession(module.algebra, _realize(target), block)
-    dim_a = module.algebra.dim
-    cols = [_sparse_column(col, dim_a) for col in module.relations]
-    counter, free = _component_split(module.algebra, module.rank0, cols)
+    counter, free = _component_split(module.algebra, module.rank0, module.columns)
     return tuple(session.counter_dim(counter, free, i) for i in range(upto + 1))
 
 
@@ -754,13 +754,9 @@ def ext_deg_window(module: PresentedModule, window: int = 12) -> ExtWindowReport
     """Scan dim Ext^i(M + A, M + A) for 1 <= i <= window."""
     if window < 1:
         raise NonPositive(f"window must be >= 1, got {window}")
-    algebra = module.algebra
-    doubled = direct_sum(module, free_module(algebra, 1))
+    doubled = direct_sum(module, free_module(module.algebra, 1))
     dims = ext_dims(doubled, doubled, window)
-    last = None
-    for i in range(1, window + 1):
-        if dims[i]:
-            last = i
+    last = max((i for i in range(1, window + 1) if dims[i]), default=None)
     return ExtWindowReport(
         last_nonzero_in_window=last,
         nonzero_at_boundary=dims[window] != 0,

@@ -19,8 +19,11 @@ from sackit import (
     CERT_SCHEMA,
     CITATIONS,
     NumericalSemigroup,
+    SemigroupIdeal,
     certify,
     parse_ring,
+    quotient_algebra,
+    truncation_algebra,
     validate_descriptor,
     verify_premise,
 )
@@ -307,6 +310,10 @@ def test_verify_premise_vocabulary():
     assert ok and dict(pr.evidence)["result"] == [8, 11, 12, 14, 18]
     ok, pr = verify_premise("glue_preconditions", inner_gens=[3, 4, 5], n=2, m=4)
     assert not ok and pr.status == "Asserted"  # rejected gluings carry no numbers
+    # a glued semigroup past MAX_MULTIPLICITY is a rejected gluing
+    ok, pr = verify_premise("glue_preconditions", inner_gens=[2, 3],
+                            n=10**9, m=10**9 + 1)
+    assert not ok and pr.statement.startswith("gluing rejected: multiplicity")
 
     with pytest.raises(UnknownPremiseKind):
         verify_premise("gorenstein", semigroup=H345)
@@ -408,3 +415,19 @@ def test_certificate_bytes_are_frozen():
                     f"{cert.render()}\n".encode()
                 )
     assert digest.hexdigest() == CORPUS_SHA256
+
+
+def test_wide_two_generator_ring_is_pinned():
+    # certify sgp(10007,10009) builds algebras of dimension about 10^4; the
+    # radical invariants and the certificate bytes are those of the O(dim^2)
+    # scans that the atom-based invariants replaced
+    H = NumericalSemigroup.from_generators([10007, 10009])
+    trunc = truncation_algebra(H, 10007)
+    assert (trunc.radical_index(), trunc.embedding_dim()) == (10007, 1)
+    quot = quotient_algebra(SemigroupIdeal.from_generators(H, [10009]))
+    assert quot.embedding_dim() == 1
+    cert = certify("sgp(10007,10009)")
+    digest = hashlib.sha256(f"{cert.to_json()}\n{cert.render()}\n".encode())
+    assert digest.hexdigest() == (
+        "6fd1b30e4ddb0da3aa15fa979f460542c423f86a611486115b710f8796037165"
+    )

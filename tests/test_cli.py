@@ -254,6 +254,22 @@ def test_certify_errors():
         assert r.output.startswith("error:"), ring[:20]
 
 
+def test_huge_multiplicity_is_an_error():
+    # the Apery set holds one integer per residue mod the multiplicity, so a
+    # multiplicity past MAX_MULTIPLICITY ends in error: before it allocates
+    huge = "10000000000000000000000000000,10000000000000000000000000001"
+    for args in (("sgp", "info", "--gens", huge),
+                 ("certify", "--ring", "sgp(100000000,100000001)")):
+        r = run(*args)
+        assert r.exit_code == 1, args
+        assert r.output.startswith("error:"), args
+    # a gluing that would pass it is a rejected premise, not an error
+    r = run("certify", "--ring", "glued(sgp(2,3),1000000000,1000000001)", "--json")
+    assert r.exit_code == 0
+    doc = json.loads(r.output)
+    assert doc["verdict"] == "Unknown" and doc["attempted"] == ["R-GLUE"]
+
+
 def test_certify_help_lists_every_head():
     r = run("certify", "--help")
     assert r.exit_code == 0

@@ -14,7 +14,13 @@ corpus and over random presentations on them.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sackit import minimal_resolution, module_from_presentation, syzygy_step
+from sackit import (
+    direct_sum,
+    minimal_resolution,
+    module_from_presentation,
+    residue_field,
+    syzygy_step,
+)
 from sackit.modp import kernel_basis, solve
 from test_artinian import DEEP_ALGEBRAS, DEEP_IDS, trunc
 
@@ -122,9 +128,24 @@ def dense_matrices(A, relations, length):
     return tuple(mats)
 
 
+def padded_blocks(A, M, N):
+    """The relation matrix of M + N: M's columns over N's zero rows, then
+    N's columns under M's zero rows."""
+    zero = (0,) * A.dim
+    return tuple(col + (zero,) * N.rank0 for col in M.relations) + tuple(
+        (zero,) * M.rank0 + col for col in N.relations
+    )
+
+
 def assert_engines_agree(A, rank0, raw_cols):
     M = module_from_presentation(A, rank0, raw_cols)
     assert (M.rank0, M.relations) == dense_minimalize(A, rank0, raw_cols)
+    # a minimal presentation reads back as itself
+    again = module_from_presentation(A, M.rank0, M.relations)
+    assert (again.rank0, again.relations) == (M.rank0, M.relations)
+    k = residue_field(A)
+    assert direct_sum(M, k).relations == padded_blocks(A, M, k)
+    assert direct_sum(k, M).relations == padded_blocks(A, k, M)
     mats = minimal_resolution(M, 3).matrices
     assert mats == dense_matrices(A, M.relations, 3)
     for here, nxt in zip(mats, mats[1:]):
@@ -143,9 +164,34 @@ def test_deep_modules_match_dense_engine(gens, q, c, name):
     assert_engines_agree(A, 1, raw)
 
 
+@pytest.mark.parametrize("gens,q,c", DEEP_ALGEBRAS, ids=DEEP_IDS)
+def test_unit_in_last_generator_row_matches_dense_engine(gens, q, c):
+    # rank0 = 3 with non-monic units, each with a radical tail, in the last
+    # generator row: elimination inverts them and drops the last generator
+    A = trunc(gens, q)
+    p = A.char
+    x, y = A.monomial(c), A.monomial(A.degrees[1])
+
+    def plus(*terms):
+        return tuple(sum(t) % p for t in zip(*terms))
+
+    def scaled(f, e):
+        return tuple(f * a % p for a in e)
+
+    unit = plus(scaled(p - 1, A.monomial(0)), scaled(2, x), y)
+    raw = [
+        (y, x, unit),
+        (x, A.zero(), y),
+        (A.zero(), y, plus(x, y)),
+        (plus(x, y), scaled(3, y), scaled(2, unit)),
+    ]
+    assert_engines_agree(A, 3, raw)
+
+
 # constant coefficients are rare, so most entries lie in the radical and the
-# presentation stays nontrivial after unit elimination
-constants = st.sampled_from([0, 0, 0, 0, 0, 1])
+# presentation stays nontrivial after unit elimination; the nonzero ones
+# include the non-monic 2 and p - 1 (p = 32003), whose inverses are not 1
+constants = st.sampled_from([0] * 10 + [1, 2, 32002])
 coeffs = st.sampled_from([0, 0, 1, 2, 31990])
 
 

@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from sackit import NumericalSemigroup
 from sackit.errors import (
+    DomainError,
     EmptyInput,
     GcdNotOne,
     IsMinimalGenerator,
     NotAMember,
     NotCoprime,
 )
+from sackit.semigroup import MAX_MULTIPLICITY
 
 
 def sieve_members(gens, bound):
@@ -222,6 +224,10 @@ def test_from_generators_errors():
         NumericalSemigroup.from_generators([4, 6])
     with pytest.raises(GcdNotOne):
         NumericalSemigroup.from_generators([6, 9])
+    # one past the cap, and a multiplicity no list of residues could hold
+    for m in (MAX_MULTIPLICITY + 1, 10**28):
+        with pytest.raises(DomainError):
+            NumericalSemigroup.from_generators([m, m + 1])
 
 
 def test_text_round_trip():

@@ -6,6 +6,10 @@ the traced benchmark."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +35,25 @@ def test_trace_target_resolves(module_name, attr):
     for part in path:
         owner = getattr(owner, part)
     assert vars(owner).get(name) is not None, f"{module_name}.{attr}"
+
+
+def test_cli_import_loads_every_target_module():
+    # trace_child imports sackit.cli alone, then finds each target module in
+    # sys.modules and dispatches through click's main.main(args=, prog_name=).
+    # A lazy import or another argument parser would make every traced op
+    # exit 70 while the untraced run still passes, so check both here, in a
+    # fresh interpreter as the traced run starts.
+    modules = sorted({m for m, _attr, _prefix, _timed in _targets()})
+    script = (
+        "import json, sys\n"
+        "import sackit.cli\n"
+        f"print(json.dumps([m for m in {modules!r} if m not in sys.modules]))\n"
+        "sys.stdout.flush()\n"
+        "sackit.cli.main.main(args=['--help'], prog_name='traced')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(TRACE_CHILD.parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    missing, usage = done.stdout.splitlines()[:2]
+    assert json.loads(missing) == []
+    assert done.returncode == 0 and usage.startswith("Usage: traced ")
