@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .artinian import quotient_algebra, truncation_algebra
 from .errors import (
     MalformedDescriptor,
     SackitError,
+    TooLarge,
     UnknownPremiseKind,
 )
 from .ideals import SemigroupIdeal, is_ulrich, search_reduction
@@ -39,7 +40,7 @@ SCHEMA_VERSION = "cert-v1"
 # ring descriptors
 
 
-class _Descriptor:
+class _Descriptor(Record):
     """Base of the ring descriptors.  Each declares its text form once: HEAD
     is its head word and SLOTS names one slot kind (see _SLOT_KINDS) per
     field, in field order.  The parser, str(), validate_descriptor and
@@ -48,12 +49,11 @@ class _Descriptor:
     def __str__(self) -> str:
         args = ",".join(
             _SLOT_KINDS[kind][2](getattr(self, name))
-            for kind, name in zip(self.SLOTS, self.__dataclass_fields__)
+            for kind, name in zip(self.SLOTS, self._fields)
         )
         return f"{self.HEAD}({args})"
 
 
-@dataclass(frozen=True)
 class SemigroupRing(_Descriptor):
     """k[[H]] for a numerical semigroup H."""
 
@@ -62,7 +62,6 @@ class SemigroupRing(_Descriptor):
     generators: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Truncation(_Descriptor):
     """k[H]/(t^q), the Artinian truncation of k[[H]]."""
 
@@ -72,7 +71,6 @@ class Truncation(_Descriptor):
     q: int
 
 
-@dataclass(frozen=True)
 class Glued(_Descriptor):
     """The semigroup ring of n*H + <m>, presented as a gluing."""
 
@@ -83,7 +81,6 @@ class Glued(_Descriptor):
     m: int
 
 
-@dataclass(frozen=True)
 class PowerSeriesExt(_Descriptor):
     """R[[T]] over an inner ring R."""
 
@@ -92,7 +89,6 @@ class PowerSeriesExt(_Descriptor):
     inner: "RingDescriptor"
 
 
-@dataclass(frozen=True)
 class ParameterPowerQuotient(_Descriptor):
     """R/Q^power with Q generated by a regular sequence of length regseq_len."""
 
@@ -103,7 +99,6 @@ class ParameterPowerQuotient(_Descriptor):
     regseq_len: int
 
 
-@dataclass(frozen=True)
 class UlrichPowerQuotient(_Descriptor):
     """R/I^power for a declared Ulrich ideal I of the inner ring."""
 
@@ -114,7 +109,6 @@ class UlrichPowerQuotient(_Descriptor):
     power: int
 
 
-@dataclass(frozen=True)
 class AbstractCI(_Descriptor):
     """A ring declared to be a complete intersection."""
 
@@ -122,7 +116,6 @@ class AbstractCI(_Descriptor):
     SLOTS = ()
 
 
-@dataclass(frozen=True)
 class AbstractWithFiniteFlatCover(_Descriptor):
     """A ring R with a module-finite extension S of finite flat dimension
     over R; ? leaves either one unspecified."""
@@ -260,79 +253,89 @@ def parse_ring(text: str) -> RingDescriptor:
     return desc
 
 
-def _semigroup(gens) -> NumericalSemigroup:
+def _semigroup(gens, build=None) -> NumericalSemigroup:
+    """build(gens), by default NumericalSemigroup.from_generators(gens), with
+    its errors raised as MalformedDescriptor."""
     try:
-        return NumericalSemigroup.from_generators(gens)
+        return (build or NumericalSemigroup.from_generators)(gens)
     except SackitError as exc:
         raise MalformedDescriptor(f"bad semigroup {_ints(gens)}: {exc}") from exc
 
 
-def _check_int(desc, value):
+def _check_int(desc, value, build):
     if not isinstance(value, int) or value < 1:
         raise MalformedDescriptor(
             f"{desc.HEAD}() integer arguments must be >= 1, got {value!r}"
         )
 
 
-def _check_ints(desc, values):
+def _check_ints(desc, values, build):
     if not values:
         raise MalformedDescriptor(f"{desc.HEAD}() needs a nonempty (a,b,...)")
 
 
-def _check_sgp(desc, inner):
+def _check_sgp(desc, inner, build):
     if not isinstance(inner, SemigroupRing):
         raise MalformedDescriptor(f"{desc.HEAD}() needs a semigroup ring inside")
 
 
-def _check_ring(desc, inner):
+def _check_ring(desc, inner, build):
     if inner is None:
         raise MalformedDescriptor(f"{desc.HEAD}() needs an inner ring")
 
 
-def _check_members(gens, xs, what):
-    H = _semigroup(gens)
+def _check_members(H, xs, what):
     for x in xs:
         if x <= 0 or not H.contains(x):
             raise MalformedDescriptor(f"{what} {x} is not a positive member of H")
 
 
-# slot kind -> (grammar placeholder, parse, text form, validate)
+# slot kind -> (grammar placeholder, parse, text form, validate); validate
+# takes (descriptor, value, the build_semigroup of validate_descriptor)
 _SLOT_KINDS = {
     "int": ("{name}", _Parser.int_, str, _check_int),
     "ints": ("a,b,...", _Parser.int_list, _ints,
-             lambda desc, gens: _semigroup(gens)),
+             lambda desc, gens, build: _semigroup(gens, build)),
     "(ints)": ("(a,b,...)", _Parser.paren_ints, lambda xs: f"({_ints(xs)})",
                _check_ints),
     "sgp": ("sgp(a,b,...)", lambda p: p.node(SemigroupRing), str, _check_sgp),
     "gens": ("sgp(a,b,...)", lambda p: p.node(SemigroupRing).generators,
              lambda gens: str(SemigroupRing(gens)),
-             lambda desc, gens: _semigroup(gens)),
+             lambda desc, gens, build: _semigroup(gens, build)),
     "ring": ("ring", _Parser.ring, str, _check_ring),
     "ring?": ("ring|?", lambda p: p.ring(allow_hole=True),
               lambda inner: "?" if inner is None else str(inner),
-              lambda desc, inner: None),
+              lambda desc, inner, build: None),
 }
 
 
-def validate_descriptor(desc) -> None:
+def validate_descriptor(desc, build_semigroup=None) -> None:
     """Structural well-formedness; raises MalformedDescriptor.
 
     Glue preconditions are deliberately not enforced here: they are premises
     that R-GLUE verifies, so a bad gluing yields Unknown, not an error.
+    build_semigroup(generators), when given, builds each semigroup the
+    check needs; certify() passes the memo of its search.
     """
     if not isinstance(desc, _Descriptor):
         raise MalformedDescriptor(f"not a ring descriptor: {desc!r}")
-    for kind, name in zip(desc.SLOTS, desc.__dataclass_fields__):
+    for kind, name in zip(desc.SLOTS, desc._fields):
         value = getattr(desc, name)
-        _SLOT_KINDS[kind][3](desc, value)
+        _SLOT_KINDS[kind][3](desc, value, build_semigroup)
         if isinstance(value, _Descriptor):
-            validate_descriptor(value)
+            validate_descriptor(value, build_semigroup)
     if isinstance(desc, Truncation):
-        _check_members(desc.generators, (desc.q,), "truncation degree")
+        _check_members(
+            _semigroup(desc.generators, build_semigroup), (desc.q,),
+            "truncation degree",
+        )
     elif isinstance(desc, UlrichPowerQuotient) and isinstance(
         desc.inner, SemigroupRing
     ):
-        _check_members(desc.inner.generators, desc.ideal_gens, "ideal generator")
+        _check_members(
+            _semigroup(desc.inner.generators, build_semigroup), desc.ideal_gens,
+            "ideal generator",
+        )
 
 
 def descriptor_grammar() -> str:
@@ -341,7 +344,7 @@ def descriptor_grammar() -> str:
     for cls in _HEADS.values():
         args = ",".join(
             _SLOT_KINDS[kind][0].format(name=name)
-            for kind, name in zip(cls.SLOTS, cls.__dataclass_fields__)
+            for kind, name in zip(cls.SLOTS, cls._fields)
         )
         rows.append((f"{cls.HEAD}({args})", " ".join((cls.__doc__ or "").split())))
     width = max(len(form) for form, _ in rows)
@@ -354,8 +357,7 @@ def descriptor_grammar() -> str:
 # premises
 
 
-@dataclass(frozen=True)
-class Premise:
+class Premise(Record):
     statement: str
     status: str  # "Verified" | "Asserted"
     evidence: tuple | None = None  # sorted (key, value) pairs
@@ -414,10 +416,13 @@ def _premise_radical_index_le3(semigroup, q):
     return index <= 3, premise
 
 
-def _premise_glue_preconditions(inner_gens, n, m, expected=None):
-    inner = _semigroup(inner_gens)
+def _premise_glue_preconditions(
+    inner_gens, n, m, expected=None, build_semigroup=None
+):
+    build = build_semigroup or NumericalSemigroup.from_generators
+    inner = _semigroup(inner_gens, build)
     try:
-        glued = inner.glue(n, m)
+        glued = build(inner.glue_generators(n, m))
     except SackitError as exc:
         return False, _asserted(f"gluing rejected: {exc}")
     ok = expected is None or glued.generators == tuple(expected)
@@ -484,21 +489,25 @@ def verify_premise(kind: str, **kwargs):
     """Check one premise from the closed vocabulary.
 
     Returns (ok, Premise); the Premise embeds the computed numbers whether
-    or not the check passed.  Unknown kinds raise UnknownPremiseKind.
+    or not the check passed.  A premise whose check would build an object
+    above a size cap is not checked: (False, an Asserted Premise saying so).
+    Unknown kinds raise UnknownPremiseKind.
     """
     try:
         fn = _PREMISE_DISPATCH[kind]
     except KeyError:
         raise UnknownPremiseKind(kind) from None
-    return fn(**kwargs)
+    try:
+        return fn(**kwargs)
+    except TooLarge as exc:
+        return False, _asserted(f"not checked: {exc}")
 
 
 # ----------------------------------------------------------------------------
 # citations: the only quotes certificates are allowed to emit
 
 
-@dataclass(frozen=True)
-class Citation:
+class Citation(Record):
     where: str
     quote: str
 
@@ -556,15 +565,14 @@ CITATIONS = {
 # certificates
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     goal: str
     verdict: str  # "Certified" | "Unknown"
     rule: str | None
     citation: Citation | None
     premises: tuple[Premise, ...]
     children: tuple["Certificate", ...]
-    attempted: tuple[str, ...] = field(default=())
+    attempted: tuple[str, ...] = ()
 
     def to_json_dict(self, root: bool = True) -> dict:
         d = {
@@ -660,9 +668,20 @@ CERT_SCHEMA = {
 
 
 class _Search:
+    """State of one certify() call: the finished goals, the goals on the
+    stack, and each semigroup built so far, by generator set, so that the
+    validator, the rules and the premises of one call build it once."""
+
     def __init__(self):
         self.memo: dict = {}
         self.stack: set = set()
+        self.semigroups: dict = {}
+
+    def semigroup(self, gens) -> NumericalSemigroup:
+        key = tuple(sorted(set(gens)))
+        if key not in self.semigroups:
+            self.semigroups[key] = NumericalSemigroup.from_generators(gens)
+        return self.semigroups[key]
 
 
 def _unknown(desc, attempted) -> Certificate:
@@ -719,13 +738,15 @@ def _rule_ci_declared(desc, depth, search):
 
 
 def _rule_ci_sgp(desc, depth, search):
-    ok, pr = verify_premise("emb_dim_le1", semigroup=_semigroup(desc.generators))
+    ok, pr = verify_premise(
+        "emb_dim_le1", semigroup=search.semigroup(desc.generators)
+    )
     return ([pr], []) if ok else None
 
 
 def _rule_ci_trunc(desc, depth, search):
     ok, pr = verify_premise(
-        "emb_dim_le1", semigroup=_semigroup(desc.generators), q=desc.q
+        "emb_dim_le1", semigroup=search.semigroup(desc.generators), q=desc.q
     )
     return ([pr], []) if ok else None
 
@@ -733,13 +754,13 @@ def _rule_ci_trunc(desc, depth, search):
 def _rule_ci_upow(desc, depth, search):
     if not isinstance(desc.inner, SemigroupRing):
         return None
-    H = _semigroup(desc.inner.generators)
+    H = search.semigroup(desc.inner.generators)
     ok, pr = _ci_quotient(H, desc.ideal_gens, desc.power)
     return ([pr], []) if ok else None
 
 
 def _rule_min(desc, depth, search):
-    H = _semigroup(desc.generators)
+    H = search.semigroup(desc.generators)
     ok, p_min = verify_premise("min_mult", semigroup=H)
     if not ok:
         return None
@@ -763,20 +784,20 @@ _RAD3_EXTERNAL = _asserted(
 
 
 def _rule_rad3_sgp(desc, depth, search):
-    H = _semigroup(desc.generators)
+    H = search.semigroup(desc.generators)
     q = H.multiplicity
     ok, p_rad = verify_premise("radical_index_le3", semigroup=H, q=q)
     return ([p_rad, _RAD3_EXTERNAL, _nonzerodivisor(H, q)], []) if ok else None
 
 
 def _rule_rad3_trunc(desc, depth, search):
-    H = _semigroup(desc.generators)
+    H = search.semigroup(desc.generators)
     ok, p_rad = verify_premise("radical_index_le3", semigroup=H, q=desc.q)
     return ([p_rad, _RAD3_EXTERNAL], []) if ok else None
 
 
 def _rule_ulci(desc, depth, search):
-    H = _semigroup(desc.generators)
+    H = search.semigroup(desc.generators)
     for gens in _ulrich_candidates(H):
         ok, p_ulr = verify_premise("ulrich", semigroup=H, ideal_gens=gens)
         if not ok:
@@ -804,7 +825,7 @@ def _glue(candidates, expected, depth, search):
         try:
             ok, p_glue = verify_premise(
                 "glue_preconditions", inner_gens=inner_gens, n=n, m=m,
-                expected=expected,
+                expected=expected, build_semigroup=search.semigroup,
             )
         except MalformedDescriptor:
             continue
@@ -817,7 +838,7 @@ def _glue(candidates, expected, depth, search):
 
 
 def _rule_glue_sgp(desc, depth, search):
-    H = _semigroup(desc.generators)
+    H = search.semigroup(desc.generators)
     return _glue(_glue_decompositions(H), desc.generators, depth, search)
 
 
@@ -829,7 +850,7 @@ def _rule_upow(desc, depth, search):
     # some Ulrich ideal I with mu(I) - dim R > 1 whose power quotient is
     # itself certified; the rule runs upward only (R/I^l => R), so it applies
     # to semigroup rings alone
-    H = _semigroup(desc.generators)
+    H = search.semigroup(desc.generators)
     for gens in _ulrich_candidates(H):
         ok, p_ulr = verify_premise("ulrich", semigroup=H, ideal_gens=gens)
         if not ok:
@@ -855,13 +876,13 @@ def _modx(H, q, child_desc, depth, search):
 
 
 def _rule_modx_sgp(desc, depth, search):
-    H = _semigroup(desc.generators)
+    H = search.semigroup(desc.generators)
     q = H.multiplicity
     return _modx(H, q, Truncation(desc.generators, q), depth, search)
 
 
 def _rule_modx_trunc(desc, depth, search):
-    H = _semigroup(desc.generators)
+    H = search.semigroup(desc.generators)
     return _modx(H, desc.q, SemigroupRing(desc.generators), depth, search)
 
 
@@ -879,7 +900,7 @@ def _rule_qpow(desc, depth, search):
         n=desc.regseq_len,
     )
     if isinstance(desc.inner, SemigroupRing):
-        H = _semigroup(desc.inner.generators)
+        H = search.semigroup(desc.inner.generators)
         ok, p_gor = verify_premise("gap_symmetric", semigroup=H)
         if not ok:
             return None
@@ -981,5 +1002,6 @@ def certify(goal, depth: int = 8, root_rules=None) -> Certificate:
         goal = parse_ring(goal)
     if goal is None:
         raise MalformedDescriptor("no descriptor given")
-    validate_descriptor(goal)
-    return _certify_inner(goal, depth, _Search(), rules=root_rules)
+    search = _Search()
+    validate_descriptor(goal, search.semigroup)
+    return _certify_inner(goal, depth, search, rules=root_rules)

@@ -59,6 +59,11 @@ class DomainError(SackitError):
     """Numeric arguments fell outside the mathematical domain of a formula."""
 
 
+class TooLarge(DomainError):
+    """An object would be above a size cap (MAX_MULTIPLICITY, MAX_DIMENSION);
+    raised before anything of that size is allocated."""
+
+
 class ShapeMismatch(SackitError):
     """A presentation matrix has inconsistent row or column lengths."""
 

@@ -15,10 +15,10 @@ floating point in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
+from ._record import Record
 from .errors import (
     AmbientMismatch,
     DomainError,
@@ -179,8 +179,7 @@ def _span(lo, hi) -> tuple[int, ...]:
     return tuple(sorted(x for a, b in zip(lo, hi) for x in range(a, b, m)))
 
 
-@dataclass(frozen=True)
-class UlrichReport:
+class UlrichReport(Record):
     """Outcome of an Ulrich verification for a fixed reduction witness.
 
     free_rank is layer_length / colength when that is integral, else None;

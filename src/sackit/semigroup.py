@@ -24,12 +24,12 @@ from heapq import heappop, heappush
 from math import gcd
 
 from .errors import (
-    DomainError,
     EmptyInput,
     GcdNotOne,
     IsMinimalGenerator,
     NotAMember,
     NotCoprime,
+    TooLarge,
 )
 
 # The Apery set is a list of m integers; building it takes about 0.8 s and
@@ -65,7 +65,7 @@ class NumericalSemigroup:
 
         Raises EmptyInput for an empty list or non-positive entries,
         GcdNotOne when the generators do not have gcd 1 (the complement
-        would be infinite), and DomainError when the multiplicity is above
+        would be infinite), and TooLarge when the multiplicity is above
         MAX_MULTIPLICITY.
         """
         gens = sorted(set(int(g) for g in generators))
@@ -81,7 +81,7 @@ class NumericalSemigroup:
 
         m = gens[0]
         if m > MAX_MULTIPLICITY:
-            raise DomainError(
+            raise TooLarge(
                 f"multiplicity {m} is above the supported {MAX_MULTIPLICITY}"
             )
         apery = _apery(gens, m)
@@ -173,11 +173,15 @@ class NumericalSemigroup:
     # -- constructions ---------------------------------------------------
 
     def glue(self, n: int, m: int) -> "NumericalSemigroup":
-        """The gluing n*H + <m>.
+        """The gluing n*H + <m>, the semigroup of ``glue_generators``."""
+        return NumericalSemigroup.from_generators(self.glue_generators(n, m))
+
+    def glue_generators(self, n: int, m: int) -> tuple[int, ...]:
+        """The generators of the gluing n*H + <m>: the scaled generators
+        together with m, sorted.
 
         Requires n, m positive, gcd(n, m) = 1, m a member of H but not a
-        minimal generator.  The result is the semigroup generated by the
-        scaled generators together with m.
+        minimal generator.
         """
         if n <= 0 or m <= 0:
             raise EmptyInput(f"gluing needs positive n, m; got n={n}, m={m}")
@@ -189,9 +193,7 @@ class NumericalSemigroup:
             )
         if gcd(n, m) != 1:
             raise NotCoprime(f"gcd({n}, {m}) != 1")
-        return NumericalSemigroup.from_generators(
-            [n * g for g in self.generators] + [m]
-        )
+        return tuple(sorted([n * g for g in self.generators] + [m]))
 
     # -- plumbing ---------------------------------------------------------
 

@@ -431,3 +431,35 @@ def test_wide_two_generator_ring_is_pinned():
     assert digest.hexdigest() == (
         "6fd1b30e4ddb0da3aa15fa979f460542c423f86a611486115b710f8796037165"
     )
+
+
+def test_each_semigroup_is_built_once_per_certify_call(monkeypatch):
+    # the validator, the rules and the premises of one call share one build
+    # of each generator set; at multiplicity 10^6 a build is an Apery run of
+    # about a second
+    built = []
+    original = NumericalSemigroup.from_generators.__func__
+
+    def counting(cls, gens):
+        gens = tuple(gens)
+        built.append(tuple(sorted(set(gens))))
+        return original(cls, gens)
+
+    monkeypatch.setattr(NumericalSemigroup, "from_generators", classmethod(counting))
+    for text, rules in (
+        ("trunc(sgp(3,4,5),6)", None),
+        ("trunc(sgp(3,4,5),6)", ["R-MODX"]),
+        ("sgp(8,10,12,13)", None),  # R-GLUE on a semigroup ring
+        ("glued(sgp(2,3),2,9)", None),
+        ("upow(sgp(3,4,5),(3,4,5),2)", None),
+        ("qpow(sgp(2,3),2,3)", None),
+        ("sgp(6,10,15)", None),
+    ):
+        built.clear()
+        certify(text, root_rules=rules)
+        assert built and len(built) == len(set(built)), (text, rules, built)
+    # the memo lives on the search of one call
+    built.clear()
+    certify("sgp(3,4,5)")
+    certify("sgp(3,4,5)")
+    assert built == [(3, 4, 5), (3, 4, 5)]

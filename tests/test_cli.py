@@ -1,7 +1,12 @@
 """Command line surface: every subcommand, exit codes, JSON round trips."""
 
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -268,6 +273,39 @@ def test_huge_multiplicity_is_an_error():
     assert r.exit_code == 0
     doc = json.loads(r.output)
     assert doc["verdict"] == "Unknown" and doc["attempted"] == ["R-GLUE"]
+
+
+def _sackit_capped(*args):
+    """Run the CLI in a child process under a 1 GiB address-space cap, so an
+    input that allocates without bound ends in MemoryError, not in a machine
+    out of memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "sackit", *args], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=cap)
+
+
+def test_huge_algebra_dimension_is_an_error():
+    # an algebra lists one basis degree per dimension, so a colength past
+    # MAX_DIMENSION ends in error: before the basis is allocated
+    for args in (("ext", "table", "--H", "3,4,5", "--q", "1000000000",
+                  "--mod", "k", "--range", "0..2"),
+                 ("extdeg", "--H", "3,4,5", "--q", "1000000000", "--mod", "k")):
+        done = _sackit_capped(*args)
+        assert done.returncode == 1, args
+        assert done.stderr.startswith("error: algebra dimension 1000000000"), args
+    # a premise that needs such an algebra is not checked, and the search
+    # goes on: R-MODX reaches k[[H]] without the truncation's basis
+    for ring, rule in (("trunc(sgp(3,4,5),1000000000)", "R-MODX"),
+                       ("qpow(trunc(sgp(3,4,5),1000000000),1,1)", "R-QPOW")):
+        done = _sackit_capped("certify", "--ring", ring, "--json")
+        assert done.returncode == 0, (ring, done.stderr)
+        doc = json.loads(done.stdout)
+        assert (doc["verdict"], doc["rule"]) == ("Certified", rule)
 
 
 def test_certify_help_lists_every_head():

@@ -1,0 +1,129 @@
+"""The frozen value types: construction, equality, hash, repr and
+immutability, as callers and the certificate bytes rely on them."""
+
+import pytest
+
+from sackit import (
+    NumericalSemigroup,
+    SemigroupIdeal,
+    certify,
+    ext_deg_window,
+    is_ulrich,
+    parse_ring,
+    residue_field,
+    truncation_algebra,
+)
+from sackit.artinian import ExtWindowReport, MinimalResolution, Realization
+from sackit.certify import (
+    AbstractCI,
+    Certificate,
+    Citation,
+    Glued,
+    Premise,
+    SemigroupRing,
+    Truncation,
+    _certify_inner,
+    _Search,
+    descriptor_grammar,
+)
+from sackit.ideals import UlrichReport
+
+H345 = NumericalSemigroup.from_generators([3, 4, 5])
+
+
+def test_repr_strings_are_pinned():
+    cert = certify("trunc(sgp(3,4,5),6)")
+    assert repr(cert.premises[0]) == (
+        "Premise(statement='k[H]/(t^6) with H=3,4,5 has radical index <= 3', "
+        "status='Verified', evidence=(('index', 3), ('q', 6)))"
+    )
+    assert repr(certify("ffd(?,?)")) == (
+        "Certificate(goal='ffd(?,?)', verdict='Unknown', rule=None, "
+        "citation=None, premises=(), children=(), attempted=('R-FFD',))"
+    )
+    assert repr(cert.citation) == (
+        "Citation(where='radical-cube-zero', "
+        "quote='has radical cube zero … satisfies (SAC) by')"
+    )
+    assert repr(parse_ring("trunc(sgp(3,4,5),6)")) == (
+        "Truncation(generators=(3, 4, 5), q=6)"
+    )
+    assert repr(AbstractCI()) == "AbstractCI()"
+    assert repr(is_ulrich(SemigroupIdeal.maximal_ideal(H345), 3)) == (
+        "UlrichReport(is_ulrich=True, reduction_q=3, colength=1, mu=3, "
+        "layer_length=3, free_rank=3)"
+    )
+    window = ext_deg_window(residue_field(truncation_algebra(H345, 3)), 3)
+    assert repr(window) == (
+        "ExtWindowReport(last_nonzero_in_window=3, nonzero_at_boundary=True)"
+    )
+
+
+def test_equality_and_hash_are_by_value():
+    a, b = Truncation((3, 4, 5), 6), parse_ring("trunc(sgp(3,4,5),6)")
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert hash(a) == hash(((3, 4, 5), 6))
+    assert hash(AbstractCI()) == hash(()) and AbstractCI() == AbstractCI()
+    assert a != Truncation((3, 4, 5), 7)
+    assert Premise("s", "Asserted") == Premise("s", "Asserted", None)
+    assert len({Citation("w", "q"), Citation("w", "q"), Citation("w", "r")}) == 2
+    report = UlrichReport(True, 3, 1, 3, 3, 3)
+    assert report == UlrichReport.from_json_dict(report.to_json_dict())
+
+
+def test_equality_needs_the_same_type():
+    assert SemigroupRing((3, 4, 5)) != Truncation((3, 4, 5), 6)
+    # equal field values are not enough across types
+    assert ExtWindowReport(3, True) != Realization(3, True)
+    assert Realization(3, True) != (3, True)
+    assert SemigroupRing((3, 4, 5)) != ((3, 4, 5),)
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    desc = SemigroupRing((3, 4, 5))
+    with pytest.raises(AttributeError):
+        desc.generators = (2, 3)
+    with pytest.raises(AttributeError):
+        del desc.generators
+    with pytest.raises(AttributeError):
+        desc.extra = 1
+    cert = certify("sgp(3,4,5)")
+    with pytest.raises(AttributeError):
+        cert.verdict = "Unknown"
+    assert desc.generators == (3, 4, 5) and cert.verdict == "Certified"
+
+
+def test_keyword_construction_and_defaults():
+    assert Premise(statement="s", status="Asserted").evidence is None
+    cert = Certificate(goal="g", verdict="Unknown", rule=None, citation=None,
+                       premises=(), children=())
+    assert cert.attempted == ()
+    assert cert == Certificate("g", "Unknown", None, None, (), (), ())
+    assert ExtWindowReport(nonzero_at_boundary=False,
+                           last_nonzero_in_window=None) == ExtWindowReport(None, False)
+    res = MinimalResolution(module=None, betti=(1, 2), matrices=((),))
+    assert res.length == 1
+    for bad in (lambda: Citation("w"), lambda: Citation("w", "q", "x"),
+                lambda: Citation("w", where="v"), lambda: Citation("w", quot="q")):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_grammar_names_the_fields_in_order():
+    # the grammar table renders each int slot by its field name
+    forms = [line.split()[0] for line in descriptor_grammar().splitlines()[1:]]
+    assert forms == [
+        "sgp(a,b,...)", "trunc(sgp(a,b,...),q)", "glued(sgp(a,b,...),n,m)",
+        "powser(ring)", "qpow(ring,power,regseq_len)",
+        "upow(ring,(a,b,...),power)", "ci()", "ffd(ring|?,ring|?)",
+    ]
+
+
+def test_descriptors_key_the_search_memo():
+    search = _Search()
+    first = _certify_inner(parse_ring("glued(sgp(2,3),2,9)"), 8, search)
+    assert (Glued(SemigroupRing((2, 3)), 2, 9), 8) in search.memo
+    # the child goal was memoized under an equal, separately built descriptor
+    assert (SemigroupRing((2, 3)), 7) in search.memo
+    again = _certify_inner(Glued(SemigroupRing((2, 3)), 2, 9), 8, search)
+    assert again is first

@@ -57,3 +57,22 @@ def test_cli_import_loads_every_target_module():
     missing, usage = done.stdout.splitlines()[:2]
     assert json.loads(missing) == []
     assert done.returncode == 0 and usage.startswith("Usage: traced ")
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # building a dataclass execs its generated methods, and the module
+    # itself pulls in inspect: about 12 ms of every command's start-up went
+    # there.  The value types are Records, so a fresh `import sackit.cli`
+    # loads no dataclasses, while every traced module is still loaded.
+    modules = sorted({m for m, _attr, _prefix, _timed in _targets()})
+    script = (
+        "import json, sys\n"
+        "import sackit.cli\n"
+        f"print(json.dumps(['dataclasses' in sys.modules,"
+        f" [m for m in {modules!r} if m not in sys.modules]]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(TRACE_CHILD.parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, []]
