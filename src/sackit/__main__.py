@@ -1,4 +1,4 @@
 from .cli import main
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m sackit")

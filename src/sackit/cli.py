@@ -3,8 +3,8 @@
 Every subcommand is deterministic: same arguments, same bytes out.  The
 --json flag switches any subcommand to its JSON form; human and JSON
 output always agree on the numeric fields.  Exit codes: 0 on success, 1 on
-a domain error (reported on stderr), 2 on a usage error (click reports the
-offending flag).
+a domain error (reported on stderr), 2 on a usage error (reported on stderr
+under the usage line, naming the offending flag).
 
 The default field characteristic is 32003 and can be overridden with the
 SACKIT_PRIME environment variable or, where algebras are involved, --p.
@@ -17,10 +17,9 @@ e.g. `cyc(5)+A`.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
-
-import click
+import sys
 
 from . import __version__, artinian as ar
 from .certify import CITATIONS, certify as run_certify, descriptor_grammar
@@ -38,36 +37,24 @@ from .semigroup import NumericalSemigroup
 
 
 def _echo_json(data) -> None:
-    click.echo(json.dumps(data, sort_keys=True, indent=2))
+    print(json.dumps(data, sort_keys=True, indent=2))
 
 
-def _domain_guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except SackitError as exc:
-            click.echo(f"error: {exc}", err=True)
-            raise SystemExit(1)
-
-    return wrapper
-
-
-def _int_list(text: str, flag: str):
+def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise click.BadParameter("expected comma-separated integers", param_hint=flag)
+        raise argparse.ArgumentTypeError("expected comma-separated integers") from None
 
 
-def _parse_range(text: str):
+def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo_text, hi_text = text.split("..")
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        raise click.BadParameter("expected LO..HI", param_hint="--range")
+        raise argparse.ArgumentTypeError("expected LO..HI") from None
     if lo < 0 or hi < lo:
-        raise click.BadParameter("need 0 <= LO <= HI", param_hint="--range")
+        raise argparse.ArgumentTypeError("need 0 <= LO <= HI")
     return lo, hi
 
 
@@ -95,33 +82,14 @@ def parse_module_expr(algebra, text: str):
     return total
 
 
-def _algebra_from_flags(gens_text, q, prime):
-    H = NumericalSemigroup.from_generators(_int_list(gens_text, "--H"))
+def _algebra(gens, q, prime):
+    H = NumericalSemigroup.from_generators(gens)
     return ar.truncation_algebra(H, q, char=prime)
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(version=__version__, prog_name="sackit")
-def main() -> None:
-    """Exact tools for numerical semigroups, Ulrich ideals, Ext/Tor tables
-    over Artinian monomial algebras, and (SAC) certificates."""
-
-
-# ---------------------------------------------------------------- sgp
-
-
-@main.group()
-def sgp() -> None:
-    """Numerical semigroup inspection."""
-
-
-@sgp.command("info")
-@click.option("--gens", required=True, help="comma-separated generators")
-@click.option("--json", "as_json", is_flag=True)
-@_domain_guard
-def sgp_info(gens: str, as_json: bool) -> None:
+def sgp_info(gens, as_json) -> None:
     """Invariants of the numerical semigroup generated by --gens."""
-    H = NumericalSemigroup.from_generators(_int_list(gens, "--gens"))
+    H = NumericalSemigroup.from_generators(gens)
     data = {
         "generators": list(H.generators),
         "multiplicity": H.multiplicity,
@@ -140,31 +108,17 @@ def sgp_info(gens: str, as_json: bool) -> None:
     for key, value in data.items():
         if isinstance(value, list):
             value = ",".join(str(x) for x in value)
-        click.echo(f"{key.ljust(width)}  {value}")
+        print(f"{key.ljust(width)}  {value}")
 
 
-# ---------------------------------------------------------------- ideal
+def _load_ideal(gens, ideal):
+    H = NumericalSemigroup.from_generators(gens)
+    return SemigroupIdeal.from_generators(H, ideal)
 
 
-@main.group()
-def ideal() -> None:
-    """Monomial (semigroup) ideal computations."""
-
-
-def _load_ideal(gens: str, ideal_gens: str):
-    H = NumericalSemigroup.from_generators(_int_list(gens, "--gens"))
-    return SemigroupIdeal.from_generators(H, _int_list(ideal_gens, "--ideal"))
-
-
-@ideal.command("ulrich")
-@click.option("--gens", required=True, help="semigroup generators")
-@click.option("--ideal", "ideal_gens", required=True, help="ideal generators")
-@click.option("--q", type=int, default=None, help="reduction degree (searched if omitted)")
-@click.option("--json", "as_json", is_flag=True)
-@_domain_guard
-def ideal_ulrich(gens: str, ideal_gens: str, q: int | None, as_json: bool) -> None:
+def ideal_ulrich(gens, ideal, q, as_json) -> None:
     """Ulrich test: stability I^2 = t^q I plus freeness of I/I^2."""
-    I = _load_ideal(gens, ideal_gens)
+    I = _load_ideal(gens, ideal)
     if q is None:
         q = search_reduction(I)
         if q is None:
@@ -174,18 +128,12 @@ def ideal_ulrich(gens: str, ideal_gens: str, q: int | None, as_json: bool) -> No
         _echo_json(report.to_json_dict())
         return
     for key, value in sorted(report.to_json_dict().items()):
-        click.echo(f"{key}={str(value).lower() if isinstance(value, bool) else value}")
+        print(f"{key}={str(value).lower() if isinstance(value, bool) else value}")
 
 
-@ideal.command("powers")
-@click.option("--gens", required=True)
-@click.option("--ideal", "ideal_gens", required=True)
-@click.option("--up-to", "up_to", type=int, default=5, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@_domain_guard
-def ideal_powers(gens: str, ideal_gens: str, up_to: int, as_json: bool) -> None:
+def ideal_powers(gens, ideal, up_to, as_json) -> None:
     """Layer lengths l(I^i/I^(i+1)) against the rank-formula prediction."""
-    I = _load_ideal(gens, ideal_gens)
+    I = _load_ideal(gens, ideal)
     layers = power_layer_lengths(I, up_to)
     mu = I.mu()
     colength = I.colength()
@@ -200,60 +148,33 @@ def ideal_powers(gens: str, ideal_gens: str, up_to: int, as_json: bool) -> None:
     if as_json:
         _echo_json(data)
         return
-    click.echo(f"mu={mu} colength={colength}")
-    click.echo("i    enumerated  predicted  match")
+    print(f"mu={mu} colength={colength}")
+    print("i    enumerated  predicted  match")
     for i, (got, want) in enumerate(zip(layers, predicted), start=1):
-        click.echo(f"{str(i).ljust(4)} {str(got).ljust(11)} {str(want).ljust(10)} "
-                   f"{str(got == want).lower()}")
+        print(f"{str(i).ljust(4)} {str(got).ljust(11)} {str(want).ljust(10)} "
+              f"{str(got == want).lower()}")
 
 
-# ---------------------------------------------------------------- glue
-
-
-@main.command("glue")
-@click.option("--gens", required=True, help="inner semigroup generators")
-@click.option("--n", type=int, required=True)
-@click.option("--m", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@_domain_guard
-def glue_cmd(gens: str, n: int, m: int, as_json: bool) -> None:
+def glue_cmd(gens, n, m, as_json) -> None:
     """Generators of the gluing n*H + <m>."""
-    H = NumericalSemigroup.from_generators(_int_list(gens, "--gens"))
-    glued = H.glue(n, m)
+    glued = NumericalSemigroup.from_generators(gens).glue(n, m)
     if as_json:
         _echo_json({"generators": list(glued.generators)})
         return
-    click.echo(str(glued))
+    print(glued)
 
 
-# ---------------------------------------------------------------- ext
-
-
-@main.group()
-def ext() -> None:
-    """Ext/Tor dimension tables over truncation algebras."""
-
-
-@ext.command("table")
-@click.option("--H", "gens_text", required=True, help="semigroup generators")
-@click.option("--q", type=int, required=True, help="truncation degree")
-@click.option("--mod", "mod_text", default="k", show_default=True)
-@click.option("--range", "range_text", default="0..8", show_default=True)
-@click.option("--p", "prime", type=int, default=None, help="field characteristic")
-@click.option("--tor", "use_tor", is_flag=True, help="Tor instead of Ext")
-@click.option("--json", "as_json", is_flag=True)
-@_domain_guard
-def ext_table(gens_text, q, mod_text, range_text, prime, use_tor, as_json) -> None:
+def ext_table(gens, q, mod, bounds, prime, tor, as_json) -> None:
     """dim Ext^i(M, M) (or Tor_i) for i in --range over k[H]/(t^q)."""
-    lo, hi = _parse_range(range_text)
-    algebra = _algebra_from_flags(gens_text, q, prime)
-    module = parse_module_expr(algebra, mod_text)
-    fn = ar.tor_dims if use_tor else ar.ext_dims
+    lo, hi = bounds
+    algebra = _algebra(gens, q, prime)
+    module = parse_module_expr(algebra, mod)
+    fn = ar.tor_dims if tor else ar.ext_dims
     dims = fn(module, module, hi)[lo:]
     data = {
         "algebra": algebra.descriptor(),
-        "module": mod_text,
-        "functor": "tor" if use_tor else "ext",
+        "module": mod,
+        "functor": "tor" if tor else "ext",
         "range": [lo, hi],
         "dims": list(dims),
     }
@@ -262,41 +183,24 @@ def ext_table(gens_text, q, mod_text, range_text, prime, use_tor, as_json) -> No
         return
     cells = [(str(i), str(d)) for i, d in zip(range(lo, hi + 1), dims)]
     widths = [max(len(a), len(b)) for a, b in cells]
-    click.echo(f"{data['functor']} over {data['algebra']}, M = {mod_text}")
-    click.echo("i:   " + "  ".join(a.rjust(w) for (a, _), w in zip(cells, widths)))
-    click.echo("dim: " + "  ".join(b.rjust(w) for (_, b), w in zip(cells, widths)))
+    print(f"{data['functor']} over {data['algebra']}, M = {mod}")
+    print("i:   " + "  ".join(a.rjust(w) for (a, _), w in zip(cells, widths)))
+    print("dim: " + "  ".join(b.rjust(w) for (_, b), w in zip(cells, widths)))
 
 
-@main.command("extdeg")
-@click.option("--H", "gens_text", required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--mod", "mod_text", required=True)
-@click.option("--window", type=int, default=12, show_default=True)
-@click.option("--p", "prime", type=int, default=None)
-@click.option("--json", "as_json", is_flag=True)
-@_domain_guard
-def extdeg(gens_text, q, mod_text, window, prime, as_json) -> None:
+def extdeg(gens, q, mod, window, prime, as_json) -> None:
     """Bounded scan of dim Ext^i(M+A, M+A), 1 <= i <= window."""
-    algebra = _algebra_from_flags(gens_text, q, prime)
-    module = parse_module_expr(algebra, mod_text)
-    report = ar.ext_deg_window(module, window)
+    algebra = _algebra(gens, q, prime)
+    report = ar.ext_deg_window(parse_module_expr(algebra, mod), window)
     data = report.to_json_dict()
     if as_json:
         _echo_json(data)
         return
-    click.echo(f"last_nonzero_in_window={data['last_nonzero_in_window']}")
-    click.echo(f"nonzero_at_boundary={str(data['nonzero_at_boundary']).lower()}")
+    print(f"last_nonzero_in_window={data['last_nonzero_in_window']}")
+    print(f"nonzero_at_boundary={str(data['nonzero_at_boundary']).lower()}")
 
 
-# ---------------------------------------------------------------- lemma42
-
-
-@main.command("lemma42")
-@click.option("--n", "n_max", type=int, default=8, show_default=True)
-@click.option("--cmax", type=int, default=14, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@_domain_guard
-def lemma42(n_max: int, cmax: int, as_json: bool) -> None:
+def lemma42(n_max, cmax, as_json) -> None:
     """Exhaustive rank-ratio and cumulative-identity sweep.
 
     For every 2 <= l <= n <= N and n <= c <= CMAX: the chain a_i of
@@ -331,27 +235,117 @@ def lemma42(n_max: int, cmax: int, as_json: bool) -> None:
     if as_json:
         _echo_json(data)
         return
-    click.echo(f"ratio checks:    {ratio_checked} run, {len(ratio_failures)} failed")
-    click.echo(f"identity checks: {identity_checked} run, {len(identity_failures)} failed")
+    print(f"ratio checks:    {ratio_checked} run, {len(ratio_failures)} failed")
+    print(f"identity checks: {identity_checked} run, {len(identity_failures)} failed")
     for tag, failures in (("ratio", ratio_failures), ("identity", identity_failures)):
         for n, c, ell in failures:
-            click.echo(f"FAIL {tag}: n={n} c={c} l={ell}")
+            print(f"FAIL {tag}: n={n} c={c} l={ell}")
 
 
-# ---------------------------------------------------------------- certify
-
-
-@main.command("certify", epilog="\b\n" + descriptor_grammar())
-@click.option("--ring", required=True, help="ring descriptor, grammar below")
-@click.option("--rule", type=click.Choice(sorted(CITATIONS)), default=None,
-              help="restrict the root to one rule")
-@click.option("--depth", type=int, default=8, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@_domain_guard
-def certify_cmd(ring: str, rule: str | None, depth: int, as_json: bool) -> None:
+def certify_cmd(ring, rule, depth, as_json) -> None:
     """Search for a (SAC) certificate for the described ring."""
     cert = run_certify(ring, depth=depth, root_rules=None if rule is None else [rule])
-    if as_json:
-        click.echo(cert.to_json())
-        return
-    click.echo(cert.render())
+    print(cert.to_json() if as_json else cert.render())
+
+
+# ---------------------------------------------------------------- command table
+
+
+def _flag(name, **options):
+    return name, options
+
+
+_JSON = _flag("--json", dest="as_json", action="store_true", help="print JSON")
+_GENS = _flag("--gens", type=_int_list, required=True, help="semigroup generators")
+_IDEAL = _flag("--ideal", type=_int_list, required=True, help="ideal generators")
+_H = _flag("--H", dest="gens", type=_int_list, required=True, help="semigroup generators")
+_Q = _flag("--q", type=int, required=True, help="truncation degree")
+_P = _flag("--p", dest="prime", type=int, help="field characteristic")
+
+_GROUPS = {
+    "sgp": "Numerical semigroup inspection.",
+    "ideal": "Monomial (semigroup) ideal computations.",
+    "ext": "Ext/Tor dimension tables over truncation algebras.",
+}
+
+# command path -> (function, flags), where a two-word path names a command
+# of a group; flag values are converted while parsing
+COMMANDS = {
+    "sgp info": (sgp_info, [_GENS, _JSON]),
+    "ideal ulrich": (ideal_ulrich, [_GENS, _IDEAL, _flag(
+        "--q", type=int, help="reduction degree (searched if omitted)"), _JSON]),
+    "ideal powers": (ideal_powers, [_GENS, _IDEAL, _flag(
+        "--up-to", type=int, default=5, help="last power (default: %(default)s)"), _JSON]),
+    "glue": (glue_cmd, [
+        _flag("--gens", type=_int_list, required=True, help="inner semigroup generators"),
+        _flag("--n", type=int, required=True), _flag("--m", type=int, required=True), _JSON]),
+    "ext table": (ext_table, [
+        _H, _Q, _flag("--mod", default="k", help="module (default: %(default)s)"),
+        _flag("--range", dest="bounds", metavar="LO..HI", type=_parse_range,
+              default="0..8", help="degrees (default: %(default)s)"),
+        _P, _flag("--tor", action="store_true", help="Tor instead of Ext"), _JSON]),
+    "extdeg": (extdeg, [_H, _Q, _flag("--mod", required=True, help="module"), _flag(
+        "--window", type=int, default=12, help="last degree (default: %(default)s)"), _P, _JSON]),
+    "lemma42": (lemma42, [
+        _flag("--n", dest="n_max", metavar="N", type=int, default=8, help="default: %(default)s"),
+        _flag("--cmax", type=int, default=14, help="default: %(default)s"), _JSON]),
+    "certify": (certify_cmd, [
+        _flag("--ring", required=True, help="ring descriptor, grammar below"),
+        _flag("--rule", choices=sorted(CITATIONS), help="restrict the root to one rule"),
+        _flag("--depth", type=int, default=8, help="search depth (default: %(default)s)"), _JSON]),
+}
+
+
+class _Formatter(argparse.RawDescriptionHelpFormatter):
+    """Descriptions and epilogs as written, under a `Usage: ` line."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+def _parser(prog: str | None) -> argparse.ArgumentParser:
+    settings = {"formatter_class": _Formatter, "allow_abbrev": False}
+    root = argparse.ArgumentParser(
+        prog=prog, **settings,
+        description="Exact tools for numerical semigroups, Ulrich ideals, Ext/Tor tables\n"
+                    "over Artinian monomial algebras, and (SAC) certificates.")
+    root.add_argument("--version", action="version", version=f"sackit, version {__version__}")
+    levels = {"": root.add_subparsers(title="commands", metavar="COMMAND", required=True)}
+    for path, (fn, flags) in COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        if group not in levels:
+            about = _GROUPS[group]
+            parent = levels[""].add_parser(group, help=about, description=about, **settings)
+            levels[group] = parent.add_subparsers(
+                title="commands", metavar="COMMAND", required=True)
+        doc = "\n".join(line.strip() for line in (fn.__doc__ or "").splitlines())
+        command = levels[group].add_parser(
+            name, help=doc.partition("\n")[0], description=doc,
+            epilog=descriptor_grammar() if path == "certify" else None, **settings)
+        for flag, options in flags:
+            command.add_argument(flag, **options)
+        command.set_defaults(run=fn)
+    return root
+
+
+class _Main:
+    """The `sackit` entry point: `main` parses, runs one command and always
+    raises SystemExit (0, 1 on a domain error, 2 on a usage error)."""
+
+    name = "sackit"
+
+    def main(self, args=None, prog_name=None, **_):
+        options = vars(_parser(prog_name).parse_args(args))
+        run = options.pop("run")
+        try:
+            run(**options)
+        except SackitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(1)
+        raise SystemExit(0)
+
+    def __call__(self, args=None, prog_name=None):
+        self.main(args, prog_name)
+
+
+main = _Main()

@@ -40,11 +40,11 @@ class SemigroupIdeal:
     def __init__(self, ambient: NumericalSemigroup, generators: tuple[int, ...]):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "generators", generators)
-        # least element in each residue class mod m; () for the zero ideal
+        # least element in each residue class mod m; () for the zero ideal.
+        # Over r, g + ap[(r - g) % m] is ap rotated by g mod m, plus g.
         m, ap = ambient.multiplicity, ambient._apery
-        least = tuple(
-            min(g + ap[(r - g) % m] for g in generators) for r in range(m)
-        ) if generators else ()
+        rows = [map(g.__add__, ap[-(g % m):] + ap[:-(g % m)]) for g in generators]
+        least = tuple(map(min, *rows) if len(rows) > 1 else rows[0]) if rows else ()
         object.__setattr__(self, "_least", least)
 
     def __setattr__(self, name, value):
@@ -92,13 +92,18 @@ class SemigroupIdeal:
         return SemigroupIdeal.from_generators(self.ambient, sums)
 
     def power(self, exponent: int) -> "SemigroupIdeal":
-        """The exponent-fold product, by repeated products."""
+        """The exponent-fold product, by repeated squaring: O(log exponent)
+        products."""
         if exponent < 1:
             raise NonPositive(f"power wants exponent >= 1, got {exponent}")
-        out = self
-        for _ in range(exponent - 1):
-            out = out.product(self)
-        return out
+        out, square = None, self
+        while True:
+            if exponent & 1:
+                out = square if out is None else out.product(square)
+            exponent >>= 1
+            if not exponent:
+                return out
+            square = square.product(square)
 
     def shift(self, q: int) -> "SemigroupIdeal":
         """The ideal q + E, i.e. the product with the principal ideal (q)."""
@@ -271,9 +276,11 @@ def power_layer_lengths(ideal: SemigroupIdeal, up_to: int) -> tuple[int, ...]:
     """Lengths of ideal^i / ideal^(i+1) for i = 1..up_to."""
     if up_to < 1:
         raise NonPositive(f"want up_to >= 1, got {up_to}")
-    out = []
-    for i in range(1, up_to + 1):
-        out.append(ideal.power(i).relative_length(ideal.power(i + 1)))
+    out, layer = [], ideal
+    for _ in range(up_to):
+        below = layer.product(ideal)
+        out.append(layer.relative_length(below))
+        layer = below
     return tuple(out)
 
 

@@ -331,3 +331,28 @@ def test_outputs_are_bytewise_deterministic():
         ("sgp", "info", "--gens", "8,11,12,14,18", "--json"),
     ):
         assert run(*args).output == run(*args).output
+
+
+def test_huge_ideal_power_ends_within_seconds():
+    # power squares, so I^(10^9) takes about 60 products, not 10^9
+    done = _sackit_capped("certify", "--ring",
+                          "upow(sgp(3,4,5),(3,4,5),1000000000)", "--json")
+    assert done.returncode in (0, 1), done.stderr
+    if done.returncode == 1:
+        assert done.stderr.startswith("error:")
+    else:
+        jsonschema.validate(json.loads(done.stdout), CERT_SCHEMA)
+
+
+def test_module_entry_point_exit_codes():
+    # the `python -m sackit` process itself, not the test runner: 0 on
+    # success, 1 on a domain error, 2 on a usage error
+    done = _sackit_capped("--version")
+    assert (done.returncode, done.stdout) == (0, "sackit, version 0.1.0\n")
+    done = _sackit_capped("sgp", "info", "--gens", "4,6")
+    assert done.returncode == 1 and done.stderr.startswith("error:")
+    for args in (("sgp", "info", "--gens", "4x6"), (), ("sgp",)):
+        done = _sackit_capped(*args)
+        assert done.returncode == 2, args
+        assert done.stdout == "" and "error:" in done.stderr, args
+        assert done.stderr.startswith("Usage: python -m sackit"), args

@@ -362,3 +362,47 @@ def test_ideal_representation_matches_window(hgens, data):
             len(powers[k - 1] - powers[k])
         assert I.power(k - 1).relative_complement(P) == \
             tuple(sorted(powers[k - 1] - powers[k]))
+
+
+@pytest.mark.parametrize("hgens,igens", [
+    ([3, 4, 5], [3, 4, 5]),
+    ([5, 7, 9], [5, 7]),
+    ([4, 6, 7, 9], [6, 7]),
+    ([5, 6, 9], [9]),
+    ([8, 11, 12, 14, 18], [8, 12, 14, 18]),
+    ([7, 10, 13], [10, 13, 14]),
+])
+def test_power_matches_repeated_products(hgens, igens):
+    # power squares; the oracle multiplies by the ideal n - 1 times
+    H = NumericalSemigroup.from_generators(hgens)
+    I = SemigroupIdeal.from_generators(H, igens)
+    repeated = I
+    for n in range(1, 13):
+        assert I.power(n) == repeated, n
+        assert I.power(n).generators == repeated.generators, n
+        repeated = repeated.product(I)
+
+
+@pytest.mark.parametrize("hgens,igens,layers", [
+    ([8, 11, 12, 14, 18], [8, 12, 14, 18], (8, 8, 8, 8, 8, 8)),
+    ([3, 4, 5], [3, 4, 5], (3, 3, 3, 3, 3, 3)),
+    ([5, 7, 9], [5, 7], (3, 4, 4, 5, 5, 5)),
+    ([4, 6, 7, 9], [6, 7], (5, 5, 6, 6, 6, 6)),
+    ([5, 6, 9], [5, 6, 9], (3, 4, 5, 5, 5, 5)),
+    ([3, 7], [7, 9], (6, 7, 7, 7, 7, 7)),
+    ([4, 6, 7, 9], [4, 6], (4, 4, 4, 4, 4, 4)),
+])
+def test_power_layer_lengths_pinned(hgens, igens, layers):
+    H = NumericalSemigroup.from_generators(hgens)
+    I = SemigroupIdeal.from_generators(H, igens)
+    assert power_layer_lengths(I, 6) == layers
+    assert layers == tuple(
+        I.power(i).relative_length(I.power(i + 1)) for i in range(1, 7)
+    )
+
+
+def test_huge_power_takes_few_products():
+    H = NumericalSemigroup.from_generators([3, 4, 5])
+    m = SemigroupIdeal.maximal_ideal(H)
+    n = 10 ** 9
+    assert m.power(n).generators == (3 * n, 3 * n + 1, 3 * n + 2)
