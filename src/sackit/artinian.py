@@ -17,14 +17,15 @@ A column of rank0 algebra elements has one stored form, from construction
 (``PresentedModule.columns``) through minimalization and resolution: the
 sparse flattened vector {g*dim A + i: coeff} (generator g, basis index i).
 Dense tuples appear only at the public edge: ``_check_shape`` reads them in;
-``PresentedModule.relations``, ``MinimalResolution.matrices`` and the result
-of ``syzygy_step`` give them out.  ``_multiples`` lists a column times every
-basis monomial by moving coefficients, and a product by an algebra element
-is a sum of these multiples.  The syzygy k-matrix is made of them and its
-kernel is taken per connected block of its sparsity pattern
-(``modp.sparse_kernel``); ``_nakayama`` keeps the kernel vectors that are
-independent modulo the radical multiples of all of them, in a sparse
-``modp.Span``.
+``PresentedModule.relations``, ``MinimalResolution.matrices``,
+``Realization.action`` and the result of ``syzygy_step`` give them out.
+``_multiples`` lists a column times every basis monomial by moving
+coefficients, and a product by an algebra element is a sum of these
+multiples.  The syzygy k-matrix is made of them and its kernel is taken per
+connected block of its sparsity pattern (``modp.sparse_kernel``);
+``_nakayama`` keeps the kernel vectors that are independent modulo the
+radical multiples of all of them, in a sparse ``modp.Span``.  A realization
+stores only the nonzero entries of each monomial's action.
 
 Ext and Tor dimensions come from the minimal resolution via dimension
 shifting.  Presentations are first split into their direct summands
@@ -188,15 +189,11 @@ class MonomialArtinianAlgebra:
 
     def _atoms(self) -> list[int]:
         """Degrees of the minimal generators (atoms) of the radical: the
-        positive basis degrees d with no smaller atom a such that d - a is a
-        basis degree.  The basis is closed under division, so every product
-        of positive basis monomials factors into atoms through basis
-        monomials."""
-        atoms = []
-        for d in self.degrees[1:]:
-            if not any(d - a in self._index for a in atoms):
-                atoms.append(d)
-        return atoms
+        minimal generators of H that lie outside the ideal.  The basis is
+        closed under division, so a positive basis degree is a product of two
+        positive basis monomials exactly when it is a sum of two positive
+        members of H."""
+        return [g for g in self.semigroup.generators if g in self._index]
 
     def radical_index(self) -> int:
         """Least r with m^r = 0, m the ideal of positive-degree monomials:
@@ -545,11 +542,23 @@ def minimal_resolution(module: PresentedModule, length: int) -> MinimalResolutio
 
 
 class Realization(Record):
-    """k-realization of a presented module: dimension and one action matrix
-    per algebra basis monomial (row-major, acting on coordinate columns)."""
+    """k-realization of a presented module: its dimension and, per algebra
+    basis monomial, the nonzero entries (row, column, coeff) of the matrix
+    by which it acts on coordinate columns.  action is the same as one dense
+    row-major matrix per monomial, derived on access."""
 
     dim: int
-    action: tuple
+    entries: tuple
+
+    @property
+    def action(self) -> tuple:
+        n, out = self.dim, []
+        for ents in self.entries:
+            mat = [[0] * n for _ in range(n)]
+            for i, j, x in ents:
+                mat[i][j] = x
+            out.append(tuple(map(tuple, mat)))
+        return tuple(out)
 
 
 def _realize(module: PresentedModule) -> Realization:
@@ -565,34 +574,16 @@ def _realize(module: PresentedModule) -> Realization:
     # the module; a vector's coordinates are its remainder modulo the span
     free_pos = [pos for pos in range(module.rank0 * dim_a) if pos not in span.rows]
     coord = {pos: i for i, pos in enumerate(free_pos)}
-    dim_m = len(free_pos)
-    action = [[[0] * dim_m for _ in free_pos] for _ in algebra.degrees]
+    entries = [[] for _ in algebra.degrees]
     for j, pos in enumerate(free_pos):
-        for mat, image in zip(action, _multiples(algebra, {pos: 1}, algebra.degrees)):
-            for i, val in span.reduce(image).items():
-                mat[coord[i]][j] = val
-    real = Realization(dim_m, tuple(tuple(map(tuple, mat)) for mat in action))
+        for ents, image in zip(entries, _multiples(algebra, {pos: 1}, algebra.degrees)):
+            ents.extend((coord[i], j, x) for i, x in span.reduce(image).items())
+    real = Realization(len(free_pos), tuple(map(tuple, entries)))
     object.__setattr__(module, "_real", real)
     return real
 
 
 realization = _realize  # public access, for oracles and reports
-
-
-def _act_matrix(real: Realization, elem, p):
-    """Action of an algebra element, given sparse as {basis index: coeff}, on
-    the realization, as a dim x dim matrix."""
-    n = real.dim
-    out = [[0] * n for _ in range(n)]
-    for b, coeff in elem.items():
-        mat = real.action[b]
-        for i in range(n):
-            row_out = out[i]
-            row_in = mat[i]
-            for j in range(n):
-                if row_in[j]:
-                    row_out[j] = (row_out[j] + coeff * row_in[j]) % p
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -635,15 +626,11 @@ def _omega(algebra, key):
     return result
 
 
-def _transposed_act(real, elem, p):
-    return tuple(zip(*_act_matrix(real, elem, p)))
-
-
 class _DerivedSession:
     """Per-target caches for the dimensions of a derived functor of Hom(-, N)
-    or - tensor N.  ``block`` picks the base functor F: what F makes of a
-    relation entry, its action matrix on N for Hom (``_act_matrix``) and the
-    transpose for the tensor product (``_transposed_act``).
+    or - tensor N.  ``entries`` is what the base functor F makes of each
+    basis monomial, as (row, column, coeff): the entries of its action on N
+    for Hom, and the same entries transposed for the tensor product.
 
     Dimension shift on minimal presentations, for F = Hom (Ext) and
     F = tensor (Tor) alike:
@@ -653,34 +640,32 @@ class _DerivedSession:
     and additivity over direct summand components.
     """
 
-    def __init__(self, algebra, target_real, block):
+    def __init__(self, algebra, dim_n, entries):
         self.algebra = algebra
-        self.real = target_real
-        self.block = block
+        self.dim_n = dim_n
+        self.entries = entries
         self.base: dict = {}
         self.derived: dict = {}
 
     def base_dim(self, key) -> int:
         """dim F(M) for a component M: F of its free cover, rank0 * dim N,
         less the rank of what F makes of its relation columns.  Each column
-        gives dim N sparse rows, with the block of its entry at generator g
-        in the coordinates g*dim N onward."""
+        gives dim N sparse rows, built straight from ``entries``: the block
+        of its entry at generator g is in the coordinates g*dim N onward."""
         if key in self.base:
             return self.base[key]
         rank0, cols = key
-        p, n, dim_a = self.algebra.char, self.real.dim, self.algebra.dim
+        p, n, dim_a = self.algebra.char, self.dim_n, self.algebra.dim
         span = Span(p)
         for col in cols:
-            entries: dict[int, dict[int, int]] = {}
+            rows: list[dict[int, int]] = [{} for _ in range(n)]
             for pos, x in col:
                 g, b = divmod(pos, dim_a)
-                entries.setdefault(g, {})[b] = x
-            rows: list[dict[int, int]] = [{} for _ in range(n)]
-            for g, elem in entries.items():
-                for row, blk_row in zip(rows, self.block(self.real, elem, p)):
-                    row.update((g * n + j, x) for j, x in enumerate(blk_row) if x)
+                for i, j, y in self.entries[b]:
+                    k = g * n + j
+                    rows[i][k] = rows[i].get(k, 0) + x * y
             for row in rows:
-                span.add(row)
+                span.add(row)  # reduces mod p and drops the zeros
         val = rank0 * n - span.dim
         self.base[key] = val
         return val
@@ -689,7 +674,7 @@ class _DerivedSession:
         if i == 0:
             return (
                 sum(m * self.base_dim(k) for k, m in counter.items())
-                + free * self.real.dim
+                + free * self.dim_n
             )
         return sum(m * self.key_dim(k, i) for k, m in counter.items())
 
@@ -701,7 +686,7 @@ class _DerivedSession:
         if i == 1:
             rank0, _ = key
             base_omega = self.counter_dim(omega_counter, omega_free, 0)
-            val = base_omega - rank0 * self.real.dim + self.base_dim(key)
+            val = base_omega - rank0 * self.dim_n + self.base_dim(key)
         else:
             val = self.counter_dim(omega_counter, omega_free, i - 1)
         self.derived[memo] = val
@@ -715,23 +700,27 @@ def _require_same_algebra(left: PresentedModule, right: PresentedModule):
         )
 
 
-def _derived_dims(module, target, upto, block):
+def _derived_dims(module, target, upto, transpose):
     _require_same_algebra(module, target)
     if upto < 0:
         raise NonPositive(f"upto must be >= 0, got {upto}")
-    session = _DerivedSession(module.algebra, _realize(target), block)
+    real = _realize(target)
+    entries = real.entries
+    if transpose:
+        entries = tuple(tuple((j, i, x) for i, j, x in ents) for ents in entries)
+    session = _DerivedSession(module.algebra, real.dim, entries)
     counter, free = _component_split(module.algebra, module.rank0, module.columns)
     return tuple(session.counter_dim(counter, free, i) for i in range(upto + 1))
 
 
 def ext_dims(module: PresentedModule, target: PresentedModule, upto: int):
     """dim_k Ext^i(module, target) for i = 0..upto, as a tuple."""
-    return _derived_dims(module, target, upto, _act_matrix)
+    return _derived_dims(module, target, upto, transpose=False)
 
 
 def tor_dims(module: PresentedModule, target: PresentedModule, upto: int):
     """dim_k Tor_i(module, target) for i = 0..upto, as a tuple."""
-    return _derived_dims(module, target, upto, _transposed_act)
+    return _derived_dims(module, target, upto, transpose=True)
 
 
 class ExtWindowReport(Record):

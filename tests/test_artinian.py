@@ -14,11 +14,14 @@ _syzygy_columns; they check the component splitting and the dimension shift
 of ext_dims/tor_dims, not the syzygies.  The syzygies are checked by
 test_resolution_is_a_minimal_exact_complex, which builds its k-matrices
 (flatten_map) with mul, and byte for byte against the dense engine that the
-sparse one replaced (test_dense_oracle.py).  mul, invert, realization and
-the structure invariants are checked against a dense product table built
-here (dense_table).
+sparse one replaced (test_dense_oracle.py).  Both complex oracles read the
+realization through its dense public ``action`` view, multiplied out here
+(act_matrix), while the engine reads its sparse entries.  mul, invert,
+realization and the structure invariants are checked against a dense
+product table built here (dense_table).
 """
 
+import hashlib
 import itertools
 from math import gcd
 
@@ -42,7 +45,7 @@ from sackit import (
     truncation_algebra,
     SemigroupIdeal,
 )
-from sackit.artinian import ExtWindowReport, _act_matrix
+from sackit.artinian import ExtWindowReport
 from sackit.errors import (
     AlgebraMismatch,
     DomainError,
@@ -105,10 +108,23 @@ def commuting_hom_dim(M, N):
     return dn * dm - rank(rows, p)
 
 
+def act_matrix(action, elem, p):
+    """Action of an algebra element, given sparse as {basis index: coeff}, as
+    the dense matrix sum of a realization's public ``action`` matrices, so
+    the complex oracles share no code with ext_dims and tor_dims."""
+    n = len(action[0])
+    out = [[0] * n for _ in range(n)]
+    for b, coeff in elem.items():
+        for row_out, row_in in zip(out, action[b]):
+            for j, x in enumerate(row_in):
+                row_out[j] = (row_out[j] + coeff * x) % p
+    return out
+
+
 def hom_complex_ext(M, N, upto):
     res = minimal_resolution(M, upto + 1)
     realN = realization(N)
-    n = realN.dim
+    n, action = realN.dim, realN.action
     p = M.algebra.char
     deltas = []
     for i in range(upto + 1):
@@ -117,7 +133,7 @@ def hom_complex_ext(M, N, upto):
         rows = [[0] * src for _ in range(res.betti[i + 1] * n)]
         for j, col in enumerate(cols):
             for g, entry in enumerate(col):
-                blk = _act_matrix(realN, dict(enumerate(entry)), p)
+                blk = act_matrix(action, dict(enumerate(entry)), p)
                 for a in range(n):
                     for b in range(n):
                         rows[j * n + a][g * n + b] = blk[a][b]
@@ -133,7 +149,7 @@ def hom_complex_ext(M, N, upto):
 def tensor_complex_tor(M, N, upto):
     res = minimal_resolution(M, upto + 1)
     realN = realization(N)
-    n = realN.dim
+    n, action = realN.dim, realN.action
     p = M.algebra.char
     ranks = []
     for i in range(upto + 1):
@@ -141,7 +157,7 @@ def tensor_complex_tor(M, N, upto):
         rows = [[0] * (res.betti[i + 1] * n) for _ in range(res.betti[i] * n)]
         for j, col in enumerate(cols):
             for g, entry in enumerate(col):
-                blk = _act_matrix(realN, dict(enumerate(entry)), p)
+                blk = act_matrix(action, dict(enumerate(entry)), p)
                 for a in range(n):
                     for b in range(n):
                         rows[g * n + a][j * n + b] = blk[a][b]
@@ -420,6 +436,25 @@ def test_deep_ext_tor_match_complex_oracles(gens, q, c, m_name, n_name):
     M, N = deep_module(A, c, m_name), deep_module(A, c, n_name)
     assert ext_dims(M, N, 3) == hom_complex_ext(M, N, 3)
     assert tor_dims(M, N, 3) == tensor_complex_tor(M, N, 3)
+
+
+def test_ext_tor_tables_are_frozen():
+    # Ext and Tor to depth 6, past the complex oracles' depth 3, and the
+    # bytes of the dense action view, over every DEEP_ALGEBRAS algebra for
+    # M, N in {k, cyc(c), cyc(c) + k}
+    digest = hashlib.sha256()
+    for gens, q, c in DEEP_ALGEBRAS:
+        A = trunc(gens, q)
+        mods = [residue_field(A), cyclic_quotient(A, c),
+                direct_sum(cyclic_quotient(A, c), residue_field(A))]
+        for N in mods:
+            real = realization(N)
+            digest.update(repr((real.dim, real.action)).encode())
+            for M in mods:
+                digest.update(repr((ext_dims(M, N, 6), tor_dims(M, N, 6))).encode())
+    assert digest.hexdigest() == (
+        "3bb637513f15387cdbae797efe8f3ccec7816efa462d7977acf537b3a78a05b9"
+    )
 
 
 def test_free_modules_are_homologically_trivial():

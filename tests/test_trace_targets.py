@@ -39,10 +39,11 @@ def test_trace_target_resolves(module_name, attr):
 
 def test_cli_import_loads_every_target_module():
     # trace_child imports sackit.cli alone, then finds each target module in
-    # sys.modules and dispatches through click's main.main(args=, prog_name=).
-    # A lazy import or another argument parser would make every traced op
-    # exit 70 while the untraced run still passes, so check both here, in a
-    # fresh interpreter as the traced run starts.
+    # sys.modules and dispatches through main.main(args=, prog_name=), the
+    # argparse dispatcher's _Main object.  A lazy import, or a main without
+    # that method, would make every traced op exit 70 while the untraced run
+    # still passes, so check both here, in a fresh interpreter as the traced
+    # run starts.
     modules = sorted({m for m, _attr, _prefix, _timed in _targets()})
     script = (
         "import json, sys\n"
