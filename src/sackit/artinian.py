@@ -21,11 +21,12 @@ Dense tuples appear only at the public edge: ``_check_shape`` reads them in;
 ``Realization.action`` and the result of ``syzygy_step`` give them out.
 ``_multiples`` lists a column times every basis monomial by moving
 coefficients, and a product by an algebra element is a sum of these
-multiples.  The syzygy k-matrix is made of them and its kernel is taken per
-connected block of its sparsity pattern (``modp.sparse_kernel``);
-``_nakayama`` keeps the kernel vectors that are independent modulo the
-radical multiples of all of them, in a sparse ``modp.Span``.  A realization
-stores only the nonzero entries of each monomial's action.
+multiples.  The syzygy k-matrix is made of them and its kernel is taken in
+one sparse ``modp.Span`` pass (``modp.sparse_kernel``); ``_nakayama`` keeps
+the kernel vectors that are independent modulo the radical multiples of all
+of them, in another.  The inverse of a unit comes by forward substitution in
+degree order, so no dense matrix is built anywhere in the engine.  A
+realization stores only the nonzero entries of each monomial's action.
 
 Ext and Tor dimensions come from the minimal resolution via dimension
 shifting.  Presentations are first split into their direct summands
@@ -58,7 +59,7 @@ from .errors import (
     TooLarge,
 )
 from .ideals import SemigroupIdeal
-from .modp import Span, connected_blocks, solve, sparse_kernel
+from .modp import Span, connected_blocks, sparse_kernel
 from .semigroup import MAX_MULTIPLICITY, NumericalSemigroup
 
 DEFAULT_PRIME = 32003
@@ -332,7 +333,9 @@ def free_module(algebra, rank: int) -> PresentedModule:
 
 def cyclic_quotient(algebra, degree: int) -> PresentedModule:
     """A/(t^degree A).  Degrees outside the basis give the free module A;
-    degree 0 gives the zero module."""
+    degree 0 gives the zero module, and a negative degree is an error."""
+    if degree < 0:
+        raise NonPositive(f"cyclic degree must be >= 0, got {degree}")
     i = algebra._index.get(degree)
     if i is None:
         return free_module(algebra, 1)
@@ -390,12 +393,19 @@ def _entry(vec, base, dim_a):
 
 
 def _inverse(algebra, elem):
-    """The inverse of a unit given as {basis index: coeff}, in that form."""
-    # column j is elem * t^(degrees[j])
-    cols = _multiples(algebra, elem, algebra.degrees)
-    mat = [[col.get(i, 0) for col in cols] for i in range(algebra.dim)]
-    sol = solve(mat, [1] + [0] * (algebra.dim - 1), algebra.char)
-    return {i: x for i, x in enumerate(sol) if x}
+    """The inverse y of a unit u given as {basis index: coeff}, in that form.
+    Products only raise degrees, so y comes by forward substitution in
+    degree order: y_0 = 1/u_0, and y_d = -(1/u_0) * sum of u_e * y_(d-e)
+    over the positive degrees e of u with d - e a basis degree."""
+    p, basis, index = algebra.char, algebra.degrees, algebra._index
+    inv = pow(elem[0], -1, p)
+    terms = [(basis[b], x) for b, x in elem.items() if b]
+    y = {0: inv}
+    for k, d in enumerate(basis[1:], 1):
+        acc = sum(x * y.get(index.get(d - e), 0) for e, x in terms)
+        if acc % p:
+            y[k] = -inv * acc % p
+    return y
 
 
 def _times(algebra, vec, elem, acc=None):

@@ -19,7 +19,6 @@ byte identical JSON.
 
 from __future__ import annotations
 
-import json
 import re
 
 from ._record import Record
@@ -590,6 +589,8 @@ class Certificate(Record):
         return d
 
     def to_json(self) -> str:
+        import json  # on use: the import costs every command's start-up
+
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def render(self, indent: int = 0) -> str:

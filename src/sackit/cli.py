@@ -18,7 +18,7 @@ e.g. `cyc(5)+A`.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from . import __version__, artinian as ar
@@ -37,6 +37,8 @@ from .semigroup import NumericalSemigroup
 
 
 def _echo_json(data) -> None:
+    import json  # on use: the import costs every command's start-up
+
     print(json.dumps(data, sort_keys=True, indent=2))
 
 
@@ -303,7 +305,10 @@ class _Formatter(argparse.RawDescriptionHelpFormatter):
         super().add_usage(usage, actions, groups, prefix)
 
 
-def _parser(prog: str | None) -> argparse.ArgumentParser:
+def _parser(prog: str | None, args: list[str]) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one command whose path ``args``
+    start with: the others' flags would only cost start-up."""
+    paths = [path for path in COMMANDS if path.split() == args[:len(path.split())]]
     settings = {"formatter_class": _Formatter, "allow_abbrev": False}
     root = argparse.ArgumentParser(
         prog=prog, **settings,
@@ -311,7 +316,8 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
                     "over Artinian monomial algebras, and (SAC) certificates.")
     root.add_argument("--version", action="version", version=f"sackit, version {__version__}")
     levels = {"": root.add_subparsers(title="commands", metavar="COMMAND", required=True)}
-    for path, (fn, flags) in COMMANDS.items():
+    for path in paths or COMMANDS:
+        fn, flags = COMMANDS[path]
         group, _, name = path.rpartition(" ")
         if group not in levels:
             about = _GROUPS[group]
@@ -330,17 +336,25 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
 
 class _Main:
     """The `sackit` entry point: `main` parses, runs one command and always
-    raises SystemExit (0, 1 on a domain error, 2 on a usage error)."""
+    raises SystemExit (0, 1 on a domain error or when the reader of stdout
+    has gone, 2 on a usage error)."""
 
     name = "sackit"
 
     def main(self, args=None, prog_name=None, **_):
-        options = vars(_parser(prog_name).parse_args(args))
+        args = sys.argv[1:] if args is None else list(args)
+        options = vars(_parser(prog_name, args).parse_args(args))
         run = options.pop("run")
         try:
             run(**options)
+            sys.stdout.flush()
         except SackitError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(1)
+        except BrokenPipeError:
+            # `sackit ... | head -1`: the rest of the output has nowhere to
+            # go, and the flush at exit must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise SystemExit(1)
         raise SystemExit(0)
 

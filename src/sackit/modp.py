@@ -1,12 +1,12 @@
 """Exact linear algebra over a prime field, dense and sparse.
 
-Dense matrices are lists of rows of Python ints reduced into [0, p).  Sparse
-vectors are dicts {position: coefficient} that hold only nonzero
-coefficients; the syzygy engine works on them, because its k-matrices are
-(rank·dim A)×(s·dim A) with a handful of nonzeros per column and fall apart
-into many small independent blocks.  ``sparse_kernel`` takes a kernel per
-connected block of the sparsity pattern with the dense ``kernel_basis``, and
-``Span`` keeps sparse echelon rows.
+Sparse vectors are dicts {position: coefficient} that hold only nonzero
+coefficients; the syzygy engine works on them alone, because its k-matrices
+are (rank·dim A)×(s·dim A) with a handful of nonzeros per column.  ``Span``
+keeps sparse echelon rows, and ``sparse_kernel`` takes a kernel in one pass
+of a ``Span``.  Dense matrices are lists of rows of Python ints reduced into
+[0, p); ``rref``, ``rank`` and ``kernel_basis`` on them are the reference
+the tests check the sparse forms against.
 
 Pivot selection is lexicographic (first usable column, first usable row), so
 reduced forms, ranks, kernel bases and greedy span completions are
@@ -96,44 +96,25 @@ def connected_blocks(supports):
 
 
 def sparse_kernel(columns, p):
-    """``kernel_basis`` of the matrix whose columns are the sparse vectors
-    ``columns``, as sparse vectors over the column indices.
+    """The canonical kernel basis of the matrix whose columns are the sparse
+    vectors ``columns``, as sparse vectors over the column indices: one
+    vector per column dependent on the earlier ones, with 1 at that column
+    and minus its coefficients on the earlier independent columns.
 
-    The columns are grouped into the connected blocks of the sparsity pattern
-    (two columns meet when they share a nonzero row) and each block gets its
-    own dense ``kernel_basis``.  The reduced echelon form of a block diagonal
-    matrix is the union of the blocks' forms, so the union of the block
-    bases, ordered by free column, is the canonical basis of the whole
-    matrix.  A canonical vector's free column is its largest position: its
-    other nonzeros sit at pivots of rows that reach the free column.
+    One ``Span`` pass: column j is reduced together with a unit entry at
+    shift + j, past every row index.  A remainder with a position below
+    shift makes column j independent, and it joins the span; otherwise the
+    remainder, shifted back, is column j's kernel vector.
     """
-    basis = []
-    for cols in connected_blocks(columns):
-        support = sorted({r for c in cols for r in columns[c]})
-        rows = {r: i for i, r in enumerate(support)}
-        mat = [[0] * len(cols) for _ in rows]
-        for j, c in enumerate(cols):
-            for r, x in columns[c].items():
-                mat[rows[r]][j] = x
-        for vec in kernel_basis(mat, len(cols), p):
-            basis.append({cols[j]: x for j, x in enumerate(vec) if x})
-    basis.sort(key=max)
+    shift = 1 + max((r for col in columns for r in col), default=-1)
+    span, basis = Span(p), []
+    for j, col in enumerate(columns):
+        rem = span.reduce({**col, shift + j: 1})
+        if min(rem) < shift:
+            span.add(rem)
+        else:
+            basis.append({pos - shift: x for pos, x in rem.items()})
     return basis
-
-
-def solve(rows, rhs, p):
-    """One solution of rows * x = rhs, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug, p)
-    sol = [0] * ncols
-    for row, pcol in zip(reduced, pivots):
-        if pcol == ncols:
-            return None  # pivot in the constant column
-        sol[pcol] = row[ncols]
-    return sol
 
 
 class Span:

@@ -520,6 +520,36 @@ def test_cyclic_quotient_edges():
     assert ghost.is_free() and ghost.dimension() == B.dim
 
 
+def test_invert_at_dim_2002_round_trips():
+    # forward substitution over the basis degrees: no dim x dim system
+    A = trunc([5, 1001], 2002)
+    assert A.dim == 2002
+    u = list(A.zero())
+    for degree, c in ((0, 3), (5, 2), (1001, 7), (1006, 1), (2000, 5)):
+        u[A.degrees.index(degree)] = c
+    assert A.mul(u, A.invert(u)) == A.monomial(0)
+
+
+def test_engine_builds_no_dense_matrix(monkeypatch):
+    # the engine eliminates in sparse Spans only: the dense rref, rank and
+    # kernel_basis of modp are the tests' reference and never run under it
+    def dense(*args):
+        raise AssertionError("dense elimination in the engine")
+
+    for name in ("rref", "kernel_basis", "rank"):
+        monkeypatch.setattr(f"sackit.modp.{name}", dense)
+    A = trunc([4, 6, 7, 9], 8)
+    M = direct_sum(cyclic_quotient(A, 6), residue_field(A))
+    assert ext_dims(M, M, 3) and tor_dims(M, M, 3)
+    assert minimal_resolution(M, 3).betti and realization(M).dim
+    assert ext_deg_window(M, 2).nonzero_at_boundary
+    one, x4, x6 = A.monomial(0), A.monomial(4), A.monomial(6)
+    unit = tuple((3 * a + b) % A.char for a, b in zip(one, x4))  # 3 + t^4
+    assert module_from_presentation(A, 2, [(unit, x6)]).rank0 == 1
+    assert A.mul(unit, A.invert(unit)) == one
+    assert cyclic_quotient(A, 0).dimension() == 0
+
+
 def test_presentation_minimalization():
     B = trunc([4, 5, 6], 4)
     one, x5 = B.monomial(0), B.monomial(5)

@@ -154,6 +154,9 @@ def test_ext_table_module_language():
     # module-language errors surface as domain errors, like bad descriptors
     assert run("ext", "table", "--H", "4,5,6", "--q", "4",
                "--mod", "cyc(x)", "--range", "0..2").exit_code == 1
+    # a negative degree is an error, not a non-basis degree (which gives A)
+    negative = run("ext", "table", "--H", "3,4,5", "--q", "6", "--mod", "cyc(-3)")
+    assert negative.exit_code == 1 and negative.output.startswith("error:")
 
 
 def test_characteristic_flag_and_env():
@@ -306,6 +309,36 @@ def test_huge_algebra_dimension_is_an_error():
         assert done.returncode == 0, (ring, done.stderr)
         doc = json.loads(done.stdout)
         assert (doc["verdict"], doc["rule"]) == ("Certified", rule)
+
+
+def _sackit_piped(*args, unbuffered):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "sackit", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_ends_quietly(unbuffered):
+    # `sackit ... | head -1`.  A block-buffered stdout writes a short output
+    # at the exit flush, an unbuffered one in print, so run both ways.  The
+    # reader goes after one line of a long output (30000 Apery elements),
+    # and before the child writes anything of a short one.
+    long = _sackit_piped("sgp", "info", "--gens", "30000,30001", "--json",
+                         unbuffered=unbuffered)
+    assert long.stdout.readline() == b"{\n"
+    long.stdout.close()
+    short = _sackit_piped("sgp", "info", "--gens", "2,8001", "--json",
+                          unbuffered=unbuffered)
+    short.stdout.close()
+    for proc in (long, short):
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, err
+        assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_certify_help_lists_every_head():

