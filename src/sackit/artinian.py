@@ -321,9 +321,10 @@ def module_from_presentation(algebra, rank0, relations) -> PresentedModule:
 
 
 def residue_field(algebra) -> PresentedModule:
-    """The simple module k = A/m."""
-    cols = [{i: 1} for i in range(1, algebra.dim)]
-    return PresentedModule(algebra, *_minimalize(algebra, 1, cols))
+    """The simple module k = A/m, minimally presented by the atoms of the
+    radical, which minimally generate m."""
+    cols = tuple({algebra._index[a]: 1} for a in algebra._atoms())
+    return PresentedModule(algebra, 1, cols)
 
 
 def free_module(algebra, rank: int) -> PresentedModule:

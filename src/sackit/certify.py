@@ -215,6 +215,8 @@ class _Parser:
                 f"descriptor nested deeper than {MAX_NESTING} levels"
             )
         head = self.peek()
+        if head is None:
+            raise MalformedDescriptor("unexpected end of descriptor")
         if head == "?":
             if not allow_hole:
                 raise MalformedDescriptor("'?' is only valid inside ffd(...)")

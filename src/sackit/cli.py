@@ -1,10 +1,12 @@
 """Batch command line surface.
 
-Every subcommand is deterministic: same arguments, same bytes out.  The
---json flag switches any subcommand to its JSON form; human and JSON
-output always agree on the numeric fields.  Exit codes: 0 on success, 1 on
-a domain error (reported on stderr), 2 on a usage error (reported on stderr
-under the usage line, naming the offending flag).
+Every subcommand is deterministic: same arguments, same bytes out.  Each
+command function returns ``(data, text)``: its JSON record and its text
+form, which always agree on the numeric fields.  `main` alone renders one of
+them (the record with --json, which every subcommand takes), prints and
+flushes.  Exit codes: 0 on success, 1 on a domain error (reported on stderr)
+or when the reader of stdout has gone, 2 on a usage error (reported on
+stderr under the usage line, naming the offending flag).
 
 The default field characteristic is 32003 and can be overridden with the
 SACKIT_PRIME environment variable or, where algebras are involved, --p.
@@ -34,12 +36,6 @@ from .ideals import (
     estimate_ratio_holds,
 )
 from .semigroup import NumericalSemigroup
-
-
-def _echo_json(data) -> None:
-    import json  # on use: the import costs every command's start-up
-
-    print(json.dumps(data, sort_keys=True, indent=2))
 
 
 def _int_list(text: str) -> list[int]:
@@ -89,7 +85,13 @@ def _algebra(gens, q, prime):
     return ar.truncation_algebra(H, q, char=prime)
 
 
-def sgp_info(gens, as_json) -> None:
+def _key_values(data) -> str:
+    """One ``key=value`` line per field, keys sorted, booleans lowercase."""
+    return "\n".join(f"{key}={str(value).lower() if isinstance(value, bool) else value}"
+                     for key, value in sorted(data.items()))
+
+
+def sgp_info(gens):
     """Invariants of the numerical semigroup generated by --gens."""
     H = NumericalSemigroup.from_generators(gens)
     data = {
@@ -103,14 +105,9 @@ def sgp_info(gens, as_json) -> None:
         "gap_symmetric": H.is_gap_symmetric(),
         "apery_of_multiplicity": list(H.apery_set(H.multiplicity)),
     }
-    if as_json:
-        _echo_json(data)
-        return
+    shown = {k: ",".join(map(str, v)) if isinstance(v, list) else v for k, v in data.items()}
     width = max(len(k) for k in data)
-    for key, value in data.items():
-        if isinstance(value, list):
-            value = ",".join(str(x) for x in value)
-        print(f"{key.ljust(width)}  {value}")
+    return data, "\n".join(f"{key.ljust(width)}  {value}" for key, value in shown.items())
 
 
 def _load_ideal(gens, ideal):
@@ -118,22 +115,18 @@ def _load_ideal(gens, ideal):
     return SemigroupIdeal.from_generators(H, ideal)
 
 
-def ideal_ulrich(gens, ideal, q, as_json) -> None:
+def ideal_ulrich(gens, ideal, q):
     """Ulrich test: stability I^2 = t^q I plus freeness of I/I^2."""
     I = _load_ideal(gens, ideal)
     if q is None:
         q = search_reduction(I)
         if q is None:
             raise DomainError("no stable reduction degree among the generators")
-    report = is_ulrich(I, q)
-    if as_json:
-        _echo_json(report.to_json_dict())
-        return
-    for key, value in sorted(report.to_json_dict().items()):
-        print(f"{key}={str(value).lower() if isinstance(value, bool) else value}")
+    data = is_ulrich(I, q).to_json_dict()
+    return data, _key_values(data)
 
 
-def ideal_powers(gens, ideal, up_to, as_json) -> None:
+def ideal_powers(gens, ideal, up_to):
     """Layer lengths l(I^i/I^(i+1)) against the rank-formula prediction."""
     I = _load_ideal(gens, ideal)
     layers = power_layer_lengths(I, up_to)
@@ -147,26 +140,20 @@ def ideal_powers(gens, ideal, up_to, as_json) -> None:
         "predicted": predicted,
         "matches": [a == b for a, b in zip(layers, predicted)],
     }
-    if as_json:
-        _echo_json(data)
-        return
-    print(f"mu={mu} colength={colength}")
-    print("i    enumerated  predicted  match")
+    lines = [f"mu={mu} colength={colength}", "i    enumerated  predicted  match"]
     for i, (got, want) in enumerate(zip(layers, predicted), start=1):
-        print(f"{str(i).ljust(4)} {str(got).ljust(11)} {str(want).ljust(10)} "
-              f"{str(got == want).lower()}")
+        lines.append(f"{str(i).ljust(4)} {str(got).ljust(11)} {str(want).ljust(10)} "
+                     f"{str(got == want).lower()}")
+    return data, "\n".join(lines)
 
 
-def glue_cmd(gens, n, m, as_json) -> None:
+def glue_cmd(gens, n, m):
     """Generators of the gluing n*H + <m>."""
     glued = NumericalSemigroup.from_generators(gens).glue(n, m)
-    if as_json:
-        _echo_json({"generators": list(glued.generators)})
-        return
-    print(glued)
+    return {"generators": list(glued.generators)}, str(glued)
 
 
-def ext_table(gens, q, mod, bounds, prime, tor, as_json) -> None:
+def ext_table(gens, q, mod, bounds, prime, tor):
     """dim Ext^i(M, M) (or Tor_i) for i in --range over k[H]/(t^q)."""
     lo, hi = bounds
     algebra = _algebra(gens, q, prime)
@@ -180,29 +167,22 @@ def ext_table(gens, q, mod, bounds, prime, tor, as_json) -> None:
         "range": [lo, hi],
         "dims": list(dims),
     }
-    if as_json:
-        _echo_json(data)
-        return
     cells = [(str(i), str(d)) for i, d in zip(range(lo, hi + 1), dims)]
     widths = [max(len(a), len(b)) for a, b in cells]
-    print(f"{data['functor']} over {data['algebra']}, M = {mod}")
-    print("i:   " + "  ".join(a.rjust(w) for (a, _), w in zip(cells, widths)))
-    print("dim: " + "  ".join(b.rjust(w) for (_, b), w in zip(cells, widths)))
+    return data, "\n".join([
+        f"{data['functor']} over {data['algebra']}, M = {mod}",
+        "i:   " + "  ".join(a.rjust(w) for (a, _), w in zip(cells, widths)),
+        "dim: " + "  ".join(b.rjust(w) for (_, b), w in zip(cells, widths))])
 
 
-def extdeg(gens, q, mod, window, prime, as_json) -> None:
+def extdeg(gens, q, mod, window, prime):
     """Bounded scan of dim Ext^i(M+A, M+A), 1 <= i <= window."""
     algebra = _algebra(gens, q, prime)
-    report = ar.ext_deg_window(parse_module_expr(algebra, mod), window)
-    data = report.to_json_dict()
-    if as_json:
-        _echo_json(data)
-        return
-    print(f"last_nonzero_in_window={data['last_nonzero_in_window']}")
-    print(f"nonzero_at_boundary={str(data['nonzero_at_boundary']).lower()}")
+    data = ar.ext_deg_window(parse_module_expr(algebra, mod), window).to_json_dict()
+    return data, _key_values(data)
 
 
-def lemma42(n_max, cmax, as_json) -> None:
+def lemma42(n_max, cmax):
     """Exhaustive rank-ratio and cumulative-identity sweep.
 
     For every 2 <= l <= n <= N and n <= c <= CMAX: the chain a_i of
@@ -234,20 +214,17 @@ def lemma42(n_max, cmax, as_json) -> None:
         "identity_checked": identity_checked,
         "identity_failures": identity_failures,
     }
-    if as_json:
-        _echo_json(data)
-        return
-    print(f"ratio checks:    {ratio_checked} run, {len(ratio_failures)} failed")
-    print(f"identity checks: {identity_checked} run, {len(identity_failures)} failed")
+    lines = [f"ratio checks:    {ratio_checked} run, {len(ratio_failures)} failed",
+             f"identity checks: {identity_checked} run, {len(identity_failures)} failed"]
     for tag, failures in (("ratio", ratio_failures), ("identity", identity_failures)):
-        for n, c, ell in failures:
-            print(f"FAIL {tag}: n={n} c={c} l={ell}")
+        lines += [f"FAIL {tag}: n={n} c={c} l={ell}" for n, c, ell in failures]
+    return data, "\n".join(lines)
 
 
-def certify_cmd(ring, rule, depth, as_json) -> None:
+def certify_cmd(ring, rule, depth):
     """Search for a (SAC) certificate for the described ring."""
     cert = run_certify(ring, depth=depth, root_rules=None if rule is None else [rule])
-    print(cert.to_json() if as_json else cert.render())
+    return cert.to_json_dict(), cert.render()
 
 
 # ---------------------------------------------------------------- command table
@@ -257,7 +234,6 @@ def _flag(name, **options):
     return name, options
 
 
-_JSON = _flag("--json", dest="as_json", action="store_true", help="print JSON")
 _GENS = _flag("--gens", type=_int_list, required=True, help="semigroup generators")
 _IDEAL = _flag("--ideal", type=_int_list, required=True, help="ideal generators")
 _H = _flag("--H", dest="gens", type=_int_list, required=True, help="semigroup generators")
@@ -271,30 +247,31 @@ _GROUPS = {
 }
 
 # command path -> (function, flags), where a two-word path names a command
-# of a group; flag values are converted while parsing
+# of a group; flag values are converted while parsing, and every command
+# also takes --json
 COMMANDS = {
-    "sgp info": (sgp_info, [_GENS, _JSON]),
+    "sgp info": (sgp_info, [_GENS]),
     "ideal ulrich": (ideal_ulrich, [_GENS, _IDEAL, _flag(
-        "--q", type=int, help="reduction degree (searched if omitted)"), _JSON]),
+        "--q", type=int, help="reduction degree (searched if omitted)")]),
     "ideal powers": (ideal_powers, [_GENS, _IDEAL, _flag(
-        "--up-to", type=int, default=5, help="last power (default: %(default)s)"), _JSON]),
+        "--up-to", type=int, default=5, help="last power (default: %(default)s)")]),
     "glue": (glue_cmd, [
         _flag("--gens", type=_int_list, required=True, help="inner semigroup generators"),
-        _flag("--n", type=int, required=True), _flag("--m", type=int, required=True), _JSON]),
+        _flag("--n", type=int, required=True), _flag("--m", type=int, required=True)]),
     "ext table": (ext_table, [
         _H, _Q, _flag("--mod", default="k", help="module (default: %(default)s)"),
         _flag("--range", dest="bounds", metavar="LO..HI", type=_parse_range,
               default="0..8", help="degrees (default: %(default)s)"),
-        _P, _flag("--tor", action="store_true", help="Tor instead of Ext"), _JSON]),
+        _P, _flag("--tor", action="store_true", help="Tor instead of Ext")]),
     "extdeg": (extdeg, [_H, _Q, _flag("--mod", required=True, help="module"), _flag(
-        "--window", type=int, default=12, help="last degree (default: %(default)s)"), _P, _JSON]),
+        "--window", type=int, default=12, help="last degree (default: %(default)s)"), _P]),
     "lemma42": (lemma42, [
         _flag("--n", dest="n_max", metavar="N", type=int, default=8, help="default: %(default)s"),
-        _flag("--cmax", type=int, default=14, help="default: %(default)s"), _JSON]),
+        _flag("--cmax", type=int, default=14, help="default: %(default)s")]),
     "certify": (certify_cmd, [
         _flag("--ring", required=True, help="ring descriptor, grammar below"),
         _flag("--rule", choices=sorted(CITATIONS), help="restrict the root to one rule"),
-        _flag("--depth", type=int, default=8, help="search depth (default: %(default)s)"), _JSON]),
+        _flag("--depth", type=int, default=8, help="search depth (default: %(default)s)")]),
 }
 
 
@@ -330,27 +307,34 @@ def _parser(prog: str | None, args: list[str]) -> argparse.ArgumentParser:
             epilog=descriptor_grammar() if path == "certify" else None, **settings)
         for flag, options in flags:
             command.add_argument(flag, **options)
+        command.add_argument("--json", dest="as_json", action="store_true", help="print JSON")
         command.set_defaults(run=fn)
     return root
 
 
 class _Main:
-    """The `sackit` entry point: `main` parses, runs one command and always
-    raises SystemExit (0, 1 on a domain error or when the reader of stdout
-    has gone, 2 on a usage error)."""
+    """The `sackit` entry point: `main` parses, runs one command, prints its
+    record or text and always raises SystemExit (0, 1 on a domain error or
+    when the reader of stdout has gone, 2 on a usage error)."""
 
-    name = "sackit"
-
-    def main(self, args=None, prog_name=None, **_):
+    def main(self, args=None, prog_name=None):
         args = sys.argv[1:] if args is None else list(args)
-        options = vars(_parser(prog_name, args).parse_args(args))
-        run = options.pop("run")
         try:
-            run(**options)
-            sys.stdout.flush()
-        except SackitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(1)
+            try:
+                options = vars(_parser(prog_name, args).parse_args(args))
+                as_json = options.pop("as_json")
+                data, text = options.pop("run")(**options)
+                if as_json:
+                    import json  # on use: the import costs every command's start-up
+
+                    text = json.dumps(data, sort_keys=True, indent=2)
+                print(text)
+            except SackitError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                raise SystemExit(1)
+            finally:
+                # also after argparse printed help or the version and exited
+                sys.stdout.flush()
         except BrokenPipeError:
             # `sackit ... | head -1`: the rest of the output has nowhere to
             # go, and the flush at exit must not fail again

@@ -7,7 +7,6 @@ per claim.  Everything here is exact integer arithmetic: tolerance 0.
 import json
 
 import jsonschema
-from click.testing import CliRunner
 
 from sackit import (
     CERT_SCHEMA,
@@ -28,7 +27,8 @@ from sackit import (
     truncation_algebra,
     ulrich_rank_formula,
 )
-from sackit.cli import main as cli_main
+
+from cli_runner import invoke
 
 
 # every ring here has multiplicity <= 8
@@ -217,7 +217,6 @@ def json_artifacts():
     A = truncation_algebra(NumericalSemigroup.from_generators([3, 4, 5]), 3)
     chunks.append(json.dumps(
         ext_deg_window(residue_field(A), 12).to_json_dict(), sort_keys=True))
-    runner = CliRunner()
     for args in (
         ["sgp", "info", "--gens", "8,11,12,14,18", "--json"],
         ["ideal", "ulrich", "--gens", "8,11,12,14,18",
@@ -231,7 +230,7 @@ def json_artifacts():
         ["lemma42", "--n", "6", "--cmax", "10", "--json"],
         ["certify", "--ring", "glued(sgp(4,6,7,9),2,11)", "--json"],
     ):
-        result = runner.invoke(cli_main, args)
+        result = invoke(args)
         assert result.exit_code == 0, args
         chunks.append(result.output)
     return "\n".join(chunks).encode()

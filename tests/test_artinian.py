@@ -352,6 +352,30 @@ def deep_module(algebra, c, name):
     return residue_field(algebra) if name == "k" else cyclic_quotient(algebra, c)
 
 
+def test_residue_field_is_presented_by_the_atoms(monkeypatch):
+    # oracle: the presentation of k by every positive basis monomial,
+    # minimalized through the public edge
+    def quotient(gens, ideal):
+        H = NumericalSemigroup.from_generators(gens)
+        return quotient_algebra(SemigroupIdeal.from_generators(H, ideal))
+
+    algebras = [trunc(gens, q) for gens, q, _ in DEEP_ALGEBRAS] + [
+        quotient([3, 4, 5], [6, 7, 8, 9, 10]), quotient([4, 6, 7, 9], [9, 12]),
+        quotient([2, 5], [5]), quotient([5, 6, 9], [10, 11]), quotient([3, 7], [14]),
+    ]
+    for A in algebras:
+        spanned = module_from_presentation(A, 1, [[A.monomial(d)] for d in A.degrees[1:]])
+        k = residue_field(A)
+        assert (k.rank0, k.columns) == (spanned.rank0, spanned.columns), A.descriptor()
+
+    # no Nakayama selection, whose radical multiples grow as dim A squared
+    def nakayama(*args):
+        raise AssertionError("Nakayama selection for the residue field")
+
+    monkeypatch.setattr("sackit.artinian._nakayama", nakayama)
+    assert residue_field(trunc([2, 3], 4000)).columns == ({1: 1}, {2: 1})
+
+
 def assert_minimal_exact(M, length):
     A = M.algebra
     res = minimal_resolution(M, length)

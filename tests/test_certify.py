@@ -102,6 +102,7 @@ def test_parse_tolerates_whitespace():
 
 MALFORMED = [
     "",
+    "   ",
     "sgp()",
     "sgp(0)",
     "sgp(-3,4)",
@@ -124,8 +125,10 @@ MALFORMED = [
 
 @pytest.mark.parametrize("text", MALFORMED)
 def test_malformed_descriptors(text):
-    with pytest.raises(MalformedDescriptor):
+    with pytest.raises(MalformedDescriptor) as caught:
         certify(text)
+    if not text.strip():
+        assert str(caught.value) == "unexpected end of descriptor"
     with pytest.raises(MalformedDescriptor):
         certify(None)
 

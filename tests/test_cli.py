@@ -1,5 +1,6 @@
 """Command line surface: every subcommand, exit codes, JSON round trips."""
 
+import hashlib
 import json
 import os
 import re
@@ -10,18 +11,16 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 
 from sackit import CERT_SCHEMA
 from sackit.certify import RingDescriptor
-from sackit.cli import main
+from sackit.cli import COMMANDS
 
-
-runner = CliRunner()
+from cli_runner import invoke
 
 
 def run(*args, env=None):
-    return runner.invoke(main, list(args), env=env)
+    return invoke(args, env=env)
 
 
 def test_help_and_version():
@@ -339,6 +338,15 @@ def test_closed_stdout_ends_quietly(unbuffered):
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1, err
         assert "Traceback" not in err and "Exception ignored" not in err, err
+    # argparse writes help and the version itself; an unbuffered stdout
+    # loses them quietly inside argparse, which then exits 0
+    for args in (("--help",), ("--version",), ("certify", "--help")):
+        proc = _sackit_piped(*args, unbuffered=unbuffered)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 1), (args, err)
+        assert "Traceback" not in err and "Exception ignored" not in err, (args, err)
 
 
 def test_certify_help_lists_every_head():
@@ -389,3 +397,77 @@ def test_module_entry_point_exit_codes():
         assert done.returncode == 2, args
         assert done.stdout == "" and "error:" in done.stderr, args
         assert done.stderr.startswith("Usage: python -m sackit"), args
+
+
+# Command lines whose bytes sackit itself writes: every command in text and
+# --json form, and one domain error per group.
+OUTPUT_CORPUS = [
+    ("sgp", "info", "--gens", "8,11,12,14,18"),
+    ("sgp", "info", "--gens", "3,5"),
+    ("ideal", "ulrich", "--gens", "8,11,12,14,18", "--ideal", "8,12,14,18"),
+    ("ideal", "ulrich", "--gens", "3,4,5", "--ideal", "3,4,5", "--q", "3"),
+    ("ideal", "powers", "--gens", "8,11,12,14,18", "--ideal", "8,12,14,18"),
+    ("ideal", "powers", "--gens", "3,4,5", "--ideal", "4,5", "--up-to", "3"),
+    ("glue", "--gens", "4,6,7,9", "--n", "2", "--m", "11"),
+    ("ext", "table", "--H", "3,4,5", "--q", "3"),
+    ("ext", "table", "--H", "3,4,5", "--q", "6", "--mod", "cyc(4)+k", "--range", "2..6"),
+    ("ext", "table", "--H", "4,5,6", "--q", "4", "--mod", "cyc(5)+A", "--range", "0..4",
+     "--tor", "--p", "5"),
+    ("extdeg", "--H", "3,4,5", "--q", "3", "--mod", "k"),
+    ("extdeg", "--H", "3,4,5", "--q", "3", "--mod", "A", "--window", "4"),
+    ("lemma42",),
+    ("lemma42", "--n", "4", "--cmax", "6"),
+    ("certify", "--ring", "sgp(8,11,12,14,18)"),
+    ("certify", "--ring", "sgp(8,11,12,14,18)", "--rule", "R-GLUE"),
+    ("certify", "--ring", "qpow(sgp(3,4,5),1,1)"),
+    ("certify", "--ring", "ffd(sgp(3,4,5),ffd(?,trunc(sgp(4,5,6),4)))", "--depth", "3"),
+]
+OUTPUT_CORPUS += [args + ("--json",) for args in OUTPUT_CORPUS] + [
+    ("sgp", "info", "--gens", "4,6"),
+    ("ideal", "ulrich", "--gens", "5,6,9", "--ideal", "5,6,9"),
+    ("ideal", "powers", "--gens", "3,4,5", "--ideal", "2"),
+    ("glue", "--gens", "3,5", "--n", "2", "--m", "5"),
+    ("ext", "table", "--H", "3,4,5", "--q", "3", "--mod", "cyc(x)"),
+    ("extdeg", "--H", "3,4,5", "--q", "0", "--mod", "k"),
+    ("lemma42", "--n", "1"),
+    ("certify", "--ring", "sgp(4,6)", "--json"),
+]
+# Command lines whose bytes argparse lays out: help at every level, the
+# version, and one usage error per group.
+ARGPARSE_CORPUS = [
+    ("--help",), ("-h",), ("--version",), (), ("sgp",), ("no-such-command",),
+] + [
+    (*path.split(), "--help")
+    for path in ("sgp", "ideal", "ext", *COMMANDS)
+] + [
+    ("sgp", "info", "--gens", "4x6"),
+    ("ideal", "ulrich", "--gens", "3,4,5"),
+    ("ext", "table", "--H", "3,4,5", "--q", "3", "--range", "oops"),
+    ("glue", "--gens", "3,5", "--n", "2"),
+    ("extdeg", "--H", "3,4,5", "--q", "3"),
+    ("lemma42", "--cmax", "x"),
+    ("certify", "--ring", "sgp(3,4,5)", "--rule", "R-NOPE"),
+]
+# sha256 over (args, exit code, stdout, stderr) of each corpus; argparse
+# lays out help and usage differently across Python versions, so that
+# digest is pinned for the version it was taken on
+OUTPUT_SHA256 = "81641eb13f23e0ecfdfeee6e94d56b3ce0feae09bf155ea7c2fa18c9d63ccb9d"
+ARGPARSE_SHA256 = {
+    (3, 11): "6e312577847f411686ac9bd61e089b7ae820a2d28d1e5905fdae99490a125fb5",
+}
+
+
+def _corpus_digest(corpus):
+    digest = hashlib.sha256()
+    for args in corpus:
+        r = invoke(args, env={"COLUMNS": "80", "SACKIT_PRIME": None})
+        digest.update(repr((args, r.exit_code, r.stdout, r.stderr)).encode())
+    return digest.hexdigest()
+
+
+def test_cli_outputs_are_frozen():
+    # run-to-run determinism (below) cannot see a byte that moves the same
+    # way on every run; these digests can
+    assert _corpus_digest(OUTPUT_CORPUS) == OUTPUT_SHA256
+    if sys.version_info[:2] in ARGPARSE_SHA256:
+        assert _corpus_digest(ARGPARSE_CORPUS) == ARGPARSE_SHA256[sys.version_info[:2]]
