@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import re
 
+from . import artinian  # through the module: it runs only when a premise needs an algebra
 from ._record import Record
-from .artinian import quotient_algebra, truncation_algebra
 from .errors import (
     MalformedDescriptor,
     SackitError,
@@ -407,7 +407,7 @@ def _premise_min_mult(semigroup):
 
 
 def _premise_radical_index_le3(semigroup, q):
-    algebra = truncation_algebra(semigroup, q)
+    algebra = artinian.truncation_algebra(semigroup, q)
     index = algebra.radical_index()
     premise = _verified(
         f"k[H]/(t^{q}) with H={semigroup} has radical index <= 3",
@@ -461,11 +461,11 @@ def _premise_colength_le2(semigroup, ideal_gens, power=1):
 def _premise_emb_dim_le1(semigroup=None, ideal_gens=None, power=1, q=None):
     if ideal_gens is not None:
         ideal = SemigroupIdeal.from_generators(semigroup, ideal_gens)
-        algebra = quotient_algebra(ideal.power(power))
+        algebra = artinian.quotient_algebra(ideal.power(power))
         v = algebra.embedding_dim()
         what = f"k[H]/({_ints(ideal_gens)})^{power} with H={semigroup}"
     elif q is not None:
-        algebra = truncation_algebra(semigroup, q)
+        algebra = artinian.truncation_algebra(semigroup, q)
         v = algebra.embedding_dim()
         what = f"k[H]/(t^{q}) with H={semigroup}"
     else:

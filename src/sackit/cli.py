@@ -23,19 +23,10 @@ import argparse
 import os
 import sys
 
-from . import __version__, artinian as ar
-from .certify import CITATIONS, certify as run_certify, descriptor_grammar
+# modules, not names: a lazy module compiles and runs only when a command
+# first reaches into it, and `certify` is imported by the certify command alone
+from . import __version__, artinian as ar, ideals, semigroup
 from .errors import DomainError, MalformedDescriptor, SackitError
-from .ideals import (
-    SemigroupIdeal,
-    is_ulrich,
-    power_layer_lengths,
-    search_reduction,
-    ulrich_rank_formula,
-    cumulative_rank_identity,
-    estimate_ratio_holds,
-)
-from .semigroup import NumericalSemigroup
 
 
 def _int_list(text: str) -> list[int]:
@@ -81,7 +72,7 @@ def parse_module_expr(algebra, text: str):
 
 
 def _algebra(gens, q, prime):
-    H = NumericalSemigroup.from_generators(gens)
+    H = semigroup.NumericalSemigroup.from_generators(gens)
     return ar.truncation_algebra(H, q, char=prime)
 
 
@@ -93,7 +84,7 @@ def _key_values(data) -> str:
 
 def sgp_info(gens):
     """Invariants of the numerical semigroup generated by --gens."""
-    H = NumericalSemigroup.from_generators(gens)
+    H = semigroup.NumericalSemigroup.from_generators(gens)
     data = {
         "generators": list(H.generators),
         "multiplicity": H.multiplicity,
@@ -111,28 +102,28 @@ def sgp_info(gens):
 
 
 def _load_ideal(gens, ideal):
-    H = NumericalSemigroup.from_generators(gens)
-    return SemigroupIdeal.from_generators(H, ideal)
+    H = semigroup.NumericalSemigroup.from_generators(gens)
+    return ideals.SemigroupIdeal.from_generators(H, ideal)
 
 
 def ideal_ulrich(gens, ideal, q):
     """Ulrich test: stability I^2 = t^q I plus freeness of I/I^2."""
     I = _load_ideal(gens, ideal)
     if q is None:
-        q = search_reduction(I)
+        q = ideals.search_reduction(I)
         if q is None:
             raise DomainError("no stable reduction degree among the generators")
-    data = is_ulrich(I, q).to_json_dict()
+    data = ideals.is_ulrich(I, q).to_json_dict()
     return data, _key_values(data)
 
 
 def ideal_powers(gens, ideal, up_to):
     """Layer lengths l(I^i/I^(i+1)) against the rank-formula prediction."""
     I = _load_ideal(gens, ideal)
-    layers = power_layer_lengths(I, up_to)
+    layers = ideals.power_layer_lengths(I, up_to)
     mu = I.mu()
     colength = I.colength()
-    predicted = [ulrich_rank_formula(1, mu, i) * colength for i in range(1, up_to + 1)]
+    predicted = [ideals.ulrich_rank_formula(1, mu, i) * colength for i in range(1, up_to + 1)]
     data = {
         "mu": mu,
         "colength": colength,
@@ -149,7 +140,7 @@ def ideal_powers(gens, ideal, up_to):
 
 def glue_cmd(gens, n, m):
     """Generators of the gluing n*H + <m>."""
-    glued = NumericalSemigroup.from_generators(gens).glue(n, m)
+    glued = semigroup.NumericalSemigroup.from_generators(gens).glue(n, m)
     return {"generators": list(glued.generators)}, str(glued)
 
 
@@ -198,13 +189,13 @@ def lemma42(n_max, cmax):
     for n in range(2, n_max + 1):
         for c in range(n, cmax + 1):
             for ell in range(2, n + 1):
-                chain = [ulrich_rank_formula(n, c, i - 1) for i in range(2, ell + 1)]
+                chain = [ideals.ulrich_rank_formula(n, c, i - 1) for i in range(2, ell + 1)]
                 ratio_checked += 1
-                if not estimate_ratio_holds(chain):
+                if not ideals.estimate_ratio_holds(chain):
                     ratio_failures.append([n, c, ell])
                 if ell >= 3:
                     identity_checked += 1
-                    if not cumulative_rank_identity(n, c, ell):
+                    if not ideals.cumulative_rank_identity(n, c, ell):
                         identity_failures.append([n, c, ell])
     data = {
         "n": n_max,
@@ -223,7 +214,9 @@ def lemma42(n_max, cmax):
 
 def certify_cmd(ring, rule, depth):
     """Search for a (SAC) certificate for the described ring."""
-    cert = run_certify(ring, depth=depth, root_rules=None if rule is None else [rule])
+    from .certify import certify
+
+    cert = certify(ring, depth=depth, root_rules=None if rule is None else [rule])
     return cert.to_json_dict(), cert.render()
 
 
@@ -270,7 +263,7 @@ COMMANDS = {
         _flag("--cmax", type=int, default=14, help="default: %(default)s")]),
     "certify": (certify_cmd, [
         _flag("--ring", required=True, help="ring descriptor, grammar below"),
-        _flag("--rule", choices=sorted(CITATIONS), help="restrict the root to one rule"),
+        _flag("--rule", help="restrict the root to one rule"),  # choices set in `_parser`
         _flag("--depth", type=int, default=8, help="search depth (default: %(default)s)")]),
 }
 
@@ -283,9 +276,13 @@ class _Formatter(argparse.RawDescriptionHelpFormatter):
 
 
 def _parser(prog: str | None, args: list[str]) -> argparse.ArgumentParser:
-    """The parser of every command, or of the one command whose path ``args``
-    start with: the others' flags would only cost start-up."""
+    """The parser of the command whose path ``args`` start with, or of every
+    command (for help at the root or a group).  Only the command whose path
+    the non-option words of ``args`` start with gets flags: the root and the
+    groups take no values, so those words route argparse, and the other
+    commands' flags (and certify's module) would only cost start-up."""
     paths = [path for path in COMMANDS if path.split() == args[:len(path.split())]]
+    words = [arg for arg in args if not arg.startswith("-")]
     settings = {"formatter_class": _Formatter, "allow_abbrev": False}
     root = argparse.ArgumentParser(
         prog=prog, **settings,
@@ -302,10 +299,18 @@ def _parser(prog: str | None, args: list[str]) -> argparse.ArgumentParser:
             levels[group] = parent.add_subparsers(
                 title="commands", metavar="COMMAND", required=True)
         doc = "\n".join(line.strip() for line in (fn.__doc__ or "").splitlines())
+        summary = doc.partition("\n")[0]
+        if path.split() != words[:len(path.split())]:
+            levels[group].add_parser(name, help=summary)
+            continue
+        if path == "certify":  # its rule names and grammar live in its module
+            from .certify import CITATIONS, descriptor_grammar
         command = levels[group].add_parser(
-            name, help=doc.partition("\n")[0], description=doc,
+            name, help=summary, description=doc,
             epilog=descriptor_grammar() if path == "certify" else None, **settings)
         for flag, options in flags:
+            if flag == "--rule":  # certify's rule names
+                options = {**options, "choices": sorted(CITATIONS)}
             command.add_argument(flag, **options)
         command.add_argument("--json", dest="as_json", action="store_true", help="print JSON")
         command.set_defaults(run=fn)

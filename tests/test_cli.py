@@ -471,3 +471,20 @@ def test_cli_outputs_are_frozen():
     assert _corpus_digest(OUTPUT_CORPUS) == OUTPUT_SHA256
     if sys.version_info[:2] in ARGPARSE_SHA256:
         assert _corpus_digest(ARGPARSE_CORPUS) == ARGPARSE_SHA256[sys.version_info[:2]]
+
+
+def test_options_before_the_command_words_reach_the_command():
+    # only the matched command gets its flags; a matched path is read from
+    # the words of the command line, so an option in front of them still
+    # routes to a complete command parser, and help at the root or a group
+    # lists every command
+    r = run("--json", "sgp", "info")
+    assert r.exit_code == 2
+    assert "sackit sgp info: error: the following arguments are required: --gens" in r.stderr
+    r = run("sgp", "--json", "info", "--gens", "3,4")
+    assert r.exit_code == 2 and "unrecognized arguments: --json" in r.stderr
+    group = run("ideal", "-h", "ulrich")
+    assert group.exit_code == 0 and group.stdout == run("ideal", "--help").stdout
+    assert "ulrich" in group.stdout and "powers" in group.stdout
+    root = run("-h", "certify", "--ring", "sgp(3,4,5)")
+    assert root.exit_code == 0 and root.stdout == run("--help").stdout
