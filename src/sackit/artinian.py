@@ -28,20 +28,22 @@ of them, in another.  The inverse of a unit comes by forward substitution in
 degree order, so no dense matrix is built anywhere in the engine.  A
 realization stores only the nonzero entries of each monomial's action.
 
-Ext and Tor dimensions come from the minimal resolution via dimension
-shifting.  Presentations are first split into their direct summands
-(connected components of the generator/relation incidence graph) and each
-distinct component is resolved once; this keeps exponentially growing Betti
-sequences affordable while every reported number is still the exact
-cohomology dimension over the chosen prime field.  Dimension results on the
-monomial inputs used here are characteristic free, which the test suite
-checks by recomputing tables in a second characteristic.
+Ext and Tor dimensions come by dimension shifting, not from
+``minimal_resolution``.  A presentation is split into its direct summands
+(connected components of the generator/relation incidence graph), and the
+walk goes level by level: level j counts the components of Omega^j M, each
+distinct component is resolved one step once, and its syzygy components are
+cached on the algebra (``_omega_store``), shared by Ext, Tor and every
+target.  This keeps exponentially growing Betti sequences affordable while
+every reported number is still the exact cohomology dimension over the
+chosen prime field.  Dimension results on the monomial inputs used here are
+characteristic free, which the test suite checks by recomputing tables in a
+second characteristic.
 
 Determinism: pivoting is lexicographic, generator selection is greedy in
 canonical kernel order, and all caches are keyed by exact presentations.
-The syzygy cache lives on the algebra (``_omega_store``) and Ext and Tor
-computations fill it, so an algebra must not be shared between threads that
-compute with it.
+Ext and Tor computations fill the algebra's syzygy cache, so an algebra must
+not be shared between threads that compute with it.
 """
 
 from __future__ import annotations
@@ -598,7 +600,7 @@ realization = _realize  # public access, for oracles and reports
 
 
 # ----------------------------------------------------------------------------
-# component bookkeeping for Ext/Tor
+# Ext and Tor by dimension shifting over incidence components
 
 
 def _component_split(algebra, rank0, cols):
@@ -625,85 +627,6 @@ def _component_split(algebra, rank0, cols):
     return counter, free
 
 
-def _omega(algebra, key):
-    """Components of the first syzygy module of a component."""
-    cached = algebra._omega_store.get(key)
-    if cached is not None:
-        return cached
-    _, cols = key
-    syz = _syzygy_columns(algebra, [dict(col) for col in cols])
-    result = _component_split(algebra, len(cols), syz)
-    algebra._omega_store[key] = result
-    return result
-
-
-class _DerivedSession:
-    """Per-target caches for the dimensions of a derived functor of Hom(-, N)
-    or - tensor N.  ``entries`` is what the base functor F makes of each
-    basis monomial, as (row, column, coeff): the entries of its action on N
-    for Hom, and the same entries transposed for the tensor product.
-
-    Dimension shift on minimal presentations, for F = Hom (Ext) and
-    F = tensor (Tor) alike:
-      F^0(M) = F(M)
-      F^1(M) = F(Omega M) - rank0 * dim N + F(M)
-      F^i(M) = F^(i-1)(Omega M)          for i >= 2
-    and additivity over direct summand components.
-    """
-
-    def __init__(self, algebra, dim_n, entries):
-        self.algebra = algebra
-        self.dim_n = dim_n
-        self.entries = entries
-        self.base: dict = {}
-        self.derived: dict = {}
-
-    def base_dim(self, key) -> int:
-        """dim F(M) for a component M: F of its free cover, rank0 * dim N,
-        less the rank of what F makes of its relation columns.  Each column
-        gives dim N sparse rows, built straight from ``entries``: the block
-        of its entry at generator g is in the coordinates g*dim N onward."""
-        if key in self.base:
-            return self.base[key]
-        rank0, cols = key
-        p, n, dim_a = self.algebra.char, self.dim_n, self.algebra.dim
-        span = Span(p)
-        for col in cols:
-            rows: list[dict[int, int]] = [{} for _ in range(n)]
-            for pos, x in col:
-                g, b = divmod(pos, dim_a)
-                for i, j, y in self.entries[b]:
-                    k = g * n + j
-                    rows[i][k] = rows[i].get(k, 0) + x * y
-            for row in rows:
-                span.add(row)  # reduces mod p and drops the zeros
-        val = rank0 * n - span.dim
-        self.base[key] = val
-        return val
-
-    def counter_dim(self, counter, free, i) -> int:
-        if i == 0:
-            return (
-                sum(m * self.base_dim(k) for k, m in counter.items())
-                + free * self.dim_n
-            )
-        return sum(m * self.key_dim(k, i) for k, m in counter.items())
-
-    def key_dim(self, key, i) -> int:
-        memo = (key, i)
-        if memo in self.derived:
-            return self.derived[memo]
-        omega_counter, omega_free = _omega(self.algebra, key)
-        if i == 1:
-            rank0, _ = key
-            base_omega = self.counter_dim(omega_counter, omega_free, 0)
-            val = base_omega - rank0 * self.dim_n + self.base_dim(key)
-        else:
-            val = self.counter_dim(omega_counter, omega_free, i - 1)
-        self.derived[memo] = val
-        return val
-
-
 def _require_same_algebra(left: PresentedModule, right: PresentedModule):
     if left.algebra != right.algebra:
         raise AlgebraMismatch(
@@ -712,16 +635,67 @@ def _require_same_algebra(left: PresentedModule, right: PresentedModule):
 
 
 def _derived_dims(module, target, upto, transpose):
+    """dim F^i(module) for i = 0..upto, where F is Hom(-, target), or
+    - tensor target when ``transpose``, and F^i its i-th derived functor.
+
+    Dimension shift on minimal presentations, for F = Hom (Ext) and
+    F = tensor (Tor) alike, with n = dim target:
+      F^0(M) = F(M)
+      F^1(M) = F(Omega M) - rank0 * n + F(M)
+      F^i(M) = F^(i-1)(Omega M)          for i >= 2
+    and additivity over direct summand components.  Level j counts the
+    components K of Omega^j M, and F^(j+1)(M) sums F^1(K) over them.  Free
+    summands drop out after level 0, since F^(>=1) of a free module is 0.
+    """
     _require_same_algebra(module, target)
     if upto < 0:
         raise NonPositive(f"upto must be >= 0, got {upto}")
+    algebra, store = module.algebra, module.algebra._omega_store
+    p, dim_a = algebra.char, algebra.dim
     real = _realize(target)
-    entries = real.entries
+    n, entries = real.dim, real.entries
     if transpose:
         entries = tuple(tuple((j, i, x) for i, j, x in ents) for ents in entries)
-    session = _DerivedSession(module.algebra, real.dim, entries)
-    counter, free = _component_split(module.algebra, module.rank0, module.columns)
-    return tuple(session.counter_dim(counter, free, i) for i in range(upto + 1))
+    base: dict = {}
+
+    def F(key) -> int:
+        """dim F(K) for a component K: rank0 * n, less the rank of what F
+        makes of its relation columns.  ``entries`` holds what F makes of
+        each basis monomial, as (row, column, coeff): its action on the
+        target for Hom, transposed for the tensor product.  Each column gives
+        n sparse rows, its entry at generator g in the coordinates g*n on."""
+        if key not in base:
+            rank0, cols = key
+            span = Span(p)
+            for col in cols:
+                rows: list[dict[int, int]] = [{} for _ in range(n)]
+                for pos, x in col:
+                    g, b = divmod(pos, dim_a)
+                    for i, j, y in entries[b]:
+                        k = g * n + j
+                        rows[i][k] = rows[i].get(k, 0) + x * y
+                for row in rows:
+                    span.add(row)  # reduces mod p and drops the zeros
+            base[key] = rank0 * n - span.dim
+        return base[key]
+
+    level, free = _component_split(algebra, module.rank0, module.columns)
+    dims = [sum(m * F(key) for key, m in level.items()) + free * n]
+    for _ in range(upto):
+        dim, deeper = 0, Counter()
+        for key, m in level.items():
+            rank0, cols = key
+            if key not in store:
+                syz = _syzygy_columns(algebra, [dict(col) for col in cols])
+                store[key] = _component_split(algebra, len(cols), syz)
+            omega, omega_free = store[key]
+            omega_dim = sum(c * F(k) for k, c in omega.items()) + omega_free * n
+            dim += m * (omega_dim - rank0 * n + F(key))
+            for k, c in omega.items():
+                deeper[k] += m * c
+        dims.append(dim)
+        level = deeper
+    return tuple(dims)
 
 
 def ext_dims(module: PresentedModule, target: PresentedModule, upto: int):

@@ -5,6 +5,7 @@ per claim.  Everything here is exact integer arithmetic: tolerance 0.
 """
 
 import json
+from math import comb
 
 import jsonschema
 
@@ -24,6 +25,7 @@ from sackit import (
     power_layer_lengths,
     residue_field,
     search_reduction,
+    tor_dims,
     truncation_algebra,
     ulrich_rank_formula,
 )
@@ -134,6 +136,11 @@ def corpus_algebras(char=None):
     return out
 
 
+# complete intersections: k[H] is one for H with two generators or H a
+# gluing, and so is its quotient by the regular element t^q
+TATE_ALGEBRAS = [((2, 5), 10, 30), ((3, 7), 9, 30), ((4, 5, 6), 8, 12)]
+
+
 def test_ext_closed_forms():
     for char in (2, 32003):
         for n in (2, 3, 5):
@@ -147,6 +154,14 @@ def test_ext_closed_forms():
             assert A.embedding_dim() == v
             k = residue_field(A)
             assert ext_dims(k, k, 8) == tuple(v ** j for j in range(9)), (v, char)
+        # Tate: over a complete intersection of embedding dimension e,
+        # dim Ext^i(k, k) = dim Tor_i(k, k) = C(i + e - 1, e - 1)
+        for gens, q, depth in TATE_ALGEBRAS:
+            A = truncation_algebra(NumericalSemigroup.from_generators(gens), q, char)
+            e, k = A.embedding_dim(), residue_field(A)
+            tate = tuple(comb(i + e - 1, e - 1) for i in range(depth + 1))
+            assert ext_dims(k, k, depth) == tate, (gens, q, char)
+            assert tor_dims(k, k, depth) == tate, (gens, q, char)
         for A in corpus_algebras(char):
             F = free_module(A, 1)
             dims = ext_dims(F, F, 12)

@@ -45,6 +45,7 @@ from sackit import (
     truncation_algebra,
     SemigroupIdeal,
 )
+import sackit.artinian
 from sackit.artinian import ExtWindowReport
 from sackit.errors import (
     AlgebraMismatch,
@@ -479,6 +480,28 @@ def test_ext_tor_tables_are_frozen():
     assert digest.hexdigest() == (
         "3bb637513f15387cdbae797efe8f3ccec7816efa462d7977acf537b3a78a05b9"
     )
+
+
+def test_syzygies_are_cached_on_the_algebra(monkeypatch):
+    # each distinct component is resolved once, and Ext, Tor and every
+    # target on the same algebra share what was resolved
+    calls = []
+    syzygy_columns = sackit.artinian._syzygy_columns
+
+    def counted(algebra, cols):
+        calls.append(len(cols))
+        return syzygy_columns(algebra, cols)
+
+    monkeypatch.setattr("sackit.artinian._syzygy_columns", counted)
+    A = trunc([3, 4, 5], 6)
+    k = residue_field(A)
+    M = direct_sum(cyclic_quotient(A, 4), k)
+    ext_dims(M, M, 8)
+    assert len(calls) == len(A._omega_store) > 0
+    del calls[:]
+    tor_dims(M, M, 8)
+    ext_dims(M, k, 8)
+    assert calls == []
 
 
 def test_free_modules_are_homologically_trivial():

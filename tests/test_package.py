@@ -48,7 +48,8 @@ def test_public_names_are_pinned_and_star_import_binds_them():
 def test_certify_stays_the_function_after_the_submodule_is_imported():
     # the function and the submodule share a name; importing the submodule
     # (directly, or through the command line) must not rebind the package
-    # attribute, in a fresh interpreter where nothing has run yet
+    # attribute, in a fresh interpreter where nothing has run yet.
+    # `import sackit.certify as m` reads that attribute, so m is the function
     script = (
         "import types, sackit\n"
         "seen = [sackit.certify]\n"
@@ -56,10 +57,12 @@ def test_certify_stays_the_function_after_the_submodule_is_imported():
         "seen.append(sackit.certify)\n"
         "import sackit.cli\n"
         "seen.append(sackit.certify)\n"
+        "import sackit.certify as m\n"
+        "seen.append(m)\n"
         "from sackit.certify import certify\n"
         "print([type(f) is types.FunctionType and f is certify for f in seen])\n"
     )
-    assert _python(script) == "[True, True, True]\n"
+    assert _python(script) == "[True, True, True, True]\n"
 
 
 def test_version_is_a_literal_in_the_package_source():
