@@ -23,8 +23,8 @@ Dense tuples appear only at the public edge: ``_check_shape`` reads them in;
 coefficients, and a product by an algebra element is a sum of these
 multiples.  The syzygy k-matrix is made of them and its kernel is taken in
 one sparse ``modp.Span`` pass (``modp.sparse_kernel``); ``_nakayama`` keeps
-the kernel vectors that are independent modulo the radical multiples of all
-of them, in another.  The inverse of a unit comes by forward substitution in
+the kernel vectors that are independent modulo the atom multiples of all of
+them, in another.  The inverse of a unit comes by forward substitution in
 degree order, so no dense matrix is built anywhere in the engine.  A
 realization stores only the nonzero entries of each monomial's action.
 
@@ -385,8 +385,7 @@ def _minimalize(algebra, rank0, cols):
             cols[j2] = {pos - dim_a * (pos > base): x for pos, x in other.items()}
         rank0 -= 1
     cols = [col for col in cols if col]
-    keep = _nakayama(algebra, cols)
-    return rank0, tuple(col for col, kept in zip(cols, keep) if kept)
+    return rank0, tuple(_nakayama(algebra, cols, algebra.degrees[1:]))
 
 
 def _entry(vec, base, dim_a):
@@ -447,20 +446,21 @@ def _multiples(algebra, vec, degrees):
     return out
 
 
-def _nakayama(algebra, vecs):
-    """Nakayama selection over sparse flattened columns: whether each one is
-    kept.
+def _nakayama(algebra, vecs, degrees):
+    """Nakayama selection over sparse flattened columns: the ones kept, in
+    order.  ``degrees`` are degrees whose monomial multiples of the columns
+    span the radical part m*N of the submodule N the columns generate.
 
-    The radical multiples of all columns go into one span first; then the
-    columns are taken in order, and one is kept when it enlarges the span.
-    The kept columns minimally generate the submodule all of them generate.
+    Those multiples go into one span first; then the columns are taken in
+    order, and one is kept when it enlarges the span.  The kept columns
+    minimally generate N.
     """
     span = Span(algebra.char)
     for vec in vecs:
-        for scaled in _multiples(algebra, vec, algebra.degrees[1:]):
+        for scaled in _multiples(algebra, vec, degrees):
             if scaled:
                 span.add(scaled)
-    return [span.add(vec) for vec in vecs]
+    return [vec for vec in vecs if span.add(vec)]
 
 
 def _dense_column(vec, rank0, dim_a):
@@ -488,8 +488,8 @@ def _syzygy_columns(algebra, cols):
         image for col in cols for image in _multiples(algebra, col, algebra.degrees)
     ]
     kern = sparse_kernel(images, algebra.char)
-    keep = _nakayama(algebra, kern)
-    return [vec for vec, kept in zip(kern, keep) if kept]
+    # kern is a k-basis of an A-submodule, so m*ker is its atom multiples
+    return _nakayama(algebra, kern, algebra._atoms())
 
 
 def syzygy_step(algebra, matrix):
@@ -565,13 +565,11 @@ class Realization(Record):
 
     @property
     def action(self) -> tuple:
-        n, out = self.dim, []
-        for ents in self.entries:
-            mat = [[0] * n for _ in range(n)]
-            for i, j, x in ents:
-                mat[i][j] = x
-            out.append(tuple(map(tuple, mat)))
-        return tuple(out)
+        n = self.dim
+        return tuple(
+            _dense_column({i * n + j: x for i, j, x in ents}, n, n)
+            for ents in self.entries
+        )
 
 
 def _realize(module: PresentedModule) -> Realization:

@@ -148,6 +148,7 @@ _TOKEN = re.compile(r"\s*([a-z]+|\d+|[(),?])")
 # Most rings that parse_ring accepts nested inside one another; the parser,
 # the validator and the certificate search all recurse once per level.
 MAX_NESTING = 64
+_TOO_DEEP = f"descriptor nested deeper than {MAX_NESTING} levels"
 
 
 def _tokenize(text: str):
@@ -211,9 +212,7 @@ class _Parser:
 
     def ring(self, allow_hole=False):
         if self.depth > MAX_NESTING:
-            raise MalformedDescriptor(
-                f"descriptor nested deeper than {MAX_NESTING} levels"
-            )
+            raise MalformedDescriptor(_TOO_DEEP)
         head = self.peek()
         if head is None:
             raise MalformedDescriptor("unexpected end of descriptor")
@@ -281,8 +280,8 @@ def _check_sgp(desc, inner, build):
 
 
 def _check_ring(desc, inner, build):
-    if inner is None:
-        raise MalformedDescriptor(f"{desc.HEAD}() needs an inner ring")
+    if not isinstance(inner, _Descriptor):
+        raise MalformedDescriptor(f"{desc.HEAD}() needs an inner ring, got {inner!r}")
 
 
 def _check_members(H, xs, what):
@@ -306,25 +305,29 @@ _SLOT_KINDS = {
     "ring": ("ring", _Parser.ring, str, _check_ring),
     "ring?": ("ring|?", lambda p: p.ring(allow_hole=True),
               lambda inner: "?" if inner is None else str(inner),
-              lambda desc, inner, build: None),
+              lambda desc, inner, build: (
+                  inner is None or _check_ring(desc, inner, build))),
 }
 
 
-def validate_descriptor(desc, build_semigroup=None) -> None:
+def validate_descriptor(desc, build_semigroup=None, _depth=0) -> None:
     """Structural well-formedness; raises MalformedDescriptor.
 
     Glue preconditions are deliberately not enforced here: they are premises
     that R-GLUE verifies, so a bad gluing yields Unknown, not an error.
     build_semigroup(generators), when given, builds each semigroup the
-    check needs; certify() passes the memo of its search.
+    check needs; certify() passes the memo of its search.  _depth counts the
+    descriptors around desc, at most MAX_NESTING as parse_ring allows.
     """
     if not isinstance(desc, _Descriptor):
         raise MalformedDescriptor(f"not a ring descriptor: {desc!r}")
+    if _depth > MAX_NESTING:
+        raise MalformedDescriptor(_TOO_DEEP)
     for kind, name in zip(desc.SLOTS, desc._fields):
         value = getattr(desc, name)
         _SLOT_KINDS[kind][3](desc, value, build_semigroup)
         if isinstance(value, _Descriptor):
-            validate_descriptor(value, build_semigroup)
+            validate_descriptor(value, build_semigroup, _depth + 1)
     if isinstance(desc, Truncation):
         _check_members(
             _semigroup(desc.generators, build_semigroup), (desc.q,),
@@ -711,7 +714,7 @@ def _ulrich_candidates(H: NumericalSemigroup):
 
 def _child(desc, depth, search):
     """The certificate of desc one level down, or None unless Certified."""
-    cert = _certify_inner(desc, depth - 1, search)
+    cert = _certify_inner(desc, depth - 1, search, _RULES.get(type(desc), ()))
     return cert if cert.verdict == "Certified" else None
 
 
@@ -951,26 +954,19 @@ _RULES = {
 }
 
 
-def _certify_inner(desc, depth, search, rules=None):
+def _certify_inner(desc, depth, search, order):
+    """desc's certificate by the first (rule id, rule) of ``order`` that derives it."""
     if depth <= 0:
         return _unknown(desc, ("(depth limit)",))
     memo_key = (desc, depth)
-    if rules is None and memo_key in search.memo:
+    if memo_key in search.memo:
         return search.memo[memo_key]
     if desc in search.stack:
         return _unknown(desc, ("(cyclic goal)",))
 
-    order = _RULES.get(type(desc), ())
-    if rules is not None:
-        by_id = dict(order)
-        order = tuple((r, by_id[r]) for r in rules if r in by_id)
-
     search.stack.add(desc)
     try:
-        attempted = []
-        result = None
         for rule_id, rule in order:
-            attempted.append(rule_id)
             found = rule(desc, depth, search)
             if found is not None:
                 premises, children = found
@@ -983,13 +979,12 @@ def _certify_inner(desc, depth, search, rules=None):
                     children=tuple(children),
                 )
                 break
-        if result is None:
-            result = _unknown(desc, attempted)
+        else:
+            result = _unknown(desc, [rule_id for rule_id, _ in order])
     finally:
         search.stack.discard(desc)
 
-    if rules is None:
-        search.memo[memo_key] = result
+    search.memo[memo_key] = result
     return result
 
 
@@ -1007,4 +1002,9 @@ def certify(goal, depth: int = 8, root_rules=None) -> Certificate:
         raise MalformedDescriptor("no descriptor given")
     search = _Search()
     validate_descriptor(goal, search.semigroup)
-    return _certify_inner(goal, depth, search, rules=root_rules)
+    # children search one level down, so nothing reads the root's memo entry
+    order = _RULES.get(type(goal), ())
+    if root_rules is not None:
+        by_id = dict(order)
+        order = tuple((r, by_id[r]) for r in root_rules if r in by_id)
+    return _certify_inner(goal, depth, search, order)

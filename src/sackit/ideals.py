@@ -340,8 +340,9 @@ def ideal_from_text(text: str) -> tuple[SemigroupIdeal, int | None]:
     if "H" not in fields or "I" not in fields:
         raise EmptyInput(f"ideal text needs H= and I= fields: {text!r}")
     ambient = NumericalSemigroup.from_text(fields["H"])
-    ideal = SemigroupIdeal.from_generators(
-        ambient, (int(p) for p in fields["I"].split(",") if p.strip())
-    )
-    q = int(fields["q"]) if "q" in fields else None
-    return ideal, q
+    try:
+        gens = [int(p) for p in fields["I"].split(",") if p.strip()]
+        q = int(fields["q"]) if "q" in fields else None
+    except ValueError as exc:
+        raise EmptyInput(f"bad I= or q= field in ideal text {text!r}") from exc
+    return SemigroupIdeal.from_generators(ambient, gens), q

@@ -1,12 +1,12 @@
-"""Exact linear algebra over a prime field, dense and sparse.
+"""Exact linear algebra over a prime field, on sparse vectors.
 
-Sparse vectors are dicts {position: coefficient} that hold only nonzero
+Vectors are dicts {position: coefficient} that hold only nonzero
 coefficients; the syzygy engine works on them alone, because its k-matrices
 are (rank·dim A)×(s·dim A) with a handful of nonzeros per column.  ``Span``
 keeps sparse echelon rows, and ``sparse_kernel`` takes a kernel in one pass
-of a ``Span``.  Dense matrices are lists of rows of Python ints reduced into
-[0, p); ``rref``, ``rank`` and ``kernel_basis`` on them are the reference
-the tests check the sparse forms against.
+of a ``Span``.  ``rref``, ``rank`` and ``kernel_basis`` take dense matrices,
+lists of rows of Python ints reduced into [0, p); no library path calls
+them, and they are the reference the tests check the sparse forms against.
 
 Pivot selection is lexicographic (first usable column, first usable row), so
 reduced forms, ranks, kernel bases and greedy span completions are
@@ -118,24 +118,24 @@ def sparse_kernel(columns, p):
 
 
 class Span:
-    """Incrementally built row space with membership tests.
+    """Incrementally built row space of sparse vectors.
 
-    Rows are kept sparse, in echelon form indexed by leading column, and
-    scaled to lead with 1.  A candidate, dense or sparse, is reduced along its
-    own support in increasing column order, so the span is independent of
-    insertion order while the add() return value reports growth.
+    Rows are kept in echelon form indexed by leading column, and scaled to
+    lead with 1.  A candidate is reduced along its own support in increasing
+    column order, so the span is independent of insertion order while the
+    add() return value reports growth; a vector lies in the span exactly
+    when reduce() leaves nothing.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.rows: dict[int, dict[int, int]] = {}
 
-    def reduce(self, vec) -> dict[int, int]:
-        """The remainder of vec modulo the span, sparse: the one vector of
-        vec + span that is zero at every leading column."""
+    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
+        """The remainder of the sparse vector vec modulo the span: the one
+        vector of vec + span that is zero at every leading column."""
         p, rows = self.p, self.rows
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {i: x % p for i, x in items if x % p}
+        v = {i: x % p for i, x in vec.items() if x % p}
         heap = list(v)
         heapify(heap)
         while heap:
@@ -156,8 +156,8 @@ class Span:
                     del v[col]
         return v
 
-    def add(self, vec) -> bool:
-        """Insert vec; True when it enlarged the span."""
+    def add(self, vec: dict[int, int]) -> bool:
+        """Insert the sparse vector vec; True when it enlarged the span."""
         v = self.reduce(vec)
         if not v:
             return False
@@ -165,9 +165,6 @@ class Span:
         inv = pow(v[lead], -1, self.p)
         self.rows[lead] = {col: (x * inv) % self.p for col, x in v.items()}
         return True
-
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec)
 
     @property
     def dim(self) -> int:

@@ -54,7 +54,7 @@ from sackit.errors import (
     NonPositive,
     ShapeMismatch,
 )
-from sackit.modp import rank
+from sackit.modp import Span, rank
 
 
 def trunc(gens, q, char=None):
@@ -375,6 +375,23 @@ def test_residue_field_is_presented_by_the_atoms(monkeypatch):
 
     monkeypatch.setattr("sackit.artinian._nakayama", nakayama)
     assert residue_field(trunc([2, 3], 4000)).columns == ({1: 1}, {2: 1})
+
+
+def test_syzygy_selection_is_linear_in_dim_over_a_wide_truncation(monkeypatch):
+    # a kernel is an A-submodule, so its Nakayama span needs only its atom
+    # multiples: every positive monomial would take dim A squared adds
+    calls = []
+    add = Span.add
+
+    def counted(span, vec):
+        calls.append(None)
+        return add(span, vec)
+
+    monkeypatch.setattr(Span, "add", counted)
+    A = trunc([2, 3], 1000)
+    k = residue_field(A)
+    assert ext_dims(k, k, 2) == (1, 2, 3)
+    assert len(calls) <= 20 * A.dim
 
 
 def assert_minimal_exact(M, length):

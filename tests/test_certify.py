@@ -137,6 +137,10 @@ def test_malformed_descriptors(text):
     PowerSeriesExt(None),
     UlrichPowerQuotient(AbstractCI(), (), 1),
     Glued(AbstractCI(), 2, 3),
+    # ring slots hold descriptors, never other values
+    PowerSeriesExt(5),
+    AbstractWithFiniteFlatCover(5, None),
+    AbstractWithFiniteFlatCover(None, "sgp(3,4)"),
 ], ids=repr)
 def test_malformed_descriptor_objects(desc):
     # built directly, past the parser: the validator alone must refuse them
@@ -150,10 +154,22 @@ def test_nesting_limit():
     def nested(n):
         return "powser(" * n + "sgp(3,4,5)" + ")" * n
 
+    def built(n):
+        desc = SemigroupRing((3, 4, 5))
+        for _ in range(n):
+            desc = PowerSeriesExt(desc)
+        return desc
+
     assert str(parse_ring(nested(MAX_NESTING))) == nested(MAX_NESTING)
+    validate_descriptor(built(MAX_NESTING))
     for n in (MAX_NESTING + 1, 3000):
-        with pytest.raises(MalformedDescriptor):
+        with pytest.raises(MalformedDescriptor) as caught:
             parse_ring(nested(n))
+        # built past the parser, the chain gets the parser's error, not a
+        # RecursionError from the validator or the search
+        with pytest.raises(MalformedDescriptor) as again:
+            certify(built(n))
+        assert str(again.value) == str(caught.value)
 
 
 def test_route_minimal_multiplicity():

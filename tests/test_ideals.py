@@ -284,8 +284,9 @@ def test_text_round_trip():
     assert J == I and q == 8
     J2, q2 = ideal_from_text(ideal_to_text(I))
     assert J2 == I and q2 is None
-    with pytest.raises(EmptyInput):
-        ideal_from_text("H=3,4,5")
+    for bad in ("H=3,4,5", "H=3,4,5; I=x", "H=3,4,5; I=4; q=y"):
+        with pytest.raises(EmptyInput):
+            ideal_from_text(bad)
 
 
 small_semigroups = st.sampled_from(

@@ -107,18 +107,22 @@ def test_solve_round_trip(rows, data):
     assert matmul_vec(rows, got, p) == rhs
 
 
+def as_dict(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrix, st.sampled_from([2, 7]))
 def test_span_tracks_rank(rows, p):
     span = Span(p)
     current = []
     for row in rows:
-        grew = span.add(row)
+        grew = span.add(as_dict(row))
         assert grew == (rank(current + [row], p) > rank(current, p))
         current.append(row)
-        assert span.contains(row)
+        assert not span.reduce(as_dict(row))
     assert span.dim == rank(rows, p)
-    assert span.contains([0] * len(rows[0]))
+    assert not span.reduce({})
 
 
 sparse_entries = st.sampled_from([0, 0, 0, 0, 1, 2, 6])
@@ -131,23 +135,20 @@ sparse_matrix = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
 )
 
 
-def as_dict(vec):
-    return {i: x for i, x in enumerate(vec) if x}
-
-
 @settings(max_examples=60, deadline=None)
 @given(matrix, st.sampled_from([2, 7, 32003]), st.data())
-def test_span_takes_dense_and_sparse_rows_alike(rows, p, data):
-    dense, sparse = Span(p), Span(p)
+def test_span_reduce_decides_membership(rows, p, data):
+    span = Span(p)
     for row in rows:
-        assert dense.add(row) == sparse.add(as_dict(row))
-    assert dense.dim == sparse.dim == rank(rows, p)
+        span.add(as_dict(row))
+    assert span.dim == rank(rows, p)
     n = len(rows[0])
     probes = data.draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n),
                                 max_size=4))
     for vec in rows + probes:
-        inside = rank(rows + [vec], p) == rank(rows, p)
-        assert dense.contains(vec) == sparse.contains(as_dict(vec)) == inside
+        rem = span.reduce(as_dict(vec))
+        assert not rem.keys() & span.rows.keys()  # zero at every leading column
+        assert (not rem) == (rank(rows + [vec], p) == rank(rows, p))
 
 
 @settings(max_examples=80, deadline=None)

@@ -23,6 +23,7 @@ from sackit.certify import (
     SemigroupRing,
     Truncation,
     _certify_inner,
+    _RULES,
     _Search,
     descriptor_grammar,
 )
@@ -121,9 +122,9 @@ def test_grammar_names_the_fields_in_order():
 
 def test_descriptors_key_the_search_memo():
     search = _Search()
-    first = _certify_inner(parse_ring("glued(sgp(2,3),2,9)"), 8, search)
+    first = _certify_inner(parse_ring("glued(sgp(2,3),2,9)"), 8, search, _RULES[Glued])
     assert (Glued(SemigroupRing((2, 3)), 2, 9), 8) in search.memo
     # the child goal was memoized under an equal, separately built descriptor
     assert (SemigroupRing((2, 3)), 7) in search.memo
-    again = _certify_inner(Glued(SemigroupRing((2, 3)), 2, 9), 8, search)
+    again = _certify_inner(Glued(SemigroupRing((2, 3)), 2, 9), 8, search, _RULES[Glued])
     assert again is first
