@@ -28,14 +28,15 @@ them, in another.  The inverse of a unit comes by forward substitution in
 degree order, so no dense matrix is built anywhere in the engine.  A
 realization stores only the nonzero entries of each monomial's action.
 
-Ext and Tor dimensions come by dimension shifting, not from
-``minimal_resolution``.  A presentation is split into its direct summands
-(connected components of the generator/relation incidence graph), and the
-walk goes level by level: level j counts the components of Omega^j M, each
-distinct component is resolved one step once, and its syzygy components are
-cached on the algebra (``_omega_store``), shared by Ext, Tor and every
-target.  This keeps exponentially growing Betti sequences affordable while
-every reported number is still the exact cohomology dimension over the
+Betti numbers, Ext and Tor come from one walk (``_levels``).  A
+presentation is split into its direct summands (connected components of the
+generator/relation incidence graph), and the walk goes level by level: level
+j counts the components of Omega^j M, each distinct component is resolved one
+step once, and its syzygy components are cached on the algebra
+(``_omega_store``), shared by resolutions, Ext, Tor and every target.
+Betti numbers count the relation columns of each level, and Ext and Tor
+dimensions come by dimension shifting over the same levels, so exponentially
+growing Betti sequences stay affordable and every number is exact over the
 chosen prime field.  Dimension results on the monomial inputs used here are
 characteristic free, which the test suite checks by recomputing tables in a
 second characteristic.
@@ -50,6 +51,8 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from functools import cached_property
+from itertools import islice
 
 from ._record import Record
 from .errors import (
@@ -517,37 +520,39 @@ def syzygy_step(algebra, matrix):
 
 
 class MinimalResolution(Record):
-    """Minimal free resolution data up to a fixed homological degree.
+    """Minimal free resolution data up to homological degree ``length``.
 
-    betti[i] is the rank of the i-th free module; matrices[i] holds the
-    columns of the differential from step i+1 into step i (columns have
-    length betti[i]).
+    betti[i] is the rank of the i-th free module.  matrices[i], a dense view
+    derived on first access and then kept, holds the betti[i+1] columns, of
+    length betti[i], of the differential from step i+1 into step i.
     """
 
     module: PresentedModule
     betti: tuple[int, ...]
-    matrices: tuple
 
     @property
     def length(self) -> int:
-        return len(self.matrices)
+        return len(self.betti) - 1
+
+    @cached_property
+    def matrices(self) -> tuple:
+        algebra, cols = self.module.algebra, self.module.columns
+        mats = [self.module.relations]
+        for _ in range(self.length - 1):
+            rank0, cols = len(cols), _syzygy_columns(algebra, cols)
+            mats.append(tuple(_dense_column(vec, rank0, algebra.dim) for vec in cols))
+        return tuple(mats)
 
 
 def minimal_resolution(module: PresentedModule, length: int) -> MinimalResolution:
-    """Resolve ``module`` minimally through homological degree ``length``."""
+    """Resolve ``module`` minimally through homological degree ``length``:
+    betti[j+1] counts the relation columns of Omega^j M over ``_levels``."""
     if length < 1:
         raise NonPositive(f"resolution length must be >= 1, got {length}")
-    algebra = module.algebra
-    dim_a = algebra.dim
-    betti = [module.rank0]
-    mats = [module.relations]
-    cols = module.columns
-    for _ in range(length - 1):
-        rank0, cols = len(cols), _syzygy_columns(algebra, cols)
-        betti.append(rank0)
-        mats.append(tuple(_dense_column(vec, rank0, dim_a) for vec in cols))
-    betti.append(len(cols))
-    return MinimalResolution(module, tuple(betti), tuple(mats))
+    levels = islice(_levels(module), length)
+    return MinimalResolution(module, (module.rank0,) + tuple(
+        sum(m * len(cols) for (_, cols), m in level.items()) for level in levels
+    ))
 
 
 # ----------------------------------------------------------------------------
@@ -605,9 +610,11 @@ def _component_split(algebra, rank0, cols):
     """Split a minimal presentation, given by sparse flattened columns, into
     incidence components: columns that share a generator are in one.
 
-    Returns (Counter of components, free rank).  A component is its own
-    cache key: (rank0, columns), with its generators renumbered in order, each
-    column a sorted tuple of (position, coeff) pairs and the columns sorted.
+    Returns a Counter of components.  A component is its own cache key:
+    (rank0, columns), with its generators renumbered in order, each column a
+    sorted tuple of (position, coeff) pairs and the columns sorted.  A
+    generator that no column touches is a component alone, the free module
+    A = (1, ()).
     """
     dim_a = algebra.dim
     supports = [{pos // dim_a for pos in col} for col in cols]
@@ -622,7 +629,9 @@ def _component_split(algebra, rank0, cols):
         )
         counter[(len(gens), tuple(local_cols))] += 1
         free -= len(gens)
-    return counter, free
+    if free:
+        counter[1, ()] = free
+    return counter
 
 
 def _require_same_algebra(left: PresentedModule, right: PresentedModule):
@@ -630,6 +639,25 @@ def _require_same_algebra(left: PresentedModule, right: PresentedModule):
         raise AlgebraMismatch(
             f"{left.algebra.descriptor()} vs {right.algebra.descriptor()}"
         )
+
+
+def _levels(module):
+    """Omega^j M for j = 0, 1, ..., each as a Counter of its incidence
+    components, one syzygy step per level asked for.  Each distinct component
+    is resolved once into the algebra's ``_omega_store``; a free summand has
+    syzygy module 0, so it leaves the walk after its level."""
+    algebra, store = module.algebra, module.algebra._omega_store
+    level = _component_split(algebra, module.rank0, module.columns)
+    while True:
+        yield level
+        deeper = Counter()
+        for key, m in level.items():
+            if key not in store:
+                syz = _syzygy_columns(algebra, [dict(col) for col in key[1]])
+                store[key] = _component_split(algebra, len(key[1]), syz)
+            for omega, c in store[key].items():
+                deeper[omega] += m * c
+        level = deeper
 
 
 def _derived_dims(module, target, upto, transpose):
@@ -641,14 +669,13 @@ def _derived_dims(module, target, upto, transpose):
       F^0(M) = F(M)
       F^1(M) = F(Omega M) - rank0 * n + F(M)
       F^i(M) = F^(i-1)(Omega M)          for i >= 2
-    and additivity over direct summand components.  Level j counts the
-    components K of Omega^j M, and F^(j+1)(M) sums F^1(K) over them.  Free
-    summands drop out after level 0, since F^(>=1) of a free module is 0.
+    so F^(j+1)(M) = F(Omega^(j+1) M) - rank0(Omega^j M) * n + F(Omega^j M),
+    with F of each Omega^j M summed over the components of ``_levels``.
     """
     _require_same_algebra(module, target)
     if upto < 0:
         raise NonPositive(f"upto must be >= 0, got {upto}")
-    algebra, store = module.algebra, module.algebra._omega_store
+    algebra = module.algebra
     p, dim_a = algebra.char, algebra.dim
     real = _realize(target)
     n, entries = real.dim, real.entries
@@ -677,22 +704,11 @@ def _derived_dims(module, target, upto, transpose):
             base[key] = rank0 * n - span.dim
         return base[key]
 
-    level, free = _component_split(algebra, module.rank0, module.columns)
-    dims = [sum(m * F(key) for key, m in level.items()) + free * n]
-    for _ in range(upto):
-        dim, deeper = 0, Counter()
-        for key, m in level.items():
-            rank0, cols = key
-            if key not in store:
-                syz = _syzygy_columns(algebra, [dict(col) for col in cols])
-                store[key] = _component_split(algebra, len(cols), syz)
-            omega, omega_free = store[key]
-            omega_dim = sum(c * F(k) for k, c in omega.items()) + omega_free * n
-            dim += m * (omega_dim - rank0 * n + F(key))
-            for k, c in omega.items():
-                deeper[k] += m * c
-        dims.append(dim)
-        level = deeper
+    dims, last = [], 0  # last: F(Omega^(j-1) M) - rank0(Omega^(j-1) M) * n
+    for level in islice(_levels(module), upto + 1):
+        here = sum(m * F(key) for key, m in level.items())
+        dims.append(here + last)
+        last = here - n * sum(m * key[0] for key, m in level.items())
     return tuple(dims)
 
 

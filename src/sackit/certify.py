@@ -211,8 +211,6 @@ class _Parser:
         return out
 
     def ring(self, allow_hole=False):
-        if self.depth > MAX_NESTING:
-            raise MalformedDescriptor(_TOO_DEEP)
         head = self.peek()
         if head is None:
             raise MalformedDescriptor("unexpected end of descriptor")
@@ -221,6 +219,9 @@ class _Parser:
                 raise MalformedDescriptor("'?' is only valid inside ffd(...)")
             self.take("?")
             return None
+        # a hole is no descriptor, so only descriptors count as levels
+        if self.depth > MAX_NESTING:
+            raise MalformedDescriptor(_TOO_DEEP)
         cls = _HEADS.get(head)
         if cls is None:
             raise MalformedDescriptor(f"unknown descriptor head {head!r}")

@@ -614,6 +614,51 @@ def test_engine_builds_no_dense_matrix(monkeypatch):
     assert cyclic_quotient(A, 0).dimension() == 0
 
 
+def test_betti_numbers_build_no_dense_column(monkeypatch):
+    def dense(*args):
+        raise AssertionError("dense column built for Betti numbers")
+
+    monkeypatch.setattr("sackit.artinian._dense_column", dense)
+    # k[6..11]/(t^6): the radical squares to zero with embedding dimension 5,
+    # so Omega k = k^5 and betti_i = 5^i
+    A = trunc(list(range(6, 12)), 6)
+    k = residue_field(A)
+    assert minimal_resolution(k, 6).betti == tuple(5**i for i in range(7))
+    # a free summand adds to betti_0 only
+    M = direct_sum(free_module(A, 2), k)
+    assert minimal_resolution(M, 4).betti == (3, 5, 25, 125, 625)
+
+
+def test_resolution_shares_the_walk_of_ext(monkeypatch):
+    calls = []
+    syzygy_columns = sackit.artinian._syzygy_columns
+
+    def counted(algebra, cols):
+        calls.append(len(cols))
+        return syzygy_columns(algebra, cols)
+
+    monkeypatch.setattr("sackit.artinian._syzygy_columns", counted)
+    A = trunc([3, 4, 5], 6)
+    M = direct_sum(cyclic_quotient(A, 4), residue_field(A))
+    ext_dims(M, M, 6)
+    del calls[:]
+    # Betti numbers through degree 7 need the components through Omega^6 M
+    # only, which ext_dims to degree 6 resolved
+    assert minimal_resolution(M, 7).betti
+    assert calls == []
+
+
+def test_resolution_length_and_matrices_follow_betti():
+    A = trunc([3, 4, 5], 6)
+    M = direct_sum(cyclic_quotient(A, 4), free_module(A, 1))
+    res = minimal_resolution(M, 4)
+    assert res.length == len(res.matrices) == 4
+    for i, mat in enumerate(res.matrices):
+        assert len(mat) == res.betti[i + 1]
+        assert all(len(col) == res.betti[i] for col in mat)
+    assert res.matrices is res.matrices  # derived once, then kept
+
+
 def test_presentation_minimalization():
     B = trunc([4, 5, 6], 4)
     one, x5 = B.monomial(0), B.monomial(5)

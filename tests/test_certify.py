@@ -172,6 +172,26 @@ def test_nesting_limit():
         assert str(again.value) == str(caught.value)
 
 
+def test_nesting_limit_counts_no_hole():
+    def around(n, desc):
+        for _ in range(n):
+            desc = PowerSeriesExt(desc)
+        return desc
+
+    # an ffd hole is no level: the validator and the parser agree on it
+    holes = around(MAX_NESTING, AbstractWithFiniteFlatCover(None, None))
+    validate_descriptor(holes)
+    assert parse_ring(str(holes)) == holes
+    inner = AbstractWithFiniteFlatCover(SemigroupRing((3, 4, 5)), None)
+    fits = around(MAX_NESTING - 1, inner)
+    validate_descriptor(fits)
+    assert parse_ring(str(fits)) == fits
+    # one more real level is refused by both
+    for refuse in (validate_descriptor, lambda desc: parse_ring(str(desc))):
+        with pytest.raises(MalformedDescriptor, match="nested deeper"):
+            refuse(around(MAX_NESTING, inner))
+
+
 def test_route_minimal_multiplicity():
     cert = certify("sgp(3,4,5)")
     assert (cert.verdict, cert.rule) == ("Certified", "R-MIN")

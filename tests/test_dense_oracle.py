@@ -9,7 +9,9 @@ top of that.  The library's sparse engine (sparse ``Span``, a
 substitution) must give the same bytes: the same minimal presentations
 (``module_from_presentation``), the same ``syzygy_step`` matrices and the
 same ``minimal_resolution`` matrices, over the deep algebras of the Ext/Tor
-corpus and over random presentations on them.
+corpus and over random presentations on them.  The resolution's Betti
+numbers, which the library reads off its component walk and never from the
+matrices, must count the dense engine's columns.
 """
 
 import pytest
@@ -153,6 +155,9 @@ def assert_engines_agree(A, rank0, raw_cols):
     for here, nxt in zip(mats, mats[1:]):
         if here:
             assert syzygy_step(A, here) == nxt
+    # the Betti numbers come from the component walk, not from the matrices
+    dense = dense_matrices(A, M.relations, 3)
+    assert minimal_resolution(M, 3).betti == (M.rank0,) + tuple(map(len, dense))
 
 
 @pytest.mark.parametrize("name", ["k", "cyc"])

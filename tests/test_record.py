@@ -102,7 +102,7 @@ def test_keyword_construction_and_defaults():
     assert cert == Certificate("g", "Unknown", None, None, (), (), ())
     assert ExtWindowReport(nonzero_at_boundary=False,
                            last_nonzero_in_window=None) == ExtWindowReport(None, False)
-    res = MinimalResolution(module=None, betti=(1, 2), matrices=((),))
+    res = MinimalResolution(module=None, betti=(1, 2))
     assert res.length == 1
     for bad in (lambda: Citation("w"), lambda: Citation("w", "q", "x"),
                 lambda: Citation("w", where="v"), lambda: Citation("w", quot="q")):
