@@ -2,7 +2,9 @@
 
 The algebras are quotients k[H]/E of a numerical semigroup algebra by a
 cofinite monomial ideal E, most often the truncation E = (t^q).  Their
-k-basis is the finite set of member degrees outside E.  Products come from
+k-basis is the finite set of member degrees outside E: for a truncation the
+Apery set of q, read off the semigroup without building the ideal (which
+``MonomialArtinianAlgebra.ideal`` gives on access).  Products come from
 degree sums: t^a * t^b is t^(a+b) when a + b is a basis degree and zero
 otherwise, read from the degree index, so no multiplication table is stored.
 
@@ -41,6 +43,10 @@ chosen prime field.  Dimension results on the monomial inputs used here are
 characteristic free, which the test suite checks by recomputing tables in a
 second characteristic.
 
+Over a truncation A_q = k[H]/(t^q), q not the multiplicity m, Ext and Tor
+between sums of k and A come by change of rings (``_change_of_rings``) from
+the walk over A_m, of dimension m; every other input walks A_q itself.
+
 Determinism: pivoting is lexicographic, generator selection is greedy in
 canonical kernel order, and all caches are keyed by exact presentations.
 Ext and Tor computations fill the algebra's syzygy cache, so an algebra must
@@ -52,7 +58,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
 
 from ._record import Record
 from .errors import (
@@ -60,10 +66,10 @@ from .errors import (
     DomainError,
     NonMinimalInput,
     NonPositive,
+    NotAMember,
     ShapeMismatch,
     TooLarge,
 )
-from .ideals import SemigroupIdeal
 from .modp import Span, connected_blocks, sparse_kernel
 from .semigroup import MAX_MULTIPLICITY, NumericalSemigroup
 
@@ -123,7 +129,7 @@ class MonomialArtinianAlgebra:
 
     __slots__ = (
         "semigroup",
-        "ideal",
+        "_ideal",
         "truncation_q",
         "char",
         "degrees",
@@ -131,19 +137,24 @@ class MonomialArtinianAlgebra:
         "_omega_store",
     )
 
-    def __init__(self, ideal: SemigroupIdeal, char: int | None, truncation_q: int | None):
+    def __init__(self, semigroup, char, truncation_q=None, ideal=None):
+        """k[H]/(t^q) for q = ``truncation_q``, a positive member, with the
+        Apery set of q as basis; else k[H]/``ideal``, with its complement."""
         p = default_characteristic() if char is None else int(char)
         if not _is_prime(p):
             raise DomainError(f"characteristic {p} is not prime")
-        dim = ideal.colength()
+        dim = truncation_q if ideal is None else ideal.colength()
         if dim > MAX_DIMENSION:
             raise TooLarge(
                 f"algebra dimension {dim} is above the supported {MAX_DIMENSION}"
             )
-        degrees = ideal.complement()
+        if ideal is None:
+            degrees = semigroup.apery_set(truncation_q)
+        else:
+            degrees = ideal.complement()
         index = {d: i for i, d in enumerate(degrees)}
-        object.__setattr__(self, "semigroup", ideal.ambient)
-        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "semigroup", semigroup)
+        object.__setattr__(self, "_ideal", ideal)
         object.__setattr__(self, "truncation_q", truncation_q)
         object.__setattr__(self, "char", p)
         object.__setattr__(self, "degrees", degrees)
@@ -156,6 +167,15 @@ class MonomialArtinianAlgebra:
     @property
     def dim(self) -> int:
         return len(self.degrees)
+
+    @property
+    def ideal(self):
+        """The ideal E of k[H]/E; for a truncation, (t^q), built on access."""
+        if self._ideal is not None:
+            return self._ideal
+        from .ideals import SemigroupIdeal
+
+        return SemigroupIdeal.from_generators(self.semigroup, [self.truncation_q])
 
     def descriptor(self) -> str:
         """Text form: "H=...; q=...; p=..." for truncations, with the ideal
@@ -233,18 +253,19 @@ class MonomialArtinianAlgebra:
 def truncation_algebra(
     semigroup: NumericalSemigroup, q: int, char: int | None = None
 ) -> MonomialArtinianAlgebra:
-    """k[H]/(t^q) with basis the Apery set of q; q must be positive."""
+    """k[H]/(t^q) with basis the Apery set of q; q must be a positive member."""
     if q <= 0:
         raise NonPositive(f"truncation degree must be positive, got {q}")
-    principal = SemigroupIdeal.from_generators(semigroup, [q])
-    return MonomialArtinianAlgebra(principal, char, truncation_q=q)
+    if not semigroup.contains(q):
+        raise NotAMember(f"{q} is not a member of <{semigroup}>")
+    return MonomialArtinianAlgebra(semigroup, char, truncation_q=q)
 
 
 def quotient_algebra(
     ideal: SemigroupIdeal, char: int | None = None
 ) -> MonomialArtinianAlgebra:
     """k[H]/E for any cofinite monomial ideal E."""
-    return MonomialArtinianAlgebra(ideal, char, truncation_q=None)
+    return MonomialArtinianAlgebra(ideal.ambient, char, ideal=ideal)
 
 
 # ----------------------------------------------------------------------------
@@ -660,6 +681,39 @@ def _levels(module):
         level = deeper
 
 
+def _change_of_rings(module, target, upto, transpose):
+    """Ext or Tor of sums of k and A over k[H]/(t^q), q not the multiplicity
+    m, from A_m = k[H]/(t^m); None where that does not apply.  t^q is regular
+    on k[[H]], so (Nagata, Shamash; Avramov, "Infinite free resolutions",
+    ch. 3) P_k over A_q is P_k over A_m, divided by 1 - z when q is no
+    minimal generator, and A_q and A_m have the same Bass numbers.  With e_i = dim
+    Ext^i(k, k) over A_m (prefix sums for such q), b_i = dim Ext^i(k, A_m),
+    M = a k + f A and N = c k + g A: Ext^i(M, N) = a c e_i + a g b_i +
+    [i = 0] f dim N, and Tor_i(M, N) alike with b = (1, 0, 0, ...)."""
+    algebra = module.algebra
+    H, q = algebra.semigroup, algebra.truncation_q
+    if q is None or q == H.multiplicity:
+        return None
+    free = (1, ())
+    k_key = next(iter(_component_split(algebra, 1, residue_field(algebra).columns)))
+    splits = [_component_split(algebra, M.rank0, M.columns) for M in (module, target)]
+    if any(split.keys() - {k_key, free} for split in splits):
+        return None
+    (a, f), (c, g) = ((split[k_key], split[free]) for split in splits)
+    base = truncation_algebra(H, H.multiplicity, algebra.char)
+    k = residue_field(base)
+    e = ext_dims(k, k, upto)
+    if q not in H.generators:
+        e = tuple(accumulate(e))
+    if transpose:  # Tor_i(k, A) is k at i = 0 and 0 above
+        b = (1,) + (0,) * upto
+    else:
+        b = ext_dims(k, free_module(base, 1), upto)
+    dims = [a * c * x + a * g * y for x, y in zip(e, b)]
+    dims[0] += f * (c + g * algebra.dim)
+    return tuple(dims)
+
+
 def _derived_dims(module, target, upto, transpose):
     """dim F^i(module) for i = 0..upto, where F is Hom(-, target), or
     - tensor target when ``transpose``, and F^i its i-th derived functor.
@@ -671,10 +725,15 @@ def _derived_dims(module, target, upto, transpose):
       F^i(M) = F^(i-1)(Omega M)          for i >= 2
     so F^(j+1)(M) = F(Omega^(j+1) M) - rank0(Omega^j M) * n + F(Omega^j M),
     with F of each Omega^j M summed over the components of ``_levels``.
+    Sums of k and A over a truncation other than A_m are answered first by
+    ``_change_of_rings``, from the walk over A_m.
     """
     _require_same_algebra(module, target)
     if upto < 0:
         raise NonPositive(f"upto must be >= 0, got {upto}")
+    routed = _change_of_rings(module, target, upto, transpose)
+    if routed is not None:
+        return routed
     algebra = module.algebra
     p, dim_a = algebra.char, algebra.dim
     real = _realize(target)

@@ -31,6 +31,7 @@ from sackit import (
 )
 
 from cli_runner import invoke
+from test_artinian import walking_twin
 
 
 # every ring here has multiplicity <= 8
@@ -167,6 +168,24 @@ def test_ext_closed_forms():
             dims = ext_dims(F, F, 12)
             assert dims[0] == A.dim
             assert dims[1:] == (0,) * 12, A.descriptor()
+
+
+def test_ext_closed_forms_through_the_walk():
+    # the change of rings answers the chain and Tate rows above from A_m;
+    # over the quotient_algebra form of each truncation, which it does not
+    # route, the same closed forms come from the syzygy walk
+    for char in (2, 32003):
+        for n in (2, 3, 5):
+            k = residue_field(walking_twin(chain_algebra(n, char)))
+            assert ext_dims(k, k, 12) == (1,) * 13, (n, char)
+        for gens, q, depth in TATE_ALGEBRAS:
+            A = walking_twin(
+                truncation_algebra(NumericalSemigroup.from_generators(gens), q, char))
+            e, k = A.embedding_dim(), residue_field(A)
+            tate = tuple(comb(i + e - 1, e - 1) for i in range(depth + 1))
+            assert ext_dims(k, k, depth) == tate, (gens, q, char)
+            assert tor_dims(k, k, depth) == tate, (gens, q, char)
+            assert A._omega_store
 
 
 def test_radical_cube_family():

@@ -353,6 +353,22 @@ def deep_module(algebra, c, name):
     return residue_field(algebra) if name == "k" else cyclic_quotient(algebra, c)
 
 
+def walking_twin(A):
+    """A truncation k[H]/(t^q) as quotient_algebra of the ideal (t^q): the
+    same degrees and field, but no truncation_q, so Ext and Tor over it walk
+    its own syzygies and share no cache with A."""
+    twin = quotient_algebra(
+        SemigroupIdeal.from_generators(A.semigroup, [A.truncation_q]), A.char)
+    assert twin.degrees == A.degrees and twin.truncation_q is None
+    return twin
+
+
+def sums_of_k_and_A(A):
+    """k, A, k + A and k + k + A: the modules the change of rings answers."""
+    k, F = residue_field(A), free_module(A, 1)
+    return [k, F, direct_sum(k, F), direct_sum(direct_sum(k, k), F)]
+
+
 def test_residue_field_is_presented_by_the_atoms(monkeypatch):
     # oracle: the presentation of k by every positive basis monomial,
     # minimalized through the public edge
@@ -392,6 +408,24 @@ def test_syzygy_selection_is_linear_in_dim_over_a_wide_truncation(monkeypatch):
     k = residue_field(A)
     assert ext_dims(k, k, 2) == (1, 2, 3)
     assert len(calls) <= 20 * A.dim
+
+
+def test_syzygy_selection_is_linear_in_dim_through_the_walk(monkeypatch):
+    # the test above over the quotient_algebra form of k[2,3]/(t^1000), which
+    # the change of rings does not answer: its Ext of k walks A itself
+    calls = []
+    add = Span.add
+
+    def counted(span, vec):
+        calls.append(None)
+        return add(span, vec)
+
+    monkeypatch.setattr(Span, "add", counted)
+    A = walking_twin(trunc([2, 3], 1000))
+    k = residue_field(A)
+    assert ext_dims(k, k, 2) == (1, 2, 3)
+    assert len(calls) <= 20 * A.dim
+    assert A._omega_store
 
 
 def assert_minimal_exact(M, length):
@@ -478,6 +512,68 @@ def test_deep_ext_tor_match_complex_oracles(gens, q, c, m_name, n_name):
     M, N = deep_module(A, c, m_name), deep_module(A, c, n_name)
     assert ext_dims(M, N, 3) == hom_complex_ext(M, N, 3)
     assert tor_dims(M, N, 3) == tensor_complex_tor(M, N, 3)
+
+
+# The change of rings against the walk: per DEEP_ALGEBRAS row, H and the
+# truncation degrees m, another minimal generator and the row's q (no
+# generator), and the depth of the comparison; H = N has no other generator.
+# The walk over the twin of the last q sets the depth (about 5 s in all).
+ROUTE_CASES = [
+    (gens, (gens[0], gens[1], q), depth)
+    for (gens, q, _), depth in zip(DEEP_ALGEBRAS, (8, 7, 8, 12, 12, 8, 5))
+] + [((1,), (1, 2, 5), 10)]
+
+
+@pytest.mark.parametrize("char", [3, 32003])
+@pytest.mark.parametrize(
+    "gens,qs,depth", ROUTE_CASES,
+    ids=[f"H{','.join(map(str, g))}-q{qs[-1]}" for g, qs, _ in ROUTE_CASES])
+def test_change_of_rings_matches_the_walk(gens, qs, depth, char):
+    H = NumericalSemigroup.from_generators(gens)
+    for q in qs:
+        A = truncation_algebra(H, q, char)
+        pairs = list(zip(sums_of_k_and_A(A), sums_of_k_and_A(walking_twin(A))))
+        for (M, M_twin), (N, N_twin) in itertools.product(pairs, repeat=2):
+            case = (q, M.rank0, N.rank0)
+            assert ext_dims(M, N, depth) == ext_dims(M_twin, N_twin, depth), case
+            assert tor_dims(M, N, depth) == tor_dims(M_twin, N_twin, depth), case
+
+
+def test_routed_calls_take_no_syzygy_step_over_the_truncation(monkeypatch):
+    seen = []
+    syzygy_columns = sackit.artinian._syzygy_columns
+
+    def recorded(algebra, cols):
+        seen.append(algebra)
+        return syzygy_columns(algebra, cols)
+
+    monkeypatch.setattr("sackit.artinian._syzygy_columns", recorded)
+    A = trunc([4, 6, 7, 9], 8, char=5)
+    k = residue_field(A)
+    M = direct_sum(k, free_module(A, 1))
+    # A_4 has radical square zero and embedding dimension 3, and 8 is no
+    # minimal generator: Tor_i(k, k) = (3^(i+1) - 1) / 2
+    assert tor_dims(k, M, 9)[9] == (3**10 - 1) // 2
+    assert ext_dims(M, M, 9)[9] > ext_dims(k, k, 9)[9] == (3**10 - 1) // 2
+    assert ext_deg_window(k, 12).nonzero_at_boundary
+    # every step went to A_m = k[4,6,7,9]/(t^4), over the same field
+    assert seen and all((B.truncation_q, B.char) == (4, 5) for B in seen)
+    assert not A._omega_store
+    # the walk answers cyc(c), a quotient_algebra and the truncation at m
+    for N in (cyclic_quotient(A, 6), residue_field(walking_twin(A)),
+              residue_field(trunc([4, 6, 7, 9], 4, char=5))):
+        del seen[:]
+        ext_dims(N, N, 2)
+        assert seen and all(B is N.algebra for B in seen)
+
+
+@pytest.mark.parametrize("gens,q,c", DEEP_ALGEBRAS, ids=DEEP_IDS)
+def test_deep_residue_field_walk_matches_complex_oracles(gens, q, c):
+    # the k, k cases above are answered by the change of rings; over the
+    # walking twin the same numbers come from the syzygy walk
+    k = residue_field(walking_twin(trunc(gens, q)))
+    assert ext_dims(k, k, 3) == hom_complex_ext(k, k, 3)
+    assert tor_dims(k, k, 3) == tensor_complex_tor(k, k, 3)
 
 
 def test_ext_tor_tables_are_frozen():

@@ -188,6 +188,58 @@ def test_extdeg():
     }
 
 
+@pytest.fixture
+def syzygy_steps(monkeypatch):
+    """The algebras of the syzygy steps taken while a test runs."""
+    import sackit.artinian
+
+    seen = []
+    syzygy_columns = sackit.artinian._syzygy_columns
+
+    def recorded(algebra, cols):
+        seen.append(algebra)
+        return syzygy_columns(algebra, cols)
+
+    monkeypatch.setattr(sackit.artinian, "_syzygy_columns", recorded)
+    return seen
+
+
+# Inputs that used to run for minutes or end in a MemoryError traceback.  The
+# change of rings answers them over A_m, whose radical squares to zero here,
+# so Omega k = k^e and one syzygy step serves every level: P_k over A_m is
+# 1/(1 - e z), and over A_q, q no minimal generator, 1/((1 - z)(1 - e z)).
+def test_deep_ext_of_k_over_k4679_t8(syzygy_steps):
+    r = run("ext", "table", "--H", "4,6,7,9", "--q", "8", "--mod", "k",
+            "--range", "0..13", "--json")
+    assert r.exit_code == 0
+    assert json.loads(r.output) == {
+        "algebra": "H=4,6,7,9; q=8; p=32003", "module": "k", "functor": "ext",
+        "range": [0, 13], "dims": [(3**(i + 1) - 1) // 2 for i in range(14)],
+    }
+    assert [B.descriptor() for B in syzygy_steps] == ["H=4,6,7,9; q=4; p=32003"]
+    text = run("ext", "table", "--H", "4,6,7,9", "--q", "8", "--mod", "k",
+               "--range", "0..13")
+    assert text.stdout.splitlines()[-1].split()[-1] == "2391484" == str((3**14 - 1) // 2)
+
+
+def test_deep_ext_of_k_over_k345_t6(syzygy_steps):
+    r = run("ext", "table", "--H", "3,4,5", "--q", "6", "--mod", "k",
+            "--range", "0..40", "--json")
+    assert r.exit_code == 0
+    assert json.loads(r.output)["dims"] == [2**(i + 1) - 1 for i in range(41)]
+    assert [B.descriptor() for B in syzygy_steps] == ["H=3,4,5; q=3; p=32003"]
+    text = run("ext", "table", "--H", "3,4,5", "--q", "6", "--mod", "k",
+               "--range", "0..40")
+    assert text.stdout.splitlines()[-1].split()[-1] == str(2**41 - 1)
+
+
+def test_wide_extdeg_window_over_k4679_t8(syzygy_steps):
+    r = run("extdeg", "--H", "4,6,7,9", "--q", "8", "--mod", "k", "--window", "40")
+    assert (r.exit_code, r.output) == (
+        0, "last_nonzero_in_window=40\nnonzero_at_boundary=true\n")
+    assert [B.descriptor() for B in syzygy_steps] == ["H=4,6,7,9; q=4; p=32003"]
+
+
 def test_truncation_degree_must_be_positive():
     # q = 0 would be the zero algebra; the trunc(...) descriptor rejects it too
     for args in (
