@@ -68,20 +68,12 @@ from .errors import (
     NonPositive,
     NotAMember,
     ShapeMismatch,
-    TooLarge,
 )
 from .modp import Span, connected_blocks, sparse_kernel
-from .semigroup import MAX_MULTIPLICITY, NumericalSemigroup
+from .semigroup import NumericalSemigroup, check_dimension, radical_index
 
 DEFAULT_PRIME = 32003
 PRIME_ENV_VAR = "SACKIT_PRIME"
-
-# An algebra lists its basis degrees and indexes them in a dict: building one
-# of dimension 10^6 takes about 1.6 s and 180 MB at its peak (2 vCPU, Python
-# 3.11).  The certificate rules truncate a semigroup at its multiplicity,
-# which gives dimension m, so the cap matches MAX_MULTIPLICITY.  It is checked
-# on the colength, before the basis is listed.
-MAX_DIMENSION = MAX_MULTIPLICITY
 
 
 def _is_prime(n: int) -> bool:
@@ -143,11 +135,7 @@ class MonomialArtinianAlgebra:
         p = default_characteristic() if char is None else int(char)
         if not _is_prime(p):
             raise DomainError(f"characteristic {p} is not prime")
-        dim = truncation_q if ideal is None else ideal.colength()
-        if dim > MAX_DIMENSION:
-            raise TooLarge(
-                f"algebra dimension {dim} is above the supported {MAX_DIMENSION}"
-            )
+        check_dimension(truncation_q if ideal is None else ideal.colength())
         if ideal is None:
             degrees = semigroup.apery_set(truncation_q)
         else:
@@ -222,13 +210,8 @@ class MonomialArtinianAlgebra:
         return [g for g in self.semigroup.generators if g in self._index]
 
     def radical_index(self) -> int:
-        """Least r with m^r = 0, m the ideal of positive-degree monomials:
-        one more than the longest product of positive basis monomials, which
-        is the longest path from degree 0 that steps only by atoms."""
-        atoms, longest = self._atoms(), {0: 0}
-        for d in self.degrees[1:]:
-            longest[d] = 1 + max(longest.get(d - a, -1) for a in atoms if a <= d)
-        return 1 + max(longest.values())
+        """Least r with m^r = 0, m the ideal of positive-degree monomials."""
+        return radical_index(self.degrees, self._atoms())
 
     def embedding_dim(self) -> int:
         """Number of minimal generators of the radical."""
@@ -673,10 +656,10 @@ def _levels(module):
         yield level
         deeper = Counter()
         for key, m in level.items():
-            if key not in store:
+            if key[1] and key not in store:  # no kernel for the free A = (1, ())
                 syz = _syzygy_columns(algebra, [dict(col) for col in key[1]])
                 store[key] = _component_split(algebra, len(key[1]), syz)
-            for omega, c in store[key].items():
+            for omega, c in store.get(key, {}).items():
                 deeper[omega] += m * c
         level = deeper
 

@@ -2,10 +2,12 @@
 
 A certificate is a finite proof tree: the root names a ring by a structured
 descriptor, each node applies one sufficiency rule and cites the theorem it
-rests on, and every premise is either Verified (recomputed here from the
-semigroup, ideal and algebra modules, with the raw numbers embedded as
-evidence) or Asserted (an explicit hypothesis this toolkit cannot check,
-e.g. a Krull dimension bound or an external structure theorem).
+rests on, and every premise is either Verified (recomputed here, with the raw
+numbers embedded as evidence) or Asserted (an explicit hypothesis this toolkit
+cannot check, e.g. a Krull dimension bound or an external structure theorem).
+Verified premises read only the semigroup and its ideals, so no algebra is
+built: an Artinian quotient's radical index is a longest atom chain over the
+Apery set, and its embedding dimension counts its atoms.
 
 Verdicts are Certified or Unknown, never "fails": the rule set consists of
 sufficient conditions only, so the absence of a derivation proves nothing.
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import re
 
-from . import artinian  # through the module: it runs only when a premise needs an algebra
 from ._record import Record
 from .errors import (
     MalformedDescriptor,
@@ -30,7 +31,7 @@ from .errors import (
     UnknownPremiseKind,
 )
 from .ideals import SemigroupIdeal, is_ulrich, search_reduction
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, check_dimension, radical_index
 
 SCHEMA_VERSION = "cert-v1"
 
@@ -410,9 +411,17 @@ def _premise_min_mult(semigroup):
     return ok, premise
 
 
+def _truncation_atoms(semigroup, q):
+    """The atoms of k[H]/(t^q) once q is a member within MAX_DIMENSION: every
+    minimal generator but q, since no larger one is q plus a member."""
+    _check_members(semigroup, (q,), "truncation degree")
+    check_dimension(q)
+    return [g for g in semigroup.generators if g != q]
+
+
 def _premise_radical_index_le3(semigroup, q):
-    algebra = artinian.truncation_algebra(semigroup, q)
-    index = algebra.radical_index()
+    atoms = _truncation_atoms(semigroup, q)
+    index = radical_index(semigroup.apery_set(q), atoms)
     premise = _verified(
         f"k[H]/(t^{q}) with H={semigroup} has radical index <= 3",
         index=index,
@@ -464,13 +473,12 @@ def _premise_colength_le2(semigroup, ideal_gens, power=1):
 
 def _premise_emb_dim_le1(semigroup=None, ideal_gens=None, power=1, q=None):
     if ideal_gens is not None:
-        ideal = SemigroupIdeal.from_generators(semigroup, ideal_gens)
-        algebra = artinian.quotient_algebra(ideal.power(power))
-        v = algebra.embedding_dim()
+        ideal = SemigroupIdeal.from_generators(semigroup, ideal_gens).power(power)
+        check_dimension(ideal.colength())  # the cap quotient_algebra applies
+        v = sum(not ideal.member(g) for g in semigroup.generators)
         what = f"k[H]/({_ints(ideal_gens)})^{power} with H={semigroup}"
     elif q is not None:
-        algebra = artinian.truncation_algebra(semigroup, q)
-        v = algebra.embedding_dim()
+        v = len(_truncation_atoms(semigroup, q))
         what = f"k[H]/(t^{q}) with H={semigroup}"
     else:
         v = semigroup.embedding_dim

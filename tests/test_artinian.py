@@ -18,7 +18,9 @@ sparse one replaced (test_dense_oracle.py).  Both complex oracles read the
 realization through its dense public ``action`` view, multiplied out here
 (act_matrix), while the engine reads its sparse entries.  mul, invert,
 realization and the structure invariants are checked against a dense
-product table built here (dense_table).
+product table built here (dense_table), and the radical index and embedding
+dimension that certify's premises read off the Apery set against a scan of
+products over a sieved basis (scan_invariants).
 """
 
 import hashlib
@@ -47,6 +49,7 @@ from sackit import (
 )
 import sackit.artinian
 from sackit.artinian import ExtWindowReport
+from sackit.certify import _ulrich_candidates, verify_premise
 from sackit.errors import (
     AlgebraMismatch,
     DomainError,
@@ -276,8 +279,59 @@ def test_products_match_dense_table(A, data):
         assert act(i, act(j, vec)) == (act(k, vec) if k is not None else (0,) * n)
 
 
+def scan_invariants(basis):
+    """(embedding dimension, radical index) of the monomial algebra with
+    these basis degrees, closed under division, by a scan of the products of
+    its positive basis monomials: t^a * t^b is t^(a+b) when a + b is a basis
+    degree and zero otherwise."""
+    positive = set(basis) - {0}
+    products = {a + b for a in positive for b in positive} & positive
+    power, r = positive, 1  # m^r as a set of degrees
+    while power:
+        r += 1
+        power = {a + b for a in positive for b in power} & positive
+    return len(positive - products), r
+
+
+def test_certify_premises_match_the_product_scan():
+    # certify reads the radical index and embedding dimension of k[H]/(t^q)
+    # and k[H]/I^p off the Apery set and ideal membership; here the basis
+    # comes from a sieve over the generators and the invariants from
+    # scan_invariants, for every semigroup with 2-4 generators in 3..12
+    for size in (2, 3, 4):
+        for gens in itertools.combinations(range(3, 13), size):
+            if gcd(*gens) != 1:
+                continue
+            H = NumericalSemigroup.from_generators(gens)
+            limit = 2 * H.frobenius + 3 * max(gens) + 2
+            member = [True] + [False] * limit
+            for x in range(1, limit + 1):
+                member[x] = any(x >= g and member[x - g] for g in gens)
+            members = [x for x in range(limit + 1) if member[x]]
+            for q in H.generators:
+                basis = [x for x in members if x < q or not member[x - q]]
+                _, rad = verify_premise("radical_index_le3", semigroup=H, q=q)
+                _, emb = verify_premise("emb_dim_le1", semigroup=H, q=q)
+                found = (dict(emb.evidence)["embdim"], dict(rad.evidence)["index"])
+                assert found == scan_invariants(basis), (gens, q)
+            for ideal_gens in _ulrich_candidates(H):
+                for p in (1, 2, 3):
+                    sums = {sum(c) for c in itertools.combinations_with_replacement(
+                        ideal_gens, p)}
+                    inside = {s + x for s in sums for x in members}
+                    basis = [x for x in members if x not in inside]
+                    embdim, index = scan_invariants(basis)
+                    _, emb = verify_premise("emb_dim_le1", semigroup=H,
+                                            ideal_gens=ideal_gens, power=p)
+                    assert dict(emb.evidence)["embdim"] == embdim, (gens, ideal_gens, p)
+                    A = quotient_algebra(
+                        SemigroupIdeal.from_generators(H, ideal_gens).power(p))
+                    assert (A.embedding_dim(), A.radical_index()) == (embdim, index)
+
+
 def test_wide_quotient_products():
-    # the emb_dim_le1 premise of certify --ring sgp(5,1001) builds this algebra
+    # the algebra whose embedding dimension the emb_dim_le1 premise of
+    # certify --ring sgp(5,1001) counts without building it
     H = NumericalSemigroup.from_generators([5, 1001])
     A = quotient_algebra(SemigroupIdeal.from_generators(H, [1001]))
     assert A.dim == 1001
@@ -614,6 +668,21 @@ def test_syzygies_are_cached_on_the_algebra(monkeypatch):
     del calls[:]
     tor_dims(M, M, 8)
     ext_dims(M, k, 8)
+    assert calls == []
+
+
+def test_free_summands_take_no_syzygy_step(monkeypatch):
+    # a free summand A = (1, ()) has syzygy module 0, known without a kernel
+    calls = []
+    syzygy_columns = sackit.artinian._syzygy_columns
+
+    def recorded(algebra, cols):
+        calls.append(len(cols))
+        return syzygy_columns(algebra, cols)
+
+    monkeypatch.setattr("sackit.artinian._syzygy_columns", recorded)
+    A = trunc([4, 5, 6], 4)
+    assert ext_dims(free_module(A, 2), residue_field(A), 3) == (2, 0, 0, 0)
     assert calls == []
 
 

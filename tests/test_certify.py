@@ -457,9 +457,10 @@ def test_certificate_bytes_are_frozen():
 
 
 def test_wide_two_generator_ring_is_pinned():
-    # certify sgp(10007,10009) builds algebras of dimension about 10^4; the
-    # radical invariants and the certificate bytes are those of the O(dim^2)
-    # scans that the atom-based invariants replaced
+    # certify sgp(10007,10009) reads the invariants of two quotients of
+    # dimension about 10^4 off the Apery set, without building them; the
+    # algebras' invariants and the certificate bytes are those of the
+    # O(dim^2) scans that the atom-based invariants replaced
     H = NumericalSemigroup.from_generators([10007, 10009])
     trunc = truncation_algebra(H, 10007)
     assert (trunc.radical_index(), trunc.embedding_dim()) == (10007, 1)

@@ -173,6 +173,16 @@ def test_characteristic_flag_and_env():
                "--range", "0..2", "--p", "6").exit_code == 1
 
 
+def test_certify_reads_no_characteristic():
+    # the premises are integer combinatorics over the semigroup, so a bad
+    # SACKIT_PRIME changes no certificate byte
+    for ring in ("sgp(5,1001)", "trunc(sgp(3,4,5),6)", "sgp(2,4001)"):
+        plain = run("certify", "--ring", ring, "--json", env={"SACKIT_PRIME": None})
+        odd = run("certify", "--ring", ring, "--json", env={"SACKIT_PRIME": "4"})
+        assert plain.exit_code == 0 and odd.exit_code == 0, odd.output
+        assert odd.output == plain.output, ring
+
+
 def test_extdeg():
     r = run("extdeg", "--H", "3,4,5", "--q", "3", "--mod", "k",
             "--window", "12", "--json")

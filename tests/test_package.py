@@ -97,6 +97,9 @@ print(json.dumps({"lazy": sorted(n for n, ran in modules.items() if not ran),
      ["sackit.artinian", "sackit.certify", "sackit.ideals", "sackit.modp"]),
     (["--help"], ["sackit.artinian", "sackit.certify", "sackit.ideals", "sackit.modp"]),
     (["ext", "table", "--H", "3,4,5", "--q", "6", "--range", "0..2"], ["sackit.certify"]),
+    # the certificate premises read the semigroup and its ideals, not an algebra
+    (["certify", "--ring", "sgp(5,1001)"], ["sackit.artinian", "sackit.modp"]),
+    (["certify", "--ring", "trunc(sgp(3,4,5),6)"], ["sackit.artinian", "sackit.modp"]),
 ])
 def test_a_command_runs_only_the_modules_it_uses(args, lazy):
     modules = json.loads(_python(_RUN_AND_LIST, *args).splitlines()[-1])
