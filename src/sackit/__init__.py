@@ -19,10 +19,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "artinian": (
         "DEFAULT_PRIME", "ExtWindowReport", "MinimalResolution", "MonomialArtinianAlgebra",
-        "PresentedModule", "Realization", "cyclic_quotient", "default_characteristic",
-        "direct_sum", "ext_deg_window", "ext_dims", "free_module", "minimal_resolution",
-        "module_from_presentation", "quotient_algebra", "realization", "residue_field",
-        "syzygy_step", "tor_dims", "truncation_algebra",
+        "PresentedModule", "Realization", "cyclic_quotient", "direct_sum", "ext_deg_window",
+        "ext_dims", "free_module", "minimal_resolution", "module_from_presentation",
+        "quotient_algebra", "realization", "residue_field", "syzygy_step", "tor_dims",
+        "truncation_algebra",
     ),
     "certify": (
         "CERT_SCHEMA", "CITATIONS", "AbstractCI", "AbstractWithFiniteFlatCover",

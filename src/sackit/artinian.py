@@ -55,7 +55,6 @@ not be shared between threads that compute with it.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, islice
@@ -70,10 +69,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .modp import Span, connected_blocks, sparse_kernel
-from .semigroup import NumericalSemigroup, check_dimension, radical_index
+from .semigroup import NumericalSemigroup, radical_index
 
 DEFAULT_PRIME = 32003
-PRIME_ENV_VAR = "SACKIT_PRIME"
 
 
 def _is_prime(n: int) -> bool:
@@ -100,21 +98,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def default_characteristic() -> int:
-    """The field characteristic used when none is given: the SACKIT_PRIME
-    environment variable if set, else 32003."""
-    raw = os.environ.get(PRIME_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PRIME
-    try:
-        p = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{PRIME_ENV_VAR}={raw!r} is not an integer") from exc
-    if not _is_prime(p):
-        raise DomainError(f"{PRIME_ENV_VAR}={p} is not prime")
-    return p
-
-
 class MonomialArtinianAlgebra:
     """Finite dimensional quotient of a numerical semigroup algebra by a
     cofinite monomial ideal, over a prime field."""
@@ -132,14 +115,10 @@ class MonomialArtinianAlgebra:
     def __init__(self, semigroup, char, truncation_q=None, ideal=None):
         """k[H]/(t^q) for q = ``truncation_q``, a positive member, with the
         Apery set of q as basis; else k[H]/``ideal``, with its complement."""
-        p = default_characteristic() if char is None else int(char)
+        p = DEFAULT_PRIME if char is None else int(char)
         if not _is_prime(p):
             raise DomainError(f"characteristic {p} is not prime")
-        check_dimension(truncation_q if ideal is None else ideal.colength())
-        if ideal is None:
-            degrees = semigroup.apery_set(truncation_q)
-        else:
-            degrees = ideal.complement()
+        degrees = semigroup.apery_set(truncation_q) if ideal is None else ideal.complement()
         index = {d: i for i, d in enumerate(degrees)}
         object.__setattr__(self, "semigroup", semigroup)
         object.__setattr__(self, "_ideal", ideal)

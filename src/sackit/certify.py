@@ -31,7 +31,7 @@ from .errors import (
     UnknownPremiseKind,
 )
 from .ideals import SemigroupIdeal, is_ulrich, search_reduction
-from .semigroup import NumericalSemigroup, check_dimension, radical_index
+from .semigroup import NumericalSemigroup, radical_index
 
 SCHEMA_VERSION = "cert-v1"
 
@@ -412,10 +412,9 @@ def _premise_min_mult(semigroup):
 
 
 def _truncation_atoms(semigroup, q):
-    """The atoms of k[H]/(t^q) once q is a member within MAX_DIMENSION: every
-    minimal generator but q, since no larger one is q plus a member."""
+    """The atoms of k[H]/(t^q) once q is a member: every minimal generator
+    but q, since no larger one is q plus a member."""
     _check_members(semigroup, (q,), "truncation degree")
-    check_dimension(q)
     return [g for g in semigroup.generators if g != q]
 
 
@@ -474,7 +473,6 @@ def _premise_colength_le2(semigroup, ideal_gens, power=1):
 def _premise_emb_dim_le1(semigroup=None, ideal_gens=None, power=1, q=None):
     if ideal_gens is not None:
         ideal = SemigroupIdeal.from_generators(semigroup, ideal_gens).power(power)
-        check_dimension(ideal.colength())  # the cap quotient_algebra applies
         v = sum(not ideal.member(g) for g in semigroup.generators)
         what = f"k[H]/({_ints(ideal_gens)})^{power} with H={semigroup}"
     elif q is not None:
@@ -909,22 +907,37 @@ def _rule_pow(desc, depth, search):
 def _rule_qpow(desc, depth, search):
     if not 1 <= desc.power <= desc.regseq_len:
         return None
+    child = _child(desc.inner, depth, search)
+    p_gor = None if child is None else _gorenstein(desc.inner, search)
+    if p_gor is None:
+        return None
     p_range = _verified(
         f"1 <= l={desc.power} <= n={desc.regseq_len}",
         l=desc.power,
         n=desc.regseq_len,
     )
-    if isinstance(desc.inner, SemigroupRing):
-        H = search.semigroup(desc.inner.generators)
-        ok, p_gor = verify_premise("gap_symmetric", semigroup=H)
-        if not ok:
-            return None
-    elif isinstance(desc.inner, AbstractCI):
-        p_gor = _asserted("complete intersections are Gorenstein")
+    return [p_range, *p_gor], [child]
+
+
+def _gorenstein(ring, search):
+    """Premises that the Certified ``ring`` is Gorenstein, or None when they
+    fail.  k[[H]], k[H]/(t^q) (t^q is regular), a gluing (valid, since R-GLUE
+    certified it) and R[[T]] are Gorenstein exactly when one numerical
+    semigroup is symmetric; the other rings keep an assertion."""
+    if isinstance(ring, PowerSeriesExt):
+        return _gorenstein(ring.inner, search)
+    if isinstance(ring, AbstractCI):
+        return [_asserted("complete intersections are Gorenstein")]
+    if isinstance(ring, Glued):
+        gens = search.semigroup(ring.inner.generators).glue_generators(ring.n, ring.m)
+    elif isinstance(ring, (SemigroupRing, Truncation)):
+        gens = ring.generators
     else:
-        p_gor = _asserted("the inner ring is Gorenstein")
-    child = _child(desc.inner, depth, search)
-    return None if child is None else ([p_range, p_gor], [child])
+        return [_asserted("the inner ring is Gorenstein")]
+    H = search.semigroup(gens)
+    ok, p_sym = verify_premise("gap_symmetric", semigroup=H)
+    regular = [_nonzerodivisor(H, ring.q)] if isinstance(ring, Truncation) else []
+    return regular + [p_sym] if ok else None
 
 
 def _rule_ffd(desc, depth, search):

@@ -8,8 +8,8 @@ flushes.  Exit codes: 0 on success, 1 on a domain error (reported on stderr)
 or when the reader of stdout has gone, 2 on a usage error (reported on
 stderr under the usage line, naming the offending flag).
 
-The default field characteristic is 32003 and can be overridden with the
-SACKIT_PRIME environment variable or, where algebras are involved, --p.
+The field characteristic comes from --p alone, on the two commands that
+build an algebra (`ext table`, `extdeg`); it defaults to 32003.
 
 `certify --help` prints the ring descriptor grammar for --ring.
 
@@ -324,6 +324,8 @@ class _Main:
 
     def main(self, args=None, prog_name=None):
         args = sys.argv[1:] if args is None else list(args)
+        if hasattr(sys.stdout, "reconfigure"):  # certificate quotes are not ASCII
+            sys.stdout.reconfigure(encoding="utf-8")
         try:
             try:
                 options = vars(_parser(prog_name, args).parse_args(args))

@@ -29,7 +29,7 @@ from .errors import (
     NotContained,
     NotInIdeal,
 )
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, check_dimension
 
 
 class SemigroupIdeal:
@@ -122,7 +122,8 @@ class SemigroupIdeal:
         return (sum(least) - sum(ap)) // len(ap)
 
     def complement(self) -> tuple[int, ...]:
-        """Members of the ambient semigroup not in the ideal, sorted."""
+        """The sorted members outside the ideal; TooLarge past MAX_DIMENSION."""
+        check_dimension(self.colength())
         return _span(*self._outside())
 
     def relative_length(self, other: "SemigroupIdeal") -> int:

@@ -148,13 +148,15 @@ class NumericalSemigroup:
     def apery_set(self, q: int) -> tuple[int, ...]:
         """Smallest member in each residue class mod ``q``, sorted.
 
-        ``q`` must be a nonzero member; the result always has ``q``
-        elements and contains 0.  They are the members x with x - q no
-        member: in the class of r mod m the members start at Ap[r] and those
-        of q + H at q + Ap[(r - q) mod m], so the set is read off Ap in O(q).
+        ``q`` must be a nonzero member, and at most MAX_DIMENSION (else
+        TooLarge, before anything is listed); the result has ``q`` elements
+        and contains 0.  They are the members x with x - q no member: in the
+        class of r mod m the members start at Ap[r] and those of q + H at
+        q + Ap[(r - q) mod m], so the set is read off Ap in O(q).
         """
         if q <= 0 or not self.contains(q):
             raise NotAMember(f"{q} is not a nonzero member of <{self}>")
+        check_dimension(q)
         m, ap = self.multiplicity, self._apery
         return tuple(sorted(
             x for r in range(m) for x in range(ap[r], q + ap[(r - q) % m], m)

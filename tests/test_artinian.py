@@ -838,6 +838,15 @@ def test_presentation_minimalization():
     assert M3.is_free()
 
 
+def test_minimalization_takes_every_radical_multiple():
+    # t^10 = t^7 * t^3 over k[3,4,5]/(t^9), with t^7 in m^2 and no atom
+    # multiple of either column: only the multiples by every positive basis
+    # degree show that the second column is redundant
+    C = trunc([3, 4, 5], 9)
+    M = module_from_presentation(C, 1, [(C.monomial(3),), (C.monomial(10),)])
+    assert len(M.relations) == 1
+
+
 def test_syzygy_step_rejects_nonminimal_input():
     B = trunc([4, 5, 6], 4)
     x5 = B.monomial(5)

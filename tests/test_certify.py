@@ -253,6 +253,26 @@ def test_route_parameter_powers():
     assert out_of_range.verdict == "Unknown"
 
 
+@pytest.mark.parametrize("ring,twin", [
+    ("qpow(trunc(sgp(3,4,5),6),1,1)", "qpow(trunc(sgp(3,5),6),1,1)"),
+    ("qpow(glued(sgp(3,4,5),2,7),1,1)", "qpow(glued(sgp(3,5),2,9),1,1)"),
+    ("qpow(powser(sgp(3,4,5)),1,2)", "qpow(powser(sgp(3,5)),1,2)"),
+])
+def test_qpow_checks_the_gorenstein_premise_it_can(ring, twin):
+    # each inner ring is Gorenstein exactly when one numerical semigroup is
+    # symmetric (t^q is regular on k[[H]] for trunc); <3,4,5> and <6,7,8,10>
+    # are not, their twins <3,5> and <6,9,10> are
+    refuted = certify(ring)
+    assert (refuted.verdict, refuted.attempted) == ("Unknown", ("R-QPOW",))
+    cert = certify(twin)
+    assert (cert.verdict, cert.rule) == ("Certified", "R-QPOW")
+    assert all(p.status == "Verified" for p in cert.premises)
+    symmetric = [dict(p.evidence) for p in cert.premises if "gap symmetric" in p.statement]
+    assert [e["gap_symmetric"] for e in symmetric] == [True]
+    regular = [p for p in cert.premises if "non-zerodivisor" in p.statement]
+    assert len(regular) == ("trunc(" in twin)
+
+
 def test_route_ulrich_powers():
     # R-UPOW runs upward only (R/I^l => R): certifying R/I^2 from R/I would
     # rest on "dim R >= 2", which is false for the 1-dimensional k[[H]]
@@ -356,6 +376,23 @@ def test_verify_premise_vocabulary():
 
     with pytest.raises(UnknownPremiseKind):
         verify_premise("gorenstein", semigroup=H345)
+
+
+def test_embedding_dimension_is_counted_past_the_dimension_cap():
+    # the atoms of k[H]/(t^q) are counted without listing a basis, so R-CI
+    # certifies a truncation of dimension q > MAX_DIMENSION; the radical
+    # index lists the Apery set of q, so it is left unchecked there
+    q = 1048583
+    H = NumericalSemigroup.from_generators([3, q])
+    ok, pr = verify_premise("emb_dim_le1", semigroup=H, q=q)
+    assert (ok, pr.status, dict(pr.evidence)) == (True, "Verified", {"embdim": 1})
+    ok, pr = verify_premise("radical_index_le3", semigroup=H, q=q)
+    assert (ok, pr.status) == (False, "Asserted")
+    assert pr.statement == (
+        f"not checked: algebra dimension {q} is above the supported 1048576")
+    cert = certify(f"trunc(sgp(3,{q}),{q})")
+    assert (cert.verdict, cert.rule) == ("Certified", "R-CI")
+    assert [dict(p.evidence) for p in cert.premises] == [{"embdim": 1}]
 
 
 def walk(doc):

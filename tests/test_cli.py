@@ -163,14 +163,21 @@ def test_characteristic_flag_and_env():
                "--mod", "k", "--range", "0..6", "--json")
     flag = run("ext", "table", "--H", "4,5,6", "--q", "4",
                "--mod", "k", "--range", "0..6", "--p", "2", "--json")
-    env = run("ext", "table", "--H", "4,5,6", "--q", "4",
-              "--mod", "k", "--range", "0..6", "--json",
-              env={"SACKIT_PRIME": "2"})
-    b, f, e = (json.loads(x.output) for x in (base, flag, env))
-    assert f["algebra"] == "H=4,5,6; q=4; p=2" == e["algebra"]
-    assert b["dims"] == f["dims"] == e["dims"]
+    b, f = (json.loads(x.output) for x in (base, flag))
+    assert b["algebra"] == "H=4,5,6; q=4; p=32003"
+    assert f["algebra"] == "H=4,5,6; q=4; p=2"
+    assert b["dims"] == f["dims"]
     assert run("ext", "table", "--H", "4,5,6", "--q", "4", "--mod", "k",
                "--range", "0..2", "--p", "6").exit_code == 1
+    # the characteristic comes from --p alone: SACKIT_PRIME, prime or not,
+    # changes no byte
+    for args in (("ext", "table", "--H", "4,5,6", "--q", "4", "--json"),
+                 ("extdeg", "--H", "4,5,6", "--q", "4", "--mod", "k")):
+        plain = run(*args, env={"SACKIT_PRIME": None})
+        assert plain.exit_code == 0
+        for value in ("2", "4"):
+            odd = run(*args, env={"SACKIT_PRIME": value})
+            assert (odd.exit_code, odd.output) == (0, plain.output), (args, value)
 
 
 def test_certify_reads_no_characteristic():
@@ -363,13 +370,31 @@ def test_huge_algebra_dimension_is_an_error():
         assert done.returncode == 1, args
         assert done.stderr.startswith("error: algebra dimension 1000000000"), args
     # a premise that needs such an algebra is not checked, and the search
-    # goes on: R-MODX reaches k[[H]] without the truncation's basis
-    for ring, rule in (("trunc(sgp(3,4,5),1000000000)", "R-MODX"),
-                       ("qpow(trunc(sgp(3,4,5),1000000000),1,1)", "R-QPOW")):
+    # goes on: R-MODX reaches k[[H]] without the truncation's basis; <3,4,5>
+    # is not symmetric, so its truncation is no Gorenstein ring for R-QPOW
+    for ring, verdict, rule in (
+            ("trunc(sgp(3,4,5),1000000000)", "Certified", "R-MODX"),
+            ("qpow(trunc(sgp(3,4,5),1000000000),1,1)", "Unknown", None),
+            ("qpow(trunc(sgp(3,5),1000000000),1,1)", "Certified", "R-QPOW")):
         done = _sackit_capped("certify", "--ring", ring, "--json")
         assert done.returncode == 0, (ring, done.stderr)
         doc = json.loads(done.stdout)
-        assert (doc["verdict"], doc["rule"]) == ("Certified", rule)
+        assert (doc["verdict"], doc["rule"]) == (verdict, rule)
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_text_output_is_utf8_under_any_locale(encoding):
+    # the R-RAD3, R-MODX and R-QPOW quotes are not ASCII ("…", "∈", "ℓ")
+    src = Path(__file__).resolve().parents[1] / "src"
+    for ring in ("trunc(sgp(3,4,5),6)", "qpow(sgp(2,3),2,3)"):
+        out = {}
+        for name in ("utf-8", encoding):
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": name}
+            done = subprocess.run([sys.executable, "-m", "sackit", "certify", "--ring", ring],
+                                  env=env, capture_output=True, timeout=60)
+            assert (done.returncode, done.stderr) == (0, b""), (ring, name, done.stderr)
+            out[name] = done.stdout
+        assert out[encoding] == out["utf-8"], ring
 
 
 def _sackit_piped(*args, unbuffered):

@@ -31,7 +31,9 @@ from sackit.errors import (
     NotAMember,
     NotContained,
     NotInIdeal,
+    TooLarge,
 )
+from sackit.semigroup import MAX_DIMENSION
 
 
 def brute_ideal_members(H, gens, bound):
@@ -170,6 +172,21 @@ def test_zero_ideal_rules():
     m = SemigroupIdeal.maximal_ideal(H)
     with pytest.raises(EmptyIdeal):
         m.relative_length(Z)
+
+
+def test_basis_listers_refuse_a_basis_past_the_cap():
+    # the Apery set of q and the complement of an ideal are the two bases an
+    # algebra lists; each refuses one past MAX_DIMENSION before listing it
+    H = NumericalSemigroup.from_generators([2, 3])
+    q = MAX_DIMENSION + 1
+    text = f"algebra dimension {q} is above the supported {MAX_DIMENSION}"
+    with pytest.raises(TooLarge, match=f"^{text}$"):
+        H.apery_set(q)
+    I = SemigroupIdeal.from_generators(H, [q])
+    assert I.colength() == q
+    with pytest.raises(TooLarge, match=f"^{text}$"):
+        I.complement()
+    assert len(H.apery_set(MAX_DIMENSION)) == MAX_DIMENSION
 
 
 def test_shift_requires_member():

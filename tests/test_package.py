@@ -21,7 +21,7 @@ PUBLIC = [
     "MonomialArtinianAlgebra", "NumericalSemigroup", "ParameterPowerQuotient",
     "PowerSeriesExt", "Premise", "PresentedModule", "Realization", "SackitError",
     "SemigroupIdeal", "SemigroupRing", "Truncation", "UlrichPowerQuotient", "UlrichReport",
-    "certify", "cumulative_rank_identity", "cyclic_quotient", "default_characteristic",
+    "certify", "cumulative_rank_identity", "cyclic_quotient",
     "direct_sum", "estimate_ratio_holds", "ext_deg_window", "ext_dims", "free_module",
     "ideal_from_text", "ideal_to_text", "is_ulrich", "minimal_resolution",
     "module_from_presentation", "parse_ring", "power_layer_lengths", "quotient_algebra",
@@ -74,6 +74,18 @@ def test_version_is_a_literal_in_the_package_source():
                 and [getattr(t, "id", None) for t in node.targets] == ["__version__"]
                 and isinstance(node.value, ast.Constant)]
     assert literals == [sackit.__version__]
+
+
+def test_no_module_reads_the_environment():
+    # an algebra's characteristic comes from its caller alone (char=, --p),
+    # so the same arguments give the same bytes in any environment
+    names = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted((ROOT / "src" / "sackit").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        used = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        used |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        assert not used & names, path.name
 
 
 # run a command as `python -m sackit` does, then list each sackit module
