@@ -905,18 +905,29 @@ def _rule_pow(desc, depth, search):
 
 
 def _rule_qpow(desc, depth, search):
-    if not 1 <= desc.power <= desc.regseq_len:
+    n, ring_depth = desc.regseq_len, _depth(desc.inner)
+    if not 1 <= desc.power <= n or (ring_depth is not None and n > ring_depth):
         return None
     child = _child(desc.inner, depth, search)
     p_gor = None if child is None else _gorenstein(desc.inner, search)
     if p_gor is None:
         return None
-    p_range = _verified(
-        f"1 <= l={desc.power} <= n={desc.regseq_len}",
-        l=desc.power,
-        n=desc.regseq_len,
-    )
-    return [p_range, *p_gor], [child]
+    p_range = _verified(f"1 <= l={desc.power} <= n={n}", l=desc.power, n=n)
+    p_depth = [] if ring_depth is None else [
+        _verified(f"n={n} <= depth R={ring_depth}", depth=ring_depth, n=n)]
+    return [p_range, *p_depth, *p_gor], [child]
+
+
+def _depth(ring):
+    """depth R, which bounds the length of a regular sequence, where the
+    toolkit knows it: 1 for k[[H]] and a gluing, 0 for the Artinian
+    k[H]/(t^q), one more for each R[[T]]; else None."""
+    if isinstance(ring, PowerSeriesExt):
+        inner = _depth(ring.inner)
+        return None if inner is None else inner + 1
+    if isinstance(ring, (SemigroupRing, Glued)):
+        return 1
+    return 0 if isinstance(ring, Truncation) else None
 
 
 def _gorenstein(ring, search):

@@ -8,6 +8,10 @@ flushes.  Exit codes: 0 on success, 1 on a domain error (reported on stderr)
 or when the reader of stdout has gone, 2 on a usage error (reported on
 stderr under the usage line, naming the offending flag).
 
+`main` reads a valid command line off the `COMMANDS` table itself; help,
+--version, --rule and usage errors go to an argparse parser built from the
+same table, so a valid command never imports argparse.
+
 The field characteristic comes from --p alone, on the two commands that
 build an algebra (`ext table`, `extdeg`); it defaults to 32003.
 
@@ -19,7 +23,6 @@ e.g. `cyc(5)+A`.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -33,6 +36,7 @@ def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
+        import argparse  # on a bad value only, as in the other error branches
         raise argparse.ArgumentTypeError("expected comma-separated integers") from None
 
 
@@ -41,8 +45,10 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo_text, hi_text = text.split("..")
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError("expected LO..HI") from None
     if lo < 0 or hi < lo:
+        import argparse
         raise argparse.ArgumentTypeError("need 0 <= LO <= HI")
     return lo, hi
 
@@ -232,6 +238,7 @@ _IDEAL = _flag("--ideal", type=_int_list, required=True, help="ideal generators"
 _H = _flag("--H", dest="gens", type=_int_list, required=True, help="semigroup generators")
 _Q = _flag("--q", type=int, required=True, help="truncation degree")
 _P = _flag("--p", dest="prime", type=int, help="field characteristic")
+_JSON = _flag("--json", dest="as_json", action="store_true", help="print JSON")
 
 _GROUPS = {
     "sgp": "Numerical semigroup inspection.",
@@ -241,7 +248,7 @@ _GROUPS = {
 
 # command path -> (function, flags), where a two-word path names a command
 # of a group; flag values are converted while parsing, and every command
-# also takes --json
+# also takes --json (_JSON)
 COMMANDS = {
     "sgp info": (sgp_info, [_GENS]),
     "ideal ulrich": (ideal_ulrich, [_GENS, _IDEAL, _flag(
@@ -268,19 +275,51 @@ COMMANDS = {
 }
 
 
-class _Formatter(argparse.RawDescriptionHelpFormatter):
-    """Descriptions and epilogs as written, under a `Usage: ` line."""
+def _read(args: list[str]) -> dict | None:
+    """What `_parser` would parse from ``args``, read off COMMANDS, or None
+    to leave the line to it: help, --version, --rule (its choices live in
+    certify), usage errors, and what argparse reads by rules not repeated
+    here (options before the words, repeated or `=` flags, `-` values)."""
+    path = next((p for p in COMMANDS if p.split() == args[:len(p.split())]), None)
+    if path is None:
+        return None
+    fn, flags = COMMANDS[path]
+    flags = dict([*flags, _JSON])
+    given, words = {}, iter(args[len(path.split()):])
+    for flag in words:
+        if flag not in flags or flag in given or flag == "--rule":
+            return None
+        value = True if "action" in flags[flag] else next(words, "-")
+        if value is not True and value.startswith("-"):
+            return None
+        given[flag] = value
+    values = {"run": fn}
+    for flag, options in flags.items():
+        if options.get("required") and flag not in given:
+            return None
+        value = given.get(flag, options.get("default", False if "action" in options else None))
+        try:
+            value = options.get("type", str)(value) if isinstance(value, str) else value
+        except Exception:  # ArgumentTypeError too: argparse converts again and reports it
+            return None
+        values[options.get("dest", flag[2:].replace("-", "_"))] = value
+    return values
 
-    def add_usage(self, usage, actions, groups, prefix="Usage: "):
-        super().add_usage(usage, actions, groups, prefix)
 
-
-def _parser(prog: str | None, args: list[str]) -> argparse.ArgumentParser:
+def _parser(prog: str | None, args: list[str]):
     """The parser of the command whose path ``args`` start with, or of every
     command (for help at the root or a group).  Only the command whose path
     the non-option words of ``args`` start with gets flags: the root and the
     groups take no values, so those words route argparse, and the other
     commands' flags (and certify's module) would only cost start-up."""
+    import argparse  # help, --version and usage errors: `_read` takes the rest
+
+    class _Formatter(argparse.RawDescriptionHelpFormatter):
+        """Descriptions and epilogs as written, under a `Usage: ` line."""
+
+        def add_usage(self, usage, actions, groups, prefix="Usage: "):
+            super().add_usage(usage, actions, groups, prefix)
+
     paths = [path for path in COMMANDS if path.split() == args[:len(path.split())]]
     words = [arg for arg in args if not arg.startswith("-")]
     settings = {"formatter_class": _Formatter, "allow_abbrev": False}
@@ -308,11 +347,10 @@ def _parser(prog: str | None, args: list[str]) -> argparse.ArgumentParser:
         command = levels[group].add_parser(
             name, help=summary, description=doc,
             epilog=descriptor_grammar() if path == "certify" else None, **settings)
-        for flag, options in flags:
+        for flag, options in (*flags, _JSON):
             if flag == "--rule":  # certify's rule names
                 options = {**options, "choices": sorted(CITATIONS)}
             command.add_argument(flag, **options)
-        command.add_argument("--json", dest="as_json", action="store_true", help="print JSON")
         command.set_defaults(run=fn)
     return root
 
@@ -328,7 +366,7 @@ class _Main:
             sys.stdout.reconfigure(encoding="utf-8")
         try:
             try:
-                options = vars(_parser(prog_name, args).parse_args(args))
+                options = _read(args) or vars(_parser(prog_name, args).parse_args(args))
                 as_json = options.pop("as_json")
                 data, text = options.pop("run")(**options)
                 if as_json:

@@ -132,8 +132,9 @@ class SemigroupIdeal:
         return (sum(other._least) - sum(self._least)) // len(self._least)
 
     def relative_complement(self, other: "SemigroupIdeal") -> tuple[int, ...]:
-        """Elements of this ideal outside ``other``, sorted."""
-        self._check_contains(other)
+        """Elements of this ideal outside ``other``, sorted; TooLarge past
+        MAX_DIMENSION."""
+        check_dimension(self.relative_length(other))
         return _span(self._least, other._least)
 
     def _outside(self):

@@ -128,7 +128,9 @@ class NumericalSemigroup:
         return tuple(out)
 
     def gaps(self) -> tuple[int, ...]:
-        """All nonnegative integers outside the semigroup."""
+        """All nonnegative integers outside the semigroup; TooLarge, before
+        any is listed, when there are more than MAX_DIMENSION."""
+        check_dimension(self.genus)
         return tuple(
             x for x in range(self.frobenius + 1) if not self.contains(x)
         )

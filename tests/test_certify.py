@@ -239,7 +239,7 @@ def test_route_power_series():
 
 
 def test_route_parameter_powers():
-    good = certify("qpow(sgp(2,3),2,3)")
+    good = certify("qpow(sgp(2,3),1,1)")
     assert (good.verdict, good.rule) == ("Certified", "R-QPOW")
     assert all(p.status == "Verified" for p in good.premises)
     # <3,4,5> is not gap symmetric, so the Gorenstein premise fails
@@ -254,7 +254,7 @@ def test_route_parameter_powers():
 
 
 @pytest.mark.parametrize("ring,twin", [
-    ("qpow(trunc(sgp(3,4,5),6),1,1)", "qpow(trunc(sgp(3,5),6),1,1)"),
+    ("qpow(powser(trunc(sgp(3,4,5),6)),1,1)", "qpow(powser(trunc(sgp(3,5),6)),1,1)"),
     ("qpow(glued(sgp(3,4,5),2,7),1,1)", "qpow(glued(sgp(3,5),2,9),1,1)"),
     ("qpow(powser(sgp(3,4,5)),1,2)", "qpow(powser(sgp(3,5)),1,2)"),
 ])
@@ -271,6 +271,27 @@ def test_qpow_checks_the_gorenstein_premise_it_can(ring, twin):
     assert [e["gap_symmetric"] for e in symmetric] == [True]
     regular = [p for p in cert.premises if "non-zerodivisor" in p.statement]
     assert len(regular) == ("trunc(" in twin)
+
+
+@pytest.mark.parametrize("refuted,held,depth", [
+    ("qpow(sgp(2,3),2,3)", "qpow(sgp(2,3),1,1)", 1),
+    ("qpow(glued(sgp(3,5),2,9),2,2)", "qpow(glued(sgp(3,5),2,9),1,1)", 1),
+    ("qpow(trunc(sgp(2,3),4),1,1)", None, 0),
+    ("qpow(powser(sgp(2,3)),3,3)", "qpow(powser(sgp(2,3)),2,2)", 2),
+    ("qpow(powser(powser(trunc(sgp(2,3),4))),3,3)",
+     "qpow(powser(powser(trunc(sgp(2,3),4))),1,2)", 2),
+])
+def test_qpow_checks_the_regular_sequence_against_depth(refuted, held, depth):
+    # Q is generated by a regular sequence of length n, so n <= depth R:
+    # 1 for k[[H]] and a gluing, 0 for the Artinian k[H]/(t^q), one more
+    # per R[[T]].  Past it R-QPOW fails; up to it the certificate says so
+    cert = certify(refuted)
+    assert (cert.verdict, cert.attempted) == ("Unknown", ("R-QPOW",))
+    if held is not None:
+        cert = certify(held)
+        assert (cert.verdict, cert.rule) == ("Certified", "R-QPOW")
+        (p_depth,) = [p for p in cert.premises if "depth R" in p.statement]
+        assert p_depth.status == "Verified" and dict(p_depth.evidence)["depth"] == depth
 
 
 def test_route_ulrich_powers():
@@ -462,12 +483,13 @@ def test_citation_fragments():
 
 # sha256 of the certificate JSON and render() over the corpus below; a
 # refactor of the parser or the rule engine must keep every byte
-CORPUS_SHA256 = "cdfc0402b3a61af2fc50fab91d7d9582d39b251f2206520b3c77e1356de1a532"
+CORPUS_SHA256 = "8629df7aa598444ac3664a8ed638562248ebadb66f3baca5a0472feb36f063b2"
 DIGEST_CORPUS = ROUND_TRIPS + [
     "sgp(6,7,11)",
     "sgp(5,1001)",
     "glued(sgp(2,2001),3,4004)",
     "qpow(qpow(sgp(2,3),1,2),1,1)",
+    "qpow(powser(sgp(2,3)),2,2)",
     "ffd(qpow(ci(),1,2),powser(sgp(2,3)))",
     "ffd(sgp(3,4,5),ffd(?,trunc(sgp(4,5,6),4)))",
     "powser(qpow(upow(sgp(3,4,5),(3,4,5),1),1,2))",

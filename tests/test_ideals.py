@@ -189,6 +189,32 @@ def test_basis_listers_refuse_a_basis_past_the_cap():
     assert len(H.apery_set(MAX_DIMENSION)) == MAX_DIMENSION
 
 
+def test_gap_and_relative_listers_refuse_past_the_cap(monkeypatch):
+    # the gaps of <2,2097157> (genus 1048578) and the elements of (2) outside
+    # (1048580) over <2,3> (relative length 1048578) are refused from their
+    # counts, before one element is listed
+    import sackit.ideals
+
+    def listed(*args):
+        raise AssertionError("listed past the cap")
+
+    monkeypatch.setattr(NumericalSemigroup, "contains", listed)
+    monkeypatch.setattr(sackit.ideals, "_span", listed)
+    wide = NumericalSemigroup.from_generators([2, 2097157])
+    assert wide.genus == MAX_DIMENSION + 2
+    with pytest.raises(TooLarge, match=f"^algebra dimension {MAX_DIMENSION + 2} is above"):
+        wide.gaps()
+    monkeypatch.undo()
+    H = NumericalSemigroup.from_generators([2, 3])
+    big, small = (SemigroupIdeal.from_generators(H, [d]) for d in (2, 1048580))
+    monkeypatch.setattr(sackit.ideals, "_span", listed)
+    assert big.relative_length(small) == MAX_DIMENSION + 2
+    with pytest.raises(TooLarge, match=f"^algebra dimension {MAX_DIMENSION + 2} is above"):
+        big.relative_complement(small)
+    monkeypatch.undo()
+    assert big.relative_complement(SemigroupIdeal.from_generators(H, [8])) == (2, 4, 5, 6, 7, 9)
+
+
 def test_shift_requires_member():
     H, I = reference_pair()
     with pytest.raises(NotAMember):
