@@ -21,8 +21,7 @@ _EXPORTS = {
         "DEFAULT_PRIME", "ExtWindowReport", "MinimalResolution", "MonomialArtinianAlgebra",
         "PresentedModule", "Realization", "cyclic_quotient", "direct_sum", "ext_deg_window",
         "ext_dims", "free_module", "minimal_resolution", "module_from_presentation",
-        "quotient_algebra", "realization", "residue_field", "syzygy_step", "tor_dims",
-        "truncation_algebra",
+        "quotient_algebra", "realization", "residue_field", "tor_dims", "truncation_algebra",
     ),
     "certify": (
         "CERT_SCHEMA", "CITATIONS", "AbstractCI", "AbstractWithFiniteFlatCover",

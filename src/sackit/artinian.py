@@ -18,9 +18,8 @@ produced here has all differential entries inside the radical.
 A column of rank0 algebra elements has one stored form, from construction
 (``PresentedModule.columns``) through minimalization and resolution: the
 sparse flattened vector {g*dim A + i: coeff} (generator g, basis index i).
-Dense tuples appear only at the public edge: ``_check_shape`` reads them in;
-``PresentedModule.relations``, ``MinimalResolution.matrices``,
-``Realization.action`` and the result of ``syzygy_step`` give them out.
+Dense tuples appear only at the public edge: ``_check_shape`` reads them in,
+and ``PresentedModule.relations`` and the element API give them out.
 ``_multiples`` lists a column times every basis monomial by moving
 coefficients, and a product by an algebra element is a sum of these
 multiples.  The syzygy k-matrix is made of them and its kernel is taken in
@@ -56,14 +55,12 @@ not be shared between threads that compute with it.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from itertools import accumulate, islice
 
 from ._record import Record
 from .errors import (
     AlgebraMismatch,
     DomainError,
-    NonMinimalInput,
     NonPositive,
     NotAMember,
     ShapeMismatch,
@@ -478,37 +475,9 @@ def _syzygy_columns(algebra, cols):
     return _nakayama(algebra, kern, algebra._atoms())
 
 
-def syzygy_step(algebra, matrix):
-    """Minimal generating matrix (tuple of columns) for the kernel of the
-    map given by ``matrix`` (a nonempty tuple of columns over the algebra).
-
-    The input must be a minimal presentation matrix: any unit entry, any
-    zero column, or any kernel generator escaping the radical raises
-    NonMinimalInput.
-    """
-    cols = list(matrix)
-    if not cols:
-        raise ShapeMismatch("syzygy_step needs at least one column")
-    cols = _check_shape(algebra, len(cols[0]), cols)
-    dim_a = algebra.dim
-    for col in cols:
-        if not col:
-            raise NonMinimalInput("zero column in presentation matrix")
-        if _units(col, dim_a):
-            raise NonMinimalInput("unit entry in presentation matrix")
-    out = _syzygy_columns(algebra, cols)
-    if any(_units(vec, dim_a) for vec in out):
-        raise NonMinimalInput("input columns do not minimally generate their span")
-    return tuple(_dense_column(vec, len(cols), dim_a) for vec in out)
-
-
 class MinimalResolution(Record):
-    """Minimal free resolution data up to homological degree ``length``.
-
-    betti[i] is the rank of the i-th free module.  matrices[i], a dense view
-    derived on first access and then kept, holds the betti[i+1] columns, of
-    length betti[i], of the differential from step i+1 into step i.
-    """
+    """Minimal free resolution data up to homological degree ``length``:
+    betti[i] is the rank of the i-th free module."""
 
     module: PresentedModule
     betti: tuple[int, ...]
@@ -516,15 +485,6 @@ class MinimalResolution(Record):
     @property
     def length(self) -> int:
         return len(self.betti) - 1
-
-    @cached_property
-    def matrices(self) -> tuple:
-        algebra, cols = self.module.algebra, self.module.columns
-        mats = [self.module.relations]
-        for _ in range(self.length - 1):
-            rank0, cols = len(cols), _syzygy_columns(algebra, cols)
-            mats.append(tuple(_dense_column(vec, rank0, algebra.dim) for vec in cols))
-        return tuple(mats)
 
 
 def minimal_resolution(module: PresentedModule, length: int) -> MinimalResolution:
@@ -545,19 +505,10 @@ def minimal_resolution(module: PresentedModule, length: int) -> MinimalResolutio
 class Realization(Record):
     """k-realization of a presented module: its dimension and, per algebra
     basis monomial, the nonzero entries (row, column, coeff) of the matrix
-    by which it acts on coordinate columns.  action is the same as one dense
-    row-major matrix per monomial, derived on access."""
+    by which it acts on coordinate columns."""
 
     dim: int
     entries: tuple
-
-    @property
-    def action(self) -> tuple:
-        n = self.dim
-        return tuple(
-            _dense_column({i * n + j: x for i, j, x in ents}, n, n)
-            for ents in self.entries
-        )
 
 
 def _realize(module: PresentedModule) -> Realization:

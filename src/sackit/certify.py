@@ -921,10 +921,17 @@ def _rule_qpow(desc, depth, search):
 def _depth(ring):
     """depth R, which bounds the length of a regular sequence, where the
     toolkit knows it: 1 for k[[H]] and a gluing, 0 for the Artinian
-    k[H]/(t^q), one more for each R[[T]]; else None."""
+    k[H]/(t^q) and k[[H]]/I^p (I is m-primary), one more for each R[[T]],
+    and n less for R/Q^l, Q generated by a regular sequence of length
+    n <= depth R (Bruns & Herzog, ch. 1); else None."""
     if isinstance(ring, PowerSeriesExt):
         inner = _depth(ring.inner)
         return None if inner is None else inner + 1
+    if isinstance(ring, ParameterPowerQuotient):
+        inner, n = _depth(ring.inner), ring.regseq_len
+        return None if inner is None or n > inner else inner - n
+    if isinstance(ring, UlrichPowerQuotient):
+        return 0 if isinstance(ring.inner, SemigroupRing) else None
     if isinstance(ring, (SemigroupRing, Glued)):
         return 1
     return 0 if isinstance(ring, Truncation) else None
@@ -934,8 +941,12 @@ def _gorenstein(ring, search):
     """Premises that the Certified ``ring`` is Gorenstein, or None when they
     fail.  k[[H]], k[H]/(t^q) (t^q is regular), a gluing (valid, since R-GLUE
     certified it) and R[[T]] are Gorenstein exactly when one numerical
-    semigroup is symmetric; the other rings keep an assertion."""
-    if isinstance(ring, PowerSeriesExt):
+    semigroup is symmetric.  R/Q^l is Gorenstein exactly when R is if l = 1
+    or n = 1, since Q^l is then generated by a regular sequence (Bruns &
+    Herzog, ch. 3).  The other rings keep an assertion."""
+    if isinstance(ring, PowerSeriesExt) or (
+        isinstance(ring, ParameterPowerQuotient) and 1 in (ring.power, ring.regseq_len)
+    ):
         return _gorenstein(ring.inner, search)
     if isinstance(ring, AbstractCI):
         return [_asserted("complete intersections are Gorenstein")]

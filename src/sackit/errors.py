@@ -73,11 +73,6 @@ class AlgebraMismatch(SackitError):
     were combined."""
 
 
-class NonMinimalInput(SackitError):
-    """syzygy_step requires a minimal presentation matrix: every entry in
-    the radical and no redundant column."""
-
-
 class UnknownPremiseKind(SackitError):
     """The certificate engine was asked to verify a premise outside its
     closed vocabulary."""

@@ -14,9 +14,13 @@ _syzygy_columns; they check the component splitting and the dimension shift
 of ext_dims/tor_dims, not the syzygies.  The syzygies are checked by
 test_resolution_is_a_minimal_exact_complex, which builds its k-matrices
 (flatten_map) with mul, and byte for byte against the dense engine that the
-sparse one replaced (test_dense_oracle.py).  Both complex oracles read the
-realization through its dense public ``action`` view, multiplied out here
-(act_matrix), while the engine reads its sparse entries.  mul, invert,
+sparse one replaced (test_dense_oracle.py).  The library stores neither
+dense view these oracles read, so both are derived here, once: the
+resolution's matrices (resolution_matrices) by _syzygy_columns over the
+whole presentation, beside the component walk that gives the Betti numbers,
+and a realization's action (dense_action) from its sparse entries.  Both
+complex oracles multiply that action out (act_matrix), while the engine
+reads the sparse entries.  mul, invert,
 realization and the structure invariants are checked against a dense
 product table built here (dense_table), and the radical index and embedding
 dimension that certify's premises read off the Apery set against a scan of
@@ -42,18 +46,16 @@ from sackit import (
     quotient_algebra,
     realization,
     residue_field,
-    syzygy_step,
     tor_dims,
     truncation_algebra,
     SemigroupIdeal,
 )
 import sackit.artinian
-from sackit.artinian import ExtWindowReport
+from sackit.artinian import ExtWindowReport, _dense_column, _syzygy_columns
 from sackit.certify import _ulrich_candidates, verify_premise
 from sackit.errors import (
     AlgebraMismatch,
     DomainError,
-    NonMinimalInput,
     NonPositive,
     ShapeMismatch,
 )
@@ -92,6 +94,27 @@ def flatten_map(algebra, nrows, cols):
     return rows
 
 
+def resolution_matrices(res):
+    """The differentials of a minimal resolution as dense matrices: entry i
+    holds the betti[i+1] columns, of length betti[i], of the map from step
+    i+1 into step i, by _syzygy_columns over the whole presentation."""
+    A, cols = res.module.algebra, res.module.columns
+    mats = [res.module.relations]
+    for _ in range(res.length - 1):
+        rank0, cols = len(cols), _syzygy_columns(A, cols)
+        mats.append(tuple(_dense_column(vec, rank0, A.dim) for vec in cols))
+    return tuple(mats)
+
+
+def dense_action(real):
+    """A realization's action as one dense row-major matrix per basis
+    monomial, from its sparse (row, column, coeff) entries."""
+    n = real.dim
+    return tuple(
+        _dense_column({i * n + j: x for i, j, x in ents}, n, n) for ents in real.entries
+    )
+
+
 def commuting_hom_dim(M, N):
     rm, rn = realization(M), realization(N)
     p = M.algebra.char
@@ -99,8 +122,7 @@ def commuting_hom_dim(M, N):
     if dm == 0 or dn == 0:
         return 0
     rows = []
-    for b in range(M.algebra.dim):
-        Am, An = rm.action[b], rn.action[b]
+    for Am, An in zip(dense_action(rm), dense_action(rn)):
         for i in range(dn):
             for j in range(dm):
                 row = [0] * (dn * dm)
@@ -114,7 +136,7 @@ def commuting_hom_dim(M, N):
 
 def act_matrix(action, elem, p):
     """Action of an algebra element, given sparse as {basis index: coeff}, as
-    the dense matrix sum of a realization's public ``action`` matrices, so
+    the dense matrix sum of a realization's ``dense_action`` matrices, so
     the complex oracles share no code with ext_dims and tor_dims."""
     n = len(action[0])
     out = [[0] * n for _ in range(n)]
@@ -128,11 +150,10 @@ def act_matrix(action, elem, p):
 def hom_complex_ext(M, N, upto):
     res = minimal_resolution(M, upto + 1)
     realN = realization(N)
-    n, action = realN.dim, realN.action
+    n, action = realN.dim, dense_action(realN)
     p = M.algebra.char
     deltas = []
-    for i in range(upto + 1):
-        cols = res.matrices[i]  # d_{i+1}: F_{i+1} -> F_i
+    for i, cols in enumerate(resolution_matrices(res)):  # d_{i+1}: F_{i+1} -> F_i
         src = res.betti[i] * n
         rows = [[0] * src for _ in range(res.betti[i + 1] * n)]
         for j, col in enumerate(cols):
@@ -153,11 +174,10 @@ def hom_complex_ext(M, N, upto):
 def tensor_complex_tor(M, N, upto):
     res = minimal_resolution(M, upto + 1)
     realN = realization(N)
-    n, action = realN.dim, realN.action
+    n, action = realN.dim, dense_action(realN)
     p = M.algebra.char
     ranks = []
-    for i in range(upto + 1):
-        cols = res.matrices[i]
+    for i, cols in enumerate(resolution_matrices(res)):
         rows = [[0] * (res.betti[i + 1] * n) for _ in range(res.betti[i] * n)]
         for j, col in enumerate(cols):
             for g, entry in enumerate(col):
@@ -263,13 +283,13 @@ def test_products_match_dense_table(A, data):
     # matrices multiply as the table says
     c = data.draw(st.sampled_from(range(A.dim)))
     real = realization(cyclic_quotient(A, A.degrees[c]))
-    n = real.dim
+    n, action = real.dim, dense_action(real)
     assert n == A.dim - sum(k is not None for k in table[c])
     vec = data.draw(st.tuples(*[st.integers(0, A.char - 1)] * n))
 
     def act(b, v):
         return tuple(
-            sum(x * y for x, y in zip(row, v)) % A.char for row in real.action[b]
+            sum(x * y for x, y in zip(row, v)) % A.char for row in action[b]
         )
 
     assert act(0, vec) == vec
@@ -485,22 +505,19 @@ def test_syzygy_selection_is_linear_in_dim_through_the_walk(monkeypatch):
 def assert_minimal_exact(M, length):
     A = M.algebra
     res = minimal_resolution(M, length)
-    betti = res.betti
+    betti, mats = res.betti, resolution_matrices(res)
     # consecutive maps compose to zero
-    for d_next, d_here in zip(res.matrices[1:], res.matrices):
+    for d_next, d_here in zip(mats[1:], mats):
         for col in d_next:
             image = apply_columns(A, d_here, col)
             assert all(all(x == 0 for x in e) for e in image)
     # minimality: no unit entries anywhere
-    for mat in res.matrices:
+    for mat in mats:
         for col in mat:
             for entry in col:
                 assert not A.is_unit(entry)
     # rank-nullity bookkeeping and exactness at every inner step
-    flats = [
-        flatten_map(A, betti[i], res.matrices[i])
-        for i in range(len(res.matrices))
-    ]
+    flats = [flatten_map(A, betti[i], mat) for i, mat in enumerate(mats)]
     ranks = [rank(f, A.char) for f in flats]
     for i in range(len(flats)):
         ncols = betti[i + 1] * A.dim
@@ -641,7 +658,7 @@ def test_ext_tor_tables_are_frozen():
                 direct_sum(cyclic_quotient(A, c), residue_field(A))]
         for N in mods:
             real = realization(N)
-            digest.update(repr((real.dim, real.action)).encode())
+            digest.update(repr((real.dim, dense_action(real))).encode())
             for M in mods:
                 digest.update(repr((ext_dims(M, N, 6), tor_dims(M, N, 6))).encode())
     assert digest.hexdigest() == (
@@ -735,10 +752,10 @@ def test_realization_dimensions():
     assert realization(cyclic_quotient(B, 11)).dim == 3
     assert realization(residue_field(B)).dim == 1
     assert realization(free_module(B, 3)).dim == 3 * B.dim
-    r = realization(residue_field(B))
+    action = dense_action(realization(residue_field(B)))
     # every positive-degree monomial kills the residue field
     for b in range(1, B.dim):
-        assert r.action[b] == ((0,),)
+        assert action[b] == ((0,),)
 
 
 def test_cyclic_quotient_edges():
@@ -817,11 +834,11 @@ def test_resolution_length_and_matrices_follow_betti():
     A = trunc([3, 4, 5], 6)
     M = direct_sum(cyclic_quotient(A, 4), free_module(A, 1))
     res = minimal_resolution(M, 4)
-    assert res.length == len(res.matrices) == 4
-    for i, mat in enumerate(res.matrices):
+    mats = resolution_matrices(res)
+    assert res.length == len(mats) == 4
+    for i, mat in enumerate(mats):
         assert len(mat) == res.betti[i + 1]
         assert all(len(col) == res.betti[i] for col in mat)
-    assert res.matrices is res.matrices  # derived once, then kept
 
 
 def test_presentation_minimalization():
@@ -836,6 +853,9 @@ def test_presentation_minimalization():
     # zero columns are dropped
     M3 = module_from_presentation(B, 1, [(B.zero(),)])
     assert M3.is_free()
+    # a column whose length is not rank0 is an error
+    with pytest.raises(ShapeMismatch):
+        module_from_presentation(B, 1, [(x5,), (x5, x5)])
 
 
 def test_minimalization_takes_every_radical_multiple():
@@ -845,19 +865,6 @@ def test_minimalization_takes_every_radical_multiple():
     C = trunc([3, 4, 5], 9)
     M = module_from_presentation(C, 1, [(C.monomial(3),), (C.monomial(10),)])
     assert len(M.relations) == 1
-
-
-def test_syzygy_step_rejects_nonminimal_input():
-    B = trunc([4, 5, 6], 4)
-    x5 = B.monomial(5)
-    with pytest.raises(ShapeMismatch):
-        syzygy_step(B, ())
-    with pytest.raises(NonMinimalInput):
-        syzygy_step(B, ((B.zero(),),))
-    with pytest.raises(NonMinimalInput):
-        syzygy_step(B, ((B.monomial(0),),))
-    with pytest.raises(ShapeMismatch):
-        syzygy_step(B, ((x5,), (x5, x5)))
 
 
 def test_window_reports():
@@ -898,12 +905,12 @@ def test_random_presentations_resolve_minimally(data):
             col.append(tuple(data.draw(coeff) for _ in range(A.dim)))
         cols.append(tuple(col))
     M = module_from_presentation(A, rank0, cols)
-    res = minimal_resolution(M, 3)
-    for d_next, d_here in zip(res.matrices[1:], res.matrices):
+    mats = resolution_matrices(minimal_resolution(M, 3))
+    for d_next, d_here in zip(mats[1:], mats):
         for col in d_next:
             image = apply_columns(A, d_here, col)
             assert all(all(x == 0 for x in e) for e in image)
-    for mat in res.matrices:
+    for mat in mats:
         for col in mat:
             assert not any(A.is_unit(entry) for entry in col)
     assert ext_dims(M, residue_field(A), 0)[0] == commuting_hom_dim(

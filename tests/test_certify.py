@@ -249,6 +249,11 @@ def test_route_parameter_powers():
     ab = certify("qpow(ci(),2,3)")
     assert ab.verdict == "Certified"
     assert sorted(p.status for p in ab.premises) == ["Asserted", "Verified"]
+    # over R/Q^l with l, n >= 2, Q^l is no longer generated by a regular
+    # sequence, so the premise stays asserted
+    kept = certify("qpow(qpow(powser(powser(sgp(2,3))),2,2),1,1)")
+    assert kept.verdict == "Certified"
+    assert [p.status for p in kept.premises].count("Asserted") == 1
     out_of_range = certify("qpow(sgp(2,3),5,3)")
     assert out_of_range.verdict == "Unknown"
 
@@ -257,11 +262,13 @@ def test_route_parameter_powers():
     ("qpow(powser(trunc(sgp(3,4,5),6)),1,1)", "qpow(powser(trunc(sgp(3,5),6)),1,1)"),
     ("qpow(glued(sgp(3,4,5),2,7),1,1)", "qpow(glued(sgp(3,5),2,9),1,1)"),
     ("qpow(powser(sgp(3,4,5)),1,2)", "qpow(powser(sgp(3,5)),1,2)"),
+    ("qpow(qpow(powser(sgp(3,4,5)),1,1),1,1)", "qpow(qpow(powser(sgp(2,3)),1,1),1,1)"),
 ])
 def test_qpow_checks_the_gorenstein_premise_it_can(ring, twin):
     # each inner ring is Gorenstein exactly when one numerical semigroup is
-    # symmetric (t^q is regular on k[[H]] for trunc); <3,4,5> and <6,7,8,10>
-    # are not, their twins <3,5> and <6,9,10> are
+    # symmetric (t^q is regular on k[[H]] for trunc, and Q is generated by a
+    # regular sequence for qpow(R,1,n)); <3,4,5> and <6,7,8,10> are not,
+    # their twins <3,5>, <6,9,10> and <2,3> are
     refuted = certify(ring)
     assert (refuted.verdict, refuted.attempted) == ("Unknown", ("R-QPOW",))
     cert = certify(twin)
@@ -280,11 +287,14 @@ def test_qpow_checks_the_gorenstein_premise_it_can(ring, twin):
     ("qpow(powser(sgp(2,3)),3,3)", "qpow(powser(sgp(2,3)),2,2)", 2),
     ("qpow(powser(powser(trunc(sgp(2,3),4))),3,3)",
      "qpow(powser(powser(trunc(sgp(2,3),4))),1,2)", 2),
+    ("qpow(upow(sgp(3,4,5),(3,4,5),1),1,2)", None, 0),
+    ("qpow(qpow(sgp(2,3),1,1),1,1)", "qpow(qpow(powser(sgp(2,3)),1,1),1,1)", 1),
 ])
 def test_qpow_checks_the_regular_sequence_against_depth(refuted, held, depth):
     # Q is generated by a regular sequence of length n, so n <= depth R:
-    # 1 for k[[H]] and a gluing, 0 for the Artinian k[H]/(t^q), one more
-    # per R[[T]].  Past it R-QPOW fails; up to it the certificate says so
+    # 1 for k[[H]] and a gluing, 0 for the Artinian k[H]/(t^q) and
+    # k[[H]]/I^p, one more per R[[T]], n less per R/Q^l.  Past it R-QPOW
+    # fails; up to it the certificate says so
     cert = certify(refuted)
     assert (cert.verdict, cert.attempted) == ("Unknown", ("R-QPOW",))
     if held is not None:
@@ -483,7 +493,7 @@ def test_citation_fragments():
 
 # sha256 of the certificate JSON and render() over the corpus below; a
 # refactor of the parser or the rule engine must keep every byte
-CORPUS_SHA256 = "8629df7aa598444ac3664a8ed638562248ebadb66f3baca5a0472feb36f063b2"
+CORPUS_SHA256 = "62e10c097df48980eb7a10fcda8e84ed10abbc3c4db6b0c20a44fd763b94cbf5"
 DIGEST_CORPUS = ROUND_TRIPS + [
     "sgp(6,7,11)",
     "sgp(5,1001)",
@@ -493,6 +503,7 @@ DIGEST_CORPUS = ROUND_TRIPS + [
     "ffd(qpow(ci(),1,2),powser(sgp(2,3)))",
     "ffd(sgp(3,4,5),ffd(?,trunc(sgp(4,5,6),4)))",
     "powser(qpow(upow(sgp(3,4,5),(3,4,5),1),1,2))",
+    "qpow(qpow(powser(sgp(2,3)),1,1),1,1)",
 ] + [
     "sgp(" + ",".join(map(str, gens)) + ")"
     for k in (2, 3)

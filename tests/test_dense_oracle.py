@@ -7,9 +7,11 @@ selection over dense radical multiples, and presentation minimalization on
 top of that.  The library's sparse engine (sparse ``Span``, a
 ``sparse_kernel`` taken in one ``Span`` pass, unit inverses by forward
 substitution) must give the same bytes: the same minimal presentations
-(``module_from_presentation``), the same ``syzygy_step`` matrices and the
-same ``minimal_resolution`` matrices, over the deep algebras of the Ext/Tor
-corpus and over random presentations on them.  The resolution's Betti
+(``module_from_presentation``) and the same resolution matrices, which
+``resolution_matrices`` derives by running ``_syzygy_columns`` over the
+whole presentation, over the deep algebras of the Ext/Tor corpus and over
+random presentations on them.  Each of those matrices, read back through
+``module_from_presentation``, resolves to the next.  The resolution's Betti
 numbers, which the library reads off its component walk and never from the
 matrices, must count the dense engine's columns.
 """
@@ -22,11 +24,10 @@ from sackit import (
     minimal_resolution,
     module_from_presentation,
     residue_field,
-    syzygy_step,
 )
 from sackit.modp import kernel_basis
 from test_modp import solve
-from test_artinian import DEEP_ALGEBRAS, DEEP_IDS, trunc
+from test_artinian import DEEP_ALGEBRAS, DEEP_IDS, resolution_matrices, trunc
 
 
 class DenseSpan:
@@ -150,14 +151,17 @@ def assert_engines_agree(A, rank0, raw_cols):
     k = residue_field(A)
     assert direct_sum(M, k).relations == padded_blocks(A, M, k)
     assert direct_sum(k, M).relations == padded_blocks(A, k, M)
-    mats = minimal_resolution(M, 3).matrices
-    assert mats == dense_matrices(A, M.relations, 3)
+    res = minimal_resolution(M, 3)
+    mats = resolution_matrices(res)
+    dense = dense_matrices(A, M.relations, 3)
+    assert mats == dense
     for here, nxt in zip(mats, mats[1:]):
         if here:
-            assert syzygy_step(A, here) == nxt
+            step = module_from_presentation(A, len(here[0]), here)
+            assert step.relations == here
+            assert resolution_matrices(minimal_resolution(step, 2))[1] == nxt
     # the Betti numbers come from the component walk, not from the matrices
-    dense = dense_matrices(A, M.relations, 3)
-    assert minimal_resolution(M, 3).betti == (M.rank0,) + tuple(map(len, dense))
+    assert res.betti == (M.rank0,) + tuple(map(len, dense))
 
 
 @pytest.mark.parametrize("name", ["k", "cyc"])

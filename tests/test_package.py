@@ -25,7 +25,7 @@ PUBLIC = [
     "direct_sum", "estimate_ratio_holds", "ext_deg_window", "ext_dims", "free_module",
     "ideal_from_text", "ideal_to_text", "is_ulrich", "minimal_resolution",
     "module_from_presentation", "parse_ring", "power_layer_lengths", "quotient_algebra",
-    "realization", "residue_field", "search_reduction", "syzygy_step", "tor_dims",
+    "realization", "residue_field", "search_reduction", "tor_dims",
     "truncation_algebra", "ulrich_rank_formula", "validate_descriptor", "verify_premise",
 ]
 

@@ -98,9 +98,9 @@ def test_cli_import_leaves_json_out():
 
 
 def test_cli_import_leaves_click_out():
-    # the command line is an argparse table, so a fresh `import sackit.cli`
-    # loads no click (about 20 ms of every command's start-up), while every
-    # traced module is still loaded
+    # the command line is read off the `cli.COMMANDS` table, so a fresh
+    # `import sackit.cli` loads no click (about 20 ms of every command's
+    # start-up), while every traced module is still loaded
     modules = sorted({m for m, _attr, _prefix, _timed in _targets()})
     script = (
         "import json, sys\n"
