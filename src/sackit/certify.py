@@ -943,10 +943,13 @@ def _gorenstein(ring, search):
     certified it) and R[[T]] are Gorenstein exactly when one numerical
     semigroup is symmetric.  R/Q^l is Gorenstein exactly when R is if l = 1
     or n = 1, since Q^l is then generated by a regular sequence (Bruns &
-    Herzog, ch. 3).  The other rings keep an assertion."""
-    if isinstance(ring, PowerSeriesExt) or (
-        isinstance(ring, ParameterPowerQuotient) and 1 in (ring.power, ring.regseq_len)
-    ):
+    Herzog, ch. 3), and never if l, n >= 2: gr_Q R = (R/Q)[X_1..X_n] (ch. 1),
+    so Q^(l-1)/Q^l is free of rank binom(n+l-2, n-1) >= n over R/Q, and
+    modulo a maximal R/Q-regular sequence the socle has dimension at least
+    n >= 2.  The other rings keep an assertion."""
+    if isinstance(ring, ParameterPowerQuotient):
+        return _gorenstein(ring.inner, search) if 1 in (ring.power, ring.regseq_len) else None
+    if isinstance(ring, PowerSeriesExt):
         return _gorenstein(ring.inner, search)
     if isinstance(ring, AbstractCI):
         return [_asserted("complete intersections are Gorenstein")]

@@ -6,7 +6,10 @@ form, which always agree on the numeric fields.  `main` alone renders one of
 them (the record with --json, which every subcommand takes), prints and
 flushes.  Exit codes: 0 on success, 1 on a domain error (reported on stderr)
 or when the reader of stdout has gone, 2 on a usage error (reported on
-stderr under the usage line, naming the offending flag).
+stderr under the usage line, naming the offending flag).  `main.main`
+raises SystemExit with the code, for in-process callers; `main(...)`, the
+console script and `python -m sackit`, flushes stdout and stderr and ends
+the process with `os._exit`, without interpreter teardown.
 
 `main` reads a valid command line off the `COMMANDS` table itself; help,
 --version, --rule and usage errors go to an argparse parser built from the
@@ -356,9 +359,14 @@ def _parser(prog: str | None, args: list[str]):
 
 
 class _Main:
-    """The `sackit` entry point: `main` parses, runs one command, prints its
+    """The `sackit` entry point.  `main` parses, runs one command, prints its
     record or text and always raises SystemExit (0, 1 on a domain error or
-    when the reader of stdout has gone, 2 on a usage error)."""
+    when the reader of stdout has gone, 2 on a usage error); in-process
+    callers use it.  Calling the object runs `main` and ends the process with
+    its exit code, after flushing stdout and stderr, by `os._exit`: the
+    interpreter's teardown (module cleanup, a last collection, `atexit`
+    handlers) would cost every one-shot command about 10 ms after its output
+    is written."""
 
     def main(self, args=None, prog_name=None):
         args = sys.argv[1:] if args is None else list(args)
@@ -388,7 +396,19 @@ class _Main:
         raise SystemExit(0)
 
     def __call__(self, args=None, prog_name=None):
-        self.main(args, prog_name)
+        try:
+            self.main(args, prog_name)
+        except SystemExit as exc:
+            if exc.code is not None and not isinstance(exc.code, int):
+                raise  # a message to print: the interpreter's exit path does it
+            code = exc.code or 0
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                try:
+                    stream.flush()
+                except (BrokenPipeError, ValueError):  # reader gone, or stream closed
+                    pass
+        os._exit(code)
 
 
 main = _Main()

@@ -1,7 +1,8 @@
 """Run the `sackit` command line in process, with stdlib tools only.
 
-``invoke(args, env=None)`` calls ``sackit.cli.main`` under the program name
-``sackit`` with stdout and stderr captured, and returns a namespace of:
+``invoke(args, env=None, prog_name="sackit")`` calls ``sackit.cli.main.main``
+under that program name with stdout and stderr captured, and returns a
+namespace of:
 
  * ``exit_code`` -- the code of the SystemExit that ends the command (0 when
    the command returns);
@@ -29,7 +30,7 @@ def _set_env(values):
             os.environ[name] = value
 
 
-def invoke(args, env=None):
+def invoke(args, env=None, prog_name="sackit"):
     env = env or {}
     saved = {name: os.environ.get(name) for name in env}
     out, err = io.StringIO(), io.StringIO()
@@ -37,7 +38,7 @@ def invoke(args, env=None):
     _set_env(env)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            main.main(args=list(args), prog_name="sackit")
+            main.main(args=list(args), prog_name=prog_name)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
     finally:

@@ -490,6 +490,36 @@ def test_module_entry_point_exit_codes():
         assert done.stderr.startswith("Usage: python -m sackit"), args
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_the_process_exit_writes_what_main_writes(unbuffered, tmp_path):
+    # `python -m sackit` ends by os._exit after flushing, with no interpreter
+    # teardown to write what a stream still holds.  Its stdout goes to a
+    # file, as a benchmark op's does: block-buffered unless PYTHONUNBUFFERED
+    # is set, so the last bytes wait for the flush.  The process must write
+    # the bytes and exit with the code that `main` gives in process
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(src), COLUMNS="80")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for args, code, err_start in (
+            (("sgp", "info", "--gens", "30000,30001", "--json"), 0, ""),
+            (("sgp", "info", "--gens", "4,6"), 1, "error:"),
+            (("sgp", "info"), 2, "Usage: python -m sackit sgp info"),
+            (("--help",), 0, ""),
+            (("--version",), 0, "")):
+        out, err = tmp_path / "stdout", tmp_path / "stderr"
+        with open(out, "wb") as out_file, open(err, "wb") as err_file:
+            done = subprocess.run([sys.executable, "-m", "sackit", *args], env=env,
+                                  stdout=out_file, stderr=err_file, timeout=60)
+        want = invoke(args, env={"COLUMNS": "80"}, prog_name="python -m sackit")
+        assert (want.exit_code, want.stderr[:len(err_start)]) == (code, err_start), args
+        assert want.stdout or code, args
+        assert done.returncode == code, (args, err.read_text())
+        assert out.read_bytes() == want.stdout.encode(), args
+        assert err.read_bytes() == want.stderr.encode(), args
+
+
 # Command lines whose bytes sackit itself writes: every command in text and
 # --json form, and one domain error per group.
 OUTPUT_CORPUS = [

@@ -5,13 +5,14 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-A row is (file under src/sackit, snippet, replacement, test ids).  For each
-row the script copies src/, tests/, perfbench/ and pyproject.toml to a
-temporary directory, replaces the snippet, which must occur exactly once in
-its file, and runs the named tests inside the copy.  They run there because
-the `pythonpath = ["src"]` setting of pyproject.toml would otherwise put the
-unmutated src/ first.  Before any mutant, the named tests run on an
-unmutated copy, where each must pass.
+A row is (name, file under src/sackit, snippet, replacement, test ids); a
+mutant that breaks two places gives a tuple of snippets and a tuple of their
+replacements.  For each row the script copies src/, tests/, perfbench/ and
+pyproject.toml to a temporary directory, replaces each snippet, which must
+occur exactly once in its file, and runs the named tests inside the copy.
+They run there because the `pythonpath = ["src"]` setting of pyproject.toml
+would otherwise put the unmutated src/ first.  Before any mutant, the named
+tests run on an unmutated copy, where each must pass.
 
 Exit status 0 when every mutant is killed; 1 on a survivor (a named test
 that passes on its mutant), a snippet that does not match exactly once, or
@@ -47,6 +48,9 @@ _READER = "tests/test_cli.py::test_the_reader_agrees_with_argparse"
 _CORPUS_READ = "tests/test_cli.py::test_the_reader_takes_every_valid_corpus_line"
 _DEPTH = "tests/test_certify.py::test_qpow_checks_the_regular_sequence_against_depth"
 _DENSE = "tests/test_dense_oracle.py::test_deep_modules_match_dense_engine"
+_GOR = "tests/test_certify.py::test_qpow_checks_the_gorenstein_premise_it_can"
+_EXIT = "tests/test_cli.py::test_the_process_exit_writes_what_main_writes"
+_QPOW22 = "qpow(qpow(powser(powser(sgp(2,3))),2,2),1,1)"
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -136,8 +140,7 @@ ROWS = [
     ("R-QPOW asserts a truncation Gorenstein", _CERT,
      "elif isinstance(ring, (SemigroupRing, Truncation)):",
      "elif isinstance(ring, SemigroupRing):",
-     ["tests/test_certify.py::test_qpow_checks_the_gorenstein_premise_it_can"
-      "[qpow(powser(trunc(sgp(3,4,5),6)),1,1)-qpow(powser(trunc(sgp(3,5),6)),1,1)]"]),
+     [f"{_GOR}[qpow(powser(trunc(sgp(3,4,5),6)),1,1)-qpow(powser(trunc(sgp(3,5),6)),1,1)]"]),
     ("R-QPOW depth check dropped", _CERT,
      "if not 1 <= desc.power <= n or (ring_depth is not None and n > ring_depth):",
      "if not 1 <= desc.power <= n:",
@@ -153,9 +156,15 @@ ROWS = [
      [f"{_DEPTH}[qpow(qpow(sgp(2,3),1,1),1,1)-qpow(qpow(powser(sgp(2,3)),1,1),1,1)-1]",
       _BYTES]),
     ("Gorenstein recursion taken for l, n >= 2", _CERT,
-     "isinstance(ring, ParameterPowerQuotient) and 1 in (ring.power, ring.regseq_len)",
-     "isinstance(ring, ParameterPowerQuotient)",
-     ["tests/test_certify.py::test_route_parameter_powers"]),
+     "return _gorenstein(ring.inner, search) if 1 in (ring.power, ring.regseq_len) else None",
+     "return _gorenstein(ring.inner, search)",
+     ["tests/test_certify.py::test_route_parameter_powers",
+      f"{_GOR}[{_QPOW22}-qpow(qpow(powser(powser(sgp(2,3))),1,2),1,1)]"]),
+    ("R/Q^l with l, n >= 2 asserted Gorenstein again", _CERT,
+     "if 1 in (ring.power, ring.regseq_len) else None",
+     'if 1 in (ring.power, ring.regseq_len) else [_asserted("the inner ring is Gorenstein")]',
+     ["tests/test_certify.py::test_route_parameter_powers",
+      f"{_GOR}[{_QPOW22}-qpow(qpow(powser(powser(sgp(2,3))),1,2),1,1)]"]),
     ("stdout left in the locale's encoding", _CLI,
      'sys.stdout.reconfigure(encoding="utf-8")', "pass",
      [f"{_UTF8}[ascii]", f"{_UTF8}[latin-1]"]),
@@ -185,7 +194,20 @@ ROWS = [
      "import os\nimport sys\n", "import argparse\nimport os\nimport sys\n",
      [f"tests/test_package.py::test_a_command_runs_only_the_modules_it_uses[args{i}-lazy{i}]"
       for i in (0, 2, 3, 4)]),
+    # the entry point ends the process by os._exit after flushing
+    ("process exit code replaced by 0", _CLI,
+     "os._exit(code)", "os._exit(0)",
+     [f"{_EXIT}[False]", f"{_EXIT}[True]",
+      "tests/test_cli.py::test_module_entry_point_exit_codes"]),
+    ("stdout flushes dropped before the process exit", _CLI,
+     ("                sys.stdout.flush()\n", "for stream in (sys.stdout, sys.stderr):"),
+     ("                pass\n", "for stream in (sys.stderr,):"),
+     [f"{_EXIT}[False]"]),
 ]
+
+
+def _each(snippets) -> tuple[str, ...]:
+    return (snippets,) if isinstance(snippets, str) else snippets
 
 
 def _copy(dest: Path) -> None:
@@ -210,10 +232,12 @@ def _passed(tree: Path, tests) -> set[str]:
 
 def main() -> int:
     problems = []
-    for name, file, snippet, _, _ in ROWS:
-        count = (ROOT / "src" / "sackit" / file).read_text().count(snippet)
-        if count != 1:
-            problems.append(f"stale row {name!r}: snippet found {count} times in {file}")
+    for name, file, snippets, _, _ in ROWS:
+        text = (ROOT / "src" / "sackit" / file).read_text()
+        for snippet in _each(snippets):
+            count = text.count(snippet)
+            if count != 1:
+                problems.append(f"stale row {name!r}: snippet found {count} times in {file}")
     if problems:
         print("\n".join(problems))
         return 1
@@ -225,11 +249,14 @@ def main() -> int:
         if failing:
             print("named tests fail on the unmutated tree:", *failing, sep="\n  ")
             return 1
-        for i, (name, file, snippet, replacement, tests) in enumerate(ROWS):
+        for i, (name, file, snippets, replacements, tests) in enumerate(ROWS):
             tree = Path(scratch) / f"m{i}"
             _copy(tree)
             path = tree / "src" / "sackit" / file
-            path.write_text(path.read_text().replace(snippet, replacement))
+            text = path.read_text()
+            for snippet, replacement in zip(_each(snippets), _each(replacements), strict=True):
+                text = text.replace(snippet, replacement)
+            path.write_text(text)
             survivors = sorted(_passed(tree, tests))
             print(f"{'SURVIVED' if survivors else 'killed  '}  {name}", flush=True)
             problems += [f"{name}: {test} passes" for test in survivors]
