@@ -3,9 +3,9 @@
 A (semigroup) ideal is a set E of members closed under adding members,
 stored by its minimal generator degrees and, like its semigroup, by its
 least element in each residue class mod the multiplicity m: E meets class
-r in the progression from there in steps of m.  Membership is one
-comparison, complements are unions of m finite progressions, and lengths
-of quotients are sums of m differences.
+r in the progression from there in steps of m.  That table is the least of
+the tables of g + H over the generators g; membership is one comparison, and
+lengths and complements are read off two tables by ``sackit.semigroup``.
 
 The module also carries the arithmetic used to compare power layers with
 their predicted free ranks: ulrich_rank_formula, estimate_ratio_holds and
@@ -29,7 +29,7 @@ from .errors import (
     NotContained,
     NotInIdeal,
 )
-from .semigroup import NumericalSemigroup, check_dimension
+from .semigroup import NumericalSemigroup, _between, _length, _shifted
 
 
 class SemigroupIdeal:
@@ -40,10 +40,8 @@ class SemigroupIdeal:
     def __init__(self, ambient: NumericalSemigroup, generators: tuple[int, ...]):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "generators", generators)
-        # least element in each residue class mod m; () for the zero ideal.
-        # Over r, g + ap[(r - g) % m] is ap rotated by g mod m, plus g.
-        m, ap = ambient.multiplicity, ambient._apery
-        rows = [map(g.__add__, ap[-(g % m):] + ap[:-(g % m)]) for g in generators]
+        # least element in each residue class mod m; () for the zero ideal
+        rows = [_shifted(ambient._apery, g) for g in generators]
         least = tuple(map(min, *rows) if len(rows) > 1 else rows[0]) if rows else ()
         object.__setattr__(self, "_least", least)
 
@@ -85,9 +83,7 @@ class SemigroupIdeal:
     def product(self, other: "SemigroupIdeal") -> "SemigroupIdeal":
         """Ideal generated by all pairwise generator sums."""
         if self.ambient != other.ambient:
-            raise AmbientMismatch(
-                f"<{self.ambient}> vs <{other.ambient}>"
-            )
+            raise AmbientMismatch(f"<{self.ambient}> vs <{other.ambient}>")
         sums = {a + b for a in self.generators for b in other.generators}
         return SemigroupIdeal.from_generators(self.ambient, sums)
 
@@ -118,40 +114,36 @@ class SemigroupIdeal:
     def colength(self) -> int:
         """Number of semigroup members outside the ideal (the length of the
         quotient by the ideal)."""
-        ap, least = self._outside()
-        return (sum(least) - sum(ap)) // len(ap)
+        return _length(*self._outside())
 
     def complement(self) -> tuple[int, ...]:
         """The sorted members outside the ideal; TooLarge past MAX_DIMENSION."""
-        check_dimension(self.colength())
-        return _span(*self._outside())
+        return _between(*self._outside())
 
     def relative_length(self, other: "SemigroupIdeal") -> int:
         """Length of (this ideal) / (other ideal); requires other <= this."""
-        self._check_contains(other)
-        return (sum(other._least) - sum(self._least)) // len(self._least)
+        return _length(*self._relative(other))
 
     def relative_complement(self, other: "SemigroupIdeal") -> tuple[int, ...]:
-        """Elements of this ideal outside ``other``, sorted; TooLarge past
-        MAX_DIMENSION."""
-        check_dimension(self.relative_length(other))
-        return _span(self._least, other._least)
+        """Elements of this ideal outside ``other``, sorted; TooLarge past MAX_DIMENSION."""
+        return _between(*self._relative(other))
 
     def _outside(self):
+        """The tables of H and of this ideal, which bound its complement."""
         if self.is_empty():
             raise EmptyIdeal("the zero ideal has infinite colength")
         return self.ambient._apery, self._least
 
-    def _check_contains(self, other: "SemigroupIdeal") -> None:
+    def _relative(self, other: "SemigroupIdeal"):
+        """The tables of this ideal and of ``other``, once other <= this."""
         if self.ambient != other.ambient:
             raise AmbientMismatch(f"<{self.ambient}> vs <{other.ambient}>")
         if other.is_empty():
             raise EmptyIdeal("relative length against the zero ideal is infinite")
         for g in other.generators:
             if not self.member(g):
-                raise NotContained(
-                    f"generator {g} of the smaller ideal is outside the larger one"
-                )
+                raise NotContained(f"generator {g} of the smaller ideal is outside the larger one")
+        return self._least, other._least
 
     def mu(self) -> int:
         """Minimal number of generators.
@@ -179,17 +171,10 @@ class SemigroupIdeal:
         return hash((self.ambient, self.generators))
 
 
-def _span(lo, hi) -> tuple[int, ...]:
-    """Sorted union of the progressions range(lo[r], hi[r], m), where m is
-    the number of residue classes."""
-    m = len(lo)
-    return tuple(sorted(x for a, b in zip(lo, hi) for x in range(a, b, m)))
-
-
 class UlrichReport(Record):
     """Outcome of an Ulrich verification for a fixed reduction witness.
 
-    free_rank is layer_length / colength when that is integral, else None;
+    free_rank is layer_length / colength when that is an integer, else None;
     reduction_q is the witness when the stability test passed, else None.
     """
 
@@ -249,18 +234,18 @@ def is_ulrich(ideal: SemigroupIdeal, q: int) -> UlrichReport:
         colength=col,
         mu=c,
         layer_length=layer,
-        free_rank=layer // col if layer % col == 0 else None,
+        free_rank=layer // col if col and layer % col == 0 else None,
     )
 
 
 def search_reduction(ideal: SemigroupIdeal) -> int | None:
-    """First generator (ascending) that is a stable reduction witness, if any.
+    """First positive generator (ascending) that is a stable reduction witness, if any.
 
     Only the stability half of the Ulrich test is searched; run is_ulrich
     on the witness for the full verification.
     """
     for q in ideal.generators:
-        if _stable(ideal, q):
+        if q > 0 and _stable(ideal, q):
             return q
     return None
 

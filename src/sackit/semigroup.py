@@ -14,6 +14,10 @@ query in O(m) time and memory, however large the Frobenius number F:
 - the genus is sum(Ap)/m - (m-1)/2 (Selmer's formula);
 - H is symmetric exactly when its genus is (F+1)/2.
 
+An ideal of H (``sackit.ideals``) is stored by the same kind of table; the
+private helpers ``_shifted``, ``_length`` and ``_between`` below serve both,
+and ``_between``, which lists, alone checks the size cap MAX_DIMENSION.
+
 Instances are immutable; every operation returns plain values or fresh
 instances.
 """
@@ -130,10 +134,7 @@ class NumericalSemigroup:
     def gaps(self) -> tuple[int, ...]:
         """All nonnegative integers outside the semigroup; TooLarge, before
         any is listed, when there are more than MAX_DIMENSION."""
-        check_dimension(self.genus)
-        return tuple(
-            x for x in range(self.frobenius + 1) if not self.contains(x)
-        )
+        return _between(range(self.multiplicity), self._apery)
 
     # -- invariants ------------------------------------------------------
 
@@ -148,21 +149,15 @@ class NumericalSemigroup:
         return len(self.generators)
 
     def apery_set(self, q: int) -> tuple[int, ...]:
-        """Smallest member in each residue class mod ``q``, sorted.
-
-        ``q`` must be a nonzero member, and at most MAX_DIMENSION (else
-        TooLarge, before anything is listed); the result has ``q`` elements
-        and contains 0.  They are the members x with x - q no member: in the
-        class of r mod m the members start at Ap[r] and those of q + H at
-        q + Ap[(r - q) mod m], so the set is read off Ap in O(q).
+        """Smallest member in each residue class mod ``q``, sorted: the q
+        members x, 0 among them, with x - q no member.  In each class mod m
+        they run from where H starts to where q + H starts, so they are read
+        off Ap in O(q).  ``q`` must be a nonzero member, and at most
+        MAX_DIMENSION (else TooLarge, before anything is listed).
         """
         if q <= 0 or not self.contains(q):
             raise NotAMember(f"{q} is not a nonzero member of <{self}>")
-        check_dimension(q)
-        m, ap = self.multiplicity, self._apery
-        return tuple(sorted(
-            x for r in range(m) for x in range(ap[r], q + ap[(r - q) % m], m)
-        ))
+        return _between(self._apery, tuple(_shifted(self._apery, q)))
 
     def is_gap_symmetric(self) -> bool:
         """Whether x is a member exactly when frobenius - x is a gap, for
@@ -241,10 +236,30 @@ def _apery(gens, q: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def check_dimension(dim: int) -> None:
-    """Raise TooLarge, before any basis is listed, past MAX_DIMENSION."""
-    if dim > MAX_DIMENSION:
+def _shifted(table, g: int):
+    """The table of g + S from that of S, lazily, so that a minimum of shifts
+    holds one table: over r it is g + table[(r - g) mod m], a rotation plus g."""
+    k = g % len(table)
+    return map(g.__add__, table[-k:] + table[:-k])
+
+
+def _length(lo, hi) -> int:
+    """Number of x with lo[r] <= x < hi[r], r = x mod m, for two residue
+    tables with lo <= hi; class r holds (hi[r] - lo[r]) / m of them."""
+    return (sum(hi) - sum(lo)) // len(lo)
+
+
+def _between(lo, hi) -> tuple[int, ...]:
+    """The x counted by ``_length(lo, hi)``, sorted; TooLarge, before any
+    is listed, when there are more than MAX_DIMENSION."""
+    if (dim := _length(lo, hi)) > MAX_DIMENSION:
         raise TooLarge(f"algebra dimension {dim} is above the supported {MAX_DIMENSION}")
+    return _progressions(lo, hi)
+
+
+def _progressions(lo, hi) -> tuple[int, ...]:
+    """Sorted union of the progressions range(lo[r], hi[r], m)."""
+    return tuple(sorted(x for a, b in zip(lo, hi) for x in range(a, b, len(lo))))
 
 
 def radical_index(degrees, atoms) -> int:

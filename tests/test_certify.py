@@ -372,6 +372,8 @@ def test_verify_premise_vocabulary():
     ok, pr = verify_premise("ulrich", semigroup=H, ideal_gens=[8, 12, 14, 18])
     assert ok and pr.status == "Verified"
     assert dict(pr.evidence) == {"colength": 2, "layer": 8, "mu": 4, "q": 8}
+    ok, pr = verify_premise("ulrich", semigroup=H, ideal_gens=(0,))
+    assert (ok, pr.statement, pr.status) == (False, "no stable reduction found", "Asserted")
 
     H345 = NumericalSemigroup.from_generators([3, 4, 5])
     ok, pr = verify_premise("min_mult", semigroup=H345)

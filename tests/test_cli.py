@@ -86,6 +86,14 @@ def test_ideal_ulrich():
     # no stable reduction exists for the maximal ideal of <5,6,9>
     assert run("ideal", "ulrich", "--gens", "5,6,9",
                "--ideal", "5,6,9").exit_code == 1
+    # nor for the unit ideal (0), whose one generator is no witness
+    unit = run("ideal", "ulrich", "--gens", "3,4,5", "--ideal", "0")
+    assert (unit.exit_code, unit.stderr) == (
+        1, "error: no stable reduction degree among the generators\n")
+    given = run("ideal", "ulrich", "--gens", "3,4,5", "--ideal", "0", "--q", "3", "--json")
+    assert given.exit_code == 0
+    assert json.loads(given.output) == {
+        "is_ulrich": False, "colength": 0, "mu": 1, "layer_length": 0}
 
 
 def test_ideal_powers():

@@ -193,13 +193,13 @@ def test_gap_and_relative_listers_refuse_past_the_cap(monkeypatch):
     # the gaps of <2,2097157> (genus 1048578) and the elements of (2) outside
     # (1048580) over <2,3> (relative length 1048578) are refused from their
     # counts, before one element is listed
-    import sackit.ideals
+    import sackit.semigroup
 
     def listed(*args):
         raise AssertionError("listed past the cap")
 
     monkeypatch.setattr(NumericalSemigroup, "contains", listed)
-    monkeypatch.setattr(sackit.ideals, "_span", listed)
+    monkeypatch.setattr(sackit.semigroup, "_progressions", listed)
     wide = NumericalSemigroup.from_generators([2, 2097157])
     assert wide.genus == MAX_DIMENSION + 2
     with pytest.raises(TooLarge, match=f"^algebra dimension {MAX_DIMENSION + 2} is above"):
@@ -207,12 +207,26 @@ def test_gap_and_relative_listers_refuse_past_the_cap(monkeypatch):
     monkeypatch.undo()
     H = NumericalSemigroup.from_generators([2, 3])
     big, small = (SemigroupIdeal.from_generators(H, [d]) for d in (2, 1048580))
-    monkeypatch.setattr(sackit.ideals, "_span", listed)
+    monkeypatch.setattr(sackit.semigroup, "_progressions", listed)
     assert big.relative_length(small) == MAX_DIMENSION + 2
     with pytest.raises(TooLarge, match=f"^algebra dimension {MAX_DIMENSION + 2} is above"):
         big.relative_complement(small)
     monkeypatch.undo()
     assert big.relative_complement(SemigroupIdeal.from_generators(H, [8])) == (2, 4, 5, 6, 7, 9)
+
+
+def test_gaps_at_the_cap_are_listed_off_the_table(monkeypatch):
+    # <2,2097153> has genus exactly MAX_DIMENSION, so its gaps are listed
+    # (the cap refuses only more), and without one membership test
+    def tested(*args):
+        raise AssertionError("gaps tested for membership")
+
+    monkeypatch.setattr(NumericalSemigroup, "contains", tested)
+    H = NumericalSemigroup.from_generators([2, 2097153])
+    assert H.genus == MAX_DIMENSION
+    gaps = H.gaps()
+    assert len(gaps) == MAX_DIMENSION
+    assert gaps == tuple(range(1, H.frobenius + 1, 2))
 
 
 def test_shift_requires_member():
@@ -278,6 +292,11 @@ def test_search_reduction_misses():
     H = NumericalSemigroup.from_generators([5, 6, 9])
     assert search_reduction(SemigroupIdeal.maximal_ideal(H)) is None
     assert search_reduction(SemigroupIdeal.from_generators(H, [6, 9])) == 6
+    # the unit ideal (0) has no positive generator, so no witness is_ulrich takes
+    unit = SemigroupIdeal.from_generators(H, [0])
+    assert search_reduction(unit) is None
+    rep = is_ulrich(unit, 5)
+    assert (rep.is_ulrich, rep.colength, rep.layer_length, rep.free_rank) == (False, 0, 0, None)
 
 
 def test_rank_formula_frozen_values():

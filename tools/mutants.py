@@ -51,6 +51,10 @@ _DENSE = "tests/test_dense_oracle.py::test_deep_modules_match_dense_engine"
 _GOR = "tests/test_certify.py::test_qpow_checks_the_gorenstein_premise_it_can"
 _EXIT = "tests/test_cli.py::test_the_process_exit_writes_what_main_writes"
 _QPOW22 = "qpow(qpow(powser(powser(sgp(2,3))),2,2),1,1)"
+_CAP_BASIS = "tests/test_ideals.py::test_basis_listers_refuse_a_basis_past_the_cap"
+_SIEVE = "tests/test_semigroup.py::test_apery_representation_matches_sieve"
+_WINDOW = "tests/test_ideals.py::test_ideal_representation_matches_window"
+_REF_SETS = "tests/test_ideals.py::test_reference_sets_frozen"
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -129,14 +133,29 @@ ROWS = [
      "if char is None else int(char)",
      ["tests/test_cli.py::test_characteristic_flag_and_env",
       "tests/test_package.py::test_no_module_reads_the_environment"]),
-    ("size cap dropped from apery_set", _SGP,
-     "        check_dimension(q)\n", "",
-     ["tests/test_ideals.py::test_basis_listers_refuse_a_basis_past_the_cap", _PAST_CAP]),
+    ("size cap dropped from the basis lister", _SGP,
+     "    if (dim := _length(lo, hi)) > MAX_DIMENSION:\n"
+     '        raise TooLarge(f"algebra dimension {dim} is above the supported {MAX_DIMENSION}")\n',
+     "",
+     [_CAP_BASIS, "tests/test_ideals.py::test_gap_and_relative_listers_refuse_past_the_cap",
+      _PAST_CAP]),
     ("size cap restored in the embedding-dimension premise", _CERT,
      '_check_members(semigroup, (q,), "truncation degree")',
      '_check_members(semigroup, (q,), "truncation degree")\n'
-     "    __import__('sackit.semigroup').semigroup.check_dimension(q)",
+     "    __import__('sackit.semigroup').semigroup._between((0,), (q,))",
      [_PAST_CAP]),
+    # one residue-table core for semigroups and ideals
+    ("shifted table rotated the wrong way", _SGP,
+     "table[-k:] + table[:-k]", "table[k:] + table[:k]",
+     [_SIEVE, _WINDOW, _REF_SETS]),
+    ("size cap compared with >=", _SGP,
+     "if (dim := _length(lo, hi)) > MAX_DIMENSION:",
+     "if (dim := _length(lo, hi)) >= MAX_DIMENSION:",
+     [_CAP_BASIS, "tests/test_ideals.py::test_gaps_at_the_cap_are_listed_off_the_table"]),
+    ("lister starts each class one step late", _SGP,
+     "range(a, b, len(lo))", "range(a + len(lo), b, len(lo))",
+     [_SIEVE, "tests/test_semigroup.py::test_apery_frozen",
+      "tests/test_semigroup.py::test_members_and_gaps[gens7-43-22]", _REF_SETS]),
     ("R-QPOW asserts a truncation Gorenstein", _CERT,
      "elif isinstance(ring, (SemigroupRing, Truncation)):",
      "elif isinstance(ring, SemigroupRing):",
