@@ -7,6 +7,7 @@ condition.
 ``import sackit`` compiles none of its modules: each is registered in
 ``sys.modules`` through ``importlib.util.LazyLoader`` and runs on its first
 attribute access, and the public names resolve on first use (PEP 562).
+``CERT_SCHEMA`` is owned by the private ``_schema``: a search never reads it.
 """
 
 import importlib
@@ -17,6 +18,7 @@ __version__ = "0.1.0"
 
 # submodule -> its public names
 _EXPORTS = {
+    "_schema": ("CERT_SCHEMA",),
     "artinian": (
         "DEFAULT_PRIME", "ExtWindowReport", "MinimalResolution", "MonomialArtinianAlgebra",
         "PresentedModule", "Realization", "cyclic_quotient", "direct_sum", "ext_deg_window",
@@ -24,7 +26,7 @@ _EXPORTS = {
         "quotient_algebra", "realization", "residue_field", "tor_dims", "truncation_algebra",
     ),
     "certify": (
-        "CERT_SCHEMA", "CITATIONS", "AbstractCI", "AbstractWithFiniteFlatCover",
+        "CITATIONS", "AbstractCI", "AbstractWithFiniteFlatCover",
         "Certificate", "Citation", "Glued", "ParameterPowerQuotient", "PowerSeriesExt",
         "Premise", "SemigroupRing", "Truncation", "UlrichPowerQuotient", "certify",
         "parse_ring", "validate_descriptor", "verify_premise",

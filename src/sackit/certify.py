@@ -21,6 +21,7 @@ byte identical JSON.
 
 from __future__ import annotations
 
+import importlib
 import re
 
 from ._record import Record
@@ -344,21 +345,6 @@ def validate_descriptor(desc, build_semigroup=None, _depth=0) -> None:
         )
 
 
-def descriptor_grammar() -> str:
-    """The descriptor grammar, one line per head, rendered from the table."""
-    rows = []
-    for cls in _HEADS.values():
-        args = ",".join(
-            _SLOT_KINDS[kind][0].format(name=name)
-            for kind, name in zip(cls.SLOTS, cls._fields)
-        )
-        rows.append((f"{cls.HEAD}({args})", " ".join((cls.__doc__ or "").split())))
-    width = max(len(form) for form, _ in rows)
-    return f"Ring descriptors, nested at most {MAX_NESTING} deep:\n" + "\n".join(
-        f"  {form.ljust(width)}  {doc}" for form, doc in rows
-    )
-
-
 # ----------------------------------------------------------------------------
 # premises
 
@@ -620,60 +606,6 @@ class Certificate(Record):
         else:
             lines.append(f"{pad}attempted: {', '.join(self.attempted) or '(none)'}")
         return "\n".join(lines)
-
-
-CERT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "definitions": {
-        "citation": {
-            "type": "object",
-            "required": ["where", "quote"],
-            "properties": {
-                "where": {"type": "string"},
-                "quote": {"type": "string"},
-            },
-            "additionalProperties": False,
-        },
-        "premise": {
-            "type": "object",
-            "required": ["statement", "status"],
-            "properties": {
-                "statement": {"type": "string"},
-                "status": {"enum": ["Verified", "Asserted"]},
-                "evidence": {"type": "object"},
-            },
-            "additionalProperties": False,
-        },
-        "certificate": {
-            "type": "object",
-            "required": ["goal", "verdict", "rule", "citation", "premises", "children"],
-            "properties": {
-                "goal": {"type": "string"},
-                "verdict": {"enum": ["Certified", "Unknown"]},
-                "rule": {"type": ["string", "null"]},
-                "citation": {
-                    "anyOf": [
-                        {"$ref": "#/definitions/citation"},
-                        {"type": "null"},
-                    ]
-                },
-                "premises": {
-                    "type": "array",
-                    "items": {"$ref": "#/definitions/premise"},
-                },
-                "children": {
-                    "type": "array",
-                    "items": {"$ref": "#/definitions/certificate"},
-                },
-                "attempted": {"type": "array", "items": {"type": "string"}},
-                "schema": {"const": SCHEMA_VERSION},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "allOf": [{"$ref": "#/definitions/certificate"}],
-    "required": ["schema"],
-}
 
 
 # ----------------------------------------------------------------------------
@@ -1055,3 +987,12 @@ def certify(goal, depth: int = 8, root_rules=None) -> Certificate:
         by_id = dict(order)
         order = tuple((r, by_id[r]) for r in root_rules if r in by_id)
     return _certify_inner(goal, depth, search, order)
+
+
+def __getattr__(name):
+    """CERT_SCHEMA and descriptor_grammar, which the search never reads, from
+    the modules that hold them (PEP 562), so a search compiles neither."""
+    owner = {"CERT_SCHEMA": "_schema", "descriptor_grammar": "_cli_help"}.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{owner}"), name)

@@ -11,28 +11,28 @@ raises SystemExit with the code, for in-process callers; `main(...)`, the
 console script and `python -m sackit`, flushes stdout and stderr and ends
 the process with `os._exit`, without interpreter teardown.
 
-`main` reads a valid command line off the `COMMANDS` table itself; help,
---version, --rule and usage errors go to an argparse parser built from the
-same table, so a valid command never imports argparse.
+`main` reads a valid command line off the `COMMANDS` table itself and
+compiles only the code that command runs: the `ideal` and `lemma42` bodies
+live in `_cli_ideal`, the `ext table` and `extdeg` bodies (with the --mod
+mini-language) in `_cli_ext`, each loaded on dispatch.  Help, --version,
+--rule and usage errors go to the argparse parser of `_cli_help`, built from
+the same table, so a valid command never imports argparse.
 
 The field characteristic comes from --p alone, on the two commands that
 build an algebra (`ext table`, `extdeg`); it defaults to 32003.
-
 `certify --help` prints the ring descriptor grammar for --ring.
-
-Module mini-language for --mod: `k`, `A`, `cyc(g)`, joined with `+`,
-e.g. `cyc(5)+A`.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import sys
 
-# modules, not names: a lazy module compiles and runs only when a command
+# a module, not names: a lazy module compiles and runs only when a command
 # first reaches into it, and `certify` is imported by the certify command alone
-from . import __version__, artinian as ar, ideals, semigroup
-from .errors import DomainError, MalformedDescriptor, SackitError
+from . import semigroup
+from .errors import SackitError
 
 
 def _int_list(text: str) -> list[int]:
@@ -56,35 +56,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def parse_module_expr(algebra, text: str):
-    """Module mini-language: k | A | cyc(g), summed with '+'."""
-    total = None
-    for raw in text.split("+"):
-        part = raw.strip()
-        if part == "k":
-            piece = ar.residue_field(algebra)
-        elif part == "A":
-            piece = ar.free_module(algebra, 1)
-        elif part.startswith("cyc(") and part.endswith(")"):
-            body = part[4:-1]
-            try:
-                degree = int(body)
-            except ValueError:
-                raise MalformedDescriptor(f"bad cyclic degree {body!r}") from None
-            piece = ar.cyclic_quotient(algebra, degree)
-        else:
-            raise MalformedDescriptor(f"bad module expression part {part!r}")
-        total = piece if total is None else ar.direct_sum(total, piece)
-    if total is None:
-        raise MalformedDescriptor("empty module expression")
-    return total
-
-
-def _algebra(gens, q, prime):
-    H = semigroup.NumericalSemigroup.from_generators(gens)
-    return ar.truncation_algebra(H, q, char=prime)
-
-
 def _key_values(data) -> str:
     """One ``key=value`` line per field, keys sorted, booleans lowercase."""
     return "\n".join(f"{key}={str(value).lower() if isinstance(value, bool) else value}"
@@ -92,7 +63,6 @@ def _key_values(data) -> str:
 
 
 def sgp_info(gens):
-    """Invariants of the numerical semigroup generated by --gens."""
     H = semigroup.NumericalSemigroup.from_generators(gens)
     data = {
         "generators": list(H.generators),
@@ -110,119 +80,12 @@ def sgp_info(gens):
     return data, "\n".join(f"{key.ljust(width)}  {value}" for key, value in shown.items())
 
 
-def _load_ideal(gens, ideal):
-    H = semigroup.NumericalSemigroup.from_generators(gens)
-    return ideals.SemigroupIdeal.from_generators(H, ideal)
-
-
-def ideal_ulrich(gens, ideal, q):
-    """Ulrich test: stability I^2 = t^q I plus freeness of I/I^2."""
-    I = _load_ideal(gens, ideal)
-    if q is None:
-        q = ideals.search_reduction(I)
-        if q is None:
-            raise DomainError("no stable reduction degree among the generators")
-    data = ideals.is_ulrich(I, q).to_json_dict()
-    return data, _key_values(data)
-
-
-def ideal_powers(gens, ideal, up_to):
-    """Layer lengths l(I^i/I^(i+1)) against the rank-formula prediction."""
-    I = _load_ideal(gens, ideal)
-    layers = ideals.power_layer_lengths(I, up_to)
-    mu = I.mu()
-    colength = I.colength()
-    predicted = [ideals.ulrich_rank_formula(1, mu, i) * colength for i in range(1, up_to + 1)]
-    data = {
-        "mu": mu,
-        "colength": colength,
-        "layers": list(layers),
-        "predicted": predicted,
-        "matches": [a == b for a, b in zip(layers, predicted)],
-    }
-    lines = [f"mu={mu} colength={colength}", "i    enumerated  predicted  match"]
-    for i, (got, want) in enumerate(zip(layers, predicted), start=1):
-        lines.append(f"{str(i).ljust(4)} {str(got).ljust(11)} {str(want).ljust(10)} "
-                     f"{str(got == want).lower()}")
-    return data, "\n".join(lines)
-
-
 def glue_cmd(gens, n, m):
-    """Generators of the gluing n*H + <m>."""
     glued = semigroup.NumericalSemigroup.from_generators(gens).glue(n, m)
     return {"generators": list(glued.generators)}, str(glued)
 
 
-def ext_table(gens, q, mod, bounds, prime, tor):
-    """dim Ext^i(M, M) (or Tor_i) for i in --range over k[H]/(t^q)."""
-    lo, hi = bounds
-    algebra = _algebra(gens, q, prime)
-    module = parse_module_expr(algebra, mod)
-    fn = ar.tor_dims if tor else ar.ext_dims
-    dims = fn(module, module, hi)[lo:]
-    data = {
-        "algebra": algebra.descriptor(),
-        "module": mod,
-        "functor": "tor" if tor else "ext",
-        "range": [lo, hi],
-        "dims": list(dims),
-    }
-    cells = [(str(i), str(d)) for i, d in zip(range(lo, hi + 1), dims)]
-    widths = [max(len(a), len(b)) for a, b in cells]
-    return data, "\n".join([
-        f"{data['functor']} over {data['algebra']}, M = {mod}",
-        "i:   " + "  ".join(a.rjust(w) for (a, _), w in zip(cells, widths)),
-        "dim: " + "  ".join(b.rjust(w) for (_, b), w in zip(cells, widths))])
-
-
-def extdeg(gens, q, mod, window, prime):
-    """Bounded scan of dim Ext^i(M+A, M+A), 1 <= i <= window."""
-    algebra = _algebra(gens, q, prime)
-    data = ar.ext_deg_window(parse_module_expr(algebra, mod), window).to_json_dict()
-    return data, _key_values(data)
-
-
-def lemma42(n_max, cmax):
-    """Exhaustive rank-ratio and cumulative-identity sweep.
-
-    For every 2 <= l <= n <= N and n <= c <= CMAX: the chain a_i of
-    predicted layer ranks satisfies (1 + a_2 + ... + a_(l-1)) < a_l, and
-    the telescoped rank identity holds for 3 <= l <= n.
-    """
-    if n_max < 2:
-        raise DomainError("need --n >= 2")
-    ratio_checked = 0
-    ratio_failures = []
-    identity_checked = 0
-    identity_failures = []
-    for n in range(2, n_max + 1):
-        for c in range(n, cmax + 1):
-            for ell in range(2, n + 1):
-                chain = [ideals.ulrich_rank_formula(n, c, i - 1) for i in range(2, ell + 1)]
-                ratio_checked += 1
-                if not ideals.estimate_ratio_holds(chain):
-                    ratio_failures.append([n, c, ell])
-                if ell >= 3:
-                    identity_checked += 1
-                    if not ideals.cumulative_rank_identity(n, c, ell):
-                        identity_failures.append([n, c, ell])
-    data = {
-        "n": n_max,
-        "cmax": cmax,
-        "ratio_checked": ratio_checked,
-        "ratio_failures": ratio_failures,
-        "identity_checked": identity_checked,
-        "identity_failures": identity_failures,
-    }
-    lines = [f"ratio checks:    {ratio_checked} run, {len(ratio_failures)} failed",
-             f"identity checks: {identity_checked} run, {len(identity_failures)} failed"]
-    for tag, failures in (("ratio", ratio_failures), ("identity", identity_failures)):
-        lines += [f"FAIL {tag}: n={n} c={c} l={ell}" for n, c, ell in failures]
-    return data, "\n".join(lines)
-
-
 def certify_cmd(ring, rule, depth):
-    """Search for a (SAC) certificate for the described ring."""
     from .certify import certify
 
     cert = certify(ring, depth=depth, root_rules=None if rule is None else [rule])
@@ -243,38 +106,44 @@ _Q = _flag("--q", type=int, required=True, help="truncation degree")
 _P = _flag("--p", dest="prime", type=int, help="field characteristic")
 _JSON = _flag("--json", dest="as_json", action="store_true", help="print JSON")
 
-_GROUPS = {
-    "sgp": "Numerical semigroup inspection.",
-    "ideal": "Monomial (semigroup) ideal computations.",
-    "ext": "Ext/Tor dimension tables over truncation algebras.",
-}
-
-# command path -> (function, flags), where a two-word path names a command
-# of a group; flag values are converted while parsing, and every command
-# also takes --json (_JSON)
+# command path -> (body, flags, help), where a two-word path names a command
+# of a group.  A body is a function here, or "module.function" in the module
+# of its command family, which loads when the command runs; the first line
+# of the help is the command's summary.  Flag values are converted while
+# parsing, and every command also takes --json (_JSON)
 COMMANDS = {
-    "sgp info": (sgp_info, [_GENS]),
-    "ideal ulrich": (ideal_ulrich, [_GENS, _IDEAL, _flag(
-        "--q", type=int, help="reduction degree (searched if omitted)")]),
-    "ideal powers": (ideal_powers, [_GENS, _IDEAL, _flag(
-        "--up-to", type=int, default=5, help="last power (default: %(default)s)")]),
+    "sgp info": (sgp_info, [_GENS], "Invariants of the numerical semigroup generated by --gens."),
+    "ideal ulrich": ("_cli_ideal.ideal_ulrich", [_GENS, _IDEAL, _flag(
+        "--q", type=int, help="reduction degree (searched if omitted)")],
+        "Ulrich test: stability I^2 = t^q I plus freeness of I/I^2."),
+    "ideal powers": ("_cli_ideal.ideal_powers", [_GENS, _IDEAL, _flag(
+        "--up-to", type=int, default=5, help="last power (default: %(default)s)")],
+        "Layer lengths l(I^i/I^(i+1)) against the rank-formula prediction."),
     "glue": (glue_cmd, [
         _flag("--gens", type=_int_list, required=True, help="inner semigroup generators"),
-        _flag("--n", type=int, required=True), _flag("--m", type=int, required=True)]),
-    "ext table": (ext_table, [
+        _flag("--n", type=int, required=True), _flag("--m", type=int, required=True)],
+        "Generators of the gluing n*H + <m>."),
+    "ext table": ("_cli_ext.ext_table", [
         _H, _Q, _flag("--mod", default="k", help="module (default: %(default)s)"),
         _flag("--range", dest="bounds", metavar="LO..HI", type=_parse_range,
               default="0..8", help="degrees (default: %(default)s)"),
-        _P, _flag("--tor", action="store_true", help="Tor instead of Ext")]),
-    "extdeg": (extdeg, [_H, _Q, _flag("--mod", required=True, help="module"), _flag(
-        "--window", type=int, default=12, help="last degree (default: %(default)s)"), _P]),
-    "lemma42": (lemma42, [
+        _P, _flag("--tor", action="store_true", help="Tor instead of Ext")],
+        "dim Ext^i(M, M) (or Tor_i) for i in --range over k[H]/(t^q)."),
+    "extdeg": ("_cli_ext.extdeg", [_H, _Q, _flag("--mod", required=True, help="module"), _flag(
+        "--window", type=int, default=12, help="last degree (default: %(default)s)"), _P],
+        "Bounded scan of dim Ext^i(M+A, M+A), 1 <= i <= window."),
+    "lemma42": ("_cli_ideal.lemma42", [
         _flag("--n", dest="n_max", metavar="N", type=int, default=8, help="default: %(default)s"),
-        _flag("--cmax", type=int, default=14, help="default: %(default)s")]),
+        _flag("--cmax", type=int, default=14, help="default: %(default)s")],
+        "Exhaustive rank-ratio and cumulative-identity sweep.\n\n"
+        "For every 2 <= l <= n <= N and n <= c <= CMAX: the chain a_i of\n"
+        "predicted layer ranks satisfies (1 + a_2 + ... + a_(l-1)) < a_l, and\n"
+        "the telescoped rank identity holds for 3 <= l <= n."),
     "certify": (certify_cmd, [
         _flag("--ring", required=True, help="ring descriptor, grammar below"),
-        _flag("--rule", help="restrict the root to one rule"),  # choices set in `_parser`
-        _flag("--depth", type=int, default=8, help="search depth (default: %(default)s)")]),
+        _flag("--rule", help="restrict the root to one rule"),  # choices set in `_cli_help`
+        _flag("--depth", type=int, default=8, help="search depth (default: %(default)s)")],
+        "Search for a (SAC) certificate for the described ring."),
 }
 
 
@@ -286,7 +155,7 @@ def _read(args: list[str]) -> dict | None:
     path = next((p for p in COMMANDS if p.split() == args[:len(p.split())]), None)
     if path is None:
         return None
-    fn, flags = COMMANDS[path]
+    run, flags, _ = COMMANDS[path]
     flags = dict([*flags, _JSON])
     given, words = {}, iter(args[len(path.split()):])
     for flag in words:
@@ -296,7 +165,7 @@ def _read(args: list[str]) -> dict | None:
         if value is not True and value.startswith("-"):
             return None
         given[flag] = value
-    values = {"run": fn}
+    values = {"run": run}
     for flag, options in flags.items():
         if options.get("required") and flag not in given:
             return None
@@ -310,52 +179,10 @@ def _read(args: list[str]) -> dict | None:
 
 
 def _parser(prog: str | None, args: list[str]):
-    """The parser of the command whose path ``args`` start with, or of every
-    command (for help at the root or a group).  Only the command whose path
-    the non-option words of ``args`` start with gets flags: the root and the
-    groups take no values, so those words route argparse, and the other
-    commands' flags (and certify's module) would only cost start-up."""
-    import argparse  # help, --version and usage errors: `_read` takes the rest
+    """The argparse parser of `_cli_help`, for the lines `_read` declines."""
+    from ._cli_help import parser  # argparse and the parser builder, off the run path
 
-    class _Formatter(argparse.RawDescriptionHelpFormatter):
-        """Descriptions and epilogs as written, under a `Usage: ` line."""
-
-        def add_usage(self, usage, actions, groups, prefix="Usage: "):
-            super().add_usage(usage, actions, groups, prefix)
-
-    paths = [path for path in COMMANDS if path.split() == args[:len(path.split())]]
-    words = [arg for arg in args if not arg.startswith("-")]
-    settings = {"formatter_class": _Formatter, "allow_abbrev": False}
-    root = argparse.ArgumentParser(
-        prog=prog, **settings,
-        description="Exact tools for numerical semigroups, Ulrich ideals, Ext/Tor tables\n"
-                    "over Artinian monomial algebras, and (SAC) certificates.")
-    root.add_argument("--version", action="version", version=f"sackit, version {__version__}")
-    levels = {"": root.add_subparsers(title="commands", metavar="COMMAND", required=True)}
-    for path in paths or COMMANDS:
-        fn, flags = COMMANDS[path]
-        group, _, name = path.rpartition(" ")
-        if group not in levels:
-            about = _GROUPS[group]
-            parent = levels[""].add_parser(group, help=about, description=about, **settings)
-            levels[group] = parent.add_subparsers(
-                title="commands", metavar="COMMAND", required=True)
-        doc = "\n".join(line.strip() for line in (fn.__doc__ or "").splitlines())
-        summary = doc.partition("\n")[0]
-        if path.split() != words[:len(path.split())]:
-            levels[group].add_parser(name, help=summary)
-            continue
-        if path == "certify":  # its rule names and grammar live in its module
-            from .certify import CITATIONS, descriptor_grammar
-        command = levels[group].add_parser(
-            name, help=summary, description=doc,
-            epilog=descriptor_grammar() if path == "certify" else None, **settings)
-        for flag, options in (*flags, _JSON):
-            if flag == "--rule":  # certify's rule names
-                options = {**options, "choices": sorted(CITATIONS)}
-            command.add_argument(flag, **options)
-        command.set_defaults(run=fn)
-    return root
+    return parser(prog, args)
 
 
 class _Main:
@@ -375,8 +202,11 @@ class _Main:
         try:
             try:
                 options = _read(args) or vars(_parser(prog_name, args).parse_args(args))
-                as_json = options.pop("as_json")
-                data, text = options.pop("run")(**options)
+                as_json, run = options.pop("as_json"), options.pop("run")
+                if isinstance(run, str):  # a command family's body, loaded on dispatch
+                    module, _, name = run.partition(".")
+                    run = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+                data, text = run(**options)
                 if as_json:
                     import json  # on use: the import costs every command's start-up
 

@@ -29,7 +29,7 @@ from .errors import (
     NotContained,
     NotInIdeal,
 )
-from .semigroup import NumericalSemigroup, _between, _length, _shifted
+from .semigroup import NumericalSemigroup, _Shifted, _between, _length
 
 
 class SemigroupIdeal:
@@ -41,7 +41,7 @@ class SemigroupIdeal:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "generators", generators)
         # least element in each residue class mod m; () for the zero ideal
-        rows = [_shifted(ambient._apery, g) for g in generators]
+        rows = [_Shifted(ambient._apery, g) for g in generators]
         least = tuple(map(min, *rows) if len(rows) > 1 else rows[0]) if rows else ()
         object.__setattr__(self, "_least", least)
 

@@ -15,7 +15,7 @@ query in O(m) time and memory, however large the Frobenius number F:
 - H is symmetric exactly when its genus is (F+1)/2.
 
 An ideal of H (``sackit.ideals``) is stored by the same kind of table; the
-private helpers ``_shifted``, ``_length`` and ``_between`` below serve both,
+private helpers ``_Shifted``, ``_length`` and ``_between`` below serve both,
 and ``_between``, which lists, alone checks the size cap MAX_DIMENSION.
 
 Instances are immutable; every operation returns plain values or fresh
@@ -25,6 +25,7 @@ instances.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import chain, islice
 from math import gcd
 
 from .errors import (
@@ -157,7 +158,7 @@ class NumericalSemigroup:
         """
         if q <= 0 or not self.contains(q):
             raise NotAMember(f"{q} is not a nonzero member of <{self}>")
-        return _between(self._apery, tuple(_shifted(self._apery, q)))
+        return _between(self._apery, _Shifted(self._apery, q))
 
     def is_gap_symmetric(self) -> bool:
         """Whether x is a member exactly when frobenius - x is a gap, for
@@ -236,11 +237,17 @@ def _apery(gens, q: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def _shifted(table, g: int):
-    """The table of g + S from that of S, lazily, so that a minimum of shifts
-    holds one table: over r it is g + table[(r - g) mod m], a rotation plus g."""
-    k = g % len(table)
-    return map(g.__add__, table[-k:] + table[:-k])
+class _Shifted:
+    """The table of g + S from that of S: over r, g + table[(r - g) mod m], a
+    rotation plus g, computed on each pass, so that neither a minimum of
+    shifts nor `_between`, which reads its upper table twice, holds a copy."""
+
+    def __init__(self, table, g: int):
+        self.table, self.g = table, g
+
+    def __iter__(self):
+        cut = len(self.table) - self.g % len(self.table)
+        return map(self.g.__add__, chain(islice(self.table, cut, None), islice(self.table, cut)))
 
 
 def _length(lo, hi) -> int:

@@ -65,6 +65,18 @@ def test_certify_stays_the_function_after_the_submodule_is_imported():
     assert _python(script) == "[True, True, True, True]\n"
 
 
+def test_the_schema_and_the_grammar_resolve_through_certify():
+    # both live outside the module of the certificate search, which never
+    # reads them, and resolve through it as before
+    from cli_runner import invoke
+
+    module = sys.modules["sackit.certify"]
+    assert sackit.CERT_SCHEMA is module.CERT_SCHEMA
+    assert "schema" in module.CERT_SCHEMA["definitions"]["certificate"]["properties"]
+    help_text = invoke(["certify", "--help"]).stdout
+    assert help_text.endswith("\n\n" + module.descriptor_grammar() + "\n")
+
+
 def test_version_is_a_literal_in_the_package_source():
     # pyproject.toml reads the version with `attr = "sackit.__version__"`,
     # which setuptools finds statically only as a literal assignment
@@ -97,8 +109,8 @@ def _loaded():
 """
 
 # run a command as `python -m sackit` does, then list each sackit module
-# still lazy (registered, never run), each one that ran, and which of the
-# modules above are loaded.  The entry point itself ends the process, so the
+# that ran (a lazy one registered but never run is no plain module yet), and
+# which of the modules above are loaded.  The entry point itself ends the process, so the
 # script imports what it imports and calls `main.main`, which raises SystemExit
 _RUN_AND_LIST = """
 import json, sys, types
@@ -108,34 +120,51 @@ try:
     sackit.cli.main.main(sys.argv[1:], prog_name="python -m sackit")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-modules = {name: type(m) is types.ModuleType for name, m in sys.modules.items()
-           if name.startswith("sackit.")}
-print(json.dumps({"lazy": sorted(n for n, ran in modules.items() if not ran),
-                  "ran": sorted(n for n, ran in modules.items() if ran),
+print(json.dumps({"ran": sorted(name for name, m in sys.modules.items()
+                                 if name.startswith("sackit.") and type(m) is types.ModuleType),
                   "parsing": _loaded()}))
 """
 
 
+# every sackit module but the package itself
+_MODULES = sorted(f"sackit.{path.stem}" for path in (ROOT / "src" / "sackit").glob("*.py")
+                  if path.stem != "__init__")
+
+
+# the sackit modules each command never runs, whether registered lazily or
+# never imported: __main__, cli and errors run for every command, and a
+# command family module (`_cli_ext`, `_cli_ideal`) only for its own commands
 @pytest.mark.parametrize("args,lazy", [
     (["sgp", "info", "--gens", "3,4,5"],
-     ["sackit.artinian", "sackit.certify", "sackit.ideals", "sackit.modp"]),
-    (["--help"], ["sackit.artinian", "sackit.certify", "sackit.ideals", "sackit.modp"]),
-    (["ext", "table", "--H", "3,4,5", "--q", "6", "--range", "0..2"], ["sackit.certify"]),
-    # the certificate premises read the semigroup and its ideals, not an algebra
-    (["certify", "--ring", "sgp(5,1001)"], ["sackit.artinian", "sackit.modp"]),
-    (["certify", "--ring", "trunc(sgp(3,4,5),6)"], ["sackit.artinian", "sackit.modp"]),
+     "_cli_ext _cli_help _cli_ideal _record _schema artinian certify ideals modp".split()),
+    (["--help"],
+     "_cli_ext _cli_ideal _record _schema artinian certify ideals modp semigroup".split()),
+    (["ext", "table", "--H", "3,4,5", "--q", "6", "--range", "0..2"],
+     "_cli_help _cli_ideal _schema certify ideals".split()),
+    # the certificate premises read the semigroup and its ideals, not an
+    # algebra, and a search reads neither the schema nor the grammar
+    (["certify", "--ring", "sgp(5,1001)"],
+     "_cli_ext _cli_help _cli_ideal _schema artinian modp".split()),
+    (["certify", "--ring", "trunc(sgp(3,4,5),6)"],
+     "_cli_ext _cli_help _cli_ideal _schema artinian modp".split()),
+    (["ideal", "powers", "--gens", "3,4,5", "--ideal", "3"],
+     "_cli_ext _cli_help _schema artinian certify modp".split()),
+    (["glue", "--gens", "3,5", "--n", "2", "--m", "9"],
+     "_cli_ext _cli_help _cli_ideal _record _schema artinian certify ideals modp".split()),
+    (["lemma42", "--n", "3", "--cmax", "4"],
+     "_cli_ext _cli_help _schema artinian certify modp".split()),
+    # its epilog is the grammar and --rule takes the rule names, both certify's
+    (["certify", "--help"], "_cli_ext _cli_ideal _schema artinian modp".split()),
 ])
 def test_a_command_runs_only_the_modules_it_uses(args, lazy):
     modules = json.loads(_python(_RUN_AND_LIST, *args).splitlines()[-1])
-    assert set(lazy) <= set(modules["lazy"])
-    assert "sackit.cli" in modules["ran"]
-    if args[0] == "ext":
-        assert {"sackit.artinian", "sackit.modp"} <= set(modules["ran"])
+    assert sorted(set(_MODULES) - set(modules["ran"])) == [f"sackit.{m}" for m in lazy]
+    assert set(modules["ran"]) <= set(_MODULES)
     # a valid command line is read off the command table; only help builds
     # the argparse parser.  The interpreter's own start-up may load these
     # modules, and then they are no cost of the command line
     bare = json.loads(_python("import json, sys" + _LOADED + "print(json.dumps(_loaded()))"))
-    if args[0] == "--help":
+    if "--help" in args:
         assert "argparse" in modules["parsing"]
     else:
         assert set(modules["parsing"]) <= set(bare), (args, bare)

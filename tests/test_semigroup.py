@@ -5,6 +5,7 @@ here; every frozen number below was recomputed with it before pinning.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,6 +102,23 @@ def test_apery_frozen():
     H = NumericalSemigroup.from_generators([8, 11, 12, 14, 18])
     assert H.apery_set(8) == (0, 11, 12, 14, 18, 23, 25, 29)
     assert NumericalSemigroup.from_generators([3, 4, 5]).apery_set(3) == (0, 4, 5)
+
+
+def test_apery_set_holds_no_second_table():
+    # apery_set(q) lists the q elements between the table of H and that of
+    # q + H.  The listing itself (its int objects, the sorted list and the
+    # result tuple) costs about 48 bytes per element (Python 3.11); a
+    # materialized table of q + H, with its own ints, took that to about 89
+    q = 20011
+    H = NumericalSemigroup.from_generators([q, q + 30])
+    tracemalloc.start()
+    try:
+        listed = H.apery_set(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(listed) == q and listed[:2] == (0, q + 30)
+    assert peak < 64 * q, peak / q
 
 
 @pytest.mark.parametrize("gens,frob,genus", CASES)

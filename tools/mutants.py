@@ -17,7 +17,7 @@ tests run on an unmutated copy, where each must pass.
 Exit status 0 when every mutant is killed; 1 on a survivor (a named test
 that passes on its mutant), a snippet that does not match exactly once, or
 a named test that fails on the unmutated tree.  A refactor that moves a
-snippet updates its row on purpose.  About 105 s on 2 vCPU (Python 3.11).
+snippet updates its row on purpose.  About 130 s on 2 vCPU (Python 3.11).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 
 _ART, _CERT, _SGP, _CLI = "artinian.py", "certify.py", "semigroup.py", "cli.py"
+_MODULE_SET = "tests/test_package.py::test_a_command_runs_only_the_modules_it_uses"
 _CLOSED = "tests/test_acceptance.py::test_ext_closed_forms"
 _FROZEN = "tests/test_artinian.py::test_ext_tor_tables_are_frozen"
 _HOM = "tests/test_artinian.py::test_ext_matches_hom_complex_oracle"
@@ -146,7 +147,7 @@ ROWS = [
      [_PAST_CAP]),
     # one residue-table core for semigroups and ideals
     ("shifted table rotated the wrong way", _SGP,
-     "table[-k:] + table[:-k]", "table[k:] + table[:k]",
+     "cut = len(self.table) - self.g % len(self.table)", "cut = self.g % len(self.table)",
      [_SIEVE, _WINDOW, _REF_SETS]),
     ("size cap compared with >=", _SGP,
      "if (dim := _length(lo, hi)) > MAX_DIMENSION:",
@@ -211,8 +212,18 @@ ROWS = [
      [_READER]),
     ("argparse imported at module level", _CLI,
      "import os\nimport sys\n", "import argparse\nimport os\nimport sys\n",
-     [f"tests/test_package.py::test_a_command_runs_only_the_modules_it_uses[args{i}-lazy{i}]"
-      for i in (0, 2, 3, 4)]),
+     [f"{_MODULE_SET}[args{i}-lazy{i}]" for i in (0, 2, 3, 4, 5, 6, 7)]),
+    # a valid command compiles only its own code path
+    ("certify imports the schema module at top level", _CERT,
+     'SCHEMA_VERSION = "cert-v1"\n',
+     'SCHEMA_VERSION = "cert-v1"\nfrom ._schema import CERT_SCHEMA  # noqa: E402\n',
+     [f"{_MODULE_SET}[args{i}-lazy{i}]" for i in (3, 4)]),
+    ("cli imports every command module at import", _CLI,
+     "main = _Main()\n", "main = _Main()\nfrom . import _cli_ext, _cli_ideal  # noqa: E402\n",
+     [f"{_MODULE_SET}[args{i}-lazy{i}]" for i in (0, 3, 6)]),
+    ("root help loads the command modules", "_cli_help.py",
+     "import argparse\n", "import argparse\n\nfrom . import _cli_ext, _cli_ideal  # noqa\n",
+     [f"{_MODULE_SET}[args{i}-lazy{i}]" for i in (1, 8)]),
     # the entry point ends the process by os._exit after flushing
     ("process exit code replaced by 0", _CLI,
      "os._exit(code)", "os._exit(0)",
