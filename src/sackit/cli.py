@@ -107,19 +107,20 @@ _P = _flag("--p", dest="prime", type=int, help="field characteristic")
 _JSON = _flag("--json", dest="as_json", action="store_true", help="print JSON")
 
 # command path -> (body, flags, help), where a two-word path names a command
-# of a group.  A body is a function here, or "module.function" in the module
-# of its command family, which loads when the command runs; the first line
-# of the help is the command's summary.  Flag values are converted while
+# of a group.  A body is "module.function", in this module or the module of
+# its command family, which loads when the command runs; the first line of
+# the help is the command's summary.  Flag values are converted while
 # parsing, and every command also takes --json (_JSON)
 COMMANDS = {
-    "sgp info": (sgp_info, [_GENS], "Invariants of the numerical semigroup generated by --gens."),
+    "sgp info": ("cli.sgp_info", [_GENS],
+                 "Invariants of the numerical semigroup generated by --gens."),
     "ideal ulrich": ("_cli_ideal.ideal_ulrich", [_GENS, _IDEAL, _flag(
         "--q", type=int, help="reduction degree (searched if omitted)")],
         "Ulrich test: stability I^2 = t^q I plus freeness of I/I^2."),
     "ideal powers": ("_cli_ideal.ideal_powers", [_GENS, _IDEAL, _flag(
         "--up-to", type=int, default=5, help="last power (default: %(default)s)")],
         "Layer lengths l(I^i/I^(i+1)) against the rank-formula prediction."),
-    "glue": (glue_cmd, [
+    "glue": ("cli.glue_cmd", [
         _flag("--gens", type=_int_list, required=True, help="inner semigroup generators"),
         _flag("--n", type=int, required=True), _flag("--m", type=int, required=True)],
         "Generators of the gluing n*H + <m>."),
@@ -139,7 +140,7 @@ COMMANDS = {
         "For every 2 <= l <= n <= N and n <= c <= CMAX: the chain a_i of\n"
         "predicted layer ranks satisfies (1 + a_2 + ... + a_(l-1)) < a_l, and\n"
         "the telescoped rank identity holds for 3 <= l <= n."),
-    "certify": (certify_cmd, [
+    "certify": ("cli.certify_cmd", [
         _flag("--ring", required=True, help="ring descriptor, grammar below"),
         _flag("--rule", help="restrict the root to one rule"),  # choices set in `_cli_help`
         _flag("--depth", type=int, default=8, help="search depth (default: %(default)s)")],
@@ -203,9 +204,8 @@ class _Main:
             try:
                 options = _read(args) or vars(_parser(prog_name, args).parse_args(args))
                 as_json, run = options.pop("as_json"), options.pop("run")
-                if isinstance(run, str):  # a command family's body, loaded on dispatch
-                    module, _, name = run.partition(".")
-                    run = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+                module, _, name = run.partition(".")  # loads a command family on dispatch
+                run = getattr(importlib.import_module(f"{__package__}.{module}"), name)
                 data, text = run(**options)
                 if as_json:
                     import json  # on use: the import costs every command's start-up
