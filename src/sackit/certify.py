@@ -6,8 +6,8 @@ rests on, and every premise is either Verified (recomputed here, with the raw
 numbers embedded as evidence) or Asserted (an explicit hypothesis this toolkit
 cannot check, e.g. a Krull dimension bound or an external structure theorem).
 Verified premises read only the semigroup and its ideals, so no algebra is
-built: an Artinian quotient's radical index is a longest atom chain over the
-Apery set, and its embedding dimension counts its atoms.
+built: an Artinian quotient's radical index is at most 3 when every sum of
+three atoms lies in the ideal, and its embedding dimension counts its atoms.
 
 Verdicts are Certified or Unknown, never "fails": the rule set consists of
 sufficient conditions only, so the absence of a derivation proves nothing.
@@ -23,16 +23,13 @@ from __future__ import annotations
 
 import importlib
 import re
+from itertools import combinations_with_replacement
+from math import gcd
 
 from ._record import Record
-from .errors import (
-    MalformedDescriptor,
-    SackitError,
-    TooLarge,
-    UnknownPremiseKind,
-)
+from .errors import MalformedDescriptor, SackitError, UnknownPremiseKind
 from .ideals import SemigroupIdeal, is_ulrich, search_reduction
-from .semigroup import NumericalSemigroup, radical_index
+from .semigroup import NumericalSemigroup
 
 SCHEMA_VERSION = "cert-v1"
 
@@ -405,14 +402,15 @@ def _truncation_atoms(semigroup, q):
 
 
 def _premise_radical_index_le3(semigroup, q):
+    # the least r with every sum of r atoms in q + H, that is m^r = 0 in k[H]/(t^q)
     atoms = _truncation_atoms(semigroup, q)
-    index = radical_index(semigroup.apery_set(q), atoms)
-    premise = _verified(
-        f"k[H]/(t^{q}) with H={semigroup} has radical index <= 3",
-        index=index,
-        q=q,
-    )
-    return index <= 3, premise
+    statement = f"k[H]/(t^{q}) with H={semigroup} has radical index <= 3"
+    for r in (1, 2, 3):
+        witness = next((s for s in combinations_with_replacement(atoms, r)
+                        if not semigroup.contains(sum(s) - q)), None)
+        if witness is None:
+            return True, _verified(statement, index=r, q=q)
+    return False, _verified(statement, q=q, witness=witness)
 
 
 def _premise_glue_preconditions(
@@ -486,18 +484,13 @@ def verify_premise(kind: str, **kwargs):
     """Check one premise from the closed vocabulary.
 
     Returns (ok, Premise); the Premise embeds the computed numbers whether
-    or not the check passed.  A premise whose check would build an object
-    above a size cap is not checked: (False, an Asserted Premise saying so).
-    Unknown kinds raise UnknownPremiseKind.
+    or not the check passed.  Unknown kinds raise UnknownPremiseKind.
     """
     try:
         fn = _PREMISE_DISPATCH[kind]
     except KeyError:
         raise UnknownPremiseKind(kind) from None
-    try:
-        return fn(**kwargs)
-    except TooLarge as exc:
-        return False, _asserted(f"not checked: {exc}")
+    return fn(**kwargs)
 
 
 # ----------------------------------------------------------------------------
@@ -754,13 +747,12 @@ def _rule_ulci(desc, depth, search):
 
 
 def _glue_decompositions(H: NumericalSemigroup):
-    """Candidate (inner generators, n, m) with n*inner + <m> = H, n ascending."""
+    """Candidate (inner generators, n, m) with n*inner + <m> = H, n ascending:
+    the inner generators have gcd 1, so n is the gcd of the generators but m."""
     gens = H.generators
-    for n in range(2, max(gens) + 1):
-        divisible = tuple(g // n for g in gens if g % n == 0)
-        rest = tuple(g for g in gens if g % n != 0)
-        if len(rest) == 1 and divisible:
-            yield divisible, n, rest[0]
+    for n, i in sorted((gcd(*gens[:i], *gens[i + 1:]), i) for i in range(len(gens))):
+        if n >= 2:
+            yield tuple(g // n for g in gens[:i] + gens[i + 1:]), n, gens[i]
 
 
 def _glue(candidates, expected, depth, search):

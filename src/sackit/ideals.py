@@ -42,7 +42,7 @@ class SemigroupIdeal:
         object.__setattr__(self, "generators", generators)
         # least element in each residue class mod m; () for the zero ideal
         rows = [_Shifted(ambient._apery, g) for g in generators]
-        least = tuple(map(min, *rows) if len(rows) > 1 else rows[0]) if rows else ()
+        least = tuple(map(min, *rows)) if len(rows) > 1 else rows[0] if rows else ()
         object.__setattr__(self, "_least", least)
 
     def __setattr__(self, name, value):

@@ -239,11 +239,17 @@ def _apery(gens, q: int) -> tuple[int, ...]:
 
 class _Shifted:
     """The table of g + S from that of S: over r, g + table[(r - g) mod m], a
-    rotation plus g, computed on each pass, so that neither a minimum of
-    shifts nor `_between`, which reads its upper table twice, holds a copy."""
+    rotation plus g, computed on each pass or lookup, so that no minimum of
+    shifts, principal ideal or `_between` (which reads it twice) holds a copy."""
 
     def __init__(self, table, g: int):
         self.table, self.g = table, g
+
+    def __len__(self):
+        return len(self.table)
+
+    def __getitem__(self, r):
+        return self.g + self.table[(r - self.g) % len(self.table)]
 
     def __iter__(self):
         cut = len(self.table) - self.g % len(self.table)

@@ -314,12 +314,13 @@ def scan_invariants(basis):
 
 
 def test_certify_premises_match_the_product_scan():
-    # certify reads the radical index and embedding dimension of k[H]/(t^q)
-    # and k[H]/I^p off the Apery set and ideal membership; here the basis
-    # comes from a sieve over the generators and the invariants from
-    # scan_invariants, for every semigroup with 2-4 generators in 3..12
+    # certify decides the radical index of k[H]/(t^q) from sums of at most
+    # three atoms, and reads the embedding dimension of k[H]/(t^q) and
+    # k[H]/I^p off ideal membership; here the basis comes from a sieve over
+    # the generators and the invariants from scan_invariants, for every
+    # semigroup with 2-4 generators in 3..13 and every member q <= F + 1
     for size in (2, 3, 4):
-        for gens in itertools.combinations(range(3, 13), size):
+        for gens in itertools.combinations(range(3, 14), size):
             if gcd(*gens) != 1:
                 continue
             H = NumericalSemigroup.from_generators(gens)
@@ -328,12 +329,18 @@ def test_certify_premises_match_the_product_scan():
             for x in range(1, limit + 1):
                 member[x] = any(x >= g and member[x - g] for g in gens)
             members = [x for x in range(limit + 1) if member[x]]
-            for q in H.generators:
+            for q in members[1:members.index(H.frobenius + 1) + 1]:
                 basis = [x for x in members if x < q or not member[x - q]]
-                _, rad = verify_premise("radical_index_le3", semigroup=H, q=q)
+                embdim, index = scan_invariants(basis)
+                ok, rad = verify_premise("radical_index_le3", semigroup=H, q=q)
                 _, emb = verify_premise("emb_dim_le1", semigroup=H, q=q)
-                found = (dict(emb.evidence)["embdim"], dict(rad.evidence)["index"])
-                assert found == scan_invariants(basis), (gens, q)
+                assert dict(emb.evidence)["embdim"] == embdim, (gens, q)
+                if ok:
+                    assert dict(rad.evidence)["index"] == index, (gens, q)
+                else:
+                    witness = dict(rad.evidence)["witness"]
+                    assert len(witness) == 3 and set(witness) <= set(H.generators) - {q}
+                    assert index > 3 and sum(witness) in basis, (gens, q)
             for ideal_gens in _ulrich_candidates(H):
                 for p in (1, 2, 3):
                     sums = {sum(c) for c in itertools.combinations_with_replacement(

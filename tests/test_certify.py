@@ -37,6 +37,7 @@ from sackit.certify import (
     SemigroupRing,
     Truncation,
     UlrichPowerQuotient,
+    _glue_decompositions,
 )
 from sackit.errors import MalformedDescriptor, UnknownPremiseKind
 
@@ -338,6 +339,31 @@ def test_route_gluing():
     assert bad.verdict == "Unknown"
 
 
+def test_glue_candidates_match_the_divisor_loop():
+    # n*H' + <m> = H needs n to divide every generator but m, and H' to have
+    # gcd 1; the oracle tries every n in 2..max(gens) and keeps those, for
+    # every semigroup with 2-5 minimal generators in 2..20
+    def divisor_loop(gens):
+        for n in range(2, max(gens) + 1):
+            divisible = tuple(g // n for g in gens if g % n == 0)
+            rest = tuple(g for g in gens if g % n != 0)
+            if len(rest) == 1 and divisible and gcd(*divisible) == 1:
+                yield divisible, n, rest[0]
+
+    several = 0
+    for size in range(2, 6):
+        for gens in combinations(range(2, 21), size):
+            if gcd(*gens) != 1:
+                continue
+            H = NumericalSemigroup.from_generators(gens)
+            if H.generators != gens:
+                continue
+            found = list(_glue_decompositions(H))
+            assert found == list(divisor_loop(gens)), gens
+            several += len(found) > 1
+    assert several > 100  # the order of the candidates is compared too
+
+
 def test_dual_routes_for_reference_ring():
     via_ideal = certify("sgp(8,11,12,14,18)", root_rules=["R-ULCI"])
     assert (via_ideal.verdict, via_ideal.rule) == ("Certified", "R-ULCI")
@@ -416,15 +442,14 @@ def test_verify_premise_vocabulary():
 def test_embedding_dimension_is_counted_past_the_dimension_cap():
     # the atoms of k[H]/(t^q) are counted without listing a basis, so R-CI
     # certifies a truncation of dimension q > MAX_DIMENSION; the radical
-    # index lists the Apery set of q, so it is left unchecked there
+    # index is decided from sums of atoms, so it is checked there too
     q = 1048583
     H = NumericalSemigroup.from_generators([3, q])
     ok, pr = verify_premise("emb_dim_le1", semigroup=H, q=q)
     assert (ok, pr.status, dict(pr.evidence)) == (True, "Verified", {"embdim": 1})
     ok, pr = verify_premise("radical_index_le3", semigroup=H, q=q)
-    assert (ok, pr.status) == (False, "Asserted")
-    assert pr.statement == (
-        f"not checked: algebra dimension {q} is above the supported 1048576")
+    assert (ok, pr.status) == (False, "Verified")
+    assert dict(pr.evidence) == {"q": q, "witness": (3, 3, 3)}
     cert = certify(f"trunc(sgp(3,{q}),{q})")
     assert (cert.verdict, cert.rule) == ("Certified", "R-CI")
     assert [dict(p.evidence) for p in cert.premises] == [{"embdim": 1}]

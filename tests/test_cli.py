@@ -380,10 +380,11 @@ def test_huge_algebra_dimension_is_an_error():
         done = _sackit_capped(*args)
         assert done.returncode == 1, args
         assert done.stderr.startswith("error: algebra dimension 1000000000"), args
-    # a premise that needs such an algebra is not checked, and the search
-    # goes on: R-MODX reaches k[[H]] without the truncation's basis; <3,4,5>
-    # is not symmetric, so its truncation is no Gorenstein ring for R-QPOW
-    # (over R[[T]], as the Artinian truncation has depth 0)
+    # certify builds no such algebra: R-RAD3 fails on the sum 3 + 3 + 3 of
+    # atoms, which is not in q + H, and R-MODX reaches k[[H]] without the
+    # truncation's basis; <3,4,5> is not symmetric, so its truncation is no
+    # Gorenstein ring for R-QPOW (over R[[T]], as the Artinian truncation
+    # has depth 0)
     for ring, verdict, rule in (
             ("trunc(sgp(3,4,5),1000000000)", "Certified", "R-MODX"),
             ("qpow(powser(trunc(sgp(3,4,5),1000000000)),1,1)", "Unknown", None),

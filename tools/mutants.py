@@ -56,6 +56,7 @@ _CAP_BASIS = "tests/test_ideals.py::test_basis_listers_refuse_a_basis_past_the_c
 _SIEVE = "tests/test_semigroup.py::test_apery_representation_matches_sieve"
 _WINDOW = "tests/test_ideals.py::test_ideal_representation_matches_window"
 _REF_SETS = "tests/test_ideals.py::test_reference_sets_frozen"
+_GLUE_ORACLE = "tests/test_certify.py::test_glue_candidates_match_the_divisor_loop"
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -115,10 +116,16 @@ ROWS = [
      "dims = [a * c * x + a * g * y for x, y in zip(e, b)]",
      "dims = [a * c * x for x, y in zip(e, b)]",
      [f"{_WALK}[H3,4,5-q6-3]", _ROUTED]),
-    # certificate premises from the Apery set
+    # certificate premises from the generators
     ("off-by-one longest atom chain", _SGP,
      "longest = {0: 0}", "longest = {0: 1}",
+     [_SCAN, "tests/test_artinian.py::test_algebra_structure_frozen"]),
+    ("cube test checks pairs only", _CERT,
+     "for r in (1, 2, 3):", "for r in (1, 2):",
      [_SCAN, _VOCABULARY, _BYTES]),
+    ("sums of atoms tested against H, not q + H", _CERT,
+     "if not semigroup.contains(sum(s) - q)), None)", "if not semigroup.contains(sum(s))), None)",
+     [_SCAN, _VOCABULARY, _PAST_CAP]),
     ("q counted as an atom", _CERT,
      "return [g for g in semigroup.generators if g != q]",
      "return list(semigroup.generators)",
@@ -127,6 +134,15 @@ ROWS = [
      "v = sum(not ideal.member(g) for g in semigroup.generators)",
      "v = sum(not ideal.member(g) for g in semigroup.generators[:-1]) + 1",
      [_SCAN, _BYTES, "tests/test_certify.py::test_wide_two_generator_ring_is_pinned"]),
+    # gluing candidates from gcds
+    ("glue n a proper divisor of the gcd", _CERT,
+     "        if n >= 2:\n",
+     "        if n >= 2:\n            n = min(p for p in range(2, n + 1) if n % p == 0)\n",
+     [_GLUE_ORACLE]),
+    ("glue candidates in generator order", _CERT,
+     "for n, i in sorted((gcd(*gens[:i], *gens[i + 1:]), i) for i in range(len(gens))):",
+     "for n, i in [(gcd(*gens[:i], *gens[i + 1:]), i) for i in range(len(gens))]:",
+     [_GLUE_ORACLE]),
     # one source per algebra setting
     ("characteristic read from the environment again", _ART,
      "p = DEFAULT_PRIME if char is None else int(char)",
@@ -138,8 +154,7 @@ ROWS = [
      "    if (dim := _length(lo, hi)) > MAX_DIMENSION:\n"
      '        raise TooLarge(f"algebra dimension {dim} is above the supported {MAX_DIMENSION}")\n',
      "",
-     [_CAP_BASIS, "tests/test_ideals.py::test_gap_and_relative_listers_refuse_past_the_cap",
-      _PAST_CAP]),
+     [_CAP_BASIS, "tests/test_ideals.py::test_gap_and_relative_listers_refuse_past_the_cap"]),
     ("size cap restored in the embedding-dimension premise", _CERT,
      '_check_members(semigroup, (q,), "truncation degree")',
      '_check_members(semigroup, (q,), "truncation degree")\n'
@@ -149,6 +164,9 @@ ROWS = [
     ("shifted table rotated the wrong way", _SGP,
      "cut = len(self.table) - self.g % len(self.table)", "cut = self.g % len(self.table)",
      [_SIEVE, _WINDOW, _REF_SETS]),
+    ("principal ideal looks its table up the wrong way", _SGP,
+     "self.table[(r - self.g) % len(self.table)]", "self.table[(r + self.g) % len(self.table)]",
+     [_WINDOW, "tests/test_ideals.py::test_principal_ideals_are_ulrich"]),
     ("size cap compared with >=", _SGP,
      "if (dim := _length(lo, hi)) > MAX_DIMENSION:",
      "if (dim := _length(lo, hi)) >= MAX_DIMENSION:",
