@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import importlib
 import re
-from itertools import combinations_with_replacement
 from math import gcd
 
 from ._record import Record
@@ -402,15 +401,23 @@ def _truncation_atoms(semigroup, q):
 
 
 def _premise_radical_index_le3(semigroup, q):
-    # the least r with every sum of r atoms in q + H, that is m^r = 0 in k[H]/(t^q)
+    # m^r = 0 in k[H]/(t^q) when every sum of r atoms lies in the ideal q + H,
+    # so sums outside it grow from sums outside it, kept one per degree (at
+    # most min(q, e^r)); atoms ascend, so the first kept for a degree is least
     atoms = _truncation_atoms(semigroup, q)
     statement = f"k[H]/(t^{q}) with H={semigroup} has radical index <= 3"
+    level = {0: ()}
     for r in (1, 2, 3):
-        witness = next((s for s in combinations_with_replacement(atoms, r)
-                        if not semigroup.contains(sum(s) - q)), None)
-        if witness is None:
+        outside = {}
+        for d, s in level.items():
+            for a in atoms:
+                if not semigroup.contains(d + a - q):
+                    if r == 3:
+                        return False, _verified(statement, q=q, witness=(*s, a))
+                    outside.setdefault(d + a, (*s, a))
+        if not outside:
             return True, _verified(statement, index=r, q=q)
-    return False, _verified(statement, q=q, witness=witness)
+        level = outside
 
 
 def _premise_glue_preconditions(

@@ -8,6 +8,7 @@ used here, not trusted from the engine).
 
 import hashlib
 import json
+import time
 from itertools import combinations
 from math import gcd
 
@@ -453,6 +454,26 @@ def test_embedding_dimension_is_counted_past_the_dimension_cap():
     cert = certify(f"trunc(sgp(3,{q}),{q})")
     assert (cert.verdict, cert.rule) == ("Certified", "R-CI")
     assert [dict(p.evidence) for p in cert.premises] == [{"embdim": 1}]
+
+
+def test_radical_index_of_a_wide_truncation():
+    # <m, m+1, m+3, ..., 2m-1> at q = m has e = m - 1 atoms: 2(m+1) - m = m + 2
+    # is a gap, and every sum of three atoms is at least 3m + 3; sums outside
+    # q + H are kept one per degree, so this takes about m*e membership tests,
+    # where every triple of atoms (about e^3/6, 2*10^7 here) takes seconds
+    m = 500
+    H = NumericalSemigroup.from_generators([m, m + 1, *range(m + 3, 2 * m)])
+    assert H.embedding_dim == m - 1
+    start = time.perf_counter()
+    ok, pr = verify_premise("radical_index_le3", semigroup=H, q=m)
+    assert time.perf_counter() - start < 1.0
+    assert (ok, pr.status, dict(pr.evidence)) == (True, "Verified", {"index": 3, "q": m})
+    # at q = 4m every sum of at most three atoms is below q: the pairs fill
+    # about 2m degrees, and the first triple found is the witness
+    start = time.perf_counter()
+    ok, pr = verify_premise("radical_index_le3", semigroup=H, q=4 * m)
+    assert time.perf_counter() - start < 1.0
+    assert (ok, dict(pr.evidence)) == (False, {"q": 4 * m, "witness": (m, m, m)})
 
 
 def walk(doc):

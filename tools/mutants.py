@@ -124,8 +124,11 @@ ROWS = [
      "for r in (1, 2, 3):", "for r in (1, 2):",
      [_SCAN, _VOCABULARY, _BYTES]),
     ("sums of atoms tested against H, not q + H", _CERT,
-     "if not semigroup.contains(sum(s) - q)), None)", "if not semigroup.contains(sum(s))), None)",
+     "if not semigroup.contains(d + a - q):", "if not semigroup.contains(d + a):",
      [_SCAN, _VOCABULARY, _PAST_CAP]),
+    ("last sum of atoms kept per degree, not the first", _CERT,
+     "outside.setdefault(d + a, (*s, a))", "outside[d + a] = (*s, a)",
+     [_SCAN]),
     ("q counted as an atom", _CERT,
      "return [g for g in semigroup.generators if g != q]",
      "return list(semigroup.generators)",
