@@ -34,8 +34,7 @@ _EXPORTS = {
     "errors": ("SackitError",),
     "ideals": (
         "SemigroupIdeal", "UlrichReport", "cumulative_rank_identity", "estimate_ratio_holds",
-        "ideal_from_text", "ideal_to_text", "is_ulrich", "power_layer_lengths",
-        "search_reduction", "ulrich_rank_formula",
+        "is_ulrich", "power_layer_lengths", "search_reduction", "ulrich_rank_formula",
     ),
     "modp": (),
     "semigroup": ("NumericalSemigroup",),

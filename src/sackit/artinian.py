@@ -19,7 +19,8 @@ A column of rank0 algebra elements has one stored form, from construction
 (``PresentedModule.columns``) through minimalization and resolution: the
 sparse flattened vector {g*dim A + i: coeff} (generator g, basis index i).
 Dense tuples appear only at the public edge: ``_check_shape`` reads them in,
-and ``PresentedModule.relations`` and the element API give them out.
+and ``PresentedModule.relations`` and ``MonomialArtinianAlgebra.mul`` give
+them out.
 ``_multiples`` lists a column times every basis monomial by moving
 coefficients, and a product by an algebra element is a sum of these
 multiples.  The syzygy k-matrix is made of them and its kernel is taken in
@@ -66,7 +67,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .modp import Span, connected_blocks, sparse_kernel
-from .semigroup import NumericalSemigroup, radical_index
+from .semigroup import NumericalSemigroup
 
 DEFAULT_PRIME = 32003
 
@@ -152,28 +153,9 @@ class MonomialArtinianAlgebra:
 
     # -- elements ----------------------------------------------------------
 
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.dim
-
-    def monomial(self, degree: int) -> tuple[int, ...]:
-        """The basis monomial t^degree as a coefficient vector; degrees
-        outside the basis give the zero element."""
-        i = self._index.get(degree)
-        return _dense_column({} if i is None else {i: 1}, 1, self.dim)[0]
-
     def mul(self, a, b) -> tuple[int, ...]:
         a, b = _check_shape(self, 1, [(a,), (b,)])
         return _dense_column(_times(self, b, a), 1, self.dim)[0]
-
-    def is_unit(self, a) -> bool:
-        # local algebra: invertible iff the constant coefficient is nonzero
-        return a[0] % self.char != 0
-
-    def invert(self, a) -> tuple[int, ...]:
-        if not self.is_unit(a):
-            raise DomainError("element is not a unit")
-        inv = _inverse(self, _check_shape(self, 1, [(a,)])[0])
-        return _dense_column(inv, 1, self.dim)[0]
 
     # -- structure ---------------------------------------------------------
 
@@ -184,10 +166,6 @@ class MonomialArtinianAlgebra:
         positive basis monomials exactly when it is a sum of two positive
         members of H."""
         return [g for g in self.semigroup.generators if g in self._index]
-
-    def radical_index(self) -> int:
-        """Least r with m^r = 0, m the ideal of positive-degree monomials."""
-        return radical_index(self.degrees, self._atoms())
 
     def embedding_dim(self) -> int:
         """Number of minimal generators of the radical."""
@@ -710,14 +688,6 @@ class ExtWindowReport(Record):
             "last_nonzero_in_window": "none" if last is None else last,
             "nonzero_at_boundary": self.nonzero_at_boundary,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExtWindowReport":
-        last = data["last_nonzero_in_window"]
-        return cls(
-            last_nonzero_in_window=None if last == "none" else int(last),
-            nonzero_at_boundary=bool(data["nonzero_at_boundary"]),
-        )
 
 
 def ext_deg_window(module: PresentedModule, window: int = 12) -> ExtWindowReport:

@@ -26,7 +26,7 @@ import re
 from math import gcd
 
 from ._record import Record
-from .errors import MalformedDescriptor, SackitError, UnknownPremiseKind
+from .errors import MalformedDescriptor, NonPositive, SackitError, UnknownPremiseKind
 from .ideals import SemigroupIdeal, is_ulrich, search_reduction
 from .semigroup import NumericalSemigroup
 
@@ -586,11 +586,6 @@ class Certificate(Record):
             d["schema"] = SCHEMA_VERSION
         return d
 
-    def to_json(self) -> str:
-        import json  # on use: the import costs every command's start-up
-
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent
         lines = [f"{pad}goal: {self.goal}", f"{pad}verdict: {self.verdict}"]
@@ -972,8 +967,11 @@ def certify(goal, depth: int = 8, root_rules=None) -> Certificate:
     root_rules restricts the rules tried at the root only (for exhibiting
     independent derivations); children always use the full per-variant
     order.  The result is a deterministic function of (goal, depth,
-    root_rules).
+    root_rules).  A child that runs out of depth is not Certified; a root
+    depth below 1 would leave nothing to search, so it raises NonPositive.
     """
+    if depth < 1:
+        raise NonPositive(f"depth must be >= 1, got {depth}")
     if isinstance(goal, str):
         goal = parse_ring(goal)
     if goal is None:

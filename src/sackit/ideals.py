@@ -198,17 +198,6 @@ class UlrichReport(Record):
             out["free_rank"] = self.free_rank
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "UlrichReport":
-        return cls(
-            is_ulrich=data["is_ulrich"],
-            reduction_q=data.get("reduction_q"),
-            colength=data["colength"],
-            mu=data["mu"],
-            layer_length=data["layer_length"],
-            free_rank=data.get("free_rank"),
-        )
-
 
 def is_ulrich(ideal: SemigroupIdeal, q: int) -> UlrichReport:
     """Verify the Ulrich property of ``ideal`` against the principal
@@ -239,15 +228,16 @@ def is_ulrich(ideal: SemigroupIdeal, q: int) -> UlrichReport:
 
 
 def search_reduction(ideal: SemigroupIdeal) -> int | None:
-    """First positive generator (ascending) that is a stable reduction witness, if any.
+    """The positive generator q with ideal^2 = q + ideal, if there is one.
 
-    Only the stability half of the Ulrich test is searched; run is_ulrich
-    on the witness for the full verification.
+    Only q = min(ideal) can be such a witness: 2 * min(ideal) lies in
+    ideal^2 = q + ideal, so q <= min(ideal), and q lies in the ideal, so
+    q >= min(ideal).  So one stability test decides, and the unit ideal
+    (0) has no witness.  Only the stability half of the Ulrich test is
+    searched; run is_ulrich on the witness for the full verification.
     """
-    for q in ideal.generators:
-        if q > 0 and _stable(ideal, q):
-            return q
-    return None
+    q = min(ideal.generators, default=0)
+    return q if q > 0 and _stable(ideal, q) else None
 
 
 def _stable(ideal: SemigroupIdeal, q: int) -> bool:
@@ -307,29 +297,3 @@ def cumulative_rank_identity(n: int, c: int, length: int) -> bool:
     lhs = 1 + sum(ulrich_rank_formula(n, c, i) for i in range(1, length - 1))
     rhs = comb(length - 2 + n, n) + (c - n) * comb(length - 3 + n, n)
     return lhs == rhs
-
-
-def ideal_to_text(ideal: SemigroupIdeal, q: int | None = None) -> str:
-    """Render "H=...; I=...[; q=...]" for reports and round-trips."""
-    base = f"H={ideal.ambient}; I={ideal}"
-    return base if q is None else f"{base}; q={q}"
-
-
-def ideal_from_text(text: str) -> tuple[SemigroupIdeal, int | None]:
-    """Parse the ideal_to_text form back into (ideal, witness or None)."""
-    fields: dict[str, str] = {}
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
-    if "H" not in fields or "I" not in fields:
-        raise EmptyInput(f"ideal text needs H= and I= fields: {text!r}")
-    ambient = NumericalSemigroup.from_text(fields["H"])
-    try:
-        gens = [int(p) for p in fields["I"].split(",") if p.strip()]
-        q = int(fields["q"]) if "q" in fields else None
-    except ValueError as exc:
-        raise EmptyInput(f"bad I= or q= field in ideal text {text!r}") from exc
-    return SemigroupIdeal.from_generators(ambient, gens), q

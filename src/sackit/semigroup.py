@@ -50,9 +50,9 @@ MAX_DIMENSION = MAX_MULTIPLICITY
 class NumericalSemigroup:
     """The submonoid of the nonnegative integers generated by ``generators``.
 
-    Use :meth:`from_generators` (or :meth:`from_text`) rather than the raw
-    constructor; they normalize the generating set to the minimal one and
-    compute the Apery set of the multiplicity.
+    Use :meth:`from_generators` rather than the raw constructor; it
+    normalizes the generating set to the minimal one and computes the Apery
+    set of the multiplicity.
     """
 
     __slots__ = ("generators", "frobenius", "genus", "_apery")
@@ -101,18 +101,6 @@ class NumericalSemigroup:
         )
         return cls(minimal, apery)
 
-    @classmethod
-    def from_text(cls, text: str) -> "NumericalSemigroup":
-        """Parse the comma-separated generator form, e.g. ``"8,11,12,14,18"``."""
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        if not parts:
-            raise EmptyInput("empty generator list")
-        try:
-            gens = [int(p) for p in parts]
-        except ValueError as exc:
-            raise EmptyInput(f"bad generator list {text!r}") from exc
-        return cls.from_generators(gens)
-
     # -- membership -----------------------------------------------------
 
     def contains(self, x: int) -> bool:
@@ -121,16 +109,6 @@ class NumericalSemigroup:
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
-
-    def members(self, count: int) -> tuple[int, ...]:
-        """The first ``count`` members in increasing order, starting at 0."""
-        out = []
-        x = 0
-        while len(out) < count:
-            if self.contains(x):
-                out.append(x)
-            x += 1
-        return tuple(out)
 
     def gaps(self) -> tuple[int, ...]:
         """All nonnegative integers outside the semigroup; TooLarge, before
@@ -273,13 +251,3 @@ def _between(lo, hi) -> tuple[int, ...]:
 def _progressions(lo, hi) -> tuple[int, ...]:
     """Sorted union of the progressions range(lo[r], hi[r], m)."""
     return tuple(sorted(x for a, b in zip(lo, hi) for x in range(a, b, len(lo))))
-
-
-def radical_index(degrees, atoms) -> int:
-    """Least r with m^r = 0 in the quotient of k[H] with basis ``degrees``
-    (sorted from 0, closed under division) and radical m generated by t^a, a
-    in ``atoms``: one more than the longest path from 0 by atom steps."""
-    longest = {0: 0}
-    for d in degrees[1:]:
-        longest[d] = 1 + max(longest.get(d - a, -1) for a in atoms if a <= d)
-    return 1 + max(longest.values())

@@ -40,7 +40,16 @@ from sackit.certify import (
     UlrichPowerQuotient,
     _glue_decompositions,
 )
-from sackit.errors import MalformedDescriptor, UnknownPremiseKind
+from sackit.errors import MalformedDescriptor, NonPositive, UnknownPremiseKind
+
+from cli_runner import invoke
+from test_artinian import radical_index
+
+
+def cert_json(cert):
+    """The JSON that `sackit certify --json` prints for ``cert``, less the
+    final newline: cli.main's one json.dumps call."""
+    return json.dumps(cert.to_json_dict(), sort_keys=True, indent=2)
 
 
 ROUND_TRIPS = [
@@ -388,10 +397,15 @@ def test_unknown_is_reachable_and_terminates():
 
 
 def test_depth_limit_and_stability():
+    # the child that R-GLUE needs runs out of depth
     shallow = certify("glued(sgp(2,3),3,4)", depth=1)
     assert (shallow.verdict, shallow.attempted) == ("Unknown", ("R-GLUE",))
+    # a root depth below 1 would search nothing, so it is an error
+    for depth in (0, -1):
+        with pytest.raises(NonPositive, match=f"got {depth}$"):
+            certify("sgp(3,4,5)", depth=depth)
     for text in ROUND_TRIPS:
-        assert certify(text, depth=8).to_json() == certify(text, depth=12).to_json()
+        assert cert_json(certify(text, depth=8)) == cert_json(certify(text, depth=12))
 
 
 def test_verify_premise_vocabulary():
@@ -483,8 +497,8 @@ def walk(doc):
 
 
 def test_json_schema_and_shape():
-    docs = [json.loads(certify(t).to_json()) for t in ROUND_TRIPS]
-    docs.append(json.loads(certify("sgp(6,7,11)").to_json()))
+    docs = [json.loads(cert_json(certify(t))) for t in ROUND_TRIPS]
+    docs.append(json.loads(cert_json(certify("sgp(6,7,11)"))))
     for doc in docs:
         jsonschema.validate(doc, CERT_SCHEMA)
         assert doc["schema"] == "cert-v1"
@@ -503,11 +517,11 @@ def test_json_schema_and_shape():
                 assert node["rule"] is None and node["citation"] is None
                 assert node["premises"] == []
     # tampering breaks validation
-    broken = json.loads(certify("sgp(3,4,5)").to_json())
+    broken = json.loads(cert_json(certify("sgp(3,4,5)")))
     del broken["goal"]
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(broken, CERT_SCHEMA)
-    extra = json.loads(certify("sgp(3,4,5)").to_json())
+    extra = json.loads(cert_json(certify("sgp(3,4,5)")))
     extra["note"] = "x"
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(extra, CERT_SCHEMA)
@@ -515,10 +529,9 @@ def test_json_schema_and_shape():
 
 def test_json_is_deterministic():
     for text in ("sgp(8,11,12,14,18)", "glued(sgp(2,3),3,4)", "sgp(6,7,11)"):
-        a = certify(text).to_json()
-        b = certify(text).to_json()
-        assert a == b
-        assert a == json.dumps(json.loads(a), sort_keys=True, indent=2)
+        a = cert_json(certify(text))
+        assert a == cert_json(certify(text))
+        assert invoke(["certify", "--ring", text, "--json"]).output == a + "\n"
 
 
 def test_render_smoke():
@@ -570,7 +583,7 @@ def test_certificate_bytes_are_frozen():
                 cert = certify(text, depth=depth,
                                root_rules=None if rule is None else [rule])
                 digest.update(
-                    f"{text} {rule} {depth}\n{cert.to_json()}\n"
+                    f"{text} {rule} {depth}\n{cert_json(cert)}\n"
                     f"{cert.render()}\n".encode()
                 )
     assert digest.hexdigest() == CORPUS_SHA256
@@ -583,11 +596,11 @@ def test_wide_two_generator_ring_is_pinned():
     # O(dim^2) scans that the atom-based invariants replaced
     H = NumericalSemigroup.from_generators([10007, 10009])
     trunc = truncation_algebra(H, 10007)
-    assert (trunc.radical_index(), trunc.embedding_dim()) == (10007, 1)
+    assert (radical_index(trunc), trunc.embedding_dim()) == (10007, 1)
     quot = quotient_algebra(SemigroupIdeal.from_generators(H, [10009]))
     assert quot.embedding_dim() == 1
     cert = certify("sgp(10007,10009)")
-    digest = hashlib.sha256(f"{cert.to_json()}\n{cert.render()}\n".encode())
+    digest = hashlib.sha256(f"{cert_json(cert)}\n{cert.render()}\n".encode())
     assert digest.hexdigest() == (
         "6fd1b30e4ddb0da3aa15fa979f460542c423f86a611486115b710f8796037165"
     )

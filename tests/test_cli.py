@@ -280,6 +280,16 @@ def test_truncation_degree_must_be_positive():
         assert r.output.startswith("error:"), args
 
 
+def test_certify_depth_must_be_positive():
+    # as for --up-to, --window and --n: a root depth below 1 is an error, not
+    # an Unknown certificate whose only attempt is "(depth limit)"
+    for depth in ("0", "-1"):
+        r = run("certify", "--ring", "sgp(3,4,5)", "--depth", depth)
+        assert (r.exit_code, r.stdout, r.stderr) == (
+            1, "", f"error: depth must be >= 1, got {depth}\n")
+    assert run("certify", "--ring", "sgp(3,4,5)", "--depth", "1").exit_code == 0
+
+
 def test_certify_nesting_limit():
     deep = "powser(" * 3000 + "sgp(3,4,5)" + ")" * 3000
     r = run("certify", "--ring", deep)

@@ -23,10 +23,10 @@ PUBLIC = [
     "SemigroupIdeal", "SemigroupRing", "Truncation", "UlrichPowerQuotient", "UlrichReport",
     "certify", "cumulative_rank_identity", "cyclic_quotient",
     "direct_sum", "estimate_ratio_holds", "ext_deg_window", "ext_dims", "free_module",
-    "ideal_from_text", "ideal_to_text", "is_ulrich", "minimal_resolution",
-    "module_from_presentation", "parse_ring", "power_layer_lengths", "quotient_algebra",
-    "realization", "residue_field", "search_reduction", "tor_dims",
-    "truncation_algebra", "ulrich_rank_formula", "validate_descriptor", "verify_premise",
+    "is_ulrich", "minimal_resolution", "module_from_presentation", "parse_ring",
+    "power_layer_lengths", "quotient_algebra", "realization", "residue_field",
+    "search_reduction", "tor_dims", "truncation_algebra", "ulrich_rank_formula",
+    "validate_descriptor", "verify_premise",
 ]
 
 

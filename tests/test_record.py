@@ -27,7 +27,6 @@ from sackit.certify import (
     _Search,
     descriptor_grammar,
 )
-from sackit.ideals import UlrichReport
 
 H345 = NumericalSemigroup.from_generators([3, 4, 5])
 
@@ -68,8 +67,6 @@ def test_equality_and_hash_are_by_value():
     assert a != Truncation((3, 4, 5), 7)
     assert Premise("s", "Asserted") == Premise("s", "Asserted", None)
     assert len({Citation("w", "q"), Citation("w", "q"), Citation("w", "r")}) == 2
-    report = UlrichReport(True, 3, 1, 3, 3, 3)
-    assert report == UlrichReport.from_json_dict(report.to_json_dict())
 
 
 def test_equality_needs_the_same_type():

@@ -80,9 +80,9 @@ def test_cli_import_leaves_dataclasses_out():
 
 
 def test_cli_import_leaves_json_out():
-    # only --json output and Certificate.to_json write JSON, and they import
-    # json themselves, so a fresh `import sackit.cli` loads no json, while
-    # every traced module is still loaded
+    # only --json output writes JSON, and cli.main imports json itself on
+    # that path, so a fresh `import sackit.cli` loads no json, while every
+    # traced module is still loaded
     modules = sorted({m for m, _attr, _prefix, _timed in _targets()})
     script = (
         "import sys\n"

@@ -5,11 +5,12 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-A row is (name, file under src/sackit, snippet, replacement, test ids); a
-mutant that breaks two places gives a tuple of snippets and a tuple of their
-replacements.  For each row the script copies src/, tests/, perfbench/ and
-pyproject.toml to a temporary directory, replaces each snippet, which must
-occur exactly once in its file, and runs the named tests inside the copy.
+The table ``ROWS`` holds 44 rows.  A row is (name, file under src/sackit,
+snippet, replacement, test ids); a mutant that breaks two places gives a
+tuple of snippets and a tuple of their replacements.  For each row the
+script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
+directory, replaces each snippet, which must occur exactly once in its
+file, and runs the named tests inside the copy.
 They run there because the `pythonpath = ["src"]` setting of pyproject.toml
 would otherwise put the unmutated src/ first.  Before any mutant, the named
 tests run on an unmutated copy, where each must pass.
@@ -68,11 +69,6 @@ ROWS = [
      "_nakayama(algebra, cols, algebra.degrees[1:])",
      "_nakayama(algebra, cols, algebra._atoms())",
      ["tests/test_artinian.py::test_minimalization_takes_every_radical_multiple"]),
-    ("off-by-one radical index of an algebra", _ART,
-     "return radical_index(self.degrees, self._atoms())",
-     "return radical_index(self.degrees, self._atoms()) + 1",
-     ["tests/test_artinian.py::test_algebra_structure_frozen",
-      "tests/test_acceptance.py::test_radical_cube_family"]),
     ("+ F(K) dropped from the dimension shift", _ART,
      "last = here - n * sum(m * key[0] for key, m in level.items())",
      "last = -n * sum(m * key[0] for key, m in level.items())",
@@ -117,9 +113,6 @@ ROWS = [
      "dims = [a * c * x for x, y in zip(e, b)]",
      [f"{_WALK}[H3,4,5-q6-3]", _ROUTED]),
     # certificate premises from the generators
-    ("off-by-one longest atom chain", _SGP,
-     "longest = {0: 0}", "longest = {0: 1}",
-     [_SCAN, "tests/test_artinian.py::test_algebra_structure_frozen"]),
     ("cube test checks pairs only", _CERT,
      "for r in (1, 2, 3):", "for r in (1, 2):",
      [_SCAN, _VOCABULARY, _BYTES]),
@@ -146,6 +139,15 @@ ROWS = [
      "for n, i in sorted((gcd(*gens[:i], *gens[i + 1:]), i) for i in range(len(gens))):",
      "for n, i in [(gcd(*gens[:i], *gens[i + 1:]), i) for i in range(len(gens))]:",
      [_GLUE_ORACLE]),
+    # one stability test for the reduction witness, and a root depth of at least 1
+    ("search_reduction tries the largest generator", "ideals.py",
+     "q = min(ideal.generators, default=0)", "q = max(ideal.generators, default=0)",
+     ["tests/test_ideals.py::test_search_reduction_matches_the_generator_loop",
+      "tests/test_ideals.py::test_reference_report_frozen"]),
+    ("root depth check dropped", _CERT,
+     '    if depth < 1:\n        raise NonPositive(f"depth must be >= 1, got {depth}")\n', "",
+     ["tests/test_certify.py::test_depth_limit_and_stability",
+      "tests/test_cli.py::test_certify_depth_must_be_positive"]),
     # one source per algebra setting
     ("characteristic read from the environment again", _ART,
      "p = DEFAULT_PRIME if char is None else int(char)",
