@@ -237,13 +237,6 @@ class PresentedModule:
             _dense_column(vec, self.rank0, self.algebra.dim) for vec in self.columns
         )
 
-    def is_free(self) -> bool:
-        return not self.columns
-
-    def dimension(self) -> int:
-        """k-dimension of the module."""
-        return _realize(self).dim
-
     def __repr__(self) -> str:
         return (
             f"PresentedModule(rank0={self.rank0}, "

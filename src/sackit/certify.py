@@ -647,7 +647,10 @@ def _ulrich_candidates(H: NumericalSemigroup):
 
 
 def _child(desc, depth, search):
-    """The certificate of desc one level down, or None unless Certified."""
+    """The certificate of desc one level down, or None unless Certified (and
+    so None when no depth is left)."""
+    if depth <= 1:
+        return None
     cert = _certify_inner(desc, depth - 1, search, _RULES.get(type(desc), ()))
     return cert if cert.verdict == "Certified" else None
 
@@ -928,9 +931,8 @@ _RULES = {
 
 
 def _certify_inner(desc, depth, search, order):
-    """desc's certificate by the first (rule id, rule) of ``order`` that derives it."""
-    if depth <= 0:
-        return _unknown(desc, ("(depth limit)",))
+    """desc's certificate by the first (rule id, rule) of ``order`` that
+    derives it; depth is at least 1."""
     memo_key = (desc, depth)
     if memo_key in search.memo:
         return search.memo[memo_key]

@@ -1,11 +1,13 @@
 """Monomial ideals of a numerical semigroup ring and Ulrich verification.
 
 A (semigroup) ideal is a set E of members closed under adding members,
-stored by its minimal generator degrees and, like its semigroup, by its
-least element in each residue class mod the multiplicity m: E meets class
-r in the progression from there in steps of m.  That table is the least of
-the tables of g + H over the generators g; membership is one comparison, and
-lengths and complements are read off two tables by ``sackit.semigroup``.
+stored by its minimal generator degrees alone: x lies in E exactly when
+x - g is a member for some generator g (Rosales & Garcia-Sanchez 2009,
+ch. 1-2).  A length or a complement needs, like the semigroup, the least
+element of E in each residue class mod the multiplicity m, from which E
+meets class r in steps of m.  That table, the least of the tables of g + H
+over the generators g, is built when a length first needs it and kept with
+the ideal; ``sackit.semigroup`` reads lengths and complements off two tables.
 
 The module also carries the arithmetic used to compare power layers with
 their predicted free ranks: ulrich_rank_formula, estimate_ratio_holds and
@@ -15,6 +17,7 @@ floating point in this package.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -32,21 +35,14 @@ from .errors import (
 from .semigroup import NumericalSemigroup, _Shifted, _between, _length
 
 
-class SemigroupIdeal:
-    """Ideal of a numerical semigroup, given by minimal generator degrees."""
+class SemigroupIdeal(Record):
+    """Ideal of a numerical semigroup, given by minimal generator degrees.
 
-    __slots__ = ("ambient", "generators", "_least")
+    Build it with :meth:`from_generators`, which minimalizes the degrees.
+    """
 
-    def __init__(self, ambient: NumericalSemigroup, generators: tuple[int, ...]):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "generators", generators)
-        # least element in each residue class mod m; () for the zero ideal
-        rows = [_Shifted(ambient._apery, g) for g in generators]
-        least = tuple(map(min, *rows)) if len(rows) > 1 else rows[0] if rows else ()
-        object.__setattr__(self, "_least", least)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SemigroupIdeal is immutable")
+    ambient: NumericalSemigroup
+    generators: tuple[int, ...]
 
     @classmethod
     def from_generators(cls, ambient: NumericalSemigroup, degrees) -> "SemigroupIdeal":
@@ -66,17 +62,21 @@ class SemigroupIdeal:
                 minimal.append(d)
         return cls(ambient, tuple(minimal))
 
-    @classmethod
-    def maximal_ideal(cls, ambient: NumericalSemigroup) -> "SemigroupIdeal":
-        """The ideal of all nonzero members."""
-        return cls(ambient, ambient.generators)
-
     def member(self, x: int) -> bool:
         """Whether x = g + h for a generator g and a member h."""
-        return bool(self._least) and x >= self._least[x % len(self._least)]
+        return any(self.ambient.contains(x - g) for g in self.generators)
 
     def is_empty(self) -> bool:
         return not self.generators
+
+    @cached_property
+    def _least(self):
+        """Least element in each residue class mod m: the least of the tables
+        of g + H, built on the first length and kept (a principal ideal keeps
+        the shifted table of H).  The zero ideal has no finite length and
+        never builds one."""
+        rows = [_Shifted(self.ambient._apery, g) for g in self.generators]
+        return tuple(map(min, *rows)) if len(rows) > 1 else rows[0]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -101,14 +101,6 @@ class SemigroupIdeal:
                 return out
             square = square.product(square)
 
-    def shift(self, q: int) -> "SemigroupIdeal":
-        """The ideal q + E, i.e. the product with the principal ideal (q)."""
-        if not self.ambient.contains(q):
-            raise NotAMember(f"{q} is not a member of <{self.ambient}>")
-        return SemigroupIdeal.from_generators(
-            self.ambient, (q + g for g in self.generators)
-        )
-
     # -- lengths -----------------------------------------------------------
 
     def colength(self) -> int:
@@ -123,10 +115,6 @@ class SemigroupIdeal:
     def relative_length(self, other: "SemigroupIdeal") -> int:
         """Length of (this ideal) / (other ideal); requires other <= this."""
         return _length(*self._relative(other))
-
-    def relative_complement(self, other: "SemigroupIdeal") -> tuple[int, ...]:
-        """Elements of this ideal outside ``other``, sorted; TooLarge past MAX_DIMENSION."""
-        return _between(*self._relative(other))
 
     def _outside(self):
         """The tables of H and of this ideal, which bound its complement."""
@@ -154,21 +142,8 @@ class SemigroupIdeal:
         """
         return len(self.generators)
 
-    # -- plumbing ------------------------------------------------------------
-
     def __str__(self) -> str:
         return ",".join(str(g) for g in self.generators)
-
-    def __repr__(self) -> str:
-        return f"SemigroupIdeal(<{self.ambient}>, ({self}))"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SemigroupIdeal):
-            return NotImplemented
-        return self.ambient == other.ambient and self.generators == other.generators
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.generators))
 
 
 class UlrichReport(Record):

@@ -14,7 +14,8 @@ query in O(m) time and memory, however large the Frobenius number F:
 - the genus is sum(Ap)/m - (m-1)/2 (Selmer's formula);
 - H is symmetric exactly when its genus is (F+1)/2.
 
-An ideal of H (``sackit.ideals``) is stored by the same kind of table; the
+An ideal of H (``sackit.ideals``) is stored by its generators, and builds
+the same kind of table when a length or complement first needs it; the
 private helpers ``_Shifted``, ``_length`` and ``_between`` below serve both,
 and ``_between``, which lists, alone checks the size cap MAX_DIMENSION.
 
@@ -106,9 +107,6 @@ class NumericalSemigroup:
     def contains(self, x: int) -> bool:
         """Whether ``x`` lies in the semigroup."""
         return x >= 0 and x >= self._apery[x % self.multiplicity]
-
-    def __contains__(self, x: int) -> bool:
-        return self.contains(x)
 
     def gaps(self) -> tuple[int, ...]:
         """All nonnegative integers outside the semigroup; TooLarge, before
@@ -217,17 +215,14 @@ def _apery(gens, q: int) -> tuple[int, ...]:
 
 class _Shifted:
     """The table of g + S from that of S: over r, g + table[(r - g) mod m], a
-    rotation plus g, computed on each pass or lookup, so that no minimum of
-    shifts, principal ideal or `_between` (which reads it twice) holds a copy."""
+    rotation plus g, computed on each pass, so that no minimum of shifts,
+    principal ideal or `_between` (which reads it twice) holds a copy."""
 
     def __init__(self, table, g: int):
         self.table, self.g = table, g
 
     def __len__(self):
         return len(self.table)
-
-    def __getitem__(self, r):
-        return self.g + self.table[(r - self.g) % len(self.table)]
 
     def __iter__(self):
         cut = len(self.table) - self.g % len(self.table)

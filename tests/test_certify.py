@@ -9,6 +9,7 @@ used here, not trusted from the engine).
 import hashlib
 import json
 import time
+import tracemalloc
 from itertools import combinations
 from math import gcd
 
@@ -488,6 +489,22 @@ def test_radical_index_of_a_wide_truncation():
     ok, pr = verify_premise("radical_index_le3", semigroup=H, q=4 * m)
     assert time.perf_counter() - start < 1.0
     assert (ok, dict(pr.evidence)) == (False, {"q": 4 * m, "witness": (m, m, m)})
+
+
+def test_an_unstable_ideal_builds_no_table():
+    # the maximal ideal of <20011, 20021> fails the stability test, which
+    # reads membership off the generators (x - g in H); so the premise builds
+    # no residue table, which would take about 40 bytes per class here (about
+    # 800 KB)
+    H = NumericalSemigroup.from_generators([20011, 20021])
+    tracemalloc.start()
+    try:
+        ok, pr = verify_premise("ulrich", semigroup=H, ideal_gens=H.generators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ok, pr.status) == (False, "Asserted")
+    assert peak < 64 * 1024, peak
 
 
 def walk(doc):

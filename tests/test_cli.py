@@ -282,7 +282,7 @@ def test_truncation_degree_must_be_positive():
 
 def test_certify_depth_must_be_positive():
     # as for --up-to, --window and --n: a root depth below 1 is an error, not
-    # an Unknown certificate whose only attempt is "(depth limit)"
+    # an Unknown certificate
     for depth in ("0", "-1"):
         r = run("certify", "--ring", "sgp(3,4,5)", "--depth", depth)
         assert (r.exit_code, r.stdout, r.stderr) == (

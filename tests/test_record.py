@@ -49,7 +49,7 @@ def test_repr_strings_are_pinned():
         "Truncation(generators=(3, 4, 5), q=6)"
     )
     assert repr(AbstractCI()) == "AbstractCI()"
-    assert repr(is_ulrich(SemigroupIdeal.maximal_ideal(H345), 3)) == (
+    assert repr(is_ulrich(SemigroupIdeal(H345, H345.generators), 3)) == (
         "UlrichReport(is_ulrich=True, reduction_q=3, colength=1, mu=3, "
         "layer_length=3, free_rank=3)"
     )
@@ -67,6 +67,12 @@ def test_equality_and_hash_are_by_value():
     assert a != Truncation((3, 4, 5), 7)
     assert Premise("s", "Asserted") == Premise("s", "Asserted", None)
     assert len({Citation("w", "q"), Citation("w", "q"), Citation("w", "r")}) == 2
+    # an ideal is its generators; the residue table a length builds is no field
+    I, J = (SemigroupIdeal(H345, (4, 5)) for _ in range(2))
+    assert I == J and hash(I) == hash((H345, (4, 5)))
+    assert I.colength() == 3  # 0, 3 and 6 lie outside
+    assert I == J and hash(I) == hash(J)
+    assert I != SemigroupIdeal(H345, (3, 4, 5))
 
 
 def test_equality_needs_the_same_type():

@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 44 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 45 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -169,9 +169,16 @@ ROWS = [
     ("shifted table rotated the wrong way", _SGP,
      "cut = len(self.table) - self.g % len(self.table)", "cut = self.g % len(self.table)",
      [_SIEVE, _WINDOW, _REF_SETS]),
-    ("principal ideal looks its table up the wrong way", _SGP,
-     "self.table[(r - self.g) % len(self.table)]", "self.table[(r + self.g) % len(self.table)]",
-     [_WINDOW, "tests/test_ideals.py::test_principal_ideals_are_ulrich"]),
+    # an ideal is its generators; its table is built when a length needs it
+    ("ideal membership tested at x + g", "ideals.py",
+     "any(self.ambient.contains(x - g) for g in self.generators)",
+     "any(self.ambient.contains(x + g) for g in self.generators)",
+     [_WINDOW, "tests/test_ideals.py::test_relative_length_requires_containment",
+      "tests/test_ideals.py::test_membership_and_minimal_generators[hgens4-igens4]"]),
+    ("ideal table built from the first generator only", "ideals.py",
+     "rows = [_Shifted(self.ambient._apery, g) for g in self.generators]",
+     "rows = [_Shifted(self.ambient._apery, g) for g in self.generators[:1]]",
+     [_WINDOW, _REF_SETS, "tests/test_ideals.py::test_reference_report_frozen"]),
     ("size cap compared with >=", _SGP,
      "if (dim := _length(lo, hi)) > MAX_DIMENSION:",
      "if (dim := _length(lo, hi)) >= MAX_DIMENSION:",
