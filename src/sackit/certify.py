@@ -21,7 +21,6 @@ byte identical JSON.
 
 from __future__ import annotations
 
-import importlib
 import re
 from math import gcd
 
@@ -655,19 +654,6 @@ def _child(desc, depth, search):
     return cert if cert.verdict == "Certified" else None
 
 
-def _ci_quotient(H, ideal_gens, power=1):
-    """Premise that k[[H]]/I^power is a complete intersection: colength
-    <= 2, else embedding dimension <= 1."""
-    ok, pr = verify_premise(
-        "colength_le2", semigroup=H, ideal_gens=ideal_gens, power=power
-    )
-    if not ok:
-        ok, pr = verify_premise(
-            "emb_dim_le1", semigroup=H, ideal_gens=ideal_gens, power=power
-        )
-    return ok, pr
-
-
 def _nonzerodivisor(H, q) -> Premise:
     return _verified(f"t^{q} is a non-zerodivisor on k[[H]], H={H}", q=q)
 
@@ -697,8 +683,10 @@ def _rule_ci_trunc(desc, depth, search):
 def _rule_ci_upow(desc, depth, search):
     if not isinstance(desc.inner, SemigroupRing):
         return None
-    H = search.semigroup(desc.inner.generators)
-    ok, pr = _ci_quotient(H, desc.ideal_gens, desc.power)
+    ok, pr = verify_premise(
+        "emb_dim_le1", semigroup=search.semigroup(desc.inner.generators),
+        ideal_gens=desc.ideal_gens, power=desc.power,
+    )
     return ([pr], []) if ok else None
 
 
@@ -745,7 +733,7 @@ def _rule_ulci(desc, depth, search):
         ok, p_ulr = verify_premise("ulrich", semigroup=H, ideal_gens=gens)
         if not ok:
             continue
-        ok, p_ci = _ci_quotient(H, gens)
+        ok, p_ci = verify_premise("emb_dim_le1", semigroup=H, ideal_gens=gens)
         if ok:
             return [p_ulr, p_ci], []
     return None
@@ -906,6 +894,7 @@ def _rule_ffd(desc, depth, search):
 
 # Fixed per-variant rule order: cheap combinatorial rules first.  R-RAD3
 # precedes R-ULCI so rings reachable by both take the cheaper radical route.
+# R-UPOW and R-MODX of a semigroup ring are in _ROOT_ONLY below.
 _RULES = {
     SemigroupRing: (
         ("R-CI", _rule_ci_sgp),
@@ -913,8 +902,6 @@ _RULES = {
         ("R-RAD3", _rule_rad3_sgp),
         ("R-ULCI", _rule_ulci),
         ("R-GLUE", _rule_glue_sgp),
-        ("R-UPOW", _rule_upow),
-        ("R-MODX", _rule_modx_sgp),
     ),
     Truncation: (
         ("R-CI", _rule_ci_trunc),
@@ -928,6 +915,15 @@ _RULES = {
     AbstractCI: (("R-CI", _rule_ci_declared),),
     AbstractWithFiniteFlatCover: (("R-FFD", _rule_ffd),),
 }
+
+# Rules that only a root named in root_rules runs, since at k[[H]] they
+# certify nothing the order above leaves Unknown.  R-UPOW's child k[[H]]/I
+# has one rule, R-CI: the embedding-dimension test that R-ULCI already ran on
+# the same Ulrich candidates.  R-MODX's child k[H]/(t^m), m the multiplicity,
+# has three: R-RAD3, on the premise of k[[H]]'s own R-RAD3; R-CI, which needs
+# H to have at most two generators, and then R-ULCI certifies k[[H]] by a
+# principal ideal; and R-MODX, back to k[[H]], which the stack guard fails.
+_ROOT_ONLY = {SemigroupRing: (("R-UPOW", _rule_upow), ("R-MODX", _rule_modx_sgp))}
 
 
 def _certify_inner(desc, depth, search, order):
@@ -966,11 +962,13 @@ def _certify_inner(desc, depth, search, order):
 def certify(goal, depth: int = 8, root_rules=None) -> Certificate:
     """Backward-chaining certificate search for "(SAC) holds" over ``goal``.
 
-    root_rules restricts the rules tried at the root only (for exhibiting
-    independent derivations); children always use the full per-variant
-    order.  The result is a deterministic function of (goal, depth,
-    root_rules).  A child that runs out of depth is not Certified; a root
-    depth below 1 would leave nothing to search, so it raises NonPositive.
+    root_rules picks, in its order, the rules tried at the root only (for
+    exhibiting independent derivations): those of the root's variant in
+    _RULES, and at a semigroup ring also R-UPOW and R-MODX (_ROOT_ONLY).
+    Children always use the order of _RULES.  The result is a deterministic
+    function of (goal, depth, root_rules).  A child that runs out of depth is
+    not Certified; a root depth below 1 would leave nothing to search, so it
+    raises NonPositive.
     """
     if depth < 1:
         raise NonPositive(f"depth must be >= 1, got {depth}")
@@ -983,15 +981,6 @@ def certify(goal, depth: int = 8, root_rules=None) -> Certificate:
     # children search one level down, so nothing reads the root's memo entry
     order = _RULES.get(type(goal), ())
     if root_rules is not None:
-        by_id = dict(order)
+        by_id = dict(order + _ROOT_ONLY.get(type(goal), ()))
         order = tuple((r, by_id[r]) for r in root_rules if r in by_id)
     return _certify_inner(goal, depth, search, order)
-
-
-def __getattr__(name):
-    """CERT_SCHEMA and descriptor_grammar, which the search never reads, from
-    the modules that hold them (PEP 562), so a search compiles neither."""
-    owner = {"CERT_SCHEMA": "_schema", "descriptor_grammar": "_cli_help"}.get(name)
-    if owner is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__package__}.{owner}"), name)

@@ -379,7 +379,7 @@ def test_dual_routes_for_reference_ring():
     via_ideal = certify("sgp(8,11,12,14,18)", root_rules=["R-ULCI"])
     assert (via_ideal.verdict, via_ideal.rule) == ("Certified", "R-ULCI")
     ev = {k: v for p in via_ideal.premises for k, v in (p.evidence or ())}
-    assert ev == {"colength": 2, "layer": 8, "mu": 4, "q": 8}
+    assert ev == {"colength": 2, "embdim": 1, "layer": 8, "mu": 4, "q": 8}
     via_glue = certify("sgp(8,11,12,14,18)", root_rules=["R-GLUE"])
     assert (via_glue.verdict, via_glue.rule) == ("Certified", "R-GLUE")
     assert via_glue.children[0].goal == "sgp(4,6,7,9)"
@@ -387,14 +387,45 @@ def test_dual_routes_for_reference_ring():
 
 
 def test_unknown_is_reachable_and_terminates():
-    # no rule applies to <6,7,11>; the mod-x rewrite would loop between the
-    # ring and its truncation, so this also exercises the cycle guard
+    # no rule of the default order applies to <6,7,11>
     cert = certify("sgp(6,7,11)")
     assert cert.verdict == "Unknown"
     assert cert.rule is None and cert.citation is None
-    assert cert.attempted == (
-        "R-CI", "R-MIN", "R-RAD3", "R-ULCI", "R-GLUE", "R-UPOW", "R-MODX"
-    )
+    assert cert.attempted == ("R-CI", "R-MIN", "R-RAD3", "R-ULCI", "R-GLUE")
+
+
+def test_the_cycle_guard_stops_a_circular_root_modx_proof():
+    # a root R-MODX reaches sgp(5,6,9) again through its truncation; that
+    # grandchild is the goal itself, so it must not count as a proof
+    assert certify("sgp(5,6,9)").rule == "R-ULCI"
+    cert = certify("sgp(5,6,9)", root_rules=["R-MODX"])
+    assert (cert.verdict, cert.attempted) == ("Unknown", ("R-MODX",))
+
+
+def test_root_only_rules_certify_nothing_the_default_order_misses():
+    # R-UPOW and R-MODX leave the default order of a semigroup ring because
+    # R-ULCI and R-RAD3 certify every ring they do; the default search
+    # certifies every ring that some root rule does
+    rings = [
+        "sgp(" + ",".join(map(str, gens)) + ")"
+        for k in (2, 3, 4)
+        for gens in combinations(range(3, 13), k)
+        if gcd(*gens) == 1
+        and NumericalSemigroup.from_generators(gens).generators == gens
+    ]
+    rules = ("R-CI", "R-MIN", "R-RAD3", "R-ULCI", "R-GLUE", "R-UPOW", "R-MODX")
+    upow = modx = 0
+    for ring in rings:
+        by = {rule for rule in rules
+              if certify(ring, root_rules=[rule]).verdict == "Certified"}
+        if "R-UPOW" in by:
+            upow += 1
+            assert "R-ULCI" in by, ring
+        if "R-MODX" in by:
+            modx += 1
+            assert by & {"R-RAD3", "R-ULCI"}, ring
+        assert (certify(ring).verdict == "Certified") == bool(by), ring
+    assert upow and modx  # both rules certify some ring on their own
 
 
 def test_depth_limit_and_stability():
@@ -573,7 +604,7 @@ def test_citation_fragments():
 
 # sha256 of the certificate JSON and render() over the corpus below; a
 # refactor of the parser or the rule engine must keep every byte
-CORPUS_SHA256 = "62e10c097df48980eb7a10fcda8e84ed10abbc3c4db6b0c20a44fd763b94cbf5"
+CORPUS_SHA256 = "86418313b4a9fdb2fce3ab7dbef41a51eb9c697ff1d037e58f48bef70b1e3b32"
 DIGEST_CORPUS = ROUND_TRIPS + [
     "sgp(6,7,11)",
     "sgp(5,1001)",

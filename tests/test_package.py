@@ -65,16 +65,17 @@ def test_certify_stays_the_function_after_the_submodule_is_imported():
     assert _python(script) == "[True, True, True, True]\n"
 
 
-def test_the_schema_and_the_grammar_resolve_through_certify():
+def test_the_schema_and_the_grammar_resolve_from_their_modules():
     # both live outside the module of the certificate search, which never
-    # reads them, and resolve through it as before
+    # reads them
     from cli_runner import invoke
+    from sackit._cli_help import descriptor_grammar
+    from sackit._schema import CERT_SCHEMA
 
-    module = sys.modules["sackit.certify"]
-    assert sackit.CERT_SCHEMA is module.CERT_SCHEMA
-    assert "schema" in module.CERT_SCHEMA["definitions"]["certificate"]["properties"]
+    assert sackit.CERT_SCHEMA is CERT_SCHEMA
+    assert "schema" in CERT_SCHEMA["definitions"]["certificate"]["properties"]
     help_text = invoke(["certify", "--help"]).stdout
-    assert help_text.endswith("\n\n" + module.descriptor_grammar() + "\n")
+    assert help_text.endswith("\n\n" + descriptor_grammar() + "\n")
 
 
 def test_version_is_a_literal_in_the_package_source():

@@ -25,8 +25,8 @@ from sackit.certify import (
     _certify_inner,
     _RULES,
     _Search,
-    descriptor_grammar,
 )
+from sackit._cli_help import descriptor_grammar
 
 H345 = NumericalSemigroup.from_generators([3, 4, 5])
 

@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 45 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 48 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -139,6 +139,18 @@ ROWS = [
      "for n, i in sorted((gcd(*gens[:i], *gens[i + 1:]), i) for i in range(len(gens))):",
      "for n, i in [(gcd(*gens[:i], *gens[i + 1:]), i) for i in range(len(gens))]:",
      [_GLUE_ORACLE]),
+    # one complete-intersection test, and only deciding rules in the default order
+    ("cycle guard dropped", _CERT,
+     "    if desc in search.stack:\n", "    if False:\n",
+     ["tests/test_certify.py::test_the_cycle_guard_stops_a_circular_root_modx_proof"]),
+    ("R-UPOW back in the default order", _CERT,
+     '        ("R-GLUE", _rule_glue_sgp),\n    ),\n',
+     '        ("R-GLUE", _rule_glue_sgp),\n        ("R-UPOW", _rule_upow),\n    ),\n',
+     ["tests/test_certify.py::test_unknown_is_reachable_and_terminates", _BYTES]),
+    ("R-ULCI tests colength_le2 instead of emb_dim_le1", _CERT,
+     'verify_premise("emb_dim_le1", semigroup=H, ideal_gens=gens)',
+     'verify_premise("colength_le2", semigroup=H, ideal_gens=gens)',
+     ["tests/test_certify.py::test_dual_routes_for_reference_ring", _BYTES]),
     # one stability test for the reduction witness, and a root depth of at least 1
     ("search_reduction tries the largest generator", "ideals.py",
      "q = min(ideal.generators, default=0)", "q = max(ideal.generators, default=0)",
