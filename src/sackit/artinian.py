@@ -70,6 +70,8 @@ from .modp import Span, connected_blocks, sparse_kernel
 from .semigroup import NumericalSemigroup
 
 DEFAULT_PRIME = 32003
+# characteristics at or above this are refused: _is_prime is a proof below it
+MAX_PRIME = 2**64
 
 
 def _is_prime(n: int) -> bool:
@@ -78,7 +80,9 @@ def _is_prime(n: int) -> bool:
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % small == 0:
             return n == small
-    # deterministic Miller-Rabin, valid far beyond word size
+    # Miller-Rabin on the prime bases up to 37 decides every n below
+    # psi_12 = 318665857834031151167461 (Sorenson & Webster 2017), a strong
+    # pseudoprime to all of them; callers keep n below MAX_PRIME
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -114,6 +118,8 @@ class MonomialArtinianAlgebra:
         """k[H]/(t^q) for q = ``truncation_q``, a positive member, with the
         Apery set of q as basis; else k[H]/``ideal``, with its complement."""
         p = DEFAULT_PRIME if char is None else int(char)
+        if p >= MAX_PRIME:
+            raise DomainError(f"characteristic {p} is not below the supported 2^64")
         if not _is_prime(p):
             raise DomainError(f"characteristic {p} is not prime")
         degrees = semigroup.apery_set(truncation_q) if ideal is None else ideal.complement()

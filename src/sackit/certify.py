@@ -423,8 +423,8 @@ def _premise_glue_preconditions(
     inner_gens, n, m, expected=None, build_semigroup=None
 ):
     build = build_semigroup or NumericalSemigroup.from_generators
-    inner = _semigroup(inner_gens, build)
     try:
+        inner = build(inner_gens)
         glued = build(inner.glue_generators(n, m))
     except SackitError as exc:
         return False, _asserted(f"gluing rejected: {exc}")
@@ -654,6 +654,15 @@ def _child(desc, depth, search):
     return cert if cert.verdict == "Certified" else None
 
 
+def _semigroup_ring(desc, search):
+    """(H, q, truncated) of a sgp or trunc descriptor: H from its minimal
+    generators, and q the multiplicity of H for k[[H]], where t^q is the
+    regular element, or the degree of the truncation k[H]/(t^q) itself."""
+    H = search.semigroup(desc.generators)
+    truncated = isinstance(desc, Truncation)
+    return H, desc.q if truncated else H.multiplicity, truncated
+
+
 def _nonzerodivisor(H, q) -> Premise:
     return _verified(f"t^{q} is a non-zerodivisor on k[[H]], H={H}", q=q)
 
@@ -666,17 +675,9 @@ def _rule_ci_declared(desc, depth, search):
     return [_asserted("declared complete intersection")], []
 
 
-def _rule_ci_sgp(desc, depth, search):
-    ok, pr = verify_premise(
-        "emb_dim_le1", semigroup=search.semigroup(desc.generators)
-    )
-    return ([pr], []) if ok else None
-
-
-def _rule_ci_trunc(desc, depth, search):
-    ok, pr = verify_premise(
-        "emb_dim_le1", semigroup=search.semigroup(desc.generators), q=desc.q
-    )
+def _rule_ci(desc, depth, search):
+    H, q, truncated = _semigroup_ring(desc, search)
+    ok, pr = verify_premise("emb_dim_le1", semigroup=H, q=q if truncated else None)
     return ([pr], []) if ok else None
 
 
@@ -714,17 +715,11 @@ _RAD3_EXTERNAL = _asserted(
 )
 
 
-def _rule_rad3_sgp(desc, depth, search):
-    H = search.semigroup(desc.generators)
-    q = H.multiplicity
+def _rule_rad3(desc, depth, search):
+    H, q, truncated = _semigroup_ring(desc, search)
     ok, p_rad = verify_premise("radical_index_le3", semigroup=H, q=q)
-    return ([p_rad, _RAD3_EXTERNAL, _nonzerodivisor(H, q)], []) if ok else None
-
-
-def _rule_rad3_trunc(desc, depth, search):
-    H = search.semigroup(desc.generators)
-    ok, p_rad = verify_premise("radical_index_le3", semigroup=H, q=desc.q)
-    return ([p_rad, _RAD3_EXTERNAL], []) if ok else None
+    regular = [] if truncated else [_nonzerodivisor(H, q)]
+    return ([p_rad, _RAD3_EXTERNAL, *regular], []) if ok else None
 
 
 def _rule_ulci(desc, depth, search):
@@ -748,17 +743,14 @@ def _glue_decompositions(H: NumericalSemigroup):
             yield tuple(g // n for g in gens[:i] + gens[i + 1:]), n, gens[i]
 
 
-def _glue(candidates, expected, depth, search):
-    """R-GLUE by the first candidate gluing that is valid, gives `expected`
-    (if set) and has a Certified inner ring."""
+def _glue(candidates, depth, search):
+    """R-GLUE by the first candidate gluing that is valid and has a Certified
+    inner ring."""
     for inner_gens, n, m in candidates:
-        try:
-            ok, p_glue = verify_premise(
-                "glue_preconditions", inner_gens=inner_gens, n=n, m=m,
-                expected=expected, build_semigroup=search.semigroup,
-            )
-        except MalformedDescriptor:
-            continue
+        ok, p_glue = verify_premise(
+            "glue_preconditions", inner_gens=inner_gens, n=n, m=m,
+            build_semigroup=search.semigroup,
+        )
         if not ok:
             continue
         child = _child(SemigroupRing(tuple(inner_gens)), depth, search)
@@ -768,12 +760,13 @@ def _glue(candidates, expected, depth, search):
 
 
 def _rule_glue_sgp(desc, depth, search):
+    # candidates from H's minimal generators glue back to H however desc spells it
     H = search.semigroup(desc.generators)
-    return _glue(_glue_decompositions(H), desc.generators, depth, search)
+    return _glue(_glue_decompositions(H), depth, search)
 
 
 def _rule_glue_glued(desc, depth, search):
-    return _glue([(desc.inner.generators, desc.n, desc.m)], None, depth, search)
+    return _glue([(desc.inner.generators, desc.n, desc.m)], depth, search)
 
 
 def _rule_upow(desc, depth, search):
@@ -799,21 +792,12 @@ def _rule_upow(desc, depth, search):
     return None
 
 
-def _modx(H, q, child_desc, depth, search):
-    """R-MODX between k[[H]] and k[H]/(t^q), whichever one child_desc is."""
-    child = _child(child_desc, depth, search)
+def _rule_modx(desc, depth, search):
+    # between k[[H]] and k[H]/(t^q), each the other's child, spelled as desc
+    H, q, truncated = _semigroup_ring(desc, search)
+    other = SemigroupRing(desc.generators) if truncated else Truncation(desc.generators, q)
+    child = _child(other, depth, search)
     return None if child is None else ([_nonzerodivisor(H, q)], [child])
-
-
-def _rule_modx_sgp(desc, depth, search):
-    H = search.semigroup(desc.generators)
-    q = H.multiplicity
-    return _modx(H, q, Truncation(desc.generators, q), depth, search)
-
-
-def _rule_modx_trunc(desc, depth, search):
-    H = search.semigroup(desc.generators)
-    return _modx(H, desc.q, SemigroupRing(desc.generators), depth, search)
 
 
 def _rule_pow(desc, depth, search):
@@ -897,16 +881,16 @@ def _rule_ffd(desc, depth, search):
 # R-UPOW and R-MODX of a semigroup ring are in _ROOT_ONLY below.
 _RULES = {
     SemigroupRing: (
-        ("R-CI", _rule_ci_sgp),
+        ("R-CI", _rule_ci),
         ("R-MIN", _rule_min),
-        ("R-RAD3", _rule_rad3_sgp),
+        ("R-RAD3", _rule_rad3),
         ("R-ULCI", _rule_ulci),
         ("R-GLUE", _rule_glue_sgp),
     ),
     Truncation: (
-        ("R-CI", _rule_ci_trunc),
-        ("R-RAD3", _rule_rad3_trunc),
-        ("R-MODX", _rule_modx_trunc),
+        ("R-CI", _rule_ci),
+        ("R-RAD3", _rule_rad3),
+        ("R-MODX", _rule_modx),
     ),
     Glued: (("R-GLUE", _rule_glue_glued),),
     PowerSeriesExt: (("R-POW", _rule_pow),),
@@ -923,7 +907,7 @@ _RULES = {
 # has three: R-RAD3, on the premise of k[[H]]'s own R-RAD3; R-CI, which needs
 # H to have at most two generators, and then R-ULCI certifies k[[H]] by a
 # principal ideal; and R-MODX, back to k[[H]], which the stack guard fails.
-_ROOT_ONLY = {SemigroupRing: (("R-UPOW", _rule_upow), ("R-MODX", _rule_modx_sgp))}
+_ROOT_ONLY = {SemigroupRing: (("R-UPOW", _rule_upow), ("R-MODX", _rule_modx))}
 
 
 def _certify_inner(desc, depth, search, order):

@@ -215,6 +215,14 @@ class _Main:
             except SackitError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 raise SystemExit(1)
+            except ValueError as exc:
+                # str() and json.dumps refuse an int past the interpreter's
+                # limit on decimal digits; input integers never get this far
+                if "integer string conversion" not in str(exc):
+                    raise
+                print(f"error: a result has more than {sys.get_int_max_str_digits()} "
+                      "decimal digits", file=sys.stderr)
+                raise SystemExit(1)
             finally:
                 # also after argparse printed help or the version and exited
                 sys.stdout.flush()

@@ -41,7 +41,13 @@ from sackit.certify import (
     UlrichPowerQuotient,
     _glue_decompositions,
 )
-from sackit.errors import MalformedDescriptor, NonPositive, UnknownPremiseKind
+from sackit.errors import (
+    MalformedDescriptor,
+    NonPositive,
+    SackitError,
+    UnknownPremiseKind,
+)
+from sackit.semigroup import MAX_MULTIPLICITY
 
 from cli_runner import invoke
 from test_artinian import radical_index
@@ -361,7 +367,7 @@ def test_glue_candidates_match_the_divisor_loop():
             if len(rest) == 1 and divisible and gcd(*divisible) == 1:
                 yield divisible, n, rest[0]
 
-    several = 0
+    several = valid = 0
     for size in range(2, 6):
         for gens in combinations(range(2, 21), size):
             if gcd(*gens) != 1:
@@ -372,7 +378,56 @@ def test_glue_candidates_match_the_divisor_loop():
             found = list(_glue_decompositions(H))
             assert found == list(divisor_loop(gens)), gens
             several += len(found) > 1
+            # so R-GLUE needs no guard: each inner semigroup builds from its
+            # minimal generators, and a valid gluing gives back exactly H's
+            for inner, n, m in found:
+                inner_H = NumericalSemigroup.from_generators(inner)
+                assert inner_H.generators == inner, (gens, n)
+                try:
+                    glued = inner_H.glue_generators(n, m)
+                except SackitError:  # m no member, or a generator: rejected
+                    continue
+                assert glued == H.generators, (gens, n)
+                valid += 1
     assert several > 100  # the order of the candidates is compared too
+    assert valid > 100
+
+
+SGP_RULES = ("R-CI", "R-MIN", "R-RAD3", "R-ULCI", "R-GLUE", "R-UPOW", "R-MODX")
+
+
+def test_a_verdict_does_not_depend_on_the_spelling():
+    # one semigroup written ascending, descending and with a redundant
+    # generator is one ring, so every wrapper and root rule gives it one
+    # (verdict, rule); for an odd generator g, 3g is an odd member and no
+    # minimal generator, so glued(., 2, 3g) is a valid gluing
+    cases = 0
+    for size in (2, 3, 4):
+        for gens in combinations(range(2, 13), size):
+            if gcd(*gens) != 1 or NumericalSemigroup.from_generators(gens).generators != gens:
+                continue
+            odd = 3 * next(g for g in gens if g % 2)
+            spellings = (gens, gens[::-1], gens + (gens[0] + gens[1],))
+            for wrap in ("{}", "powser({})", f"glued({{}},2,{odd})"):
+                for rule in (None, *SGP_RULES):
+                    seen = set()
+                    for spelled in spellings:
+                        ring = wrap.format("sgp(" + ",".join(map(str, spelled)) + ")")
+                        cert = certify(ring, root_rules=None if rule is None else [rule])
+                        seen.add((cert.verdict, cert.rule))
+                    assert len(seen) == 1, (gens, wrap, rule, seen)
+                    cases += 1
+    assert cases == 131 * 3 * 8
+
+
+def test_a_gluing_whose_inner_semigroup_is_past_the_cap_is_rejected():
+    # <5, 2x, 2x + 2> is 2*<x, x + 1> + <5>, whose inner multiplicity x is
+    # above MAX_MULTIPLICITY: R-GLUE rejects that candidate instead of failing
+    x = MAX_MULTIPLICITY + 1
+    cert = certify(f"sgp(5,{2 * x},{2 * x + 2})", root_rules=["R-GLUE"])
+    assert (cert.verdict, cert.attempted) == ("Unknown", ("R-GLUE",))
+    ok, pr = verify_premise("glue_preconditions", inner_gens=[x, x + 1], n=2, m=5)
+    assert not ok and pr.statement.startswith("gluing rejected: multiplicity")
 
 
 def test_dual_routes_for_reference_ring():
@@ -413,10 +468,9 @@ def test_root_only_rules_certify_nothing_the_default_order_misses():
         if gcd(*gens) == 1
         and NumericalSemigroup.from_generators(gens).generators == gens
     ]
-    rules = ("R-CI", "R-MIN", "R-RAD3", "R-ULCI", "R-GLUE", "R-UPOW", "R-MODX")
     upow = modx = 0
     for ring in rings:
-        by = {rule for rule in rules
+        by = {rule for rule in SGP_RULES
               if certify(ring, root_rules=[rule]).verdict == "Certified"}
         if "R-UPOW" in by:
             upow += 1
@@ -604,7 +658,7 @@ def test_citation_fragments():
 
 # sha256 of the certificate JSON and render() over the corpus below; a
 # refactor of the parser or the rule engine must keep every byte
-CORPUS_SHA256 = "86418313b4a9fdb2fce3ab7dbef41a51eb9c697ff1d037e58f48bef70b1e3b32"
+CORPUS_SHA256 = "09315174c5d6975275d49cf6a1fc6693018b0b730851f9ce87bac62274ef0a90"
 DIGEST_CORPUS = ROUND_TRIPS + [
     "sgp(6,7,11)",
     "sgp(5,1001)",

@@ -191,6 +191,44 @@ def test_characteristic_flag_and_env():
             assert (odd.exit_code, odd.output) == (0, plain.output), (args, value)
 
 
+def test_a_characteristic_is_refused_from_2_64_on():
+    # Miller-Rabin on the prime bases up to 37 proves primality only below
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to all of
+    # them; a characteristic from 2^64 on is refused, the largest prime
+    # below 2^64 still works
+    args = ("ext", "table", "--H", "3,4,5", "--q", "6", "--mod", "cyc(4)+k",
+            "--range", "0..4", "--p")
+    psi12 = 399165290221 * 798330580441
+    assert psi12 == 318665857834031151167461
+    for p in (psi12, 2**64):
+        r = run(*args, str(p))
+        assert (r.exit_code, r.stdout) == (1, ""), p
+        assert r.stderr == f"error: characteristic {p} is not below the supported 2^64\n"
+    r = run(*args, "18446744073709551557")
+    assert r.exit_code == 0 and "p=18446744073709551557" in r.stdout
+    assert r.stdout.splitlines()[-1] == "dim: 7  11  23  51  106"
+
+
+def test_a_result_past_the_decimal_digit_limit_is_an_error():
+    # the interpreter writes no int of more than 4300 decimal digits; the
+    # Apery set of <5, g> and the gluing 4300-digit n * <2, 3> + <5> hold such
+    # ints, so both commands end in one error: line, in process and as a
+    # process alike
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    g, n = 9 * 10**4299 + 1, 4 * 10**4299 + 1
+    for args in (("sgp", "info", "--gens", f"5,{g}"),
+                 ("glue", "--gens", "2,3", "--n", str(n), "--m", "5")):
+        for flags in ((), ("--json",)):
+            done = subprocess.run([sys.executable, "-m", "sackit", *args, *flags],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert "Traceback" not in done.stderr, args
+            assert (done.returncode, done.stdout) == (1, ""), args
+            assert done.stderr == "error: a result has more than 4300 decimal digits\n"
+            r = run(*args, *flags)
+            assert (r.exit_code, r.stdout, r.stderr) == (1, "", done.stderr), args
+
+
 def test_certify_reads_no_characteristic():
     # the premises are integer combinatorics over the semigroup, so a bad
     # SACKIT_PRIME changes no certificate byte

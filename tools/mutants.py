@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 48 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 53 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -151,6 +151,28 @@ ROWS = [
      'verify_premise("emb_dim_le1", semigroup=H, ideal_gens=gens)',
      'verify_premise("colength_le2", semigroup=H, ideal_gens=gens)',
      ["tests/test_certify.py::test_dual_routes_for_reference_ring", _BYTES]),
+    # a semigroup ring read once, from its minimal generators
+    ("nonzerodivisor premise on a truncation too", _CERT,
+     "regular = [] if truncated else [_nonzerodivisor(H, q)]",
+     "regular = [_nonzerodivisor(H, q)]",
+     [_BYTES, "tests/test_cli.py::test_cli_outputs_are_frozen"]),
+    ("R-MODX child is the same shape", _CERT,
+     "other = SemigroupRing(desc.generators) if truncated else Truncation(desc.generators, q)",
+     "other = Truncation(desc.generators, q) if truncated else SemigroupRing(desc.generators)",
+     ["tests/test_certify.py::test_route_modx_chains_to_truncation", _BYTES,
+      "tests/test_certify.py::test_root_only_rules_certify_nothing_the_default_order_misses"]),
+    ("R-CI at k[[H]] reads the truncation", _CERT,
+     "q=q if truncated else None", "q=q",
+     ["tests/test_certify.py::test_render_smoke", _BYTES,
+      "tests/test_certify.py::test_wide_two_generator_ring_is_pinned"]),
+    ("R-GLUE compares with the spelled generators", _CERT,
+     ("def _glue(candidates, depth, search):",
+      "            build_semigroup=search.semigroup,\n",
+      "return _glue(_glue_decompositions(H), depth, search)"),
+     ("def _glue(candidates, depth, search, expected=None):",
+      "            expected=expected, build_semigroup=search.semigroup,\n",
+      "return _glue(_glue_decompositions(H), depth, search, desc.generators)"),
+     ["tests/test_certify.py::test_a_verdict_does_not_depend_on_the_spelling", _BYTES]),
     # one stability test for the reduction witness, and a root depth of at least 1
     ("search_reduction tries the largest generator", "ideals.py",
      "q = min(ideal.generators, default=0)", "q = max(ideal.generators, default=0)",
@@ -161,6 +183,11 @@ ROWS = [
      ["tests/test_certify.py::test_depth_limit_and_stability",
       "tests/test_cli.py::test_certify_depth_must_be_positive"]),
     # one source per algebra setting
+    ("2^64 bound dropped", _ART,
+     "        if p >= MAX_PRIME:\n"
+     '            raise DomainError(f"characteristic {p} is not below the supported 2^64")\n',
+     "",
+     ["tests/test_cli.py::test_a_characteristic_is_refused_from_2_64_on"]),
     ("characteristic read from the environment again", _ART,
      "p = DEFAULT_PRIME if char is None else int(char)",
      'p = int(__import__("os").environ.get("SACKIT_PRIME", DEFAULT_PRIME)) '
