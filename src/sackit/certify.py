@@ -49,13 +49,31 @@ class _Descriptor(Record):
         )
         return f"{self.HEAD}({args})"
 
+    # What the search knows of the ring R it stands for: depth R, which bounds
+    # a regular sequence (Bruns & Herzog, ch. 1), else None, and the premises
+    # that R is Gorenstein (ch. 3), None when refuted, else an assertion
+    DEPTH = None
+    GORENSTEIN = "the inner ring is Gorenstein"
+
+    def depth(self):
+        return self.DEPTH
+
+    def gorenstein(self, search):
+        return [_asserted(self.GORENSTEIN)]
+
 
 class SemigroupRing(_Descriptor):
     """k[[H]] for a numerical semigroup H."""
 
     HEAD = "sgp"
     SLOTS = ("ints",)
+    DEPTH = 1
     generators: tuple[int, ...]
+
+    def gorenstein(self, search, *regular):  # exactly when H is symmetric (Kunz)
+        H = search.semigroup(self.generators)
+        ok, p_sym = verify_premise("gap_symmetric", semigroup=H)
+        return [*regular, p_sym] if ok else None
 
 
 class Truncation(_Descriptor):
@@ -63,8 +81,13 @@ class Truncation(_Descriptor):
 
     HEAD = "trunc"
     SLOTS = ("gens", "int")
+    DEPTH = 0
     generators: tuple[int, ...]
     q: int
+
+    def gorenstein(self, search):  # t^q is regular on k[[H]]
+        regular = _nonzerodivisor(search.semigroup(self.generators), self.q)
+        return SemigroupRing(self.generators).gorenstein(search, regular)
 
 
 class Glued(_Descriptor):
@@ -72,9 +95,17 @@ class Glued(_Descriptor):
 
     HEAD = "glued"
     SLOTS = ("sgp", "int", "int")
+    DEPTH = 1
     inner: SemigroupRing
     n: int
     m: int
+
+    def gorenstein(self, search):
+        try:  # R-GLUE checks the gluing, but not that of the R in ffd(R, S)
+            H = search.semigroup(self.inner.generators)
+            return SemigroupRing(H.glue_generators(self.n, self.m)).gorenstein(search)
+        except SackitError:
+            return None
 
 
 class PowerSeriesExt(_Descriptor):
@@ -83,6 +114,13 @@ class PowerSeriesExt(_Descriptor):
     HEAD = "powser"
     SLOTS = ("ring",)
     inner: "RingDescriptor"
+
+    def depth(self):
+        inner = self.inner.depth()
+        return None if inner is None else inner + 1
+
+    def gorenstein(self, search):
+        return self.inner.gorenstein(search)
 
 
 class ParameterPowerQuotient(_Descriptor):
@@ -94,6 +132,17 @@ class ParameterPowerQuotient(_Descriptor):
     power: int
     regseq_len: int
 
+    def depth(self):
+        inner, n = self.inner.depth(), self.regseq_len
+        return None if inner is None or n > inner else inner - n
+
+    def gorenstein(self, search):
+        # as R if l = 1 or n = 1, Q^l being generated by a regular sequence;
+        # never if l, n >= 2: gr_Q R = (R/Q)[X_1..X_n], so Q^(l-1)/Q^l is free
+        # of rank binom(n+l-2, n-1) >= n over R/Q, and modulo a maximal
+        # R/Q-regular sequence the socle has dimension at least n >= 2
+        return self.inner.gorenstein(search) if 1 in (self.power, self.regseq_len) else None
+
 
 class UlrichPowerQuotient(_Descriptor):
     """R/I^power for a declared Ulrich ideal I of the inner ring."""
@@ -104,12 +153,16 @@ class UlrichPowerQuotient(_Descriptor):
     ideal_gens: tuple[int, ...]
     power: int
 
+    def depth(self):  # k[[H]]/I^p is Artinian, I being m-primary
+        return 0 if isinstance(self.inner, SemigroupRing) else None
+
 
 class AbstractCI(_Descriptor):
     """A ring declared to be a complete intersection."""
 
     HEAD = "ci"
     SLOTS = ()
+    GORENSTEIN = "complete intersections are Gorenstein"
 
 
 class AbstractWithFiniteFlatCover(_Descriptor):
@@ -120,6 +173,12 @@ class AbstractWithFiniteFlatCover(_Descriptor):
     SLOTS = ("ring?", "ring?")
     inner: "RingDescriptor | None"
     cover: "RingDescriptor | None"
+
+    def depth(self):  # the ring is R, and a hole knows what _Descriptor knows
+        return (self.inner or super()).depth()
+
+    def gorenstein(self, search):
+        return (self.inner or super()).gorenstein(search)
 
 
 RingDescriptor = (
@@ -564,10 +623,10 @@ CITATIONS = {
 class Certificate(Record):
     goal: str
     verdict: str  # "Certified" | "Unknown"
-    rule: str | None
-    citation: Citation | None
-    premises: tuple[Premise, ...]
-    children: tuple["Certificate", ...]
+    rule: str | None = None
+    citation: Citation | None = None
+    premises: tuple[Premise, ...] = ()
+    children: tuple["Certificate", ...] = ()
     attempted: tuple[str, ...] = ()
 
     def to_json_dict(self, root: bool = True) -> dict:
@@ -624,15 +683,7 @@ class _Search:
 
 
 def _unknown(desc, attempted) -> Certificate:
-    return Certificate(
-        goal=str(desc),
-        verdict="Unknown",
-        rule=None,
-        citation=None,
-        premises=(),
-        children=(),
-        attempted=tuple(attempted),
-    )
+    return Certificate(goal=str(desc), verdict="Unknown", attempted=tuple(attempted))
 
 
 def _ulrich_candidates(H: NumericalSemigroup):
@@ -806,11 +857,11 @@ def _rule_pow(desc, depth, search):
 
 
 def _rule_qpow(desc, depth, search):
-    n, ring_depth = desc.regseq_len, _depth(desc.inner)
+    n, ring_depth = desc.regseq_len, desc.inner.depth()
     if not 1 <= desc.power <= n or (ring_depth is not None and n > ring_depth):
         return None
     child = _child(desc.inner, depth, search)
-    p_gor = None if child is None else _gorenstein(desc.inner, search)
+    p_gor = None if child is None else desc.inner.gorenstein(search)
     if p_gor is None:
         return None
     p_range = _verified(f"1 <= l={desc.power} <= n={n}", l=desc.power, n=n)
@@ -819,61 +870,22 @@ def _rule_qpow(desc, depth, search):
     return [p_range, *p_depth, *p_gor], [child]
 
 
-def _depth(ring):
-    """depth R, which bounds the length of a regular sequence, where the
-    toolkit knows it: 1 for k[[H]] and a gluing, 0 for the Artinian
-    k[H]/(t^q) and k[[H]]/I^p (I is m-primary), one more for each R[[T]],
-    and n less for R/Q^l, Q generated by a regular sequence of length
-    n <= depth R (Bruns & Herzog, ch. 1); else None."""
-    if isinstance(ring, PowerSeriesExt):
-        inner = _depth(ring.inner)
-        return None if inner is None else inner + 1
-    if isinstance(ring, ParameterPowerQuotient):
-        inner, n = _depth(ring.inner), ring.regseq_len
-        return None if inner is None or n > inner else inner - n
-    if isinstance(ring, UlrichPowerQuotient):
-        return 0 if isinstance(ring.inner, SemigroupRing) else None
-    if isinstance(ring, (SemigroupRing, Glued)):
-        return 1
-    return 0 if isinstance(ring, Truncation) else None
-
-
-def _gorenstein(ring, search):
-    """Premises that the Certified ``ring`` is Gorenstein, or None when they
-    fail.  k[[H]], k[H]/(t^q) (t^q is regular), a gluing (valid, since R-GLUE
-    certified it) and R[[T]] are Gorenstein exactly when one numerical
-    semigroup is symmetric.  R/Q^l is Gorenstein exactly when R is if l = 1
-    or n = 1, since Q^l is then generated by a regular sequence (Bruns &
-    Herzog, ch. 3), and never if l, n >= 2: gr_Q R = (R/Q)[X_1..X_n] (ch. 1),
-    so Q^(l-1)/Q^l is free of rank binom(n+l-2, n-1) >= n over R/Q, and
-    modulo a maximal R/Q-regular sequence the socle has dimension at least
-    n >= 2.  The other rings keep an assertion."""
-    if isinstance(ring, ParameterPowerQuotient):
-        return _gorenstein(ring.inner, search) if 1 in (ring.power, ring.regseq_len) else None
-    if isinstance(ring, PowerSeriesExt):
-        return _gorenstein(ring.inner, search)
-    if isinstance(ring, AbstractCI):
-        return [_asserted("complete intersections are Gorenstein")]
-    if isinstance(ring, Glued):
-        gens = search.semigroup(ring.inner.generators).glue_generators(ring.n, ring.m)
-    elif isinstance(ring, (SemigroupRing, Truncation)):
-        gens = ring.generators
-    else:
-        return [_asserted("the inner ring is Gorenstein")]
-    H = search.semigroup(gens)
-    ok, p_sym = verify_premise("gap_symmetric", semigroup=H)
-    regular = [_nonzerodivisor(H, ring.q)] if isinstance(ring, Truncation) else []
-    return regular + [p_sym] if ok else None
-
-
 def _rule_ffd(desc, depth, search):
+    # fd_R S is finite and S module-finite over R, so depth S <= depth R by
+    # Auslander-Buchsbaum (Bruns & Herzog, Thm 1.3.3); every ring whose depth
+    # is known is Cohen-Macaulay, so this also refuses dim S > dim R
     if desc.cover is None:
         return None
-    p_fd = _asserted(
-        "the cover is module-finite with finite flat dimension over the ring"
-    )
+    premises = [_asserted(
+        "the cover is module-finite with finite flat dimension over the ring")]
+    ring_depth, cover_depth = desc.depth(), desc.cover.depth()
+    if None not in (ring_depth, cover_depth):
+        if cover_depth > ring_depth:
+            return None
+        premises.append(_verified(f"depth S={cover_depth} <= depth R={ring_depth}",
+                                  depth_R=ring_depth, depth_S=cover_depth))
     child = _child(desc.cover, depth, search)
-    return None if child is None else ([p_fd], [child])
+    return None if child is None else (premises, [child])
 
 
 # Fixed per-variant rule order: cheap combinatorial rules first.  R-RAD3

@@ -10,7 +10,7 @@ import hashlib
 import json
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import jsonschema
@@ -40,6 +40,7 @@ from sackit.certify import (
     Truncation,
     UlrichPowerQuotient,
     _glue_decompositions,
+    _Search,
 )
 from sackit.errors import (
     MalformedDescriptor,
@@ -86,23 +87,23 @@ _ints = st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(tuple)
 _int = st.integers(0, 10**6)
 
 
-def _descriptors(depth):
+def _descriptors(depth, ints=_ints, int_=_int):
     """Descriptor trees over every variant, nested up to `depth` rings deep;
     parse_ring does not validate, so the numbers need not make sense."""
     leaves = st.one_of(
-        st.builds(SemigroupRing, _ints),
-        st.builds(Truncation, _ints, _int),
-        st.builds(Glued, st.builds(SemigroupRing, _ints), _int, _int),
+        st.builds(SemigroupRing, ints),
+        st.builds(Truncation, ints, int_),
+        st.builds(Glued, st.builds(SemigroupRing, ints), int_, int_),
         st.just(AbstractCI()),
     )
     if depth == 0:
         return leaves
-    inner = _descriptors(depth - 1)
+    inner = _descriptors(depth - 1, ints, int_)
     return st.one_of(
         leaves,
         st.builds(PowerSeriesExt, inner),
-        st.builds(ParameterPowerQuotient, inner, _int, _int),
-        st.builds(UlrichPowerQuotient, inner, _ints, _int),
+        st.builds(ParameterPowerQuotient, inner, int_, int_),
+        st.builds(UlrichPowerQuotient, inner, ints, int_),
         st.builds(AbstractWithFiniteFlatCover, st.none() | inner, st.none() | inner),
     )
 
@@ -343,6 +344,107 @@ def test_route_finite_flat_cover():
     assert cert.children[0].rule == "R-MIN"
     hole = certify("ffd(?,?)")
     assert (hole.verdict, hole.attempted) == ("Unknown", ("R-FFD",))
+
+
+SMALL_SGPS = [
+    gens for k in (2, 3) for gens in combinations(range(2, 9), k)
+    if gcd(*gens) == 1 and NumericalSemigroup.from_generators(gens).generators == gens
+]
+
+
+def sgp_text(gens):
+    return "sgp(" + ",".join(map(str, gens)) + ")"
+
+
+def symmetric(gens):
+    # x in H exactly when F - x is not, for 0 <= x <= F
+    H = NumericalSemigroup.from_generators(gens)
+    return all(H.contains(x) != H.contains(H.frobenius - x) for x in range(H.frobenius + 1))
+
+
+@pytest.mark.parametrize("ring", [
+    "qpow(ffd(sgp(3,4,5),sgp(2,3)),1,1)",   # <3,4,5> is not symmetric
+    "qpow(ffd(sgp(3,4,5),sgp(2,3)),2,5)",   # 5 > depth k[[H]] = 1
+    "ffd(trunc(sgp(3,4,5),3),sgp(2,3))",    # depth S = 1 > depth R = 0
+    "ffd(sgp(2,3),powser(sgp(2,3)))",       # depth S = 2 > depth R = 1
+    # 4 is a minimal generator of <3,4,5>, so this R is no gluing, and no
+    # R-GLUE has checked it
+    "qpow(ffd(glued(sgp(3,4,5),2,4),sgp(2,3)),1,1)",
+])
+def test_ffd_answers_for_its_ring(ring):
+    # ffd(R, S) stands for R: R-QPOW reads R's depth and Gorenstein premises,
+    # not an assertion, and R-FFD refuses depth S > depth R, since fd_R S is
+    # finite and S is module-finite (Auslander-Buchsbaum)
+    cert = certify(ring)
+    assert cert.verdict == "Unknown", cert.render()
+
+
+def test_ffd_states_the_depths_it_compares():
+    # two semigroup rings of one depth keep the asserted cover premise (the
+    # grammar carries no structure map), and the certificate states both depths
+    cert = certify("ffd(sgp(3,4,5),sgp(2,3))")
+    assert (cert.verdict, cert.rule) == ("Certified", "R-FFD")
+    assert [p.status for p in cert.premises] == ["Asserted", "Verified"]
+    assert cert.premises[1].statement == "depth S=1 <= depth R=1"
+    assert dict(cert.premises[1].evidence) == {"depth_R": 1, "depth_S": 1}
+    # R-QPOW over it reads k[[<2,3>]]: symmetric, of depth 1
+    cert = certify("qpow(ffd(sgp(2,3),trunc(sgp(3,5),3)),1,1)")
+    assert (cert.verdict, cert.rule) == ("Certified", "R-QPOW")
+    assert all(p.status == "Verified" for p in cert.premises)
+    (child,) = cert.children
+    assert child.premises[1].statement == "depth S=0 <= depth R=1"
+
+
+def test_no_artinian_ring_has_a_semigroup_ring_as_finite_flat_cover():
+    # k[H]/(t^m) has depth 0 and k[[H']] depth 1, for all 24 x 24 pairs
+    assert len(SMALL_SGPS) == 24
+    for gens, cover in product(SMALL_SGPS, repeat=2):
+        ring = f"ffd(trunc({sgp_text(gens)},{gens[0]}),{sgp_text(cover)})"
+        cert = certify(ring)
+        assert (cert.verdict, cert.attempted) == ("Unknown", ("R-FFD",)), ring
+
+
+def test_qpow_over_ffd_reads_the_ring_not_the_cover():
+    # the cover <2,3> is symmetric; the ring decides, and so exactly the 7
+    # non-symmetric H of the 24 end Unknown; a regular sequence of length
+    # n >= 2 is longer than depth k[[H]] = 1 for all 24
+    unknown = []
+    for gens in SMALL_SGPS:
+        ring = f"ffd({sgp_text(gens)},sgp(2,3))"
+        cert = certify(f"qpow({ring},1,1)")
+        if cert.verdict == "Unknown":
+            unknown.append(gens)
+        else:
+            assert all(p.status == "Verified" for p in cert.premises), gens
+        for power, n in ((1, 2), (2, 2), (1, 3), (3, 3)):
+            assert certify(f"qpow({ring},{power},{n})").verdict == "Unknown", (gens, n)
+    assert unknown == [gens for gens in SMALL_SGPS if not symmetric(gens)]
+    assert len(unknown) == 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(_descriptors(3, st.sampled_from(SMALL_SGPS), st.integers(1, 3)))
+def test_no_certificate_rests_on_a_premise_its_rings_refute(desc):
+    # at every Certified R-QPOW node the regular sequence fits in depth R and
+    # R is not refuted Gorenstein; at every R-FFD node depth S <= depth R.
+    # Small numbers, so that most trees validate
+    try:
+        cert = certify(desc)
+    except MalformedDescriptor:
+        return
+    search = _Search()
+    nodes = [cert] if cert.verdict == "Certified" else []
+    while nodes:
+        node = nodes.pop()
+        nodes.extend(node.children)
+        ring = parse_ring(node.goal)
+        if node.rule == "R-QPOW":
+            ring_depth = ring.inner.depth()
+            assert ring_depth is None or ring.regseq_len <= ring_depth, node.goal
+            assert ring.inner.gorenstein(search) is not None, node.goal
+        elif node.rule == "R-FFD":
+            ring_depth, cover_depth = ring.depth(), ring.cover.depth()
+            assert None in (ring_depth, cover_depth) or cover_depth <= ring_depth, node.goal
 
 
 def test_route_gluing():

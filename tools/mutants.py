@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 53 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 57 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -18,7 +18,7 @@ tests run on an unmutated copy, where each must pass.
 Exit status 0 when every mutant is killed; 1 on a survivor (a named test
 that passes on its mutant), a snippet that does not match exactly once, or
 a named test that fails on the unmutated tree.  A refactor that moves a
-snippet updates its row on purpose.  About 130 s on 2 vCPU (Python 3.11).
+snippet updates its row on purpose.  About 200 s on 2 vCPU (Python 3.11).
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ _SIEVE = "tests/test_semigroup.py::test_apery_representation_matches_sieve"
 _WINDOW = "tests/test_ideals.py::test_ideal_representation_matches_window"
 _REF_SETS = "tests/test_ideals.py::test_reference_sets_frozen"
 _GLUE_ORACLE = "tests/test_certify.py::test_glue_candidates_match_the_divisor_loop"
+_FFD = "tests/test_certify.py::test_ffd_answers_for_its_ring"
+_ARTINIAN_COVER = (
+    "tests/test_certify.py::test_no_artinian_ring_has_a_semigroup_ring_as_finite_flat_cover")
+_READS_RING = "tests/test_certify.py::test_qpow_over_ffd_reads_the_ring_not_the_cover"
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -227,8 +231,8 @@ ROWS = [
      [_SIEVE, "tests/test_semigroup.py::test_apery_frozen",
       "tests/test_semigroup.py::test_members_and_gaps[gens7-43-22]", _REF_SETS]),
     ("R-QPOW asserts a truncation Gorenstein", _CERT,
-     "elif isinstance(ring, (SemigroupRing, Truncation)):",
-     "elif isinstance(ring, SemigroupRing):",
+     "return SemigroupRing(self.generators).gorenstein(search, regular)",
+     "return super().gorenstein(search)",
      [f"{_GOR}[qpow(powser(trunc(sgp(3,4,5),6)),1,1)-qpow(powser(trunc(sgp(3,5),6)),1,1)]"]),
     ("R-QPOW depth check dropped", _CERT,
      "if not 1 <= desc.power <= n or (ring_depth is not None and n > ring_depth):",
@@ -236,7 +240,7 @@ ROWS = [
      [f"{_DEPTH}[qpow(sgp(2,3),2,3)-qpow(sgp(2,3),1,1)-1]",
       f"{_DEPTH}[qpow(trunc(sgp(2,3),4),1,1)-None-0]", _BYTES]),
     ("R-QPOW depth of a upow dropped", _CERT,
-     "return 0 if isinstance(ring.inner, SemigroupRing) else None",
+     "return 0 if isinstance(self.inner, SemigroupRing) else None",
      "return None",
      [f"{_DEPTH}[qpow(upow(sgp(3,4,5),(3,4,5),1),1,2)-None-0]", _BYTES]),
     ("R-QPOW depth of a qpow not reduced by n", _CERT,
@@ -245,15 +249,30 @@ ROWS = [
      [f"{_DEPTH}[qpow(qpow(sgp(2,3),1,1),1,1)-qpow(qpow(powser(sgp(2,3)),1,1),1,1)-1]",
       _BYTES]),
     ("Gorenstein recursion taken for l, n >= 2", _CERT,
-     "return _gorenstein(ring.inner, search) if 1 in (ring.power, ring.regseq_len) else None",
-     "return _gorenstein(ring.inner, search)",
+     "return self.inner.gorenstein(search) if 1 in (self.power, self.regseq_len) else None",
+     "return self.inner.gorenstein(search)",
      ["tests/test_certify.py::test_route_parameter_powers",
       f"{_GOR}[{_QPOW22}-qpow(qpow(powser(powser(sgp(2,3))),1,2),1,1)]"]),
     ("R/Q^l with l, n >= 2 asserted Gorenstein again", _CERT,
-     "if 1 in (ring.power, ring.regseq_len) else None",
-     'if 1 in (ring.power, ring.regseq_len) else [_asserted("the inner ring is Gorenstein")]',
+     "if 1 in (self.power, self.regseq_len) else None",
+     "if 1 in (self.power, self.regseq_len) else super().gorenstein(search)",
      ["tests/test_certify.py::test_route_parameter_powers",
       f"{_GOR}[{_QPOW22}-qpow(qpow(powser(powser(sgp(2,3))),1,2),1,1)]"]),
+    # ffd(R, S) answers for R, and R-FFD refuses depth S > depth R
+    ("ffd reads its depth from the cover", _CERT,
+     "return (self.inner or super()).depth()", "return (self.cover or super()).depth()",
+     [_ARTINIAN_COVER]),
+    ("ffd reads its Gorenstein premises from the cover", _CERT,
+     "return (self.inner or super()).gorenstein(search)",
+     "return (self.cover or super()).gorenstein(search)",
+     [_READS_RING, f"{_FFD}[qpow(ffd(sgp(3,4,5),sgp(2,3)),1,1)]"]),
+    ("R-FFD depth refusal dropped", _CERT,
+     "if cover_depth > ring_depth:", "if False:",
+     [_ARTINIAN_COVER, f"{_FFD}[ffd(trunc(sgp(3,4,5),3),sgp(2,3))]",
+      f"{_FFD}[ffd(sgp(2,3),powser(sgp(2,3)))]"]),
+    ("R-FFD depth refusal at equal depths", _CERT,
+     "if cover_depth > ring_depth:", "if cover_depth >= ring_depth:",
+     [_READS_RING, "tests/test_certify.py::test_ffd_states_the_depths_it_compares"]),
     ("stdout left in the locale's encoding", _CLI,
      'sys.stdout.reconfigure(encoding="utf-8")', "pass",
      [f"{_UTF8}[ascii]", f"{_UTF8}[latin-1]"]),
