@@ -9,11 +9,13 @@ degree sums: t^a * t^b is t^(a+b) when a + b is a basis degree and zero
 otherwise, read from the degree index, so no multiplication table is stored.
 
 Modules are finitely presented by a relation matrix over the algebra
-(columns are relations).  Presentations are minimalized on construction:
-unit entries are eliminated, then redundant relation columns are dropped by
-the Nakayama criterion.  Syzygies are computed as exact kernels over the
-prime field followed by minimal generator selection, so every resolution
-produced here has all differential entries inside the radical.
+(columns are relations).  Presentations are minimalized on construction by
+one syzygy step: the generators that the constant parts of the relations
+leave free minimally generate the module M, and the minimal generators of the
+kernel of the free module on them onto M are its relations, so the result
+depends only on the relation submodule.  Syzygies are computed as exact kernels over the prime field
+followed by minimal generator selection, so every resolution produced here
+has all differential entries inside the radical.
 
 A column of rank0 algebra elements has one stored form, from construction
 (``PresentedModule.columns``) through minimalization and resolution: the
@@ -26,8 +28,7 @@ coefficients, and a product by an algebra element is a sum of these
 multiples.  The syzygy k-matrix is made of them and its kernel is taken in
 one sparse ``modp.Span`` pass (``modp.sparse_kernel``); ``_nakayama`` keeps
 the kernel vectors that are independent modulo the atom multiples of all of
-them, in another.  The inverse of a unit comes by forward substitution in
-degree order, so no dense matrix is built anywhere in the engine.  A
+them, in another.  No dense matrix is built anywhere in the engine.  A
 realization stores only the nonzero entries of each monomial's action.
 
 Betti numbers, Ext and Tor come from one walk (``_levels``).  A
@@ -160,8 +161,13 @@ class MonomialArtinianAlgebra:
     # -- elements ----------------------------------------------------------
 
     def mul(self, a, b) -> tuple[int, ...]:
+        """a * b: over the terms c t^d of a, c times the multiple of b by t^d."""
         a, b = _check_shape(self, 1, [(a,), (b,)])
-        return _dense_column(_times(self, b, a), 1, self.dim)[0]
+        out = [0] * self.dim
+        for c, image in zip(a.values(), _multiples(self, b, [self.degrees[i] for i in a])):
+            for pos, x in image.items():
+                out[pos] = (out[pos] + c * x) % self.char
+        return tuple(out)
 
     # -- structure ---------------------------------------------------------
 
@@ -272,12 +278,8 @@ def _check_shape(algebra, rank0, relations):
 
 
 def module_from_presentation(algebra, rank0, relations) -> PresentedModule:
-    """Build the cokernel module, minimalizing the presentation.
-
-    Unit entries are eliminated (the matching generator is expressed by the
-    others and removed), zero columns are dropped, and remaining columns
-    are pruned to a minimal generating set of the relation submodule.
-    """
+    """The cokernel module, minimally presented by ``_minimalize``: the
+    result depends only on the relation submodule, not on its spelling."""
     cols = _check_shape(algebra, rank0, relations)
     return PresentedModule(algebra, *_minimalize(algebra, rank0, cols))
 
@@ -315,75 +317,30 @@ def direct_sum(left: PresentedModule, right: PresentedModule) -> PresentedModule
     return PresentedModule(left.algebra, left.rank0 + right.rank0, cols)
 
 
-def _units(vec, dim_a):
-    """The positions of a sparse flattened column that hold the constant
-    coefficient of an entry; the entry is a unit exactly when one is there."""
-    return [pos for pos in vec if pos % dim_a == 0]
-
-
 def _minimalize(algebra, rank0, cols):
-    """Unit elimination, zero column removal and Nakayama column selection
-    on sparse flattened columns.  Returns (rank0, columns).
-
-    The first column with a unit entry, at its first such generator g, is
-    scaled so that entry becomes 1 and subtracted, times their entry at g,
-    from the other columns; then the column and generator g go.
-    """
+    """The minimal presentation (rank0, columns) of the cokernel M of the
+    sparse flattened columns ``cols``, by one syzygy step.  The generators
+    that lead no row of the span of the constant parts minimally generate M;
+    each times each basis monomial, reduced modulo the relation multiples, is
+    its image in M, and the minimal generators of their kernel present M."""
     dim_a = algebra.dim
-    cols = list(cols)
-    while True:
-        j = next((j for j, col in enumerate(cols) if _units(col, dim_a)), None)
-        if j is None:
-            break
-        col = cols.pop(j)
-        base = min(_units(col, dim_a))
-        norm = _times(algebra, col, _inverse(algebra, _entry(col, base, dim_a)))
-        for j2, other in enumerate(cols):
-            f = {b: -x for b, x in _entry(other, base, dim_a).items()}
-            # clears this column's entry at generator base // dim_a, which goes
-            other = _times(algebra, norm, f, other)
-            cols[j2] = {pos - dim_a * (pos > base): x for pos, x in other.items()}
-        rank0 -= 1
-    cols = [col for col in cols if col]
-    return rank0, tuple(_nakayama(algebra, cols, algebra.degrees[1:]))
+    constants = Span(algebra.char)
+    for col in cols:
+        constants.add({pos // dim_a: x for pos, x in col.items() if pos % dim_a == 0})
+    relations = _relation_span(algebra, cols)
+    kept = [g for g in range(rank0) if g not in constants.rows]
+    images = [relations.reduce({g * dim_a + b: 1}) for g in kept for b in range(dim_a)]
+    return len(kept), tuple(_nakayama(algebra, sparse_kernel(images, algebra.char)))
 
 
-def _entry(vec, base, dim_a):
-    """The entry of a sparse flattened column at the generator whose
-    positions start at ``base``, as {basis index: coeff}."""
-    return {pos - base: x for pos, x in vec.items() if base <= pos < base + dim_a}
-
-
-def _inverse(algebra, elem):
-    """The inverse y of a unit u given as {basis index: coeff}, in that form.
-    Products only raise degrees, so y comes by forward substitution in
-    degree order: y_0 = 1/u_0, and y_d = -(1/u_0) * sum of u_e * y_(d-e)
-    over the positive degrees e of u with d - e a basis degree."""
-    p, basis, index = algebra.char, algebra.degrees, algebra._index
-    inv = pow(elem[0], -1, p)
-    terms = [(basis[b], x) for b, x in elem.items() if b]
-    y = {0: inv}
-    for k, d in enumerate(basis[1:], 1):
-        acc = sum(x * y.get(index.get(d - e), 0) for e, x in terms)
-        if acc % p:
-            y[k] = -inv * acc % p
-    return y
-
-
-def _times(algebra, vec, elem, acc=None):
-    """acc + elem * vec for a sparse flattened column vec and an algebra
-    element elem given as {basis index: coeff}; acc is not changed."""
-    p, basis = algebra.char, algebra.degrees
-    out = {} if acc is None else dict(acc)
-    monomials = _multiples(algebra, vec, [basis[b] for b in elem])
-    for c, image in zip(elem.values(), monomials):
-        for pos, x in image.items():
-            y = (out.get(pos, 0) + c * x) % p
-            if y:
-                out[pos] = y
-            else:
-                del out[pos]
-    return out
+def _relation_span(algebra, cols):
+    """The relation submodule of the sparse flattened columns ``cols`` as a
+    k-space: the Span of their multiples by every basis monomial."""
+    span = Span(algebra.char)
+    for col in cols:
+        for image in _multiples(algebra, col, algebra.degrees):
+            span.add(image)
+    return span
 
 
 def _multiples(algebra, vec, degrees):
@@ -406,18 +363,18 @@ def _multiples(algebra, vec, degrees):
     return out
 
 
-def _nakayama(algebra, vecs, degrees):
-    """Nakayama selection over sparse flattened columns: the ones kept, in
-    order.  ``degrees`` are degrees whose monomial multiples of the columns
-    span the radical part m*N of the submodule N the columns generate.
+def _nakayama(algebra, vecs):
+    """Nakayama selection over sparse flattened columns ``vecs`` that are a
+    k-basis of an A-submodule N (a kernel): the ones kept, in order.  Their
+    atom multiples span the radical part m*N.
 
     Those multiples go into one span first; then the columns are taken in
     order, and one is kept when it enlarges the span.  The kept columns
     minimally generate N.
     """
-    span = Span(algebra.char)
+    span, atoms = Span(algebra.char), algebra._atoms()
     for vec in vecs:
-        for scaled in _multiples(algebra, vec, degrees):
+        for scaled in _multiples(algebra, vec, atoms):
             if scaled:
                 span.add(scaled)
     return [vec for vec in vecs if span.add(vec)]
@@ -447,9 +404,7 @@ def _syzygy_columns(algebra, cols):
     images = [
         image for col in cols for image in _multiples(algebra, col, algebra.degrees)
     ]
-    kern = sparse_kernel(images, algebra.char)
-    # kern is a k-basis of an A-submodule, so m*ker is its atom multiples
-    return _nakayama(algebra, kern, algebra._atoms())
+    return _nakayama(algebra, sparse_kernel(images, algebra.char))
 
 
 class MinimalResolution(Record):
@@ -493,10 +448,7 @@ def _realize(module: PresentedModule) -> Realization:
         return module._real
     algebra = module.algebra
     dim_a = algebra.dim
-    span = Span(algebra.char)
-    for col in module.columns:
-        for image in _multiples(algebra, col, algebra.degrees):
-            span.add(image)
+    span = _relation_span(algebra, module.columns)
     # the positions that lead no row of the relation span index a k-basis of
     # the module; a vector's coordinates are its remainder modulo the span
     free_pos = [pos for pos in range(module.rank0 * dim_a) if pos not in span.rows]

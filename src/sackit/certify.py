@@ -371,7 +371,8 @@ def validate_descriptor(desc, build_semigroup=None, _depth=0) -> None:
     """Structural well-formedness; raises MalformedDescriptor.
 
     Glue preconditions are deliberately not enforced here: they are premises
-    that R-GLUE verifies, so a bad gluing yields Unknown, not an error.
+    that R-GLUE verifies, so a bad gluing yields Unknown, not an error.  Only
+    gcd(n, m) = 1 is: n*H + <m> has gcd gcd(n, m), else no numerical semigroup.
     build_semigroup(generators), when given, builds each semigroup the
     check needs; certify() passes the memo of its search.  _depth counts the
     descriptors around desc, at most MAX_NESTING as parse_ring allows.
@@ -390,6 +391,8 @@ def validate_descriptor(desc, build_semigroup=None, _depth=0) -> None:
             _semigroup(desc.generators, build_semigroup), (desc.q,),
             "truncation degree",
         )
+    elif isinstance(desc, Glued) and (g := gcd(desc.n, desc.m)) != 1:
+        raise MalformedDescriptor(f"bad gluing {desc}: gcd(n, m) is {g}, not 1")
     elif isinstance(desc, UlrichPowerQuotient) and isinstance(
         desc.inner, SemigroupRing
     ):
@@ -478,23 +481,19 @@ def _premise_radical_index_le3(semigroup, q):
         level = outside
 
 
-def _premise_glue_preconditions(
-    inner_gens, n, m, expected=None, build_semigroup=None
-):
+def _premise_glue_preconditions(inner_gens, n, m, build_semigroup=None):
     build = build_semigroup or NumericalSemigroup.from_generators
     try:
         inner = build(inner_gens)
         glued = build(inner.glue_generators(n, m))
     except SackitError as exc:
         return False, _asserted(f"gluing rejected: {exc}")
-    ok = expected is None or glued.generators == tuple(expected)
-    premise = _verified(
+    return True, _verified(
         f"{n}*H + <{m}> with H={inner} is a valid gluing",
         result=list(glued.generators),
         n=n,
         m=m,
     )
-    return ok, premise
 
 
 def _premise_gap_symmetric(semigroup):

@@ -20,10 +20,11 @@ resolution's matrices (resolution_matrices) by _syzygy_columns over the
 whole presentation, beside the component walk that gives the Betti numbers,
 and a realization's action (dense_action) from its sparse entries.  Both
 complex oracles multiply that action out (act_matrix), while the engine
-reads the sparse entries.  mul, the inverse of a unit, realization and the
-structure invariants are checked against a dense product table built here
-(dense_table); the element helpers (zero, monomial, is_unit, invert) and the
-radical index DP (radical_index) live here too, since no command uses them.
+reads the sparse entries.  mul, realization and the structure invariants
+are checked against a dense product table built here (dense_table); the
+element helpers (zero, monomial, is_unit, and invert, which solves a*y = 1
+densely) and the radical index DP (radical_index) live here too, since no
+command uses them.
 The radical index and embedding dimension that certify's premises decide
 from the generators are checked against a scan of products over a sieved
 basis (scan_invariants).
@@ -53,7 +54,7 @@ from sackit import (
     SemigroupIdeal,
 )
 import sackit.artinian
-from sackit.artinian import ExtWindowReport, _dense_column, _inverse, _syzygy_columns
+from sackit.artinian import ExtWindowReport, _dense_column, _syzygy_columns
 from sackit.certify import _ulrich_candidates, verify_premise
 from sackit.errors import (
     AlgebraMismatch,
@@ -61,6 +62,7 @@ from sackit.errors import (
     ShapeMismatch,
 )
 from sackit.modp import Span, rank
+from test_modp import solve
 
 
 def trunc(gens, q, char=None):
@@ -85,9 +87,10 @@ def is_unit(A, a):
 
 
 def invert(A, a):
-    """The inverse of the unit a, by the engine's forward substitution."""
-    y = _inverse(A, {i: x % A.char for i, x in enumerate(a) if x % A.char})
-    return tuple(y.get(i, 0) for i in range(A.dim))
+    """The inverse of the unit a: the solution y of a*y = 1, solved densely
+    over the columns a*t^d."""
+    cols = [A.mul(a, monomial(A, d)) for d in A.degrees]
+    return tuple(solve(list(zip(*cols)), monomial(A, 0), A.char))
 
 
 def radical_index(A):
@@ -810,16 +813,6 @@ def test_cyclic_quotient_edges():
     assert not ghost.columns and realization(ghost).dim == B.dim
 
 
-def test_invert_at_dim_2002_round_trips():
-    # forward substitution over the basis degrees: no dim x dim system
-    A = trunc([5, 1001], 2002)
-    assert A.dim == 2002
-    u = list(zero(A))
-    for degree, c in ((0, 3), (5, 2), (1001, 7), (1006, 1), (2000, 5)):
-        u[A.degrees.index(degree)] = c
-    assert A.mul(u, invert(A, u)) == monomial(A, 0)
-
-
 def test_engine_builds_no_dense_matrix(monkeypatch):
     # the engine eliminates in sparse Spans only: the dense rref, rank and
     # kernel_basis of modp are the tests' reference and never run under it
@@ -836,7 +829,7 @@ def test_engine_builds_no_dense_matrix(monkeypatch):
     one, x4, x6 = monomial(A, 0), monomial(A, 4), monomial(A, 6)
     unit = tuple((3 * a + b) % A.char for a, b in zip(one, x4))  # 3 + t^4
     assert module_from_presentation(A, 2, [(unit, x6)]).rank0 == 1
-    assert A.mul(unit, invert(A, unit)) == one
+    assert A.mul(unit, x6) == tuple((3 * a + b) % A.char for a, b in zip(x6, monomial(A, 10)))
     assert realization(cyclic_quotient(A, 0)).dim == 0
 
 
@@ -904,11 +897,40 @@ def test_presentation_minimalization():
 
 def test_minimalization_takes_every_radical_multiple():
     # t^10 = t^7 * t^3 over k[3,4,5]/(t^9), with t^7 in m^2 and no atom
-    # multiple of either column: only the multiples by every positive basis
-    # degree show that the second column is redundant
+    # multiple of either column: a selection among the given columns by their
+    # atom multiples would keep both; the selection from the kernel keeps one
     C = trunc([3, 4, 5], 9)
     M = module_from_presentation(C, 1, [(monomial(C, 3),), (monomial(C, 10),)])
     assert len(M.relations) == 1
+
+
+unit_or_zero = st.sampled_from([0, 0, 1, 2, 32002])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DEEP_ALGEBRAS), st.data())
+def test_a_presentation_does_not_depend_on_how_its_relations_are_spelled(alg, data):
+    # the minimal presentation reads only the relation submodule, so shuffled
+    # columns, columns scaled by a nonzero constant, or one more column that
+    # sums two of them give the same (rank0, columns)
+    gens, q, _ = alg
+    A = trunc(gens, q)
+    p = A.char
+    rank0 = data.draw(st.integers(1, 3))
+    ncols = data.draw(st.integers(1, 4))
+    entry = st.tuples(unit_or_zero, *[st.sampled_from([0, 0, 1, 5])] * (A.dim - 1))
+    raw = [tuple(data.draw(entry) for _ in range(rank0)) for _ in range(ncols)]
+    scales = data.draw(st.lists(st.integers(1, p - 1), min_size=ncols, max_size=ncols))
+    i, j = (data.draw(st.integers(0, ncols - 1)) for _ in range(2))
+    respellings = [
+        data.draw(st.permutations(raw)),
+        [tuple(tuple(c * x % p for x in e) for e in col) for c, col in zip(scales, raw)],
+        raw + [tuple(tuple(map(sum, zip(a, b))) for a, b in zip(raw[i], raw[j]))],
+    ]
+    M = module_from_presentation(A, rank0, raw)
+    for respelled in respellings:
+        N = module_from_presentation(A, rank0, respelled)
+        assert (N.rank0, N.columns) == (M.rank0, M.columns)
 
 
 def test_window_reports():

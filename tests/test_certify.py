@@ -136,6 +136,9 @@ MALFORMED = [
     "sgp(3,4,5) trailing",
     "sgp(3,4,5",
     "glued(sgp(2,3),0,4)",
+    # gcd(2, 4) = 2, so 2*H + <4> is no numerical semigroup, as sgp(4,6) is not
+    "ffd(glued(sgp(3,4,5),2,4),sgp(2,3))",
+    "ffd(powser(glued(sgp(3,4,5),2,4)),powser(sgp(2,3)))",
     # integers longer than int() converts from text (4300 digits)
     pytest.param("sgp(" + "9" * 5000 + ",2)", id="sgp(long-int,2)"),
     pytest.param("trunc(sgp(3,4,5)," + "9" * 5000 + ")", id="trunc(sgp(3,4,5),long-int)"),
@@ -369,7 +372,7 @@ def symmetric(gens):
     "ffd(sgp(2,3),powser(sgp(2,3)))",       # depth S = 2 > depth R = 1
     # 4 is a minimal generator of <3,4,5>, so this R is no gluing, and no
     # R-GLUE has checked it
-    "qpow(ffd(glued(sgp(3,4,5),2,4),sgp(2,3)),1,1)",
+    "qpow(ffd(glued(sgp(3,4,5),5,4),sgp(2,3)),1,1)",
 ])
 def test_ffd_answers_for_its_ring(ring):
     # ffd(R, S) stands for R: R-QPOW reads R's depth and Gorenstein premises,
@@ -453,8 +456,9 @@ def test_route_gluing():
     ev = dict(cert.premises[0].evidence)
     assert ev == {"m": 4, "n": 3, "result": [4, 6, 9]}
     assert cert.children[0].goal == "sgp(2,3)"
-    # a structurally fine gluing whose preconditions fail stays Unknown
-    bad = certify("glued(sgp(3,4,5),2,4)")
+    # a structurally fine gluing whose preconditions fail stays Unknown:
+    # 4 is a minimal generator of <3,4,5>
+    bad = certify("glued(sgp(3,4,5),5,4)")
     assert bad.verdict == "Unknown"
 
 
@@ -626,10 +630,7 @@ def test_verify_premise_vocabulary():
     ok, pr = verify_premise("emb_dim_le1", semigroup=H345, q=3)
     assert not ok and dict(pr.evidence) == {"embdim": 2}
 
-    ok, pr = verify_premise(
-        "glue_preconditions", inner_gens=[4, 6, 7, 9], n=2, m=11,
-        expected=[8, 11, 12, 14, 18],
-    )
+    ok, pr = verify_premise("glue_preconditions", inner_gens=[4, 6, 7, 9], n=2, m=11)
     assert ok and dict(pr.evidence)["result"] == [8, 11, 12, 14, 18]
     ok, pr = verify_premise("glue_preconditions", inner_gens=[3, 4, 5], n=2, m=4)
     assert not ok and pr.status == "Asserted"  # rejected gluings carry no numbers

@@ -3,10 +3,11 @@
 The dense engine kept here is the reference.  It works on dense rows
 throughout: a dense echelon span that reduces a candidate against every
 leading row, one ``kernel_basis`` of the whole syzygy k-matrix, Nakayama
-selection over dense radical multiples, and presentation minimalization on
-top of that.  The library's sparse engine (sparse ``Span``, a
-``sparse_kernel`` taken in one ``Span`` pass, unit inverses by forward
-substitution) must give the same bytes: the same minimal presentations
+selection over dense radical multiples, and presentation minimalization as
+one such syzygy step, from the generators that the constant parts of the
+relations leave free.  The library's sparse engine (sparse ``Span``, a
+``sparse_kernel`` taken in one ``Span`` pass, Nakayama selection by atom
+multiples) must give the same bytes: the same minimal presentations
 (``module_from_presentation``) and the same resolution matrices, which
 ``resolution_matrices`` derives by running ``_syzygy_columns`` over the
 whole presentation, over the deep algebras of the Ext/Tor corpus and over
@@ -26,7 +27,6 @@ from sackit import (
     residue_field,
 )
 from sackit.modp import kernel_basis
-from test_modp import solve
 from test_artinian import DEEP_ALGEBRAS, DEEP_IDS, monomial, resolution_matrices, trunc, zero
 
 
@@ -37,12 +37,17 @@ class DenseSpan:
         self.p = p
         self.rows = {}
 
-    def add(self, vec):
+    def reduce(self, vec):
+        """The remainder of vec: zero at every leading column."""
         v = [x % self.p for x in vec]
         for lead in sorted(self.rows):
             if v[lead]:
                 f = v[lead]
                 v = [(a - f * b) % self.p for a, b in zip(v, self.rows[lead])]
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
             return False
@@ -79,51 +84,38 @@ def unflatten(vec, rank0, n):
     return tuple(tuple(vec[g * n : (g + 1) * n]) for g in range(rank0))
 
 
-def dense_invert(A, a):
-    mat = list(zip(*dense_multiples(A, list(a), A.degrees)))
-    return tuple(solve(mat, [1] + [0] * (A.dim - 1), A.char))
-
-
-def dense_minimalize(A, rank0, cols):
-    """Unit elimination, zero column removal, dense Nakayama selection."""
-    p = A.char
-    cols = [[tuple(x % p for x in e) for e in col] for col in cols]
-    changed = True
-    while changed:
-        changed = False
-        for j, col in enumerate(cols):
-            i = next((i for i, e in enumerate(col) if e[0]), None)
-            if i is None:
-                continue
-            inv = dense_invert(A, col[i])
-            norm = [A.mul(inv, e) for e in col]
-            for j2, other in enumerate(cols):
-                if j2 == j or not any(other[i]):
-                    continue
-                f = other[i]
-                cols[j2] = [
-                    tuple((a - b) % p for a, b in zip(other[g], A.mul(f, norm[g])))
-                    for g in range(rank0)
-                ]
-            del cols[j]
-            for col2 in cols:
-                del col2[i]
-            rank0 -= 1
-            changed = True
-            break
-    cols = [tuple(col) for col in cols if any(any(e) for e in col)]
-    keep = dense_nakayama(A, [flatten(col) for col in cols])
-    return rank0, tuple(col for col, kept in zip(cols, keep) if kept)
-
-
-def dense_syzygy(A, cols):
-    s = len(cols)
-    images = [
-        image for col in cols for image in dense_multiples(A, flatten(col), A.degrees)
-    ]
+def dense_kernel(A, images, s):
+    """Dense Nakayama selection of the kernel of the k-matrix with columns
+    ``images``, as columns of s algebra elements."""
     kern = kernel_basis(list(zip(*images)), s * A.dim, A.char)
     keep = dense_nakayama(A, kern)
     return tuple(unflatten(vec, s, A.dim) for vec, kept in zip(kern, keep) if kept)
+
+
+def dense_minimalize(A, rank0, cols):
+    """One dense syzygy step: the generators that lead no row of the span of
+    the constant parts, each times each basis monomial reduced modulo the
+    span of the relation multiples, then the kernel of those images."""
+    n = A.dim
+    constants, relations = DenseSpan(A.char), DenseSpan(A.char)
+    for col in cols:
+        constants.add([e[0] for e in col])
+        for image in dense_multiples(A, flatten(col), A.degrees):
+            relations.add(image)
+    kept = [g for g in range(rank0) if g not in constants.rows]
+    images = [
+        relations.reduce([int(i == g * n + b) for i in range(rank0 * n)])
+        for g in kept
+        for b in range(n)
+    ]
+    return len(kept), dense_kernel(A, images, len(kept))
+
+
+def dense_syzygy(A, cols):
+    images = [
+        image for col in cols for image in dense_multiples(A, flatten(col), A.degrees)
+    ]
+    return dense_kernel(A, images, len(cols))
 
 
 def dense_matrices(A, relations, length):
@@ -178,7 +170,8 @@ def test_deep_modules_match_dense_engine(gens, q, c, name):
 @pytest.mark.parametrize("gens,q,c", DEEP_ALGEBRAS, ids=DEEP_IDS)
 def test_unit_in_last_generator_row_matches_dense_engine(gens, q, c):
     # rank0 = 3 with non-monic units, each with a radical tail, in the last
-    # generator row: elimination inverts them and drops the last generator
+    # generator row: their constant parts lead only at the last generator,
+    # which goes
     A = trunc(gens, q)
     p = A.char
     x, y = monomial(A, c), monomial(A, A.degrees[1])
@@ -200,8 +193,8 @@ def test_unit_in_last_generator_row_matches_dense_engine(gens, q, c):
 
 
 # constant coefficients are rare, so most entries lie in the radical and the
-# presentation stays nontrivial after unit elimination; the nonzero ones
-# include the non-monic 2 and p - 1 (p = 32003), whose inverses are not 1
+# presentation stays nontrivial after the generators that unit entries make
+# redundant go; the nonzero ones include the non-monic 2 and p - 1 (p = 32003)
 constants = st.sampled_from([0] * 10 + [1, 2, 32002])
 coeffs = st.sampled_from([0, 0, 1, 2, 31990])
 

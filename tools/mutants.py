@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 57 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 61 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -50,6 +50,10 @@ _READER = "tests/test_cli.py::test_the_reader_agrees_with_argparse"
 _CORPUS_READ = "tests/test_cli.py::test_the_reader_takes_every_valid_corpus_line"
 _DEPTH = "tests/test_certify.py::test_qpow_checks_the_regular_sequence_against_depth"
 _DENSE = "tests/test_dense_oracle.py::test_deep_modules_match_dense_engine"
+_RANDOM_DENSE = "tests/test_dense_oracle.py::test_random_presentations_match_dense_engine"
+_UNIT_ROW = "tests/test_dense_oracle.py::test_unit_in_last_generator_row_matches_dense_engine"
+_MINIMAL = "tests/test_artinian.py::test_presentation_minimalization"
+_MALFORMED = "tests/test_certify.py::test_malformed_descriptors"
 _GOR = "tests/test_certify.py::test_qpow_checks_the_gorenstein_premise_it_can"
 _EXIT = "tests/test_cli.py::test_the_process_exit_writes_what_main_writes"
 _QPOW22 = "qpow(qpow(powser(powser(sgp(2,3))),2,2),1,1)"
@@ -69,10 +73,22 @@ ROWS = [
     ("_multiples writing 1", _ART,
      "image[base + k] = x", "image[base + k] = 1",
      [_FROZEN]),
-    ("atom multiples only in _minimalize", _ART,
-     "_nakayama(algebra, cols, algebra.degrees[1:])",
-     "_nakayama(algebra, cols, algebra._atoms())",
-     ["tests/test_artinian.py::test_minimalization_takes_every_radical_multiple"]),
+    # a minimal presentation is one syzygy step
+    ("kept generators ignore the constant parts", _ART,
+     "kept = [g for g in range(rank0) if g not in constants.rows]",
+     "kept = list(range(rank0))",
+     [_MINIMAL, f"{_UNIT_ROW}[H3,4,5-q6]", _RANDOM_DENSE]),
+    ("generator images not reduced modulo the relation span", _ART,
+     "images = [relations.reduce({g * dim_a + b: 1})",
+     "images = [({g * dim_a + b: 1})",
+     [_MINIMAL, f"{_DENSE}[H3,4,5-q6-k]", _RANDOM_DENSE]),
+    ("Nakayama step skipped in the presentation", _ART,
+     "tuple(_nakayama(algebra, sparse_kernel(images, algebra.char)))",
+     "tuple(sparse_kernel(images, algebra.char))",
+     [_MINIMAL, f"{_DENSE}[H3,4,5-q6-k]", _RANDOM_DENSE]),
+    ("constant part read at position 1", _ART,
+     "if pos % dim_a == 0}", "if pos % dim_a == 1}",
+     [_MINIMAL, _RANDOM_DENSE]),
     ("+ F(K) dropped from the dimension shift", _ART,
      "last = here - n * sum(m * key[0] for key, m in level.items())",
      "last = -n * sum(m * key[0] for key, m in level.items())",
@@ -83,11 +99,11 @@ ROWS = [
      ["tests/test_artinian.py::test_free_modules_are_homologically_trivial",
       "tests/test_artinian.py::test_free_summands_take_no_syzygy_step"]),
     ("syzygy step keeps one redundant column", _ART,
-     "return _nakayama(algebra, kern, algebra._atoms())",
-     "return _nakayama(algebra, kern, algebra._atoms()) + kern[-1:]",
+     "return _nakayama(algebra, sparse_kernel(images, algebra.char))",
+     "return _nakayama(algebra, sparse_kernel(images, algebra.char))"
+     " + sparse_kernel(images, algebra.char)[-1:]",
      [f"{_DENSE}[H3,4,5-q6-k]", f"{_DENSE}[H4,6,7,9-q8-cyc]",
-      "tests/test_dense_oracle.py::test_random_presentations_match_dense_engine",
-      "tests/test_artinian.py::test_resolution_is_a_minimal_exact_complex[0]"]),
+      _RANDOM_DENSE, "tests/test_artinian.py::test_resolution_is_a_minimal_exact_complex[0]"]),
     ("c for m*c in the level walk", _ART,
      "deeper[omega] += m * c", "deeper[omega] += c",
      ["tests/test_artinian.py::test_residue_field_betti_doubling", _TENSOR]),
@@ -171,10 +187,11 @@ ROWS = [
       "tests/test_certify.py::test_wide_two_generator_ring_is_pinned"]),
     ("R-GLUE compares with the spelled generators", _CERT,
      ("def _glue(candidates, depth, search):",
-      "            build_semigroup=search.semigroup,\n",
+      "        if not ok:\n            continue\n        child = _child(SemigroupRing(",
       "return _glue(_glue_decompositions(H), depth, search)"),
      ("def _glue(candidates, depth, search, expected=None):",
-      "            expected=expected, build_semigroup=search.semigroup,\n",
+      "        if not ok or expected not in (None, tuple(dict(p_glue.evidence)['result'])):\n"
+      "            continue\n        child = _child(SemigroupRing(",
       "return _glue(_glue_decompositions(H), depth, search, desc.generators)"),
      ["tests/test_certify.py::test_a_verdict_does_not_depend_on_the_spelling", _BYTES]),
     # one stability test for the reduction witness, and a root depth of at least 1
@@ -182,6 +199,10 @@ ROWS = [
      "q = min(ideal.generators, default=0)", "q = max(ideal.generators, default=0)",
      ["tests/test_ideals.py::test_search_reduction_matches_the_generator_loop",
       "tests/test_ideals.py::test_reference_report_frozen"]),
+    ("gcd(n, m) of a gluing not checked", _CERT,
+     "(g := gcd(desc.n, desc.m)) != 1:", "(g := gcd(desc.n, desc.m)) < 1:",
+     [f"{_MALFORMED}[ffd(glued(sgp(3,4,5),2,4),sgp(2,3))]",
+      f"{_MALFORMED}[ffd(powser(glued(sgp(3,4,5),2,4)),powser(sgp(2,3)))]"]),
     ("root depth check dropped", _CERT,
      '    if depth < 1:\n        raise NonPositive(f"depth must be >= 1, got {depth}")\n', "",
      ["tests/test_certify.py::test_depth_limit_and_stability",
