@@ -7,6 +7,10 @@ whose class attribute is set has that value as its default.  Instances are
 built positionally or by keyword, compare equal only to instances of the
 same exact class with equal fields, hash as the tuple of their fields, print
 as ``Name(field=value, ...)`` and refuse assignment and deletion.
+
+Every value type of the package is a ``Record``; no other code freezes a value.
+A subclass's own ``__init__`` may compute the fields for ``super().__init__``,
+and a derived value or a cache is a ``cached_property``, which is no field.
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ Apery set of q, read off the semigroup without building the ideal (which
 ``MonomialArtinianAlgebra.ideal`` gives on access).  Products come from
 degree sums: t^a * t^b is t^(a+b) when a + b is a basis degree and zero
 otherwise, read from the degree index, so no multiplication table is stored.
+Algebras and modules are ``Record`` values, equal when all their fields are (so
+k[H]/(t^q) and ``quotient_algebra`` of (t^q) differ); an algebra's degree index
+and syzygy cache are made on first access, and a module caches nothing.
 
 Modules are finitely presented by a relation matrix over the algebra
 (columns are relations).  Presentations are minimalized on construction by
@@ -57,6 +60,7 @@ not be shared between threads that compute with it.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import accumulate, islice
 
 from ._record import Record
@@ -101,19 +105,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class MonomialArtinianAlgebra:
+class MonomialArtinianAlgebra(Record):
     """Finite dimensional quotient of a numerical semigroup algebra by a
     cofinite monomial ideal, over a prime field."""
 
-    __slots__ = (
-        "semigroup",
-        "_ideal",
-        "truncation_q",
-        "char",
-        "degrees",
-        "_index",
-        "_omega_store",
-    )
+    semigroup: NumericalSemigroup
+    char: int
+    degrees: tuple[int, ...]
+    truncation_q: int | None
+    _ideal: SemigroupIdeal | None
 
     def __init__(self, semigroup, char, truncation_q=None, ideal=None):
         """k[H]/(t^q) for q = ``truncation_q``, a positive member, with the
@@ -124,21 +124,19 @@ class MonomialArtinianAlgebra:
         if not _is_prime(p):
             raise DomainError(f"characteristic {p} is not prime")
         degrees = semigroup.apery_set(truncation_q) if ideal is None else ideal.complement()
-        index = {d: i for i, d in enumerate(degrees)}
-        object.__setattr__(self, "semigroup", semigroup)
-        object.__setattr__(self, "_ideal", ideal)
-        object.__setattr__(self, "truncation_q", truncation_q)
-        object.__setattr__(self, "char", p)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_omega_store", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialArtinianAlgebra is immutable")
+        super().__init__(semigroup, p, degrees, truncation_q, ideal)
 
     @property
     def dim(self) -> int:
         return len(self.degrees)
+
+    @cached_property
+    def _index(self) -> dict[int, int]:  # basis degree -> its position
+        return {d: i for i, d in enumerate(self.degrees)}
+
+    @cached_property
+    def _omega_store(self) -> dict:  # the syzygy cache of _levels
+        return {}
 
     @property
     def ideal(self):
@@ -183,18 +181,6 @@ class MonomialArtinianAlgebra:
         """Number of minimal generators of the radical."""
         return len(self._atoms())
 
-    # -- plumbing ------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, MonomialArtinianAlgebra):
-            return NotImplemented
-        return self.degrees == other.degrees and self.char == other.char
-
-    def __hash__(self) -> int:
-        return hash((self.degrees, self.char))
-
     def __repr__(self) -> str:
         return f"MonomialArtinianAlgebra({self.descriptor()})"
 
@@ -221,7 +207,7 @@ def quotient_algebra(
 # presented modules
 
 
-class PresentedModule:
+class PresentedModule(Record):
     """Cokernel of a relation matrix over a MonomialArtinianAlgebra.
 
     columns holds the relation columns as the engine's sparse flattened
@@ -229,19 +215,12 @@ class PresentedModule:
     in 1..p-1); relations is the same matrix as dense tuples, a tuple of
     columns of rank0 algebra elements, derived on access.  Constructed
     instances always carry a minimal presentation: no unit entries, no
-    Nakayama-redundant columns.
+    Nakayama-redundant columns.  Equal by value; dict columns leave no hash.
     """
 
-    __slots__ = ("algebra", "rank0", "columns", "_real")
-
-    def __init__(self, algebra, rank0, columns):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "rank0", rank0)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "_real", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PresentedModule is immutable")
+    algebra: MonomialArtinianAlgebra
+    rank0: int
+    columns: tuple
 
     @property
     def relations(self) -> tuple:
@@ -444,8 +423,6 @@ class Realization(Record):
 
 
 def _realize(module: PresentedModule) -> Realization:
-    if module._real is not None:
-        return module._real
     algebra = module.algebra
     dim_a = algebra.dim
     span = _relation_span(algebra, module.columns)
@@ -457,9 +434,7 @@ def _realize(module: PresentedModule) -> Realization:
     for j, pos in enumerate(free_pos):
         for ents, image in zip(entries, _multiples(algebra, {pos: 1}, algebra.degrees)):
             ents.extend((coord[i], j, x) for i, x in span.reduce(image).items())
-    real = Realization(len(free_pos), tuple(map(tuple, entries)))
-    object.__setattr__(module, "_real", real)
-    return real
+    return Realization(len(free_pos), tuple(map(tuple, entries)))
 
 
 realization = _realize  # public access, for oracles and reports

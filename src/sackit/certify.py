@@ -25,7 +25,7 @@ import re
 from math import gcd
 
 from ._record import Record
-from .errors import MalformedDescriptor, NonPositive, SackitError, UnknownPremiseKind
+from .errors import MalformedDescriptor, NonPositive, SackitError, TooLarge, UnknownPremiseKind
 from .ideals import SemigroupIdeal, is_ulrich, search_reduction
 from .semigroup import NumericalSemigroup
 
@@ -101,10 +101,10 @@ class Glued(_Descriptor):
     m: int
 
     def gorenstein(self, search):
-        try:  # R-GLUE checks the gluing, but not that of the R in ffd(R, S)
+        try:  # validate_descriptor checked the gluing, not its multiplicity
             H = search.semigroup(self.inner.generators)
             return SemigroupRing(H.glue_generators(self.n, self.m)).gorenstein(search)
-        except SackitError:
+        except TooLarge:
             return None
 
 
@@ -370,9 +370,9 @@ _SLOT_KINDS = {
 def validate_descriptor(desc, build_semigroup=None, _depth=0) -> None:
     """Structural well-formedness; raises MalformedDescriptor.
 
-    Glue preconditions are deliberately not enforced here: they are premises
-    that R-GLUE verifies, so a bad gluing yields Unknown, not an error.  Only
-    gcd(n, m) = 1 is: n*H + <m> has gcd gcd(n, m), else no numerical semigroup.
+    A glued(sgp(H),n,m) must meet every gluing precondition (m a member of H
+    but no minimal generator, gcd(n, m) = 1), else it names no gluing, and no
+    rule checks the R of an ffd(R, S); the glued semigroup itself is not built.
     build_semigroup(generators), when given, builds each semigroup the
     check needs; certify() passes the memo of its search.  _depth counts the
     descriptors around desc, at most MAX_NESTING as parse_ring allows.
@@ -391,8 +391,11 @@ def validate_descriptor(desc, build_semigroup=None, _depth=0) -> None:
             _semigroup(desc.generators, build_semigroup), (desc.q,),
             "truncation degree",
         )
-    elif isinstance(desc, Glued) and (g := gcd(desc.n, desc.m)) != 1:
-        raise MalformedDescriptor(f"bad gluing {desc}: gcd(n, m) is {g}, not 1")
+    elif isinstance(desc, Glued):
+        try:  # the inner semigroup passed its own check above
+            _semigroup(desc.inner.generators, build_semigroup).glue_generators(desc.n, desc.m)
+        except SackitError as exc:
+            raise MalformedDescriptor(f"bad gluing {desc}: {exc}") from exc
     elif isinstance(desc, UlrichPowerQuotient) and isinstance(
         desc.inner, SemigroupRing
     ):

@@ -19,16 +19,18 @@ the same kind of table when a length or complement first needs it; the
 private helpers ``_Shifted``, ``_length`` and ``_between`` below serve both,
 and ``_between``, which lists, alone checks the size cap MAX_DIMENSION.
 
-Instances are immutable; every operation returns plain values or fresh
-instances.
+A semigroup is a ``Record`` of its minimal generators and Apery table; F and
+the genus are read off the table once, and operations return new instances.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, islice
 from math import gcd
 
+from ._record import Record
 from .errors import (
     EmptyInput,
     GcdNotOne,
@@ -48,7 +50,7 @@ MAX_MULTIPLICITY = 2**20
 MAX_DIMENSION = MAX_MULTIPLICITY
 
 
-class NumericalSemigroup:
+class NumericalSemigroup(Record):
     """The submonoid of the nonnegative integers generated by ``generators``.
 
     Use :meth:`from_generators` rather than the raw constructor; it
@@ -56,17 +58,8 @@ class NumericalSemigroup:
     set of the multiplicity.
     """
 
-    __slots__ = ("generators", "frobenius", "genus", "_apery")
-
-    def __init__(self, generators, apery):
-        m = generators[0]
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "frobenius", max(apery) - m)
-        object.__setattr__(self, "genus", (2 * sum(apery) - m * (m - 1)) // (2 * m))
-        object.__setattr__(self, "_apery", apery)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NumericalSemigroup is immutable")
+    generators: tuple[int, ...]
+    _apery: tuple[int, ...]
 
     @classmethod
     def from_generators(cls, generators) -> "NumericalSemigroup":
@@ -119,6 +112,14 @@ class NumericalSemigroup:
     def multiplicity(self) -> int:
         """Smallest nonzero member."""
         return self.generators[0]
+
+    @cached_property
+    def frobenius(self) -> int:  # the largest gap, -1 when there is none
+        return max(self._apery) - self.multiplicity
+
+    @cached_property
+    def genus(self) -> int:  # the number of gaps, by Selmer's formula
+        return sum(self._apery) // self.multiplicity - (self.multiplicity - 1) // 2
 
     @property
     def embedding_dim(self) -> int:
@@ -184,14 +185,6 @@ class NumericalSemigroup:
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup({self})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NumericalSemigroup):
-            return NotImplemented
-        return self.generators == other.generators
-
-    def __hash__(self) -> int:
-        return hash(self.generators)
 
 
 def _apery(gens, q: int) -> tuple[int, ...]:

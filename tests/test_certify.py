@@ -139,6 +139,12 @@ MALFORMED = [
     # gcd(2, 4) = 2, so 2*H + <4> is no numerical semigroup, as sgp(4,6) is not
     "ffd(glued(sgp(3,4,5),2,4),sgp(2,3))",
     "ffd(powser(glued(sgp(3,4,5),2,4)),powser(sgp(2,3)))",
+    # 4 is a minimal generator of <3,4,5> and 2 no member, so these are no
+    # gluings, though no R-GLUE runs on the R of an ffd
+    "glued(sgp(3,4,5),5,4)",
+    "ffd(glued(sgp(3,4,5),5,4),sgp(2,3))",
+    "qpow(ffd(glued(sgp(3,4,5),5,4),sgp(2,3)),1,1)",
+    "glued(sgp(3,4,5),5,2)",
     # integers longer than int() converts from text (4300 digits)
     pytest.param("sgp(" + "9" * 5000 + ",2)", id="sgp(long-int,2)"),
     pytest.param("trunc(sgp(3,4,5)," + "9" * 5000 + ")", id="trunc(sgp(3,4,5),long-int)"),
@@ -370,9 +376,6 @@ def symmetric(gens):
     "qpow(ffd(sgp(3,4,5),sgp(2,3)),2,5)",   # 5 > depth k[[H]] = 1
     "ffd(trunc(sgp(3,4,5),3),sgp(2,3))",    # depth S = 1 > depth R = 0
     "ffd(sgp(2,3),powser(sgp(2,3)))",       # depth S = 2 > depth R = 1
-    # 4 is a minimal generator of <3,4,5>, so this R is no gluing, and no
-    # R-GLUE has checked it
-    "qpow(ffd(glued(sgp(3,4,5),5,4),sgp(2,3)),1,1)",
 ])
 def test_ffd_answers_for_its_ring(ring):
     # ffd(R, S) stands for R: R-QPOW reads R's depth and Gorenstein premises,
@@ -456,10 +459,6 @@ def test_route_gluing():
     ev = dict(cert.premises[0].evidence)
     assert ev == {"m": 4, "n": 3, "result": [4, 6, 9]}
     assert cert.children[0].goal == "sgp(2,3)"
-    # a structurally fine gluing whose preconditions fail stays Unknown:
-    # 4 is a minimal generator of <3,4,5>
-    bad = certify("glued(sgp(3,4,5),5,4)")
-    assert bad.verdict == "Unknown"
 
 
 def test_glue_candidates_match_the_divisor_loop():

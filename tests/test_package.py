@@ -101,6 +101,22 @@ def test_no_module_reads_the_environment():
         assert not used & names, path.name
 
 
+def test_only_record_freezes_a_value():
+    # every value type is a Record: no other module sets attributes past its
+    # own __setattr__ or declares __slots__
+    for path in sorted((ROOT / "src" / "sackit").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        setattrs = [node for node in nodes if isinstance(node, ast.Attribute)
+                    and node.attr == "__setattr__" and isinstance(node.value, ast.Name)
+                    and node.value.id == "object"]
+        slots = [node for node in nodes if isinstance(node, ast.Name)
+                 and node.id == "__slots__"]
+        if path.name == "_record.py":
+            assert setattrs and slots, path.name
+        else:
+            assert not setattrs and not slots, path.name
+
+
 # what argparse loads for help and usage errors: about 7 ms of CPU and 0.5 MB
 # of a command's start-up (2 vCPU, Python 3.11), and no part of a valid
 # command line
@@ -137,7 +153,7 @@ _MODULES = sorted(f"sackit.{path.stem}" for path in (ROOT / "src" / "sackit").gl
 # command family module (`_cli_ext`, `_cli_ideal`) only for its own commands
 @pytest.mark.parametrize("args,lazy", [
     (["sgp", "info", "--gens", "3,4,5"],
-     "_cli_ext _cli_help _cli_ideal _record _schema artinian certify ideals modp".split()),
+     "_cli_ext _cli_help _cli_ideal _schema artinian certify ideals modp".split()),
     (["--help"],
      "_cli_ext _cli_ideal _record _schema artinian certify ideals modp semigroup".split()),
     (["ext", "table", "--H", "3,4,5", "--q", "6", "--range", "0..2"],
@@ -151,7 +167,7 @@ _MODULES = sorted(f"sackit.{path.stem}" for path in (ROOT / "src" / "sackit").gl
     (["ideal", "powers", "--gens", "3,4,5", "--ideal", "3"],
      "_cli_ext _cli_help _schema artinian certify modp".split()),
     (["glue", "--gens", "3,5", "--n", "2", "--m", "9"],
-     "_cli_ext _cli_help _cli_ideal _record _schema artinian certify ideals modp".split()),
+     "_cli_ext _cli_help _cli_ideal _schema artinian certify ideals modp".split()),
     (["lemma42", "--n", "3", "--cmax", "4"],
      "_cli_ext _cli_help _schema artinian certify modp".split()),
     # its epilog is the grammar and --rule takes the rule names, both certify's

@@ -10,6 +10,7 @@ from sackit import (
     ext_deg_window,
     is_ulrich,
     parse_ring,
+    quotient_algebra,
     residue_field,
     truncation_algebra,
 )
@@ -57,6 +58,13 @@ def test_repr_strings_are_pinned():
     assert repr(window) == (
         "ExtWindowReport(last_nonzero_in_window=3, nonzero_at_boundary=True)"
     )
+    # these print their generators or descriptor, not the Apery table or basis
+    A = truncation_algebra(H345, 6)
+    assert repr(H345) == "NumericalSemigroup(3,4,5)"
+    assert repr(A) == "MonomialArtinianAlgebra(H=3,4,5; q=6; p=32003)"
+    assert repr(residue_field(A)) == (
+        "PresentedModule(rank0=1, relations=3, over H=3,4,5; q=6; p=32003)"
+    )
 
 
 def test_equality_and_hash_are_by_value():
@@ -73,6 +81,24 @@ def test_equality_and_hash_are_by_value():
     assert I.colength() == 3  # 0, 3 and 6 lie outside
     assert I == J and hash(I) == hash(J)
     assert I != SemigroupIdeal(H345, (3, 4, 5))
+    # a semigroup, its algebras and their modules, from two separate builds
+    H = NumericalSemigroup.from_generators([3, 4, 5])
+    K = NumericalSemigroup.from_generators([5, 4, 3, 8])
+    assert H == K and H is not K and hash(H) == hash(K)
+    # a cached_property is no field: reading it on one side changes nothing
+    assert H.frobenius == 2 and H == K and hash(H) == hash(K)
+    assert H != NumericalSemigroup.from_generators([3, 5, 7])
+    A, B = truncation_algebra(H, 6), truncation_algebra(K, 6)
+    assert A == B and hash(A) == hash(B)
+    assert A._index and A == B and hash(A) == hash(B)
+    assert A != truncation_algebra(H, 6, char=7) and A != truncation_algebra(H, 7)
+    # the fields differ, though the basis is the same
+    assert A != quotient_algebra(SemigroupIdeal.from_generators(H, [6]))
+    assert residue_field(A) == residue_field(B)
+    assert residue_field(A) != residue_field(truncation_algebra(H, 7))
+    # a module's columns are dicts, so it has no hash
+    with pytest.raises(TypeError):
+        hash(residue_field(A))
 
 
 def test_equality_needs_the_same_type():
@@ -95,6 +121,18 @@ def test_fields_cannot_be_assigned_or_deleted():
     with pytest.raises(AttributeError):
         cert.verdict = "Unknown"
     assert desc.generators == (3, 4, 5) and cert.verdict == "Certified"
+    H = NumericalSemigroup.from_generators([3, 4, 5])
+    A = truncation_algebra(H, 6)
+    k = residue_field(A)
+    for value, name in ((H, "generators"), (H, "frobenius"), (A, "char"),
+                        (A, "_omega_store"), (k, "columns")):
+        getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert H.generators == (3, 4, 5) and H.frobenius == 2 and A.char == 32003
+    assert k.rank0 == 1 and len(k.columns) == 3
 
 
 def test_keyword_construction_and_defaults():

@@ -199,10 +199,14 @@ ROWS = [
      "q = min(ideal.generators, default=0)", "q = max(ideal.generators, default=0)",
      ["tests/test_ideals.py::test_search_reduction_matches_the_generator_loop",
       "tests/test_ideals.py::test_reference_report_frozen"]),
-    ("gcd(n, m) of a gluing not checked", _CERT,
-     "(g := gcd(desc.n, desc.m)) != 1:", "(g := gcd(desc.n, desc.m)) < 1:",
-     [f"{_MALFORMED}[ffd(glued(sgp(3,4,5),2,4),sgp(2,3))]",
-      f"{_MALFORMED}[ffd(powser(glued(sgp(3,4,5),2,4)),powser(sgp(2,3)))]"]),
+    ("gluing preconditions not checked", _CERT,
+     "_semigroup(desc.inner.generators, build_semigroup).glue_generators(desc.n, desc.m)",
+     "pass",
+     [f"{_MALFORMED}[glued(sgp(3,4,5),5,4)]",
+      f"{_MALFORMED}[ffd(glued(sgp(3,4,5),5,4),sgp(2,3))]",
+      f"{_MALFORMED}[qpow(ffd(glued(sgp(3,4,5),5,4),sgp(2,3)),1,1)]",
+      f"{_MALFORMED}[glued(sgp(3,4,5),5,2)]",
+      f"{_MALFORMED}[ffd(glued(sgp(3,4,5),2,4),sgp(2,3))]"]),
     ("root depth check dropped", _CERT,
      '    if depth < 1:\n        raise NonPositive(f"depth must be >= 1, got {depth}")\n', "",
      ["tests/test_certify.py::test_depth_limit_and_stability",
