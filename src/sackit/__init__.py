@@ -33,8 +33,8 @@ _EXPORTS = {
     ),
     "errors": ("SackitError",),
     "ideals": (
-        "SemigroupIdeal", "UlrichReport", "cumulative_rank_identity", "estimate_ratio_holds",
-        "is_ulrich", "power_layer_lengths", "search_reduction", "ulrich_rank_formula",
+        "SemigroupIdeal", "UlrichReport", "is_ulrich", "power_layer_lengths",
+        "search_reduction", "ulrich_rank_formula",
     ),
     "modp": (),
     "semigroup": ("NumericalSemigroup",),

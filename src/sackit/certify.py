@@ -320,15 +320,17 @@ def _semigroup(gens, build=None) -> NumericalSemigroup:
 
 
 def _check_int(desc, value, build):
-    if not isinstance(value, int) or value < 1:
+    if type(value) is not int or value < 1:  # nor a bool
         raise MalformedDescriptor(
             f"{desc.HEAD}() integer arguments must be >= 1, got {value!r}"
         )
 
 
-def _check_ints(desc, values, build):
-    if not values:
-        raise MalformedDescriptor(f"{desc.HEAD}() needs a nonempty (a,b,...)")
+def _check_ints(desc, values, build=None):
+    if not (type(values) is tuple and values  # as the parser makes them
+            and all(type(x) is int and x >= 0 for x in values)):
+        raise MalformedDescriptor(f"{desc.HEAD}() needs a nonempty (a,b,...), got {values!r}")
+    return values
 
 
 def _check_sgp(desc, inner, build):
@@ -352,13 +354,13 @@ def _check_members(H, xs, what):
 _SLOT_KINDS = {
     "int": ("{name}", _Parser.int_, str, _check_int),
     "ints": ("a,b,...", _Parser.int_list, _ints,
-             lambda desc, gens, build: _semigroup(gens, build)),
+             lambda desc, gens, build: _semigroup(_check_ints(desc, gens), build)),
     "(ints)": ("(a,b,...)", _Parser.paren_ints, lambda xs: f"({_ints(xs)})",
                _check_ints),
     "sgp": ("sgp(a,b,...)", lambda p: p.node(SemigroupRing), str, _check_sgp),
     "gens": ("sgp(a,b,...)", lambda p: p.node(SemigroupRing).generators,
              lambda gens: str(SemigroupRing(gens)),
-             lambda desc, gens, build: _semigroup(gens, build)),
+             lambda desc, gens, build: _semigroup(_check_ints(desc, gens), build)),
     "ring": ("ring", _Parser.ring, str, _check_ring),
     "ring?": ("ring|?", lambda p: p.ring(allow_hole=True),
               lambda inner: "?" if inner is None else str(inner),
@@ -370,6 +372,7 @@ _SLOT_KINDS = {
 def validate_descriptor(desc, build_semigroup=None, _depth=0) -> None:
     """Structural well-formedness; raises MalformedDescriptor.
 
+    Integer slots hold what the parser makes: ints, or nonempty tuples of ints.
     A glued(sgp(H),n,m) must meet every gluing precondition (m a member of H
     but no minimal generator, gcd(n, m) = 1), else it names no gluing, and no
     rule checks the R of an ffd(R, S); the glued semigroup itself is not built.

@@ -9,10 +9,10 @@ meets class r in steps of m.  That table, the least of the tables of g + H
 over the generators g, is built when a length first needs it and kept with
 the ideal; ``sackit.semigroup`` reads lengths and complements off two tables.
 
-The module also carries the arithmetic used to compare power layers with
-their predicted free ranks: ulrich_rank_formula, estimate_ratio_holds and
-cumulative_rank_identity.  Everything is integer arithmetic; there is no
-floating point in this package.
+The module also carries ulrich_rank_formula, the predicted free rank of a
+power layer, which `ideal powers` compares with the enumerated layers and
+`lemma42` sums.  Everything is integer arithmetic; there is no floating
+point in this package.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     AmbientMismatch,
     DomainError,
     EmptyIdeal,
-    EmptyInput,
     NonPositive,
     NotAMember,
     NotContained,
@@ -245,30 +244,3 @@ def ulrich_rank_formula(n: int, c: int, i: int) -> int:
         raise DomainError(f"need c >= n, got c={c} < n={n}")
     return comb(i + n - 1, n - 1) + (c - n) * comb(i - 2 + n, n - 1)
 
-
-def estimate_ratio_holds(ranks) -> bool:
-    """Whether (1 + a_2 + ... + a_(l-1)) / a_l < 1 for the given layer rank
-    chain (a_2, ..., a_l); evaluated by integer comparison, never floats."""
-    chain = [int(a) for a in ranks]
-    if not chain:
-        raise EmptyInput("rank chain must contain at least a_2")
-    if any(a <= 0 for a in chain):
-        raise DomainError(f"ranks must be positive, got {chain}")
-    return 1 + sum(chain[:-1]) < chain[-1]
-
-
-def cumulative_rank_identity(n: int, c: int, length: int) -> bool:
-    """Check that 1 plus the sum of the first layer ranks telescopes to
-    binomial(length-2+n, n) + (c-n) * binomial(length-3+n, n).
-
-    The left side sums ulrich_rank_formula(n, c, i) for i = 1..length-2,
-    matching the rank chain of successive power layers; valid for
-    3 <= length <= n and c >= n.
-    """
-    if not 3 <= length <= n:
-        raise DomainError(f"need 3 <= length <= n, got length={length}, n={n}")
-    if c < n:
-        raise DomainError(f"need c >= n, got c={c} < n={n}")
-    lhs = 1 + sum(ulrich_rank_formula(n, c, i) for i in range(1, length - 1))
-    rhs = comb(length - 2 + n, n) + (c - n) * comb(length - 3 + n, n)
-    return lhs == rhs

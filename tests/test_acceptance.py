@@ -8,16 +8,16 @@ import json
 from math import comb
 
 import jsonschema
+import pytest
 
+import sackit.ideals
 from sackit import (
     CERT_SCHEMA,
     CITATIONS,
     NumericalSemigroup,
     SemigroupIdeal,
     certify,
-    cumulative_rank_identity,
     cyclic_quotient,
-    estimate_ratio_holds,
     ext_deg_window,
     ext_dims,
     free_module,
@@ -29,6 +29,7 @@ from sackit import (
     truncation_algebra,
     ulrich_rank_formula,
 )
+from sackit._cli_ideal import lemma42
 
 from cli_runner import invoke
 from test_artinian import radical_index, walking_twin
@@ -96,6 +97,32 @@ def test_layer_lengths_match_rank_formula():
     assert ideals_hit >= rings_hit
 
 
+def ratio_holds(chain):
+    """1 + a_2 + ... + a_(l-1) < a_l for the rank chain (a_2, ..., a_l)."""
+    return 1 + sum(chain[:-1]) < chain[-1]
+
+
+def identity_holds(n, c, ell, rank=ulrich_rank_formula):
+    """1 + rank(n, c, 1) + ... + rank(n, c, l-2), summed afresh, equals
+    C(l-2+n, n) + (c-n) C(l-3+n, n)."""
+    lhs = 1 + sum(rank(n, c, i) for i in range(1, ell - 1))
+    return lhs == comb(ell - 2 + n, n) + (c - n) * comb(ell - 3 + n, n)
+
+
+def lemma42_failures(n_max, cmax, rank):
+    """The failure lists of `sackit lemma42`, each check on a chain rebuilt
+    for its own l, with a_i = rank(n, c, i - 1)."""
+    ratio, identity = [], []
+    for n in range(2, n_max + 1):
+        for c in range(n, cmax + 1):
+            for ell in range(2, n + 1):
+                if not ratio_holds([rank(n, c, i - 1) for i in range(2, ell + 1)]):
+                    ratio.append([n, c, ell])
+                if ell >= 3 and not identity_holds(n, c, ell, rank):
+                    identity.append([n, c, ell])
+    return ratio, identity
+
+
 def test_ratio_and_identity_sweeps():
     failures = []
     for n in range(2, 9):
@@ -105,14 +132,50 @@ def test_ratio_and_identity_sweeps():
                 # strict ratio bound
                 low = [ulrich_rank_formula(n, c, i - 1) for i in range(2, ell + 1)]
                 high = [ulrich_rank_formula(n, c, i) for i in range(2, ell + 1)]
-                if not estimate_ratio_holds(low):
+                if not ratio_holds(low):
                     failures.append(("ratio-low", n, c, ell))
-                if not estimate_ratio_holds(high):
+                if not ratio_holds(high):
                     failures.append(("ratio-high", n, c, ell))
             for ell in range(3, n + 1):
-                if not cumulative_rank_identity(n, c, ell):
+                if not identity_holds(n, c, ell):
                     failures.append(("identity", n, c, ell))
     assert failures == []
+
+
+RANK_PATCHES = {
+    "real": ulrich_rank_formula,
+    # a_i = 2^(i-2): 1 + a_2 + ... + a_(l-1) = a_l, so every ratio check is
+    # an equality and fails
+    "doubling": lambda n, c, i: 2 ** (i - 1),
+    "doubling-bumped": lambda n, c, i: 2 ** (i - 1) + (n + c + i) % 2,
+    "real-bumped": lambda n, c, i: ulrich_rank_formula(n, c, i) + ((n + c + i) % 5 == 0),
+}
+
+
+@pytest.mark.parametrize("patch", RANK_PATCHES)
+def test_lemma42_failures_match_the_oracle(patch, monkeypatch):
+    # the real formula fails no check; the other formulas make each check
+    # fail at some (n, c, l), and the bumped ones pass it at others
+    rank = RANK_PATCHES[patch]
+    monkeypatch.setattr(sackit.ideals, "ulrich_rank_formula", rank)
+    for n_max, cmax in ((6, 10), (9, 7), (2, 2)):
+        data, _ = lemma42(n_max, cmax)
+        ratio, identity = lemma42_failures(n_max, cmax, rank)
+        assert data["ratio_failures"] == ratio, (n_max, cmax)
+        assert data["identity_failures"] == identity, (n_max, cmax)
+    if patch == "doubling":
+        assert len(ratio) == data["ratio_checked"] > 0
+
+
+@pytest.mark.parametrize("n_max, cmax", [(6, 10), (9, 7), (2, 2), (3, 2), (12, 20)])
+def test_lemma42_counts_every_check(n_max, cmax):
+    # (n-1)(cmax-n+1) ratio and (n-2)(cmax-n+1) identity checks per n
+    data, _ = lemma42(n_max, cmax)
+    ns = range(2, min(n_max, cmax) + 1)
+    assert data["ratio_checked"] == sum((n - 1) * (cmax - n + 1) for n in ns)
+    assert data["identity_checked"] == sum((n - 2) * (cmax - n + 1) for n in ns)
+    if (n_max, cmax) == (6, 10):
+        assert (data["ratio_checked"], data["identity_checked"]) == (95, 60)
 
 
 def chain_algebra(n, char=None):

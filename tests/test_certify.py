@@ -87,23 +87,25 @@ _ints = st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(tuple)
 _int = st.integers(0, 10**6)
 
 
-def _descriptors(depth, ints=_ints, int_=_int):
+def _descriptors(depth, ints=_ints, int_=_int, junk=st.nothing()):
     """Descriptor trees over every variant, nested up to `depth` rings deep;
-    parse_ring does not validate, so the numbers need not make sense."""
+    parse_ring does not validate, so the numbers need not make sense.  A
+    value drawn from junk may stand in any field."""
+    sgp = st.builds(SemigroupRing, ints | junk)
     leaves = st.one_of(
-        st.builds(SemigroupRing, ints),
-        st.builds(Truncation, ints, int_),
-        st.builds(Glued, st.builds(SemigroupRing, ints), int_, int_),
+        sgp,
+        st.builds(Truncation, ints | junk, int_ | junk),
+        st.builds(Glued, sgp | junk, int_ | junk, int_ | junk),
         st.just(AbstractCI()),
     )
     if depth == 0:
         return leaves
-    inner = _descriptors(depth - 1, ints, int_)
+    inner = _descriptors(depth - 1, ints, int_, junk) | junk
     return st.one_of(
         leaves,
         st.builds(PowerSeriesExt, inner),
-        st.builds(ParameterPowerQuotient, inner, int_, int_),
-        st.builds(UlrichPowerQuotient, inner, ints, int_),
+        st.builds(ParameterPowerQuotient, inner, int_ | junk, int_ | junk),
+        st.builds(UlrichPowerQuotient, inner, ints | junk, int_ | junk),
         st.builds(AbstractWithFiniteFlatCover, st.none() | inner, st.none() | inner),
     )
 
@@ -169,6 +171,17 @@ def test_malformed_descriptors(text):
     PowerSeriesExt(5),
     AbstractWithFiniteFlatCover(5, None),
     AbstractWithFiniteFlatCover(None, "sgp(3,4)"),
+    # integer slots hold ints, as the parser makes them: no float, bool,
+    # string or list, and a gens slot no ring
+    SemigroupRing((3.5, 4)),
+    SemigroupRing("34"),
+    SemigroupRing([3, 4, 5]),
+    Glued(SemigroupRing((2, 3)), True, 5),
+    ParameterPowerQuotient(SemigroupRing((2, 3)), True, True),
+    Truncation(AbstractCI(), 3),
+    UlrichPowerQuotient(SemigroupRing((3, 4, 5)), (3.0,), 1),
+    # nor a negative one, which the parser never reads
+    UlrichPowerQuotient(AbstractCI(), (-1,), 1),
 ], ids=repr)
 def test_malformed_descriptor_objects(desc):
     # built directly, past the parser: the validator alone must refuse them
@@ -359,6 +372,27 @@ SMALL_SGPS = [
     gens for k in (2, 3) for gens in combinations(range(2, 9), k)
     if gcd(*gens) == 1 and NumericalSemigroup.from_generators(gens).generators == gens
 ]
+
+
+_scalars = st.one_of(
+    st.integers(-2, 12), st.booleans(), st.floats(-2, 12), st.text(max_size=3), st.none(),
+)
+_junk = _scalars | st.lists(_scalars, max_size=3) | st.lists(_scalars, max_size=3).map(tuple)
+_some_ints = st.sampled_from(SMALL_SGPS) | st.lists(
+    st.integers(-1, 12), min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_descriptors(3, _some_ints, st.integers(-1, 4))
+       | _descriptors(3, _some_ints, st.integers(-1, 4), _junk))
+def test_a_valid_descriptor_is_one_the_parser_makes(desc):
+    # built directly with any field values, a descriptor the validator
+    # passes prints as text that parses back to it
+    try:
+        validate_descriptor(desc)
+    except MalformedDescriptor:
+        return
+    assert parse_ring(str(desc)) == desc
 
 
 def sgp_text(gens):

@@ -15,8 +15,6 @@ from hypothesis import given, settings, strategies as st
 from sackit import (
     NumericalSemigroup,
     SemigroupIdeal,
-    cumulative_rank_identity,
-    estimate_ratio_holds,
     is_ulrich,
     power_layer_lengths,
     search_reduction,
@@ -26,7 +24,6 @@ from sackit.errors import (
     AmbientMismatch,
     DomainError,
     EmptyIdeal,
-    EmptyInput,
     NonPositive,
     NotAMember,
     NotContained,
@@ -354,28 +351,6 @@ def test_rank_formula_guards():
         ulrich_rank_formula(2, 1, 1)
     with pytest.raises(DomainError):
         ulrich_rank_formula(2, 3, 0)
-
-
-def test_ratio_predicate():
-    assert estimate_ratio_holds([3])
-    assert not estimate_ratio_holds([1])
-    assert not estimate_ratio_holds([2, 3])
-    assert estimate_ratio_holds([2, 4])
-    with pytest.raises(EmptyInput):
-        estimate_ratio_holds([])
-    with pytest.raises(DomainError):
-        estimate_ratio_holds([2, 0])
-
-
-def test_cumulative_identity_range():
-    for n in range(3, 9):
-        for c in range(n, n + 7):
-            for length in range(3, n + 1):
-                assert cumulative_rank_identity(n, c, length), (n, c, length)
-    with pytest.raises(DomainError):
-        cumulative_rank_identity(2, 3, 5)
-    with pytest.raises(DomainError):
-        cumulative_rank_identity(4, 3, 3)
 
 
 small_semigroups = st.sampled_from(

@@ -21,8 +21,8 @@ PUBLIC = [
     "MonomialArtinianAlgebra", "NumericalSemigroup", "ParameterPowerQuotient",
     "PowerSeriesExt", "Premise", "PresentedModule", "Realization", "SackitError",
     "SemigroupIdeal", "SemigroupRing", "Truncation", "UlrichPowerQuotient", "UlrichReport",
-    "certify", "cumulative_rank_identity", "cyclic_quotient",
-    "direct_sum", "estimate_ratio_holds", "ext_deg_window", "ext_dims", "free_module",
+    "certify", "cyclic_quotient",
+    "direct_sum", "ext_deg_window", "ext_dims", "free_module",
     "is_ulrich", "minimal_resolution", "module_from_presentation", "parse_ring",
     "power_layer_lengths", "quotient_algebra", "realization", "residue_field",
     "search_reduction", "tor_dims", "truncation_algebra", "ulrich_rank_formula",

@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 61 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 64 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -66,6 +66,7 @@ _FFD = "tests/test_certify.py::test_ffd_answers_for_its_ring"
 _ARTINIAN_COVER = (
     "tests/test_certify.py::test_no_artinian_ring_has_a_semigroup_ring_as_finite_flat_cover")
 _READS_RING = "tests/test_certify.py::test_qpow_over_ffd_reads_the_ring_not_the_cover"
+_LEMMA42 = "tests/test_acceptance.py::test_lemma42_failures_match_the_oracle"
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -346,6 +347,16 @@ ROWS = [
      ("                sys.stdout.flush()\n", "for stream in (sys.stdout, sys.stderr):"),
      ("                pass\n", "for stream in (sys.stderr,):"),
      [f"{_EXIT}[False]"]),
+    # lemma42 keeps one running sum per (n, c)
+    ("lemma42 ratio check made non-strict", "_cli_ideal.py",
+     "if below >= a:", "if below > a:",
+     [f"{_LEMMA42}[doubling]", f"{_LEMMA42}[doubling-bumped]"]),
+    ("lemma42 running sum not advanced", "_cli_ideal.py",
+     "below += a", "below += 0",
+     [f"{_LEMMA42}[real]", "tests/test_cli.py::test_lemma42"]),
+    ("lemma42 identity check started at l = 4", "_cli_ideal.py",
+     "if ell >= 3:", "if ell >= 4:",
+     [f"{_LEMMA42}[doubling]", "tests/test_acceptance.py::test_lemma42_counts_every_check[6-10]"]),
 ]
 
 
