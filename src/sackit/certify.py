@@ -39,8 +39,9 @@ SCHEMA_VERSION = "cert-v1"
 class _Descriptor(Record):
     """Base of the ring descriptors.  Each declares its text form once: HEAD
     is its head word and SLOTS names one slot kind (see _SLOT_KINDS) per
-    field, in field order.  The parser, str(), validate_descriptor and
-    descriptor_grammar all read these two class attributes."""
+    field, in field order.  The parser, str() and descriptor_grammar read
+    these two class attributes; validate_descriptor reads them only through
+    the parser and str(), then calls check on each ring."""
 
     def __str__(self) -> str:
         args = ",".join(
@@ -48,6 +49,14 @@ class _Descriptor(Record):
             for kind, name in zip(self.SLOTS, self._fields)
         )
         return f"{self.HEAD}({args})"
+
+    def check(self, build):
+        """Refuse what parses but names no ring, here an integer slot below 1,
+        as MalformedDescriptor; build(generators) builds a semigroup."""
+        for kind, value in zip(self.SLOTS, self._values()):
+            if kind == "int" and value < 1:
+                raise MalformedDescriptor(
+                    f"{self.HEAD}() integer arguments must be >= 1, got {value!r}")
 
     # What the search knows of the ring R it stands for: depth R, which bounds
     # a regular sequence (Bruns & Herzog, ch. 1), else None, and the premises
@@ -70,6 +79,9 @@ class SemigroupRing(_Descriptor):
     DEPTH = 1
     generators: tuple[int, ...]
 
+    def check(self, build):
+        _semigroup(self.generators, build)
+
     def gorenstein(self, search, *regular):  # exactly when H is symmetric (Kunz)
         H = search.semigroup(self.generators)
         ok, p_sym = verify_premise("gap_symmetric", semigroup=H)
@@ -84,6 +96,11 @@ class Truncation(_Descriptor):
     DEPTH = 0
     generators: tuple[int, ...]
     q: int
+
+    def check(self, build):
+        H = _semigroup(self.generators, build)
+        super().check(build)
+        _check_members(H, (self.q,), "truncation degree")
 
     def gorenstein(self, search):  # t^q is regular on k[[H]]
         regular = _nonzerodivisor(search.semigroup(self.generators), self.q)
@@ -100,8 +117,15 @@ class Glued(_Descriptor):
     n: int
     m: int
 
+    def check(self, build):  # the inner semigroup checked itself first
+        super().check(build)
+        try:
+            _semigroup(self.inner.generators, build).glue_generators(self.n, self.m)
+        except SackitError as exc:
+            raise MalformedDescriptor(f"bad gluing {self}: {exc}") from exc
+
     def gorenstein(self, search):
-        try:  # validate_descriptor checked the gluing, not its multiplicity
+        try:  # check() checked the gluing, not its multiplicity
             H = search.semigroup(self.inner.generators)
             return SemigroupRing(H.glue_generators(self.n, self.m)).gorenstein(search)
         except TooLarge:
@@ -152,6 +176,12 @@ class UlrichPowerQuotient(_Descriptor):
     inner: "RingDescriptor"
     ideal_gens: tuple[int, ...]
     power: int
+
+    def check(self, build):
+        super().check(build)
+        if isinstance(self.inner, SemigroupRing):
+            H = _semigroup(self.inner.generators, build)
+            _check_members(H, self.ideal_gens, "ideal generator")
 
     def depth(self):  # k[[H]]/I^p is Artinian, I being m-primary
         return 0 if isinstance(self.inner, SemigroupRing) else None
@@ -319,93 +349,59 @@ def _semigroup(gens, build=None) -> NumericalSemigroup:
         raise MalformedDescriptor(f"bad semigroup {_ints(gens)}: {exc}") from exc
 
 
-def _check_int(desc, value, build):
-    if type(value) is not int or value < 1:  # nor a bool
-        raise MalformedDescriptor(
-            f"{desc.HEAD}() integer arguments must be >= 1, got {value!r}"
-        )
-
-
-def _check_ints(desc, values, build=None):
-    if not (type(values) is tuple and values  # as the parser makes them
-            and all(type(x) is int and x >= 0 for x in values)):
-        raise MalformedDescriptor(f"{desc.HEAD}() needs a nonempty (a,b,...), got {values!r}")
-    return values
-
-
-def _check_sgp(desc, inner, build):
-    if not isinstance(inner, SemigroupRing):
-        raise MalformedDescriptor(f"{desc.HEAD}() needs a semigroup ring inside")
-
-
-def _check_ring(desc, inner, build):
-    if not isinstance(inner, _Descriptor):
-        raise MalformedDescriptor(f"{desc.HEAD}() needs an inner ring, got {inner!r}")
-
-
 def _check_members(H, xs, what):
     for x in xs:
         if x <= 0 or not H.contains(x):
             raise MalformedDescriptor(f"{what} {x} is not a positive member of H")
 
 
-# slot kind -> (grammar placeholder, parse, text form, validate); validate
-# takes (descriptor, value, the build_semigroup of validate_descriptor)
+# slot kind -> (grammar placeholder, parse, text form); the parser reads only
+# digits, so an integer slot holds an int >= 0, and check() refuses the rest
 _SLOT_KINDS = {
-    "int": ("{name}", _Parser.int_, str, _check_int),
-    "ints": ("a,b,...", _Parser.int_list, _ints,
-             lambda desc, gens, build: _semigroup(_check_ints(desc, gens), build)),
-    "(ints)": ("(a,b,...)", _Parser.paren_ints, lambda xs: f"({_ints(xs)})",
-               _check_ints),
-    "sgp": ("sgp(a,b,...)", lambda p: p.node(SemigroupRing), str, _check_sgp),
+    "int": ("{name}", _Parser.int_, str),
+    "ints": ("a,b,...", _Parser.int_list, _ints),
+    "(ints)": ("(a,b,...)", _Parser.paren_ints, lambda xs: f"({_ints(xs)})"),
+    "sgp": ("sgp(a,b,...)", lambda p: p.node(SemigroupRing), str),
     "gens": ("sgp(a,b,...)", lambda p: p.node(SemigroupRing).generators,
-             lambda gens: str(SemigroupRing(gens)),
-             lambda desc, gens, build: _semigroup(_check_ints(desc, gens), build)),
-    "ring": ("ring", _Parser.ring, str, _check_ring),
+             lambda gens: str(SemigroupRing(gens))),
+    "ring": ("ring", _Parser.ring, str),
     "ring?": ("ring|?", lambda p: p.ring(allow_hole=True),
-              lambda inner: "?" if inner is None else str(inner),
-              lambda desc, inner, build: (
-                  inner is None or _check_ring(desc, inner, build))),
+              lambda inner: "?" if inner is None else str(inner)),
 }
 
 
-def validate_descriptor(desc, build_semigroup=None, _depth=0) -> None:
-    """Structural well-formedness; raises MalformedDescriptor.
-
-    Integer slots hold what the parser makes: ints, or nonempty tuples of ints.
-    A glued(sgp(H),n,m) must meet every gluing precondition (m a member of H
-    but no minimal generator, gcd(n, m) = 1), else it names no gluing, and no
-    rule checks the R of an ffd(R, S); the glued semigroup itself is not built.
-    build_semigroup(generators), when given, builds each semigroup the
-    check needs; certify() passes the memo of its search.  _depth counts the
-    descriptors around desc, at most MAX_NESTING as parse_ring allows.
-    """
-    if not isinstance(desc, _Descriptor):
-        raise MalformedDescriptor(f"not a ring descriptor: {desc!r}")
-    if _depth > MAX_NESTING:
-        raise MalformedDescriptor(_TOO_DEEP)
+def _rings(desc):
+    """The rings of desc, inner rings first, desc last."""
     for kind, name in zip(desc.SLOTS, desc._fields):
-        value = getattr(desc, name)
-        _SLOT_KINDS[kind][3](desc, value, build_semigroup)
-        if isinstance(value, _Descriptor):
-            validate_descriptor(value, build_semigroup, _depth + 1)
-    if isinstance(desc, Truncation):
-        _check_members(
-            _semigroup(desc.generators, build_semigroup), (desc.q,),
-            "truncation degree",
-        )
-    elif isinstance(desc, Glued):
-        try:  # the inner semigroup passed its own check above
-            _semigroup(desc.inner.generators, build_semigroup).glue_generators(desc.n, desc.m)
-        except SackitError as exc:
-            raise MalformedDescriptor(f"bad gluing {desc}: {exc}") from exc
-    elif isinstance(desc, UlrichPowerQuotient) and isinstance(
-        desc.inner, SemigroupRing
-    ):
-        _check_members(
-            _semigroup(desc.inner.generators, build_semigroup), desc.ideal_gens,
-            "ideal generator",
-        )
+        inner = getattr(desc, name)
+        if kind in ("sgp", "ring", "ring?") and inner is not None:
+            yield from _rings(inner)
+    yield desc
+
+
+def validate_descriptor(desc, build_semigroup=None) -> None:
+    """Well-formedness; raises MalformedDescriptor.
+
+    desc is a descriptor exactly when parse_ring(str(desc)) == desc, which
+    also bounds its nesting by MAX_NESTING.  Then each ring, inner rings
+    first, passes its own check (integer slots >= 1, semigroups that build,
+    members where a ring needs them, a glued(sgp(H),n,m) that is a gluing).
+    build_semigroup(generators), when given, builds each semigroup the checks
+    need; certify() passes the memo of its search.
+    """
+    try:
+        same = parse_ring(str(desc)) == desc
+    except RecursionError:  # too deep for str(), so past MAX_NESTING
+        raise MalformedDescriptor(_TOO_DEEP) from None
+    except (TypeError, ValueError, MalformedDescriptor) as exc:  # str() or parse failed
+        if exc.args == (_TOO_DEEP,):
+            raise
+        same = False
+    if not same:
+        raise MalformedDescriptor(
+            f"{type(desc).__name__!r} object is not a descriptor the parser makes")
+    for ring in _rings(desc):
+        ring.check(build_semigroup)
 
 
 # ----------------------------------------------------------------------------
@@ -975,8 +971,6 @@ def certify(goal, depth: int = 8, root_rules=None) -> Certificate:
         raise NonPositive(f"depth must be >= 1, got {depth}")
     if isinstance(goal, str):
         goal = parse_ring(goal)
-    if goal is None:
-        raise MalformedDescriptor("no descriptor given")
     search = _Search()
     validate_descriptor(goal, search.semigroup)
     # children search one level down, so nothing reads the root's memo entry

@@ -10,6 +10,7 @@ from math import comb
 import jsonschema
 import pytest
 
+import sackit._cli_ideal
 import sackit.ideals
 from sackit import (
     CERT_SCHEMA,
@@ -30,6 +31,7 @@ from sackit import (
     ulrich_rank_formula,
 )
 from sackit._cli_ideal import lemma42
+from sackit.errors import TooLarge
 
 from cli_runner import invoke
 from test_artinian import radical_index, walking_twin
@@ -176,6 +178,15 @@ def test_lemma42_counts_every_check(n_max, cmax):
     assert data["identity_checked"] == sum((n - 2) * (cmax - n + 1) for n in ns)
     if (n_max, cmax) == (6, 10):
         assert (data["ratio_checked"], data["identity_checked"]) == (95, 60)
+
+
+def test_lemma42_counts_its_checks_before_the_sweep(monkeypatch):
+    # the cap reads the closed-form count, which the sweep then runs exactly
+    monkeypatch.setattr(sackit._cli_ideal, "MAX_RATIO_CHECKS", 95)
+    assert lemma42(6, 10)[0]["ratio_checked"] == 95
+    monkeypatch.setattr(sackit._cli_ideal, "MAX_RATIO_CHECKS", 94)
+    with pytest.raises(TooLarge, match="95 ratio checks"):
+        lemma42(6, 10)
 
 
 def chain_algebra(n, char=None):

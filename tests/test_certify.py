@@ -182,6 +182,15 @@ def test_malformed_descriptors(text):
     UlrichPowerQuotient(SemigroupRing((3, 4, 5)), (3.0,), 1),
     # nor a negative one, which the parser never reads
     UlrichPowerQuotient(AbstractCI(), (-1,), 1),
+    # nor one too long to print, which the parser refuses to read
+    pytest.param(UlrichPowerQuotient(AbstractCI(), (10**5000,), 1),
+                 id="UlrichPowerQuotient(AbstractCI(), (10**5000,), 1)"),
+    pytest.param(ParameterPowerQuotient(AbstractCI(), 10**5000, 1),
+                 id="ParameterPowerQuotient(AbstractCI(), 10**5000, 1)"),
+    # a ring whose text parses back to it but that names no ring, as t^2 is
+    # no member of k[[<3,4,5>]]; inside an ffd's R no rule would see that
+    Truncation((3, 4, 5), 2),
+    AbstractWithFiniteFlatCover(Truncation((3, 4, 5), 2), SemigroupRing((2, 3))),
 ], ids=repr)
 def test_malformed_descriptor_objects(desc):
     # built directly, past the parser: the validator alone must refuse them
@@ -376,6 +385,7 @@ SMALL_SGPS = [
 
 _scalars = st.one_of(
     st.integers(-2, 12), st.booleans(), st.floats(-2, 12), st.text(max_size=3), st.none(),
+    st.just(10**5000),  # past the 4300 digits that int() and str() convert
 )
 _junk = _scalars | st.lists(_scalars, max_size=3) | st.lists(_scalars, max_size=3).map(tuple)
 _some_ints = st.sampled_from(SMALL_SGPS) | st.lists(

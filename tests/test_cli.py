@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -352,6 +353,16 @@ def test_lemma42():
     assert "0 failed" in human.output
     m = re.search(r"ratio checks:\s+(\d+) run", human.output)
     assert m and int(m.group(1)) == doc["ratio_checked"]
+
+
+def test_lemma42_refuses_a_sweep_past_the_work_cap():
+    # the ratio checks are counted in closed form before the sweep, so about
+    # 1.7e14 of them end in one error: line at once
+    start = time.perf_counter()
+    done = _sackit_capped("lemma42", "--n", "100000", "--cmax", "100000")
+    assert time.perf_counter() - start < 1
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_certify_command():

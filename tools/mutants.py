@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 64 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 69 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -67,6 +67,8 @@ _ARTINIAN_COVER = (
     "tests/test_certify.py::test_no_artinian_ring_has_a_semigroup_ring_as_finite_flat_cover")
 _READS_RING = "tests/test_certify.py::test_qpow_over_ffd_reads_the_ring_not_the_cover"
 _LEMMA42 = "tests/test_acceptance.py::test_lemma42_failures_match_the_oracle"
+_OBJECTS = "tests/test_certify.py::test_malformed_descriptor_objects"
+_GOLOD = "tests/test_koszul.py::test_golod_rings_meet_the_serre_bound"
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -201,7 +203,7 @@ ROWS = [
      ["tests/test_ideals.py::test_search_reduction_matches_the_generator_loop",
       "tests/test_ideals.py::test_reference_report_frozen"]),
     ("gluing preconditions not checked", _CERT,
-     "_semigroup(desc.inner.generators, build_semigroup).glue_generators(desc.n, desc.m)",
+     "_semigroup(self.inner.generators, build).glue_generators(self.n, self.m)",
      "pass",
      [f"{_MALFORMED}[glued(sgp(3,4,5),5,4)]",
       f"{_MALFORMED}[ffd(glued(sgp(3,4,5),5,4),sgp(2,3))]",
@@ -357,6 +359,32 @@ ROWS = [
     ("lemma42 identity check started at l = 4", "_cli_ideal.py",
      "if ell >= 3:", "if ell >= 4:",
      [f"{_LEMMA42}[doubling]", "tests/test_acceptance.py::test_lemma42_counts_every_check[6-10]"]),
+    # a descriptor is well formed when its text parses back to it, and each
+    # ring checks itself
+    ("Truncation.check without the membership test", _CERT,
+     '        _check_members(H, (self.q,), "truncation degree")\n', "",
+     [f"{_OBJECTS}[Truncation(generators=(3, 4, 5), q=2)]",
+      f"{_OBJECTS}[AbstractWithFiniteFlatCover(inner=Truncation(generators=(3, 4, 5), q=2), "
+      "cover=SemigroupRing(generators=(2, 3)))]"]),
+    ("validator walk not descending into inner rings", _CERT,
+     "            yield from _rings(inner)\n", "            pass\n",
+     [f"{_MALFORMED}[ffd(glued(sgp(3,4,5),5,4),sgp(2,3))]",
+      f"{_MALFORMED}[qpow(ffd(glued(sgp(3,4,5),5,4),sgp(2,3)),1,1)]",
+      f"{_OBJECTS}[AbstractWithFiniteFlatCover(inner=Truncation(generators=(3, 4, 5), q=2), "
+      "cover=SemigroupRing(generators=(2, 3)))]"]),
+    ("round trip compares only the class", _CERT,
+     "same = parse_ring(str(desc)) == desc",
+     "same = type(parse_ring(str(desc))) is type(desc)",
+     [f"{_OBJECTS}[SemigroupRing(generators='34')]",
+      f"{_OBJECTS}[SemigroupRing(generators=[3, 4, 5])]"]),
+    # Koszul homology oracles
+    ("_nakayama keeps one redundant column", _ART,
+     "return [vec for vec in vecs if span.add(vec)]",
+     "return [vec for vec in vecs if span.add(vec)] + vecs[-1:]",
+     [f"{_GOLOD}[(5, 6, 13)]", f"{_GOLOD}[(10, 11, 12, 13)]", f"{_GOLOD}[(3, 4, 5)]"]),
+    ("F in _derived_dims drops one row", _ART,
+     "                for row in rows:\n", "                for row in rows[:-1]:\n",
+     ["tests/test_koszul.py::test_top_koszul_homology_is_the_type"]),
 ]
 
 
