@@ -5,7 +5,7 @@ from math import comb
 
 from . import ideals, semigroup
 from .cli import _key_values
-from .errors import DomainError, TooLarge
+from .errors import SackitError, TooLarge
 
 # Most ratio checks one lemma42 sweep runs: n = cmax = 144 is 497,640 checks,
 # 1.6-2.0 s on 2 vCPU (Python 3.11), and the cost grows faster than the count
@@ -22,7 +22,7 @@ def ideal_ulrich(gens, ideal, q):
     if q is None:
         q = ideals.search_reduction(I)
         if q is None:
-            raise DomainError("no stable reduction degree among the generators")
+            raise SackitError("no stable reduction degree among the generators")
     data = ideals.is_ulrich(I, q).to_json_dict()
     return data, _key_values(data)
 
@@ -49,7 +49,7 @@ def ideal_powers(gens, ideal, up_to):
 
 def lemma42(n_max, cmax):
     if n_max < 2:
-        raise DomainError("need --n >= 2")
+        raise SackitError("need --n >= 2")
     # the sweep's ratio checks, the sum of (n-1)(cmax-n+1) over
     # 2 <= n <= min(N, cmax), which is the sum of j(cmax-j) over 1 <= j <= k
     k = max(min(n_max, cmax) - 1, 0)

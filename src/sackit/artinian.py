@@ -64,13 +64,7 @@ from functools import cached_property
 from itertools import accumulate, islice
 
 from ._record import Record
-from .errors import (
-    AlgebraMismatch,
-    DomainError,
-    NonPositive,
-    NotAMember,
-    ShapeMismatch,
-)
+from .errors import SackitError
 from .modp import Span, connected_blocks, sparse_kernel
 from .semigroup import NumericalSemigroup
 
@@ -120,9 +114,9 @@ class MonomialArtinianAlgebra(Record):
         Apery set of q as basis; else k[H]/``ideal``, with its complement."""
         p = DEFAULT_PRIME if char is None else int(char)
         if p >= MAX_PRIME:
-            raise DomainError(f"characteristic {p} is not below the supported 2^64")
+            raise SackitError(f"characteristic {p} is not below the supported 2^64")
         if not _is_prime(p):
-            raise DomainError(f"characteristic {p} is not prime")
+            raise SackitError(f"characteristic {p} is not prime")
         degrees = semigroup.apery_set(truncation_q) if ideal is None else ideal.complement()
         super().__init__(semigroup, p, degrees, truncation_q, ideal)
 
@@ -190,16 +184,21 @@ def truncation_algebra(
 ) -> MonomialArtinianAlgebra:
     """k[H]/(t^q) with basis the Apery set of q; q must be a positive member."""
     if q <= 0:
-        raise NonPositive(f"truncation degree must be positive, got {q}")
+        raise SackitError(f"truncation degree must be positive, got {q}")
     if not semigroup.contains(q):
-        raise NotAMember(f"{q} is not a member of <{semigroup}>")
+        raise SackitError(f"{q} is not a member of <{semigroup}>")
     return MonomialArtinianAlgebra(semigroup, char, truncation_q=q)
 
 
 def quotient_algebra(
     ideal: SemigroupIdeal, char: int | None = None
 ) -> MonomialArtinianAlgebra:
-    """k[H]/E for any cofinite monomial ideal E."""
+    """k[H]/E for any cofinite monomial ideal E.
+
+    No command builds one for E other than (t^q); it stays as the tests'
+    reference for the walk: over its form of a truncation, which the change
+    of rings does not route, Ext and Tor walk the syzygies, and its m^2
+    quotients have closed forms that no truncation gives."""
     return MonomialArtinianAlgebra(ideal.ambient, char, ideal=ideal)
 
 
@@ -239,16 +238,16 @@ def _check_shape(algebra, rank0, relations):
     """Dense columns of rank0 algebra elements, validated, as sparse
     flattened columns with coefficients reduced mod p."""
     if rank0 < 0:
-        raise ShapeMismatch(f"rank0 must be >= 0, got {rank0}")
+        raise SackitError(f"rank0 must be >= 0, got {rank0}")
     p, dim_a = algebra.char, algebra.dim
     cols = []
     for col in relations:
         col = [tuple(entry) for entry in col]
         if len(col) != rank0:
-            raise ShapeMismatch(f"column has {len(col)} entries, expected {rank0}")
+            raise SackitError(f"column has {len(col)} entries, expected {rank0}")
         for entry in col:
             if len(entry) != dim_a:
-                raise ShapeMismatch(
+                raise SackitError(
                     f"entry has {len(entry)} coefficients, expected {dim_a}"
                 )
         flat = [int(x) % p for entry in col for x in entry]
@@ -272,14 +271,14 @@ def residue_field(algebra) -> PresentedModule:
 
 def free_module(algebra, rank: int) -> PresentedModule:
     if rank < 0:
-        raise ShapeMismatch(f"rank must be >= 0, got {rank}")
+        raise SackitError(f"rank must be >= 0, got {rank}")
     return PresentedModule(algebra, rank, ())
 
 def cyclic_quotient(algebra, degree: int) -> PresentedModule:
     """A/(t^degree A).  Degrees outside the basis give the free module A;
     degree 0 gives the zero module, and a negative degree is an error."""
     if degree < 0:
-        raise NonPositive(f"cyclic degree must be >= 0, got {degree}")
+        raise SackitError(f"cyclic degree must be >= 0, got {degree}")
     i = algebra._index.get(degree)
     if i is None:
         return free_module(algebra, 1)
@@ -402,7 +401,7 @@ def minimal_resolution(module: PresentedModule, length: int) -> MinimalResolutio
     """Resolve ``module`` minimally through homological degree ``length``:
     betti[j+1] counts the relation columns of Omega^j M over ``_levels``."""
     if length < 1:
-        raise NonPositive(f"resolution length must be >= 1, got {length}")
+        raise SackitError(f"resolution length must be >= 1, got {length}")
     levels = islice(_levels(module), length)
     return MinimalResolution(module, (module.rank0,) + tuple(
         sum(m * len(cols) for (_, cols), m in level.items()) for level in levels
@@ -474,7 +473,7 @@ def _component_split(algebra, rank0, cols):
 
 def _require_same_algebra(left: PresentedModule, right: PresentedModule):
     if left.algebra != right.algebra:
-        raise AlgebraMismatch(
+        raise SackitError(
             f"{left.algebra.descriptor()} vs {right.algebra.descriptor()}"
         )
 
@@ -547,7 +546,7 @@ def _derived_dims(module, target, upto, transpose):
     """
     _require_same_algebra(module, target)
     if upto < 0:
-        raise NonPositive(f"upto must be >= 0, got {upto}")
+        raise SackitError(f"upto must be >= 0, got {upto}")
     routed = _change_of_rings(module, target, upto, transpose)
     if routed is not None:
         return routed
@@ -619,7 +618,7 @@ class ExtWindowReport(Record):
 def ext_deg_window(module: PresentedModule, window: int = 12) -> ExtWindowReport:
     """Scan dim Ext^i(M + A, M + A) for 1 <= i <= window."""
     if window < 1:
-        raise NonPositive(f"window must be >= 1, got {window}")
+        raise SackitError(f"window must be >= 1, got {window}")
     doubled = direct_sum(module, free_module(module.algebra, 1))
     dims = ext_dims(doubled, doubled, window)
     last = max((i for i in range(1, window + 1) if dims[i]), default=None)

@@ -25,7 +25,7 @@ import re
 from math import gcd
 
 from ._record import Record
-from .errors import MalformedDescriptor, NonPositive, SackitError, TooLarge, UnknownPremiseKind
+from .errors import MalformedDescriptor, SackitError, TooLarge
 from .ideals import SemigroupIdeal, is_ulrich, search_reduction
 from .semigroup import NumericalSemigroup
 
@@ -550,12 +550,12 @@ def verify_premise(kind: str, **kwargs):
     """Check one premise from the closed vocabulary.
 
     Returns (ok, Premise); the Premise embeds the computed numbers whether
-    or not the check passed.  Unknown kinds raise UnknownPremiseKind.
+    or not the check passed.  An unknown kind raises SackitError.
     """
     try:
         fn = _PREMISE_DISPATCH[kind]
     except KeyError:
-        raise UnknownPremiseKind(kind) from None
+        raise SackitError(kind) from None
     return fn(**kwargs)
 
 
@@ -965,10 +965,10 @@ def certify(goal, depth: int = 8, root_rules=None) -> Certificate:
     Children always use the order of _RULES.  The result is a deterministic
     function of (goal, depth, root_rules).  A child that runs out of depth is
     not Certified; a root depth below 1 would leave nothing to search, so it
-    raises NonPositive.
+    raises SackitError.
     """
     if depth < 1:
-        raise NonPositive(f"depth must be >= 1, got {depth}")
+        raise SackitError(f"depth must be >= 1, got {depth}")
     if isinstance(goal, str):
         goal = parse_ring(goal)
     search = _Search()

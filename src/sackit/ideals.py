@@ -22,16 +22,15 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from ._record import Record
-from .errors import (
-    AmbientMismatch,
-    DomainError,
-    EmptyIdeal,
-    NonPositive,
-    NotAMember,
-    NotContained,
-    NotInIdeal,
-)
+from .errors import SackitError, TooLarge
 from .semigroup import NumericalSemigroup, _Shifted, _between, _length
+
+# Most steps one power_layer_lengths sweep takes (_power_steps): 0.1-0.2 us
+# a step on 2 vCPU (Python 3.11), the most at m = 10^6, so that the largest
+# accepted sweep takes about 2 s; _GEN_STEPS is the fixed cost of one
+# generator of a layer
+MAX_POWER_STEPS = 10_000_000
+_GEN_STEPS = 100
 
 
 class SemigroupIdeal(Record):
@@ -52,7 +51,7 @@ class SemigroupIdeal(Record):
         degs = sorted(set(int(d) for d in degrees))
         for d in degs:
             if not ambient.contains(d):
-                raise NotAMember(f"{d} is not a member of <{ambient}>")
+                raise SackitError(f"{d} is not a member of <{ambient}>")
         # d is redundant when d - e is a member for a smaller degree e, and
         # then also for a smaller minimal one
         minimal = []
@@ -82,7 +81,7 @@ class SemigroupIdeal(Record):
     def product(self, other: "SemigroupIdeal") -> "SemigroupIdeal":
         """Ideal generated by all pairwise generator sums."""
         if self.ambient != other.ambient:
-            raise AmbientMismatch(f"<{self.ambient}> vs <{other.ambient}>")
+            raise SackitError(f"<{self.ambient}> vs <{other.ambient}>")
         sums = {a + b for a in self.generators for b in other.generators}
         return SemigroupIdeal.from_generators(self.ambient, sums)
 
@@ -90,7 +89,7 @@ class SemigroupIdeal(Record):
         """The exponent-fold product, by repeated squaring: O(log exponent)
         products."""
         if exponent < 1:
-            raise NonPositive(f"power wants exponent >= 1, got {exponent}")
+            raise SackitError(f"power wants exponent >= 1, got {exponent}")
         out, square = None, self
         while True:
             if exponent & 1:
@@ -118,18 +117,18 @@ class SemigroupIdeal(Record):
     def _outside(self):
         """The tables of H and of this ideal, which bound its complement."""
         if self.is_empty():
-            raise EmptyIdeal("the zero ideal has infinite colength")
+            raise SackitError("the zero ideal has infinite colength")
         return self.ambient._apery, self._least
 
     def _relative(self, other: "SemigroupIdeal"):
         """The tables of this ideal and of ``other``, once other <= this."""
         if self.ambient != other.ambient:
-            raise AmbientMismatch(f"<{self.ambient}> vs <{other.ambient}>")
+            raise SackitError(f"<{self.ambient}> vs <{other.ambient}>")
         if other.is_empty():
-            raise EmptyIdeal("relative length against the zero ideal is infinite")
+            raise SackitError("relative length against the zero ideal is infinite")
         for g in other.generators:
             if not self.member(g):
-                raise NotContained(f"generator {g} of the smaller ideal is outside the larger one")
+                raise SackitError(f"generator {g} of the smaller ideal is outside the larger one")
         return self._least, other._least
 
     def mu(self) -> int:
@@ -183,9 +182,9 @@ def is_ulrich(ideal: SemigroupIdeal, q: int) -> UlrichReport:
     layer_length == mu * colength.
     """
     if q <= 0:
-        raise NonPositive(f"reduction witness must be positive, got {q}")
+        raise SackitError(f"reduction witness must be positive, got {q}")
     if not ideal.member(q):
-        raise NotInIdeal(f"{q} is not in the ideal ({ideal})")
+        raise SackitError(f"{q} is not in the ideal ({ideal})")
     stable = _stable(ideal, q)
     col = ideal.colength()
     c = ideal.mu()
@@ -224,9 +223,13 @@ def _stable(ideal: SemigroupIdeal, q: int) -> bool:
 
 
 def power_layer_lengths(ideal: SemigroupIdeal, up_to: int) -> tuple[int, ...]:
-    """Lengths of ideal^i / ideal^(i+1) for i = 1..up_to."""
+    """Lengths of ideal^i / ideal^(i+1) for i = 1..up_to; TooLarge, before
+    the first layer, past MAX_POWER_STEPS."""
     if up_to < 1:
-        raise NonPositive(f"want up_to >= 1, got {up_to}")
+        raise SackitError(f"want up_to >= 1, got {up_to}")
+    if _power_steps(ideal, up_to) > MAX_POWER_STEPS:
+        raise TooLarge(f"a sweep of {up_to} power layers takes more than the supported "
+                       f"{MAX_POWER_STEPS} steps")
     out, layer = [], ideal
     for _ in range(up_to):
         below = layer.product(ideal)
@@ -235,12 +238,30 @@ def power_layer_lengths(ideal: SemigroupIdeal, up_to: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _power_steps(ideal: SemigroupIdeal, up_to: int) -> int:
+    """A bound on the steps of the sweep, or a count already past
+    MAX_POWER_STEPS.  For j = 1..up_to + 1 the sweep builds the table of I^j,
+    m residues per generator, and the sums of its generators with the mu of
+    I; I^j has at most min(m, C(j+mu-1, mu-1)) generators, one per residue
+    class mod m and one per multiset of j generators of I."""
+    m, mu = ideal.ambient.multiplicity, ideal.mu()
+    steps, gens = 0, mu
+    for j in range(1, up_to + 2):
+        if gens >= m or mu <= 1:  # the bound is min(gens, m) from here on
+            return steps + (up_to + 2 - j) * min(gens, m) * (m + mu + _GEN_STEPS)
+        steps += gens * (m + mu + _GEN_STEPS)
+        if steps > MAX_POWER_STEPS:
+            return steps
+        gens = gens * (j + mu) // (j + 1)
+    return steps
+
+
 def ulrich_rank_formula(n: int, c: int, i: int) -> int:
     """Predicted free rank of the i-th power layer: binomial(i+n-1, n-1) +
     (c-n) * binomial(i-2+n, n-1), for ambient dimension n and mu = c."""
     if n < 1 or i < 1:
-        raise DomainError(f"need n >= 1 and i >= 1, got n={n}, i={i}")
+        raise SackitError(f"need n >= 1 and i >= 1, got n={n}, i={i}")
     if c < n:
-        raise DomainError(f"need c >= n, got c={c} < n={n}")
+        raise SackitError(f"need c >= n, got c={c} < n={n}")
     return comb(i + n - 1, n - 1) + (c - n) * comb(i - 2 + n, n - 1)
 

@@ -31,14 +31,7 @@ from itertools import chain, islice
 from math import gcd
 
 from ._record import Record
-from .errors import (
-    EmptyInput,
-    GcdNotOne,
-    IsMinimalGenerator,
-    NotAMember,
-    NotCoprime,
-    TooLarge,
-)
+from .errors import SackitError, TooLarge
 
 # The Apery set is a list of m integers; building it takes about 0.8 s and
 # 65 MB per million residues (2 vCPU, Python 3.11).  This cap keeps one
@@ -65,21 +58,20 @@ class NumericalSemigroup(Record):
     def from_generators(cls, generators) -> "NumericalSemigroup":
         """Build the semigroup, minimalizing the generating set.
 
-        Raises EmptyInput for an empty list or non-positive entries,
-        GcdNotOne when the generators do not have gcd 1 (the complement
-        would be infinite), and TooLarge when the multiplicity is above
-        MAX_MULTIPLICITY.
+        Raises SackitError for an empty list, non-positive entries or
+        generators whose gcd is not 1 (the complement would be infinite),
+        and TooLarge when the multiplicity is above MAX_MULTIPLICITY.
         """
         gens = sorted(set(int(g) for g in generators))
         if not gens:
-            raise EmptyInput("need at least one generator")
+            raise SackitError("need at least one generator")
         if gens[0] <= 0:
-            raise EmptyInput(f"generators must be positive, got {gens[0]}")
+            raise SackitError(f"generators must be positive, got {gens[0]}")
         g = 0
         for a in gens:
             g = gcd(g, a)
         if g != 1:
-            raise GcdNotOne(f"gcd of generators is {g}, not 1")
+            raise SackitError(f"gcd of generators is {g}, not 1")
 
         m = gens[0]
         if m > MAX_MULTIPLICITY:
@@ -134,7 +126,7 @@ class NumericalSemigroup(Record):
         MAX_DIMENSION (else TooLarge, before anything is listed).
         """
         if q <= 0 or not self.contains(q):
-            raise NotAMember(f"{q} is not a nonzero member of <{self}>")
+            raise SackitError(f"{q} is not a nonzero member of <{self}>")
         return _between(self._apery, _Shifted(self._apery, q))
 
     def is_gap_symmetric(self) -> bool:
@@ -164,18 +156,22 @@ class NumericalSemigroup(Record):
         together with m, sorted.
 
         Requires n, m positive, gcd(n, m) = 1, m a member of H but not a
-        minimal generator.
+        minimal generator, and likewise n a member of <1> but not its
+        minimal generator 1 (Watanabe 1973; Rosales & Garcia-Sanchez 2009):
+        with n = 1, m is redundant and the result is H itself.
         """
         if n <= 0 or m <= 0:
-            raise EmptyInput(f"gluing needs positive n, m; got n={n}, m={m}")
+            raise SackitError(f"gluing needs positive n, m; got n={n}, m={m}")
         if not self.contains(m):
-            raise NotAMember(f"{m} is not a member of <{self}>")
+            raise SackitError(f"{m} is not a member of <{self}>")
         if m in self.generators:
-            raise IsMinimalGenerator(
+            raise SackitError(
                 f"{m} is a minimal generator of <{self}>"
             )
         if gcd(n, m) != 1:
-            raise NotCoprime(f"gcd({n}, {m}) != 1")
+            raise SackitError(f"gcd({n}, {m}) != 1")
+        if n == 1:
+            raise SackitError("gluing needs n >= 2, got n=1")
         return tuple(sorted([n * g for g in self.generators] + [m]))
 
     # -- plumbing ---------------------------------------------------------

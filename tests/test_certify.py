@@ -15,7 +15,7 @@ from math import gcd
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sackit import (
     CERT_SCHEMA,
@@ -42,12 +42,7 @@ from sackit.certify import (
     _glue_decompositions,
     _Search,
 )
-from sackit.errors import (
-    MalformedDescriptor,
-    NonPositive,
-    SackitError,
-    UnknownPremiseKind,
-)
+from sackit.errors import MalformedDescriptor, SackitError
 from sackit.semigroup import MAX_MULTIPLICITY
 
 from cli_runner import invoke
@@ -147,6 +142,8 @@ MALFORMED = [
     "ffd(glued(sgp(3,4,5),5,4),sgp(2,3))",
     "qpow(ffd(glued(sgp(3,4,5),5,4),sgp(2,3)),1,1)",
     "glued(sgp(3,4,5),5,2)",
+    # n = 1 is the minimal generator of <1>: 1*H + <4> is H, and 4 no generator
+    "glued(sgp(2,3),1,4)",
     # integers longer than int() converts from text (4300 digits)
     pytest.param("sgp(" + "9" * 5000 + ",2)", id="sgp(long-int,2)"),
     pytest.param("trunc(sgp(3,4,5)," + "9" * 5000 + ")", id="trunc(sgp(3,4,5),long-int)"),
@@ -474,9 +471,11 @@ def test_qpow_over_ffd_reads_the_ring_not_the_cover():
 
 @settings(max_examples=300, deadline=None)
 @given(_descriptors(3, st.sampled_from(SMALL_SGPS), st.integers(1, 3)))
+@example(Glued(SemigroupRing((2, 3)), 1, 4))  # 1*H + <4> is H, no gluing
 def test_no_certificate_rests_on_a_premise_its_rings_refute(desc):
     # at every Certified R-QPOW node the regular sequence fits in depth R and
-    # R is not refuted Gorenstein; at every R-FFD node depth S <= depth R.
+    # R is not refuted Gorenstein; at every R-FFD node depth S <= depth R; at
+    # every R-GLUE node n >= 2 and m is a minimal generator of the gluing.
     # Small numbers, so that most trees validate
     try:
         cert = certify(desc)
@@ -495,6 +494,9 @@ def test_no_certificate_rests_on_a_premise_its_rings_refute(desc):
         elif node.rule == "R-FFD":
             ring_depth, cover_depth = ring.depth(), ring.cover.depth()
             assert None in (ring_depth, cover_depth) or cover_depth <= ring_depth, node.goal
+        elif node.rule == "R-GLUE":
+            glue = dict(node.premises[0].evidence)
+            assert glue["n"] >= 2 and glue["m"] in glue["result"], node.goal
 
 
 def test_route_gluing():
@@ -637,7 +639,7 @@ def test_depth_limit_and_stability():
     assert (shallow.verdict, shallow.attempted) == ("Unknown", ("R-GLUE",))
     # a root depth below 1 would search nothing, so it is an error
     for depth in (0, -1):
-        with pytest.raises(NonPositive, match=f"got {depth}$"):
+        with pytest.raises(SackitError, match=f"^depth must be >= 1, got {depth}$"):
             certify("sgp(3,4,5)", depth=depth)
     for text in ROUND_TRIPS:
         assert cert_json(certify(text, depth=8)) == cert_json(certify(text, depth=12))
@@ -682,7 +684,7 @@ def test_verify_premise_vocabulary():
                             n=10**9, m=10**9 + 1)
     assert not ok and pr.statement.startswith("gluing rejected: multiplicity")
 
-    with pytest.raises(UnknownPremiseKind):
+    with pytest.raises(SackitError, match="^gorenstein$"):
         verify_premise("gorenstein", semigroup=H345)
 
 

@@ -122,6 +122,9 @@ def test_glue():
     bad = run("glue", "--gens", "3,5", "--n", "2", "--m", "5")
     assert bad.exit_code == 1
     assert "error:" in bad.stderr
+    one = run("glue", "--gens", "2,3", "--n", "1", "--m", "4")
+    assert (one.exit_code, one.stdout) == (1, "")
+    assert one.stderr == "error: gluing needs n >= 2, got n=1\n"
 
 
 def test_ext_table():
@@ -360,6 +363,17 @@ def test_lemma42_refuses_a_sweep_past_the_work_cap():
     # 1.7e14 of them end in one error: line at once
     start = time.perf_counter()
     done = _sackit_capped("lemma42", "--n", "100000", "--cmax", "100000")
+    assert time.perf_counter() - start < 1
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_ideal_powers_refuses_a_sweep_past_the_work_cap():
+    # the layers' work is bounded before the first product, so a billion
+    # layers end in one error: line at once
+    start = time.perf_counter()
+    done = _sackit_capped("ideal", "powers", "--gens", "3,4,5", "--ideal", "3,4,5",
+                          "--up-to", "1000000000")
     assert time.perf_counter() - start < 1
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

@@ -20,17 +20,9 @@ from sackit import (
     search_reduction,
     ulrich_rank_formula,
 )
-from sackit.errors import (
-    AmbientMismatch,
-    DomainError,
-    EmptyIdeal,
-    NonPositive,
-    NotAMember,
-    NotContained,
-    NotInIdeal,
-    TooLarge,
-)
-from sackit.ideals import _stable
+import sackit.ideals
+from sackit.errors import SackitError, TooLarge
+from sackit.ideals import _GEN_STEPS, _power_steps, _stable
 from sackit.semigroup import MAX_DIMENSION
 
 from test_semigroup import first_members
@@ -159,7 +151,8 @@ def test_relative_length_is_additive():
 def test_relative_length_requires_containment():
     H, I = reference_pair()
     m = SemigroupIdeal(H, H.generators)
-    with pytest.raises(NotContained):
+    with pytest.raises(SackitError,
+                       match="^generator 11 of the smaller ideal is outside the larger one$"):
         I.relative_length(m)  # m has the member 11, I does not
 
 
@@ -168,10 +161,10 @@ def test_zero_ideal_rules():
     Z = SemigroupIdeal.from_generators(H, [])
     assert Z.is_empty()
     assert Z.generators == ()
-    with pytest.raises(EmptyIdeal):
+    with pytest.raises(SackitError, match="^the zero ideal has infinite colength$"):
         Z.colength()
     m = SemigroupIdeal(H, H.generators)
-    with pytest.raises(EmptyIdeal):
+    with pytest.raises(SackitError, match="^relative length against the zero ideal is infinite$"):
         m.relative_length(Z)
 
 
@@ -229,7 +222,7 @@ def test_gaps_at_the_cap_are_listed_off_the_table(monkeypatch):
 def test_shift_requires_member():
     # q + I is the product with the principal ideal (q), which needs q in H
     H, I = reference_pair()
-    with pytest.raises(NotAMember):
+    with pytest.raises(SackitError, match="^3 is not a member of <8,11,12,14,18>$"):
         SemigroupIdeal.from_generators(H, [3])
     principal = SemigroupIdeal.from_generators(H, [8])
     assert shift(I, 8) == I.product(principal)
@@ -237,10 +230,10 @@ def test_shift_requires_member():
 
 def test_bad_generators():
     H = NumericalSemigroup.from_generators([3, 4, 5])
-    with pytest.raises(NotAMember):
+    with pytest.raises(SackitError, match="^2 is not a member of <3,4,5>$"):
         SemigroupIdeal.from_generators(H, [2])
     H2 = NumericalSemigroup.from_generators([2, 3])
-    with pytest.raises(AmbientMismatch):
+    with pytest.raises(SackitError, match="^<3,4,5> vs <2,3>$"):
         SemigroupIdeal(H, H.generators).product(
             SemigroupIdeal(H2, H2.generators)
         )
@@ -277,12 +270,39 @@ def test_maximal_ideal_ulrich_iff_minimal_multiplicity():
 
 def test_ulrich_witness_checks():
     H, I = reference_pair()
-    with pytest.raises(NonPositive):
+    with pytest.raises(SackitError, match="^reduction witness must be positive, got 0$"):
         is_ulrich(I, 0)
-    with pytest.raises(NotInIdeal):
+    with pytest.raises(SackitError, match=r"^11 is not in the ideal \(8,12,14,18\)$"):
         is_ulrich(I, 11)
     # q=12 is in I but the stability test fails there
     assert not is_ulrich(I, 12).is_ulrich
+
+
+@pytest.mark.parametrize("gens, ideal, exact", [
+    ((3, 4, 5), (3, 4, 5), True),
+    ((3, 4, 5), (4, 5), True),
+    ((1001, 1003), (1001, 1003), True),   # every j-fold sum a new residue
+    ((5, 7, 11), (5, 7, 11), True),
+    ((7, 9, 11, 13, 17), (9, 11, 13), False),
+    ((4, 6, 7, 9), (6,), True),
+], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_power_sweep_counts_its_work_before_the_first_layer(monkeypatch, gens, ideal, exact):
+    # I^j has at most min(m, C(j+mu-1, mu-1)) generators, and the sweep
+    # builds I^1..I^(up_to+1); the count bounds that work, and the sweep
+    # runs at a cap equal to it and refuses one below, before any product
+    H = NumericalSemigroup.from_generators(gens)
+    I = SemigroupIdeal.from_generators(H, ideal)
+    m, mu, up_to = H.multiplicity, I.mu(), 8
+    work = sum(I.power(j).mu() * (m + mu + _GEN_STEPS) for j in range(1, up_to + 2))
+    steps = _power_steps(I, up_to)
+    assert work == steps if exact else work < steps
+    monkeypatch.setattr(sackit.ideals, "MAX_POWER_STEPS", steps)
+    assert len(power_layer_lengths(I, up_to)) == up_to
+    monkeypatch.setattr(sackit.ideals, "MAX_POWER_STEPS", steps - 1)
+    with pytest.raises(TooLarge, match=f"^a sweep of {up_to} power layers takes more than"):
+        power_layer_lengths(I, up_to)
+    # the zero ideal builds nothing, and ends in its own error at the first layer
+    assert _power_steps(SemigroupIdeal.from_generators(H, []), 10**9) == 0
 
 
 def test_search_reduction_misses():
@@ -345,11 +365,11 @@ def test_rank_formula_frozen_values():
 
 
 def test_rank_formula_guards():
-    with pytest.raises(DomainError):
+    with pytest.raises(SackitError, match="^need n >= 1 and i >= 1, got n=0, i=1$"):
         ulrich_rank_formula(0, 3, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(SackitError, match="^need c >= n, got c=1 < n=2$"):
         ulrich_rank_formula(2, 1, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(SackitError, match="^need n >= 1 and i >= 1, got n=2, i=0$"):
         ulrich_rank_formula(2, 3, 0)
 
 

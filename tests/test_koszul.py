@@ -10,6 +10,11 @@ resolutions", 1998, §§4-5):
   of the atoms; so it is dim Hom(k, A), and for A = k[H]/(t^m), m the
   multiplicity of H, it is the type of k[[H]], which is 1 exactly when H is
   symmetric (Kunz, Proc. AMS 1970);
+* c_1 is the number of minimal relations of A, at least n, and equal to n
+  exactly when A is a complete intersection (Assmus, Illinois J. Math.
+  1959); A_m is one exactly when k[[H]] is, since t^m is regular, and for
+  three generators that is exactly when H is symmetric (Herzog, Manuscripta
+  Math. 1970);
 * Serre's bound: dim Ext^i(k, k) is at most the coefficient of z^i in
   (1+z)^n / (1 - sum_j c_j z^(j+1));
 * A is Golod when the bound is an equality; every A with m^2 = 0 is
@@ -18,6 +23,7 @@ resolutions", 1998, §§4-5):
   fact, pinned here to depth 8.
 """
 
+from collections import Counter
 from itertools import combinations
 from math import comb, gcd
 
@@ -25,12 +31,15 @@ import pytest
 
 from sackit import (
     NumericalSemigroup,
+    SemigroupIdeal,
     ext_dims,
     free_module,
     minimal_resolution,
+    quotient_algebra,
     residue_field,
     truncation_algebra,
 )
+from sackit.certify import _ulrich_candidates, verify_premise
 from sackit.modp import Span
 
 from test_acceptance import RAD_SQUARE_ZERO
@@ -99,6 +108,53 @@ def test_top_koszul_homology_is_the_type():
         assert (c[-1] == 1) == H.is_gap_symmetric(), gens
         symmetric += c[-1] == 1
     assert (len(SMALL), symmetric) == (317, 87)
+
+
+def test_first_koszul_homology_is_n_exactly_on_complete_intersections():
+    # a complete intersection is Gorenstein, so c_1 = n implies c_n = 1
+    found = Counter()
+    for gens in SMALL:
+        H, A = truncation(gens)
+        c = koszul_homology(A)
+        n = len(c) - 1
+        ci = c[1] == n
+        assert c[1] >= n and (not ci or c[n] == 1), gens
+        if len(gens) == 3:
+            assert ci == H.is_gap_symmetric(), gens
+        found[len(gens), ci] += 1
+    assert found == {(3, True): 64, (3, False): 84, (4, True): 7, (4, False): 162}
+
+
+def test_first_koszul_homology_is_n_where_the_ci_premise_holds():
+    # R-CI's emb_dim_le1 premise counts the atoms of k[H]/(t^q), or of
+    # k[H]/I^p for an Ulrich candidate I, without building it; where it
+    # holds, the algebra's own atoms number at most one and it is a complete
+    # intersection, k[y]/(y^a).  Every q up to F + m, and p up to 3
+    held = Counter()
+    for e in (2, 3):
+        for gens in combinations(range(2, 14), e):
+            if gcd(*gens) != 1:
+                continue
+            H = NumericalSemigroup.from_generators(gens)
+            if H.generators != gens:
+                continue
+            quotients = [
+                ({"q": q}, lambda q=q: truncation_algebra(H, q))
+                for q in range(1, H.frobenius + H.multiplicity + 1) if H.contains(q)
+            ] + [
+                ({"ideal_gens": I, "power": p}, lambda I=I, p=p: quotient_algebra(
+                    SemigroupIdeal.from_generators(H, I).power(p)))
+                for I in _ulrich_candidates(H) for p in (1, 2, 3)
+            ]
+            for where, algebra in quotients:
+                ok, premise = verify_premise("emb_dim_le1", semigroup=H, **where)
+                if ok:
+                    c = koszul_homology(algebra())
+                    n = len(c) - 1
+                    c1 = c[1] if n else 0  # A = k has no atom, and K^A is A
+                    assert n == dict(premise.evidence)["embdim"] and c1 == n, (gens, where)
+                    held[e, next(iter(where))] += 1
+    assert held == {(2, "q"): 90, (2, "ideal_gens"): 135, (3, "ideal_gens"): 348}
 
 
 # The algebras k[H]/(t^q) of the benchmark's ext-deep workload, with the

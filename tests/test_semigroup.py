@@ -11,14 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sackit import NumericalSemigroup
-from sackit.errors import (
-    DomainError,
-    EmptyInput,
-    GcdNotOne,
-    IsMinimalGenerator,
-    NotAMember,
-    NotCoprime,
-)
+from sackit.errors import SackitError, TooLarge
 from sackit.semigroup import MAX_MULTIPLICITY
 
 
@@ -234,30 +227,33 @@ def test_glue_frozen():
 
 def test_glue_error_precedence():
     H = NumericalSemigroup.from_generators([3, 5])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(SackitError, match="^gluing needs positive n, m; got n=0, m=4$"):
         H.glue(0, 4)  # checked before the membership of 4
-    with pytest.raises(NotAMember):
+    with pytest.raises(SackitError, match="^4 is not a member of <3,5>$"):
         H.glue(4, 4)  # 4 not in <3,5>; raised before the gcd check
-    with pytest.raises(IsMinimalGenerator):
-        H.glue(5, 5)  # raised before NotCoprime
-    with pytest.raises(NotCoprime):
+    with pytest.raises(SackitError, match="^5 is a minimal generator of <3,5>$"):
+        H.glue(5, 5)  # raised before the gcd check
+    with pytest.raises(SackitError, match=r"^gcd\(2, 8\) != 1$"):
         H.glue(2, 8)
+    with pytest.raises(SackitError, match="^gluing needs n >= 2, got n=1$"):
+        H.glue(1, 6)  # 1*H + <6> is H, with 6 no minimal generator of it
 
 
 def test_from_generators_errors():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(SackitError, match="^need at least one generator$"):
         NumericalSemigroup.from_generators([])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(SackitError, match="^generators must be positive, got 0$"):
         NumericalSemigroup.from_generators([0, 3])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(SackitError, match="^generators must be positive, got -2$"):
         NumericalSemigroup.from_generators([-2, 3])
-    with pytest.raises(GcdNotOne):
+    with pytest.raises(SackitError, match="^gcd of generators is 2, not 1$"):
         NumericalSemigroup.from_generators([4, 6])
-    with pytest.raises(GcdNotOne):
+    with pytest.raises(SackitError, match="^gcd of generators is 3, not 1$"):
         NumericalSemigroup.from_generators([6, 9])
     # one past the cap, and a multiplicity no list of residues could hold
     for m in (MAX_MULTIPLICITY + 1, 10**28):
-        with pytest.raises(DomainError):
+        with pytest.raises(TooLarge, match=f"^multiplicity {m} is above the supported "
+                                            f"{MAX_MULTIPLICITY}$"):
             NumericalSemigroup.from_generators([m, m + 1])
 
 

@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 69 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 73 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -18,7 +18,8 @@ tests run on an unmutated copy, where each must pass.
 Exit status 0 when every mutant is killed; 1 on a survivor (a named test
 that passes on its mutant), a snippet that does not match exactly once, or
 a named test that fails on the unmutated tree.  A refactor that moves a
-snippet updates its row on purpose.  About 200 s on 2 vCPU (Python 3.11).
+snippet updates its row on purpose.  About 4 min (239 s) on 2 vCPU
+(Python 3.11).
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ _READS_RING = "tests/test_certify.py::test_qpow_over_ffd_reads_the_ring_not_the_
 _LEMMA42 = "tests/test_acceptance.py::test_lemma42_failures_match_the_oracle"
 _OBJECTS = "tests/test_certify.py::test_malformed_descriptor_objects"
 _GOLOD = "tests/test_koszul.py::test_golod_rings_meet_the_serre_bound"
+_SWEEP = "tests/test_ideals.py::test_power_sweep_counts_its_work_before_the_first_layer"
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -211,13 +213,13 @@ ROWS = [
       f"{_MALFORMED}[glued(sgp(3,4,5),5,2)]",
       f"{_MALFORMED}[ffd(glued(sgp(3,4,5),2,4),sgp(2,3))]"]),
     ("root depth check dropped", _CERT,
-     '    if depth < 1:\n        raise NonPositive(f"depth must be >= 1, got {depth}")\n', "",
+     '    if depth < 1:\n        raise SackitError(f"depth must be >= 1, got {depth}")\n', "",
      ["tests/test_certify.py::test_depth_limit_and_stability",
       "tests/test_cli.py::test_certify_depth_must_be_positive"]),
     # one source per algebra setting
     ("2^64 bound dropped", _ART,
      "        if p >= MAX_PRIME:\n"
-     '            raise DomainError(f"characteristic {p} is not below the supported 2^64")\n',
+     '            raise SackitError(f"characteristic {p} is not below the supported 2^64")\n',
      "",
      ["tests/test_cli.py::test_a_characteristic_is_refused_from_2_64_on"]),
     ("characteristic read from the environment again", _ART,
@@ -385,6 +387,25 @@ ROWS = [
     ("F in _derived_dims drops one row", _ART,
      "                for row in rows:\n", "                for row in rows[:-1]:\n",
      ["tests/test_koszul.py::test_top_koszul_homology_is_the_type"]),
+    ("truncation atoms only above q", _CERT,
+     "return [g for g in semigroup.generators if g != q]",
+     "return [g for g in semigroup.generators if g > q]",
+     ["tests/test_koszul.py::test_first_koszul_homology_is_n_where_the_ci_premise_holds"]),
+    # a gluing needs n >= 2, as m must be no minimal generator of H
+    ("gluing takes n = 1", _SGP,
+     '        if n == 1:\n            raise SackitError("gluing needs n >= 2, got n=1")\n', "",
+     ["tests/test_semigroup.py::test_glue_error_precedence",
+      "tests/test_cli.py::test_glue",
+      f"{_MALFORMED}[glued(sgp(2,3),1,4)]",
+      "tests/test_certify.py::test_no_certificate_rests_on_a_premise_its_rings_refute"]),
+    # the ideal powers sweep counts its work first
+    ("power count keeps I's generator count", "ideals.py",
+     "        gens = gens * (j + mu) // (j + 1)\n", "",
+     [f"{_SWEEP}[3,4,5-4,5-True]", f"{_SWEEP}[1001,1003-1001,1003-True]",
+      f"{_SWEEP}[7,9,11,13,17-9,11,13-False]"]),
+    ("power sweep without its cap", "ideals.py",
+     "    if _power_steps(ideal, up_to) > MAX_POWER_STEPS:\n", "    if False:\n",
+     [f"{_SWEEP}[3,4,5-3,4,5-True]", f"{_SWEEP}[4,6,7,9-6-True]"]),
 ]
 
 
