@@ -3,6 +3,7 @@ the lines `cli._read` declines (help, --version, --rule and usage errors),
 and the ring descriptor grammar that `certify --help` prints."""
 
 import argparse
+import re
 
 from . import __version__
 from .cli import _JSON, COMMANDS
@@ -53,6 +54,9 @@ def parser(prog: str | None, args: list[str]) -> argparse.ArgumentParser:
         command = levels[group].add_parser(
             name, help=summary, description=doc,
             epilog=descriptor_grammar() if path == "certify" else None, **settings)
+        # -2,3 is a value, as in --gens=-2,3, not an unknown flag (none starts
+        # with - and a digit); argparse would take only a plain number so
+        command._negative_number_matcher = re.compile(r"-\d")
         for flag, options in (*flags, _JSON):
             if flag == "--rule":  # certify's rule names
                 options = {**options, "choices": sorted(CITATIONS)}

@@ -152,7 +152,8 @@ def _read(args: list[str]) -> dict | None:
     """What `_parser` would parse from ``args``, read off COMMANDS, or None
     to leave the line to it: help, --version, --rule (its choices live in
     certify), usage errors, and what argparse reads by rules not repeated
-    here (options before the words, repeated or `=` flags, `-` values)."""
+    here (options before the words, repeated or `=` flags, a value that
+    starts with `-` and no digit)."""
     path = next((p for p in COMMANDS if p.split() == args[:len(p.split())]), None)
     if path is None:
         return None
@@ -163,7 +164,7 @@ def _read(args: list[str]) -> dict | None:
         if flag not in flags or flag in given or flag == "--rule":
             return None
         value = True if "action" in flags[flag] else next(words, "-")
-        if value is not True and value.startswith("-"):
+        if value is not True and value.startswith("-") and not value[1:2].isdecimal():
             return None
         given[flag] = value
     values = {"run": run}

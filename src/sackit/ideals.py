@@ -7,7 +7,9 @@ ch. 1-2).  A length or a complement needs, like the semigroup, the least
 element of E in each residue class mod the multiplicity m, from which E
 meets class r in steps of m.  That table, the least of the tables of g + H
 over the generators g, is built when a length first needs it and kept with
-the ideal; ``sackit.semigroup`` reads lengths and complements off two tables.
+the ideal; the same step from the table of I^i gives that of I^(i+1), so a
+power layer costs m * mu(I) however many generators I^i has.
+``sackit.semigroup`` reads lengths and complements off two tables.
 
 The module also carries ulrich_rank_formula, the predicted free rank of a
 power layer, which `ideal powers` compares with the enumerated layers and
@@ -25,12 +27,13 @@ from ._record import Record
 from .errors import SackitError, TooLarge
 from .semigroup import NumericalSemigroup, _Shifted, _between, _length
 
-# Most steps one power_layer_lengths sweep takes (_power_steps): 0.1-0.2 us
-# a step on 2 vCPU (Python 3.11), the most at m = 10^6, so that the largest
-# accepted sweep takes about 2 s; _GEN_STEPS is the fixed cost of one
-# generator of a layer
+# Most steps one power_layer_lengths sweep takes.  It builds up_to + 1
+# tables, each the least of mu rows of m residues; _ROW_STEPS is the fixed
+# cost of a row, the line `ideal powers` prints for it included.  The largest
+# accepted `ideal powers` sweep takes about 2 s on 2 vCPU (Python 3.11), at
+# m = 10^6 with mu = 2 and at m <= 3 with mu = 1
 MAX_POWER_STEPS = 10_000_000
-_GEN_STEPS = 100
+_ROW_STEPS = 22
 
 
 class SemigroupIdeal(Record):
@@ -73,8 +76,7 @@ class SemigroupIdeal(Record):
         of g + H, built on the first length and kept (a principal ideal keeps
         the shifted table of H).  The zero ideal has no finite length and
         never builds one."""
-        rows = [_Shifted(self.ambient._apery, g) for g in self.generators]
-        return tuple(map(min, *rows)) if len(rows) > 1 else rows[0]
+        return _plus(self.ambient._apery, self.generators)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -112,16 +114,6 @@ class SemigroupIdeal(Record):
 
     def relative_length(self, other: "SemigroupIdeal") -> int:
         """Length of (this ideal) / (other ideal); requires other <= this."""
-        return _length(*self._relative(other))
-
-    def _outside(self):
-        """The tables of H and of this ideal, which bound its complement."""
-        if self.is_empty():
-            raise SackitError("the zero ideal has infinite colength")
-        return self.ambient._apery, self._least
-
-    def _relative(self, other: "SemigroupIdeal"):
-        """The tables of this ideal and of ``other``, once other <= this."""
         if self.ambient != other.ambient:
             raise SackitError(f"<{self.ambient}> vs <{other.ambient}>")
         if other.is_empty():
@@ -129,7 +121,13 @@ class SemigroupIdeal(Record):
         for g in other.generators:
             if not self.member(g):
                 raise SackitError(f"generator {g} of the smaller ideal is outside the larger one")
-        return self._least, other._least
+        return _length(self._least, other._least)
+
+    def _outside(self):
+        """The tables of H and of this ideal, which bound its complement."""
+        if self.is_empty():
+            raise SackitError("the zero ideal has infinite colength")
+        return self.ambient._apery, self._least
 
     def mu(self) -> int:
         """Minimal number of generators.
@@ -188,7 +186,7 @@ def is_ulrich(ideal: SemigroupIdeal, q: int) -> UlrichReport:
     stable = _stable(ideal, q)
     col = ideal.colength()
     c = ideal.mu()
-    layer = ideal.relative_length(ideal.power(2))
+    layer = _length(ideal._least, _plus(ideal._least, ideal.generators))
     free = stable and layer == c * col
     return UlrichReport(
         is_ulrich=free,
@@ -223,37 +221,30 @@ def _stable(ideal: SemigroupIdeal, q: int) -> bool:
 
 
 def power_layer_lengths(ideal: SemigroupIdeal, up_to: int) -> tuple[int, ...]:
-    """Lengths of ideal^i / ideal^(i+1) for i = 1..up_to; TooLarge, before
-    the first layer, past MAX_POWER_STEPS."""
+    """Lengths of ideal^i / ideal^(i+1) for i = 1..up_to, each table a step
+    from the one before; TooLarge, before the first layer, past
+    MAX_POWER_STEPS."""
     if up_to < 1:
         raise SackitError(f"want up_to >= 1, got {up_to}")
-    if _power_steps(ideal, up_to) > MAX_POWER_STEPS:
+    if (up_to + 1) * ideal.mu() * (ideal.ambient.multiplicity + _ROW_STEPS) > MAX_POWER_STEPS:
         raise TooLarge(f"a sweep of {up_to} power layers takes more than the supported "
                        f"{MAX_POWER_STEPS} steps")
-    out, layer = [], ideal
+    if ideal.is_empty():
+        raise SackitError("relative length against the zero ideal is infinite")
+    out, table = [], tuple(ideal._least)
     for _ in range(up_to):
-        below = layer.product(ideal)
-        out.append(layer.relative_length(below))
-        layer = below
+        # a tuple: a chain of lazy views would walk every earlier table again
+        below = tuple(_plus(table, ideal.generators))
+        out.append(_length(table, below))
+        table = below
     return tuple(out)
 
 
-def _power_steps(ideal: SemigroupIdeal, up_to: int) -> int:
-    """A bound on the steps of the sweep, or a count already past
-    MAX_POWER_STEPS.  For j = 1..up_to + 1 the sweep builds the table of I^j,
-    m residues per generator, and the sums of its generators with the mu of
-    I; I^j has at most min(m, C(j+mu-1, mu-1)) generators, one per residue
-    class mod m and one per multiset of j generators of I."""
-    m, mu = ideal.ambient.multiplicity, ideal.mu()
-    steps, gens = 0, mu
-    for j in range(1, up_to + 2):
-        if gens >= m or mu <= 1:  # the bound is min(gens, m) from here on
-            return steps + (up_to + 2 - j) * min(gens, m) * (m + mu + _GEN_STEPS)
-        steps += gens * (m + mu + _GEN_STEPS)
-        if steps > MAX_POWER_STEPS:
-            return steps
-        gens = gens * (j + mu) // (j + 1)
-    return steps
+def _plus(table, gens):
+    """The table of gens + S from that of S: the least of the tables of
+    g + S, lazy (_Shifted) for one g."""
+    rows = [_Shifted(table, g) for g in gens]
+    return tuple(map(min, *rows)) if len(rows) > 1 else rows[0]
 
 
 def ulrich_rank_formula(n: int, c: int, i: int) -> int:

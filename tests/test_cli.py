@@ -764,3 +764,29 @@ def test_the_reader_takes_every_valid_corpus_line():
         assert (values is None) == ("--rule" in args), args
         if values is not None:
             assert values == _argparse_values(args), args
+
+
+def test_a_value_may_start_with_a_minus_and_a_digit():
+    # `--flag -2,3` reads as `--flag=-2,3` does, through the reader and, on a
+    # line it declines (here an unknown flag after it), through argparse
+    base = {path: next(list(args) for args in OUTPUT_CORPUS if " ".join(args).startswith(path))
+            for path in COMMANDS}
+    negative = {_int_list: "-2,3", int: "-1", _parse_range: "-1..3"}
+    for path, (_, flags, _) in COMMANDS.items():
+        for flag, options in flags:
+            if "action" in options:
+                continue
+            kind = options.get("type")
+            value = negative.get(kind, "-1")
+            args = list(base[path])
+            if flag in args:
+                del args[args.index(flag):args.index(flag) + 2]
+            for tail in ([], ["--frobulate"]):
+                spaced = invoke(args + [flag, value] + tail)
+                joined = invoke(args + [f"{flag}={value}"] + tail)
+                assert spaced.exit_code == joined.exit_code, (path, flag, tail)
+                assert spaced.output == joined.output, (path, flag, tail)
+            # the reader takes it unless its value fails to convert or the
+            # flag is --rule, whose choices argparse checks
+            taken = _read(args + [flag, value]) is not None
+            assert taken == (flag != "--rule" and kind is not _parse_range), (path, flag)

@@ -22,7 +22,7 @@ from sackit import (
 )
 import sackit.ideals
 from sackit.errors import SackitError, TooLarge
-from sackit.ideals import _GEN_STEPS, _power_steps, _stable
+from sackit.ideals import _ROW_STEPS, _stable
 from sackit.semigroup import MAX_DIMENSION
 
 from test_semigroup import first_members
@@ -278,31 +278,51 @@ def test_ulrich_witness_checks():
     assert not is_ulrich(I, 12).is_ulrich
 
 
-@pytest.mark.parametrize("gens, ideal, exact", [
-    ((3, 4, 5), (3, 4, 5), True),
-    ((3, 4, 5), (4, 5), True),
-    ((1001, 1003), (1001, 1003), True),   # every j-fold sum a new residue
-    ((5, 7, 11), (5, 7, 11), True),
-    ((7, 9, 11, 13, 17), (9, 11, 13), False),
-    ((4, 6, 7, 9), (6,), True),
-], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
-def test_power_sweep_counts_its_work_before_the_first_layer(monkeypatch, gens, ideal, exact):
-    # I^j has at most min(m, C(j+mu-1, mu-1)) generators, and the sweep
-    # builds I^1..I^(up_to+1); the count bounds that work, and the sweep
-    # runs at a cap equal to it and refuses one below, before any product
+@pytest.mark.parametrize("gens, ideal", [
+    ((3, 4, 5), (3, 4, 5)),
+    ((3, 4, 5), (4, 5)),
+    ((1001, 1003), (1001, 1003)),
+    ((5, 7, 11), (5, 7, 11)),
+    ((7, 9, 11, 13, 17), (9, 11, 13)),
+    ((4, 6, 7, 9), (6,)),
+], ids=lambda v: ",".join(map(str, v)))
+def test_power_sweep_counts_its_work_before_the_first_layer(monkeypatch, gens, ideal):
+    # the sweep builds the tables of I^1..I^(up_to+1), each the least of mu
+    # shifted rows of m residues; it runs at a cap equal to that count and
+    # refuses one below
     H = NumericalSemigroup.from_generators(gens)
     I = SemigroupIdeal.from_generators(H, ideal)
     m, mu, up_to = H.multiplicity, I.mu(), 8
-    work = sum(I.power(j).mu() * (m + mu + _GEN_STEPS) for j in range(1, up_to + 2))
-    steps = _power_steps(I, up_to)
-    assert work == steps if exact else work < steps
+    steps = (up_to + 1) * mu * (m + _ROW_STEPS)
     monkeypatch.setattr(sackit.ideals, "MAX_POWER_STEPS", steps)
     assert len(power_layer_lengths(I, up_to)) == up_to
     monkeypatch.setattr(sackit.ideals, "MAX_POWER_STEPS", steps - 1)
     with pytest.raises(TooLarge, match=f"^a sweep of {up_to} power layers takes more than"):
         power_layer_lengths(I, up_to)
-    # the zero ideal builds nothing, and ends in its own error at the first layer
-    assert _power_steps(SemigroupIdeal.from_generators(H, []), 10**9) == 0
+    # the zero ideal counts no work, and ends in its own error
+    with pytest.raises(SackitError, match="^relative length against the zero ideal is infinite$"):
+        power_layer_lengths(SemigroupIdeal.from_generators(H, []), 10**9)
+
+
+def test_power_sweep_cap_over_a_large_multiplicity(monkeypatch):
+    # over m = 1000003 with mu = 2, 3 layers (4 tables) fit the cap and 4 or
+    # 5 do not; a sweep that fits reaches its first table, stopped here
+    H = NumericalSemigroup.from_generators([1000003, 1000033])
+    I = SemigroupIdeal(H, H.generators)
+
+    class FirstTable(Exception):
+        pass
+
+    def first_table(table, gens):
+        raise FirstTable
+
+    monkeypatch.setattr(sackit.ideals, "_plus", first_table)
+    with pytest.raises(FirstTable):
+        power_layer_lengths(I, 3)
+    for up_to in (4, 5):
+        with pytest.raises(TooLarge, match=f"^a sweep of {up_to} power layers takes more "
+                                           "than the supported 10000000 steps$"):
+            power_layer_lengths(I, up_to)
 
 
 def test_search_reduction_misses():
@@ -482,6 +502,38 @@ def test_power_layer_lengths_pinned(hgens, igens, layers):
     assert layers == tuple(
         I.power(i).relative_length(I.power(i + 1)) for i in range(1, 7)
     )
+
+
+def test_power_layers_match_the_generator_oracle():
+    # the sweep steps each table from the one before; the oracle builds every
+    # power from its generators: over every semigroup with at most 4
+    # generators in 2..12, its maximal, unit and principal ideals and ideals
+    # on up to three members drawn below 2m + F + 2, to layer 8, and the
+    # Ulrich layer l(I/I^2) on the same corpus
+    rng = random.Random(37)
+    seen, tried = set(), 0
+    for size in (2, 3, 4):
+        for gens in itertools.combinations(range(2, 13), size):
+            if math.gcd(*gens) != 1:
+                continue
+            H = NumericalSemigroup.from_generators(gens)
+            if H in seen:
+                continue
+            seen.add(H)
+            m = H.multiplicity
+            pool = [x for x in range(1, 2 * m + H.frobenius + 2) if H.contains(x)]
+            ideals = [SemigroupIdeal(H, H.generators), SemigroupIdeal.from_generators(H, [0]),
+                      SemigroupIdeal.from_generators(H, [m])]
+            ideals += [SemigroupIdeal.from_generators(H, rng.sample(pool, rng.randint(1, 3)))
+                       for _ in range(5)]
+            for I in ideals:
+                powers = [I.power(j) for j in range(1, 10)]
+                want = tuple(a.relative_length(b) for a, b in zip(powers, powers[1:]))
+                assert power_layer_lengths(I, 8) == want, (gens, I.generators)
+                q = max(I.generators[-1], m)
+                assert is_ulrich(I, q).layer_length == want[0], (gens, I.generators)
+                tried += 1
+    assert tried == 1048, tried
 
 
 def test_huge_power_takes_few_products():

@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 73 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 76 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -18,7 +18,7 @@ tests run on an unmutated copy, where each must pass.
 Exit status 0 when every mutant is killed; 1 on a survivor (a named test
 that passes on its mutant), a snippet that does not match exactly once, or
 a named test that fails on the unmutated tree.  A refactor that moves a
-snippet updates its row on purpose.  About 4 min (239 s) on 2 vCPU
+snippet updates its row on purpose.  About 4 min (230 s) on 2 vCPU
 (Python 3.11).
 """
 
@@ -71,6 +71,8 @@ _LEMMA42 = "tests/test_acceptance.py::test_lemma42_failures_match_the_oracle"
 _OBJECTS = "tests/test_certify.py::test_malformed_descriptor_objects"
 _GOLOD = "tests/test_koszul.py::test_golod_rings_meet_the_serre_bound"
 _SWEEP = "tests/test_ideals.py::test_power_sweep_counts_its_work_before_the_first_layer"
+_POWER_ORACLE = "tests/test_ideals.py::test_power_layers_match_the_generator_oracle"
+_PINNED = "tests/test_ideals.py::test_power_layer_lengths_pinned"
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -249,8 +251,8 @@ ROWS = [
      [_WINDOW, "tests/test_ideals.py::test_relative_length_requires_containment",
       "tests/test_ideals.py::test_membership_and_minimal_generators[hgens4-igens4]"]),
     ("ideal table built from the first generator only", "ideals.py",
-     "rows = [_Shifted(self.ambient._apery, g) for g in self.generators]",
-     "rows = [_Shifted(self.ambient._apery, g) for g in self.generators[:1]]",
+     "rows = [_Shifted(table, g) for g in gens]",
+     "rows = [_Shifted(table, g) for g in gens[:1]]",
      [_WINDOW, _REF_SETS, "tests/test_ideals.py::test_reference_report_frozen"]),
     ("size cap compared with >=", _SGP,
      "if (dim := _length(lo, hi)) > MAX_DIMENSION:",
@@ -318,13 +320,13 @@ ROWS = [
      'if flag not in flags or flag in given or flag == "--rule":\n'
      "            return None\n"
      '        value = True if "action" in flags[flag] else next(words, "-")\n'
-     "        if value is not True and value.startswith(\"-\"):\n"
+     "        if value is not True and value.startswith(\"-\") and not value[1:2].isdecimal():\n"
      "            return None\n"
      "        given[flag] = value\n",
      'if flag not in flags or flag == "--rule":\n'
      "            return None\n"
      '        value = True if "action" in flags[flag] else next(words, "-")\n'
-     "        if value is not True and value.startswith(\"-\"):\n"
+     "        if value is not True and value.startswith(\"-\") and not value[1:2].isdecimal():\n"
      "            return None\n"
      "        given.setdefault(flag, value)\n",
      [_READER]),
@@ -398,14 +400,27 @@ ROWS = [
       "tests/test_cli.py::test_glue",
       f"{_MALFORMED}[glued(sgp(2,3),1,4)]",
       "tests/test_certify.py::test_no_certificate_rests_on_a_premise_its_rings_refute"]),
-    # the ideal powers sweep counts its work first
-    ("power count keeps I's generator count", "ideals.py",
-     "        gens = gens * (j + mu) // (j + 1)\n", "",
-     [f"{_SWEEP}[3,4,5-4,5-True]", f"{_SWEEP}[1001,1003-1001,1003-True]",
-      f"{_SWEEP}[7,9,11,13,17-9,11,13-False]"]),
+    # the ideal powers sweep: one residue-table step a layer, counted first
+    ("power step shifts by H's generators", "ideals.py",
+     "below = tuple(_plus(table, ideal.generators))",
+     "below = tuple(_plus(table, ideal.ambient.generators))",
+     [_POWER_ORACLE, f"{_PINNED}[hgens2-igens2-layers2]"]),
+    ("power count drops I's own table", "ideals.py",
+     "if (up_to + 1) * ideal.mu()", "if up_to * ideal.mu()",
+     [f"{_SWEEP}[3,4,5-4,5]", f"{_SWEEP}[1001,1003-1001,1003]",
+      f"{_SWEEP}[7,9,11,13,17-9,11,13]"]),
     ("power sweep without its cap", "ideals.py",
-     "    if _power_steps(ideal, up_to) > MAX_POWER_STEPS:\n", "    if False:\n",
-     [f"{_SWEEP}[3,4,5-3,4,5-True]", f"{_SWEEP}[4,6,7,9-6-True]"]),
+     "(ideal.ambient.multiplicity + _ROW_STEPS) > MAX_POWER_STEPS:",
+     "(ideal.ambient.multiplicity + _ROW_STEPS) > MAX_POWER_STEPS and False:",
+     [f"{_SWEEP}[3,4,5-3,4,5]", f"{_SWEEP}[4,6,7,9-6]",
+      "tests/test_ideals.py::test_power_sweep_cap_over_a_large_multiplicity"]),
+    ("Ulrich layer read from I against itself", "ideals.py",
+     "layer = _length(ideal._least, _plus(ideal._least, ideal.generators))",
+     "layer = _length(ideal._least, ideal._least)",
+     [_POWER_ORACLE, "tests/test_ideals.py::test_reference_report_frozen"]),
+    ("reader declines values that start with - and a digit", _CLI,
+     ' and not value[1:2].isdecimal()', "",
+     ["tests/test_cli.py::test_a_value_may_start_with_a_minus_and_a_digit"]),
 ]
 
 
