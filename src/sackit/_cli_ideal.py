@@ -61,7 +61,7 @@ def lemma42(n_max, cmax):
     ratio_failures = []
     identity_checked = 0
     identity_failures = []
-    for n in range(2, n_max + 1):
+    for n in range(2, min(n_max, cmax) + 1):
         for c in range(n, cmax + 1):
             # below = 1 + a_2 + ... + a_(l-1), with a_i = ulrich_rank_formula(n, c, i - 1)
             below = 1

@@ -64,13 +64,18 @@ from functools import cached_property
 from itertools import accumulate, islice
 
 from ._record import Record
-from .errors import SackitError
+from .errors import SackitError, TooLarge
 from .modp import Span, connected_blocks, sparse_kernel
 from .semigroup import NumericalSemigroup
 
 DEFAULT_PRIME = 32003
 # characteristics at or above this are refused: _is_prime is a proof below it
 MAX_PRIME = 2**64
+# Most levels one walk runs, checked before the first.  Ext of k over
+# k[3,4,5]/(t^6), whose dimensions double each level, is the costliest walk
+# timed: at the cap it takes about 1 s and 200 MB on 2 vCPU (Python 3.11),
+# and its memory, quadratic in the depth, reaches 256 MB near 35,000 levels
+MAX_LEVELS = 30_000
 
 
 def _is_prime(n: int) -> bool:
@@ -402,6 +407,7 @@ def minimal_resolution(module: PresentedModule, length: int) -> MinimalResolutio
     betti[j+1] counts the relation columns of Omega^j M over ``_levels``."""
     if length < 1:
         raise SackitError(f"resolution length must be >= 1, got {length}")
+    _check_levels(length)
     levels = islice(_levels(module), length)
     return MinimalResolution(module, (module.rank0,) + tuple(
         sum(m * len(cols) for (_, cols), m in level.items()) for level in levels
@@ -478,6 +484,11 @@ def _require_same_algebra(left: PresentedModule, right: PresentedModule):
         )
 
 
+def _check_levels(n):
+    if n > MAX_LEVELS:
+        raise TooLarge(f"homological degree {n} is above the supported {MAX_LEVELS}")
+
+
 def _levels(module):
     """Omega^j M for j = 0, 1, ..., each as a Counter of its incidence
     components, one syzygy step per level asked for.  Each distinct component
@@ -547,6 +558,7 @@ def _derived_dims(module, target, upto, transpose):
     _require_same_algebra(module, target)
     if upto < 0:
         raise SackitError(f"upto must be >= 0, got {upto}")
+    _check_levels(upto)
     routed = _change_of_rings(module, target, upto, transpose)
     if routed is not None:
         return routed

@@ -509,21 +509,21 @@ def _premise_gap_symmetric(semigroup):
     return ok, premise
 
 
-def _premise_colength_le2(semigroup, ideal_gens, power=1):
-    ideal = SemigroupIdeal.from_generators(semigroup, ideal_gens).power(power)
-    col = ideal.colength()
-    premise = _verified(
-        f"colength of ({_ints(ideal_gens)})^{power} over H={semigroup} "
-        f"is <= 2",
-        colength=col,
-    )
-    return col <= 2, premise
+def _premise_colength_le2(semigroup, ideal_gens):
+    col = SemigroupIdeal.from_generators(semigroup, ideal_gens).colength()
+    statement = f"colength of ({_ints(ideal_gens)})^1 over H={semigroup} is <= 2"
+    return col <= 2, _verified(statement, colength=col)
 
 
-def _premise_emb_dim_le1(semigroup=None, ideal_gens=None, power=1, q=None):
+def _premise_emb_dim_le1(semigroup, ideal_gens=None, power=1, q=None):
     if ideal_gens is not None:
-        ideal = SemigroupIdeal.from_generators(semigroup, ideal_gens).power(power)
-        v = sum(not ideal.member(g) for g in semigroup.generators)
+        ideal = SemigroupIdeal.from_generators(semigroup, ideal_gens)
+        if power < 1:
+            raise SackitError(f"power wants exponent >= 1, got {power}")
+        # the atoms are H's minimal generators outside I^p; for p >= 2, I^p
+        # lies in M + M (M the nonzero members of H), which holds none of
+        # them unless I = H, that is unless 0 is in I
+        v = sum(not ideal.member(g if power == 1 else 0) for g in semigroup.generators)
         what = f"k[H]/({_ints(ideal_gens)})^{power} with H={semigroup}"
     elif q is not None:
         v = len(_truncation_atoms(semigroup, q))

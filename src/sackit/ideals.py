@@ -89,7 +89,8 @@ class SemigroupIdeal(Record):
 
     def power(self, exponent: int) -> "SemigroupIdeal":
         """The exponent-fold product, by repeated squaring: O(log exponent)
-        products."""
+        products.  No command path calls it: the tests hold it as the oracle
+        of the power tables and of R-CI's count of atoms over k[H]/I^p."""
         if exponent < 1:
             raise SackitError(f"power wants exponent >= 1, got {exponent}")
         out, square = None, self

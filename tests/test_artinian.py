@@ -56,7 +56,7 @@ from sackit import (
 import sackit.artinian
 from sackit.artinian import ExtWindowReport, _dense_column, _syzygy_columns
 from sackit.certify import _ulrich_candidates, verify_premise
-from sackit.errors import SackitError
+from sackit.errors import SackitError, TooLarge
 from sackit.modp import Span, rank
 from test_modp import solve
 
@@ -947,6 +947,28 @@ def test_window_reports():
         ext_deg_window(residue_field(B), 0)
     with pytest.raises(SackitError, match="^resolution length must be >= 1, got 0$"):
         minimal_resolution(residue_field(B), 0)
+
+
+def test_walk_depth_is_capped_before_the_first_level(monkeypatch):
+    # past MAX_LEVELS, Ext, Tor, a resolution and a window end in TooLarge
+    # before any level, routed (k over k[3,4,5]/(t^6)) or walked (cyc(4)
+    # over k[3,4,5]/(t^3)); a walk to the cap runs
+    cap = sackit.artinian.MAX_LEVELS
+    A3, A6 = trunc([3, 4, 5], 3), trunc([3, 4, 5], 6)
+    F = free_module(A3, 1)
+    assert ext_dims(F, F, cap) == (3,) + (0,) * cap
+    assert minimal_resolution(F, cap).length == cap
+
+    def no_level(module):
+        raise AssertionError("a level was walked")
+
+    monkeypatch.setattr("sackit.artinian._levels", no_level)
+    for M in (residue_field(A6), cyclic_quotient(A3, 4)):
+        for walk, args in ((ext_dims, (M, M)), (tor_dims, (M, M)),
+                           (minimal_resolution, (M,)), (ext_deg_window, (M,))):
+            with pytest.raises(TooLarge, match=rf"^homological degree {cap + 1} is above "
+                                               rf"the supported {cap}$"):
+                walk(*args, cap + 1)
 
 
 coeff = st.integers(0, 2)

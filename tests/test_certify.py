@@ -47,6 +47,7 @@ from sackit.semigroup import MAX_MULTIPLICITY
 
 from cli_runner import invoke
 from test_artinian import radical_index
+from test_semigroup import first_members
 
 
 def cert_json(cert):
@@ -702,6 +703,60 @@ def test_embedding_dimension_is_counted_past_the_dimension_cap():
     cert = certify(f"trunc(sgp(3,{q}),{q})")
     assert (cert.verdict, cert.rule) == ("Certified", "R-CI")
     assert [dict(p.evidence) for p in cert.premises] == [{"embdim": 1}]
+
+
+def test_upow_atoms_match_the_power_oracle():
+    # R-CI over k[H]/I^p reads the atoms off I's generators; the oracle builds
+    # I^p by SemigroupIdeal.power: every semigroup on at most 3 generators in
+    # 1..11, the zero ideal and the ideals on 1 or 2 of H's 8 least members
+    # (0 among them, so the unit ideal too), and p in 1..3
+    seen, tried = set(), 0
+    for size in (1, 2, 3):
+        for gens in combinations(range(1, 12), size):
+            H = NumericalSemigroup.from_generators(gens) if gcd(*gens) == 1 else None
+            if H is None or H in seen:
+                continue
+            seen.add(H)
+            least = first_members(H, 8)
+            for ideal in [(), *combinations(least, 1), *combinations(least, 2)]:
+                for p in (1, 2, 3):
+                    power = SemigroupIdeal.from_generators(H, ideal).power(p)
+                    want = sum(not power.member(g) for g in H.generators)
+                    ok, pr = verify_premise("emb_dim_le1", semigroup=H, ideal_gens=ideal,
+                                            power=p)
+                    assert (ok, dict(pr.evidence)) == (want <= 1, {"embdim": want}), (
+                        gens, ideal, p)
+                    tried += 1
+    assert tried == 8547, tried
+
+
+def test_upow_premise_builds_no_ideal_power(monkeypatch):
+    # with power and product made to fail, R-CI still decides k[H]/I^p: at
+    # p = 65536 over <10007,10009> the repeated squaring took over a minute
+    rings = ["upow(sgp(10007,10009),(10007,10009),65536)",
+             *(text for text in DIGEST_CORPUS if "upow(" in text)]
+    assert len(rings) == 3
+    before = [cert_json(certify(text)) for text in rings[1:]]
+
+    def refuse(*args):
+        raise AssertionError("no ideal power is built")
+
+    monkeypatch.setattr(SemigroupIdeal, "power", refuse)
+    monkeypatch.setattr(SemigroupIdeal, "product", refuse)
+    cert = certify(rings[0])
+    assert (cert.verdict, cert.attempted) == ("Unknown", ("R-CI",))
+    assert [cert_json(certify(text)) for text in rings[1:]] == before
+
+
+def test_upow_premise_refuses_a_power_below_one():
+    # the membership checks come first, then the exponent, as when the
+    # premise built I^p by SemigroupIdeal.power
+    H = NumericalSemigroup.from_generators([3, 4, 5])
+    for p in (0, -2):
+        with pytest.raises(SackitError, match=rf"^power wants exponent >= 1, got {p}$"):
+            verify_premise("emb_dim_le1", semigroup=H, ideal_gens=(3, 4, 5), power=p)
+        with pytest.raises(SackitError, match="^2 is not a member of <3,4,5>$"):
+            verify_premise("emb_dim_le1", semigroup=H, ideal_gens=(2,), power=p)
 
 
 def test_radical_index_of_a_wide_truncation():

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sackit import CERT_SCHEMA
+from sackit.artinian import MAX_LEVELS
 from sackit.certify import RingDescriptor
 from sackit.cli import _JSON, COMMANDS, _int_list, _parse_range, _parser, _read
 
@@ -368,6 +369,29 @@ def test_lemma42_refuses_a_sweep_past_the_work_cap():
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+def test_lemma42_sweeps_n_no_further_than_cmax():
+    # a row with n > cmax holds no check, so the sweep stops at min(N, cmax)
+    start = time.perf_counter()
+    done = _sackit_capped("lemma42", "--n", "1000000000000000000", "--cmax", "3", timeout=5)
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run("lemma42", "--n", "3", "--cmax", "3").output
+
+
+def test_ext_walks_past_the_level_cap_are_refused_at_once():
+    cap = MAX_LEVELS
+    for args in (("ext", "table", "--H", "3,4,5", "--q", "6", "--mod", "k",
+                  "--range", f"0..{cap + 1}"),
+                 ("extdeg", "--H", "3,4,5", "--q", "6", "--mod", "k",
+                  "--window", str(cap + 1))):
+        start = time.perf_counter()
+        done = _sackit_capped(*args)
+        assert time.perf_counter() - start < 1
+        assert (done.returncode, done.stdout) == (1, ""), args
+        assert done.stderr == (f"error: homological degree {cap + 1} is above the "
+                               f"supported {cap}\n")
+
+
 def test_ideal_powers_refuses_a_sweep_past_the_work_cap():
     # the layers' work is bounded before the first product, so a billion
     # layers end in one error: line at once
@@ -430,17 +454,17 @@ def test_huge_multiplicity_is_an_error():
     assert doc["verdict"] == "Unknown" and doc["attempted"] == ["R-GLUE"]
 
 
-def _sackit_capped(*args):
+def _sackit_capped(*args, timeout=60):
     """Run the CLI in a child process under a 1 GiB address-space cap, so an
     input that allocates without bound ends in MemoryError, not in a machine
-    out of memory."""
+    out of memory, and kill it after ``timeout`` seconds."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.run([sys.executable, "-m", "sackit", *args], env=env,
-                          capture_output=True, text=True, timeout=60,
+                          capture_output=True, text=True, timeout=timeout,
                           preexec_fn=cap)
 
 
@@ -548,7 +572,8 @@ def test_outputs_are_bytewise_deterministic():
 
 
 def test_huge_ideal_power_ends_within_seconds():
-    # power squares, so I^(10^9) takes about 60 products, not 10^9
+    # R-CI reads the atoms of k[H]/I^p off I's generators, so p = 10^9
+    # builds no power of I
     done = _sackit_capped("certify", "--ring",
                           "upow(sgp(3,4,5),(3,4,5),1000000000)", "--json")
     assert done.returncode in (0, 1), done.stderr

@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 76 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 80 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -18,7 +18,7 @@ tests run on an unmutated copy, where each must pass.
 Exit status 0 when every mutant is killed; 1 on a survivor (a named test
 that passes on its mutant), a snippet that does not match exactly once, or
 a named test that fails on the unmutated tree.  A refactor that moves a
-snippet updates its row on purpose.  About 4 min (230 s) on 2 vCPU
+snippet updates its row on purpose.  About 4 min (212 s) on 2 vCPU
 (Python 3.11).
 """
 
@@ -73,6 +73,7 @@ _GOLOD = "tests/test_koszul.py::test_golod_rings_meet_the_serre_bound"
 _SWEEP = "tests/test_ideals.py::test_power_sweep_counts_its_work_before_the_first_layer"
 _POWER_ORACLE = "tests/test_ideals.py::test_power_layers_match_the_generator_oracle"
 _PINNED = "tests/test_ideals.py::test_power_layer_lengths_pinned"
+_UPOW_ORACLE = "tests/test_certify.py::test_upow_atoms_match_the_power_oracle"
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -154,8 +155,8 @@ ROWS = [
      "return list(semigroup.generators)",
      [_SCAN, _VOCABULARY, _BYTES]),
     ("last generator counted even inside I^p", _CERT,
-     "v = sum(not ideal.member(g) for g in semigroup.generators)",
-     "v = sum(not ideal.member(g) for g in semigroup.generators[:-1]) + 1",
+     "v = sum(not ideal.member(g if power == 1 else 0) for g in semigroup.generators)",
+     "v = sum(not ideal.member(g if power == 1 else 0) for g in semigroup.generators[:-1]) + 1",
      [_SCAN, _BYTES, "tests/test_certify.py::test_wide_two_generator_ring_is_pinned"]),
     # gluing candidates from gcds
     ("glue n a proper divisor of the gcd", _CERT,
@@ -421,6 +422,21 @@ ROWS = [
     ("reader declines values that start with - and a digit", _CLI,
      ' and not value[1:2].isdecimal()', "",
      ["tests/test_cli.py::test_a_value_may_start_with_a_minus_and_a_digit"]),
+    # R-CI reads k[H]/I^p off I's generators, lemma42 stops at min(N, cmax),
+    # and a walk is capped before its first level
+    ("upow premise reads I^p as I", _CERT,
+     "ideal.member(g if power == 1 else 0)", "ideal.member(g)",
+     [_UPOW_ORACLE, _BYTES]),
+    ("upow premise forgets the unit ideal", _CERT,
+     "ideal.member(g if power == 1 else 0)", "ideal.member(g if power == 1 else -1)",
+     [_UPOW_ORACLE]),
+    ("lemma42 sweeps n past cmax", "_cli_ideal.py",
+     "for n in range(2, min(n_max, cmax) + 1):", "for n in range(2, n_max + 1):",
+     ["tests/test_cli.py::test_lemma42_sweeps_n_no_further_than_cmax"]),
+    ("walk without its cap", _ART,
+     "    if n > MAX_LEVELS:\n", "    if False:\n",
+     ["tests/test_artinian.py::test_walk_depth_is_capped_before_the_first_level",
+      "tests/test_cli.py::test_ext_walks_past_the_level_cap_are_refused_at_once"]),
 ]
 
 
