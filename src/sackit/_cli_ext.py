@@ -28,8 +28,6 @@ def parse_module_expr(algebra, text: str):
         else:
             raise MalformedDescriptor(f"bad module expression part {part!r}")
         total = piece if total is None else ar.direct_sum(total, piece)
-    if total is None:
-        raise MalformedDescriptor("empty module expression")
     return total
 
 
@@ -44,6 +42,9 @@ def ext_table(gens, q, mod, bounds, prime, tor):
     module = parse_module_expr(algebra, mod)
     fn = ar.tor_dims if tor else ar.ext_dims
     dims = fn(module, module, hi)[lo:]
+    # the largest dimension first: past the interpreter's digit limit its str()
+    # raises the ValueError that cli.main reports, before the table is formatted
+    str(max(dims))
     data = {
         "algebra": algebra.descriptor(),
         "module": mod,

@@ -3,10 +3,9 @@
 The algebras are quotients k[H]/E of a numerical semigroup algebra by a
 cofinite monomial ideal E, most often the truncation E = (t^q).  Their
 k-basis is the finite set of member degrees outside E: for a truncation the
-Apery set of q, read off the semigroup without building the ideal (which
-``MonomialArtinianAlgebra.ideal`` gives on access).  Products come from
-degree sums: t^a * t^b is t^(a+b) when a + b is a basis degree and zero
-otherwise, read from the degree index, so no multiplication table is stored.
+Apery set of q, read off the semigroup without building the ideal.  Products
+come from degree sums: t^a * t^b is t^(a+b) when a + b is a basis degree and
+zero otherwise, read from the degree index: no multiplication table is stored.
 Algebras and modules are ``Record`` values, equal when all their fields are (so
 k[H]/(t^q) and ``quotient_algebra`` of (t^q) differ); an algebra's degree index
 and syzygy cache are made on first access, and a module caches nothing.
@@ -76,6 +75,11 @@ MAX_PRIME = 2**64
 # timed: at the cap it takes about 1 s and 200 MB on 2 vCPU (Python 3.11),
 # and its memory, quadratic in the depth, reaches 256 MB near 35,000 levels
 MAX_LEVELS = 30_000
+# Most k-matrix columns one syzygy step builds, checked before the step.  Near
+# the cap a step takes about 2 s and 100 MB over an algebra of dimension up to
+# 8 on 2 vCPU (Python 3.11); a column costs more in a larger algebra: 4.7 s
+# for 175,136 columns at dimension 16
+MAX_STEP_COLUMNS = 200_000
 
 
 def _is_prime(n: int) -> bool:
@@ -137,22 +141,13 @@ class MonomialArtinianAlgebra(Record):
     def _omega_store(self) -> dict:  # the syzygy cache of _levels
         return {}
 
-    @property
-    def ideal(self):
-        """The ideal E of k[H]/E; for a truncation, (t^q), built on access."""
-        if self._ideal is not None:
-            return self._ideal
-        from .ideals import SemigroupIdeal
-
-        return SemigroupIdeal.from_generators(self.semigroup, [self.truncation_q])
-
     def descriptor(self) -> str:
         """Text form: "H=...; q=...; p=..." for truncations, with the ideal
         generators in place of q otherwise."""
         if self.truncation_q is not None:
             mid = f"q={self.truncation_q}"
         else:
-            mid = f"I={self.ideal}"
+            mid = f"I={self._ideal}"
         return f"H={self.semigroup}; {mid}; p={self.char}"
 
     # -- elements ----------------------------------------------------------
@@ -383,6 +378,10 @@ def _syzygy_columns(algebra, cols):
     """Minimal generating columns of ker(A^s -> A^rank0) for the map with
     the given sparse flattened columns, as sparse flattened columns of
     length s."""
+    size = len(cols) * algebra.dim
+    if size > MAX_STEP_COLUMNS:
+        raise TooLarge(f"a syzygy step of {size} k-matrix columns is above the "
+                       f"supported {MAX_STEP_COLUMNS}")
     # k-matrix of the map, by columns: domain basis (column j, monomial b)
     images = [
         image for col in cols for image in _multiples(algebra, col, algebra.degrees)

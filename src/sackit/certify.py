@@ -428,10 +428,9 @@ def _asserted(statement: str) -> Premise:
     return Premise(statement, "Asserted", None)
 
 
-def _premise_ulrich(semigroup, ideal_gens, q=None):
+def _premise_ulrich(semigroup, ideal_gens):
     ideal = SemigroupIdeal.from_generators(semigroup, ideal_gens)
-    if q is None:
-        q = search_reduction(ideal)
+    q = search_reduction(ideal)
     if q is None:
         return False, _asserted("no stable reduction found")
     report = is_ulrich(ideal, q)
@@ -748,14 +747,12 @@ def _rule_min(desc, depth, search):
     ok, p_min = verify_premise("min_mult", semigroup=H)
     if not ok:
         return None
-    ok, p_ulr = verify_premise(
-        "ulrich", semigroup=H, ideal_gens=H.generators, q=H.multiplicity
-    )
+    # the two checks below cannot fail once min_mult holds: M + M = m + M for
+    # M the maximal ideal, so its reduction is m, and its colength is 1
+    ok, p_ulr = verify_premise("ulrich", semigroup=H, ideal_gens=H.generators)
     if not ok:
         return None
-    ok, p_col = verify_premise(
-        "colength_le2", semigroup=H, ideal_gens=H.generators
-    )
+    ok, p_col = verify_premise("colength_le2", semigroup=H, ideal_gens=H.generators)
     if not ok:
         return None
     return [p_min, p_ulr, p_col], []

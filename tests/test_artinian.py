@@ -32,7 +32,7 @@ basis (scan_invariants).
 
 import hashlib
 import itertools
-from math import gcd
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -54,7 +54,7 @@ from sackit import (
     SemigroupIdeal,
 )
 import sackit.artinian
-from sackit.artinian import ExtWindowReport, _dense_column, _syzygy_columns
+from sackit.artinian import ExtWindowReport, _dense_column, _is_prime, _syzygy_columns
 from sackit.certify import _ulrich_candidates, verify_premise
 from sackit.errors import SackitError, TooLarge
 from sackit.modp import Span, rank
@@ -261,9 +261,51 @@ def test_quotient_algebra_by_nonprincipal_ideal():
     H = NumericalSemigroup.from_generators([5, 6, 9])
     E = SemigroupIdeal.from_generators(H, [6, 9])
     Q = quotient_algebra(E)
+    assert Q.descriptor() == "H=5,6,9; I=6,9; p=32003"
     assert Q.degrees == (0, 5, 10)
     assert Q.embedding_dim() == 1  # 10 = 5 + 5 is a product
     assert radical_index(Q) == 3
+
+
+def strong_liar(n, a):
+    """Whether the odd n passes the Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_matches_a_sieve_and_refuses_strong_pseudoprimes():
+    n = 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    assert [x for x in range(n) if _is_prime(x)] == [x for x in range(n) if sieve[x]]
+    # composites with no factor up to 37, so past the trial division, that
+    # are strong pseudoprimes to the first Miller-Rabin bases
+    for factors, bases in (((151, 751, 28351), (2, 3, 5, 7)),
+                           ((149491, 747451, 34233211), (2, 3, 5, 7, 11, 13, 17, 19, 23))):
+        composite = prod(factors)
+        assert min(factors) > 37 and all(strong_liar(composite, a) for a in bases)
+        assert not _is_prime(composite), composite
+
+
+def test_constructors_refuse_what_names_no_module():
+    A = trunc([3, 4, 5], 3)
+    k = residue_field(A)
+    for call, error in (
+            (lambda: truncation_algebra(NumericalSemigroup.from_generators([3, 5]), 4),
+             "4 is not a member of <3,5>"),
+            (lambda: module_from_presentation(A, -1, []), "rank0 must be >= 0, got -1"),
+            (lambda: module_from_presentation(A, 1, [((1, 0),)]),
+             "entry has 2 coefficients, expected 3"),
+            (lambda: free_module(A, -1), "rank must be >= 0, got -1"),
+            (lambda: ext_dims(k, k, -1), "upto must be >= 0, got -1"),
+            (lambda: tor_dims(k, k, -1), "upto must be >= 0, got -1")):
+        with pytest.raises(SackitError, match=f"^{error}$"):
+            call()
 
 
 def dense_table(A):
@@ -969,6 +1011,38 @@ def test_walk_depth_is_capped_before_the_first_level(monkeypatch):
             with pytest.raises(TooLarge, match=rf"^homological degree {cap + 1} is above "
                                                rf"the supported {cap}$"):
                 walk(*args, cap + 1)
+
+
+def test_a_syzygy_step_past_the_column_cap_is_refused_before_it_is_built(monkeypatch):
+    # a step's k-matrix has len(cols) * dim A columns, known before it is
+    # built: the cap admits the largest step of a walk at its size and
+    # refuses it one below, before its first k-matrix column
+    sizes, multiples = [], sackit.artinian._multiples
+
+    def recorded(algebra, cols):
+        sizes.append(len(cols) * algebra.dim)
+        return _syzygy_columns(algebra, cols)
+
+    def walk():  # a fresh algebra: its syzygy cache starts empty
+        M = cyclic_quotient(trunc([4, 6, 7, 9], 8), 6)
+        return ext_dims(M, M, 6)
+
+    monkeypatch.setattr("sackit.artinian._syzygy_columns", recorded)
+    dims = walk()
+    top = max(sizes)
+    monkeypatch.setattr("sackit.artinian.MAX_STEP_COLUMNS", top)
+    assert walk() == dims
+    monkeypatch.setattr("sackit.artinian.MAX_STEP_COLUMNS", top - 1)
+    del sizes[:]
+
+    def step_multiples(algebra, vec, degrees):
+        assert not sizes or sizes[-1] < top, "a k-matrix past the cap was built"
+        return multiples(algebra, vec, degrees)
+
+    monkeypatch.setattr("sackit.artinian._multiples", step_multiples)
+    with pytest.raises(TooLarge, match=rf"^a syzygy step of {top} k-matrix columns is "
+                                       rf"above the supported {top - 1}$"):
+        walk()
 
 
 coeff = st.integers(0, 2)

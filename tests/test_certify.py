@@ -330,6 +330,17 @@ def test_qpow_checks_the_gorenstein_premise_it_can(ring, twin):
     assert len(regular) == ("trunc(" in twin)
 
 
+def test_a_gluing_past_the_multiplicity_cap_gives_no_gorenstein_premise():
+    # check() checks the gluing, not its multiplicity: 1048576*<2,3> + <1048577>
+    # is past MAX_MULTIPLICITY, so Glued.gorenstein cannot decide and R-QPOW
+    # fails, while the same shape with a small gluing is Certified
+    assert 2 * 1048576 > MAX_MULTIPLICITY
+    cert = certify("qpow(ffd(glued(sgp(2,3),1048576,1048577),sgp(2,3)),1,1)")
+    assert (cert.verdict, cert.attempted) == ("Unknown", ("R-QPOW",))
+    cert = certify("qpow(ffd(glued(sgp(2,3),5,7),sgp(2,3)),1,1)")
+    assert (cert.verdict, cert.rule) == ("Certified", "R-QPOW")
+
+
 @pytest.mark.parametrize("refuted,held,depth", [
     ("qpow(sgp(2,3),2,3)", "qpow(sgp(2,3),1,1)", 1),
     ("qpow(glued(sgp(3,5),2,9),2,2)", "qpow(glued(sgp(3,5),2,9),1,1)", 1),

@@ -1,5 +1,6 @@
 """Command line surface: every subcommand, exit codes, JSON round trips."""
 
+import builtins
 import hashlib
 import io
 import json
@@ -17,9 +18,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sackit import CERT_SCHEMA
-from sackit.artinian import MAX_LEVELS
+from sackit.artinian import MAX_LEVELS, MAX_STEP_COLUMNS
 from sackit.certify import RingDescriptor
-from sackit.cli import _JSON, COMMANDS, _int_list, _parse_range, _parser, _read
+from sackit.cli import _JSON, COMMANDS, _int_list, _parse_range, _parser, _read, main
 
 from cli_runner import invoke
 
@@ -185,6 +186,10 @@ def test_characteristic_flag_and_env():
     assert b["dims"] == f["dims"]
     assert run("ext", "table", "--H", "4,5,6", "--q", "4", "--mod", "k",
                "--range", "0..2", "--p", "6").exit_code == 1
+    # 1763 = 41 * 43 passes the trial division by the primes up to 37
+    composite = run("ext", "table", "--H", "3,4,5", "--q", "6", "--p", "1763")
+    assert (composite.exit_code, composite.stdout, composite.stderr) == (
+        1, "", "error: characteristic 1763 is not prime\n")
     # the characteristic comes from --p alone: SACKIT_PRIME, prime or not,
     # changes no byte
     for args in (("ext", "table", "--H", "4,5,6", "--q", "4", "--json"),
@@ -232,6 +237,58 @@ def test_a_result_past_the_decimal_digit_limit_is_an_error():
             assert done.stderr == "error: a result has more than 4300 decimal digits\n"
             r = run(*args, *flags)
             assert (r.exit_code, r.stdout, r.stderr) == (1, "", done.stderr), args
+
+
+def test_ext_table_checks_the_digit_limit_before_it_formats(monkeypatch):
+    # the largest dimension is converted first, so a table past the limit
+    # formats no dimension: Ext^i(k, k) over k[3,4,5]/(t^6) has dimension
+    # 2^(i+1) - 1, of 663 digits at i = 2200, past the least limit, 640
+    converted = []
+
+    def recording(x):
+        converted.append(x)
+        return builtins.str(x)
+
+    monkeypatch.setattr("sackit._cli_ext.str", recording, raising=False)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for flags in ((), ("--json",)):
+            converted.clear()
+            r = run("ext", "table", "--H", "3,4,5", "--q", "6", "--mod", "k",
+                    "--range", "0..2200", *flags)
+            assert (r.exit_code, r.stdout, r.stderr) == (
+                1, "", "error: a result has more than 640 decimal digits\n"), flags
+            assert converted == [2**2201 - 1], flags
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_main_raises_a_value_error_that_is_not_the_digit_limit(monkeypatch):
+    def broken(gens):
+        raise ValueError("no digit limit")
+
+    monkeypatch.setattr("sackit.cli.sgp_info", broken)
+    with pytest.raises(ValueError, match="^no digit limit$"):
+        run("sgp", "info", "--gens", "3,5")
+
+
+def test_a_syzygy_step_past_the_column_cap_ends_in_one_error_line(monkeypatch):
+    # in process with the cap patched low, on walks that end within it
+    # unpatched; then the two lines that ended in a MemoryError traceback
+    # under 1 GiB, spawned there with the real cap
+    refused = "error: a syzygy step of [0-9]+ k-matrix columns is above the supported {}\n"
+    monkeypatch.setattr("sackit.artinian.MAX_STEP_COLUMNS", 1000)
+    for args in (("ext", "table", "--H", "4,6,7,9", "--q", "8", "--mod", "cyc(6)"),
+                 ("extdeg", "--H", "7,9,11,13,17", "--q", "14", "--mod", "k", "--window", "6")):
+        r = run(*args)
+        assert (r.exit_code, r.stdout) == (1, ""), args
+        assert re.fullmatch(refused.format(1000), r.stderr), r.stderr
+    for args in [("--H", "7,9,11,13,17", "--q", "14", "--mod", "k", "--range", "0..12"),
+                 ("--H", "4,6,7,9", "--q", "8", "--mod", "cyc(6)", "--range", "0..13")]:
+        done = _sackit_capped("ext", "table", *args)
+        assert (done.returncode, done.stdout) == (1, ""), args
+        assert re.fullmatch(refused.format(MAX_STEP_COLUMNS), done.stderr), done.stderr
 
 
 def test_certify_reads_no_characteristic():
@@ -317,6 +374,7 @@ def test_truncation_degree_must_be_positive():
         ("ext", "table", "--H", "3,4,5", "--q", "0", "--mod", "k", "--range", "0..3"),
         ("ext", "table", "--H", "3,4,5", "--q", "-3", "--mod", "k", "--range", "0..3"),
         ("extdeg", "--H", "3,4,5", "--q", "0", "--mod", "k"),
+        ("ext", "table", "--H", "3,5", "--q", "4"),  # 4 is no member
     ):
         r = run(*args)
         assert r.exit_code == 1, args
@@ -430,6 +488,9 @@ def test_certify_errors():
     assert run("certify", "--ring", "sgp(3,4,5)",
                "--rule", "R-NOPE").exit_code == 2
     assert run("certify").exit_code == 2
+    hole = run("certify", "--ring", "powser(?)")
+    assert (hole.exit_code, hole.stdout, hole.stderr) == (
+        1, "", "error: '?' is only valid inside ffd(...)\n")
     # integers longer than int() converts from text (4300 digits)
     big = "9" * 5000
     for ring in (f"sgp({big},2)", f"trunc(sgp(3,4,5),{big})"):
@@ -505,6 +566,17 @@ def test_text_output_is_utf8_under_any_locale(encoding):
             assert (done.returncode, done.stderr) == (0, b""), (ring, name, done.stderr)
             out[name] = done.stdout
         assert out[encoding] == out["utf-8"], ring
+
+
+def test_text_output_is_utf8_in_process(monkeypatch):
+    # main sets the encoding of a stdout that it can reconfigure
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+    with pytest.raises(SystemExit) as done:
+        main.main(["certify", "--ring", "qpow(sgp(2,3),1,1)"])
+    assert done.value.code == 0
+    text = raw.getvalue().decode("utf-8")
+    assert "ℓ" in text and text == run("certify", "--ring", "qpow(sgp(2,3),1,1)").stdout
 
 
 def _sackit_piped(*args, unbuffered):

@@ -233,10 +233,11 @@ def test_bad_generators():
     with pytest.raises(SackitError, match="^2 is not a member of <3,4,5>$"):
         SemigroupIdeal.from_generators(H, [2])
     H2 = NumericalSemigroup.from_generators([2, 3])
-    with pytest.raises(SackitError, match="^<3,4,5> vs <2,3>$"):
-        SemigroupIdeal(H, H.generators).product(
-            SemigroupIdeal(H2, H2.generators)
-        )
+    for across in (SemigroupIdeal.product, SemigroupIdeal.relative_length):
+        with pytest.raises(SackitError, match="^<3,4,5> vs <2,3>$"):
+            across(SemigroupIdeal(H, H.generators), SemigroupIdeal(H2, H2.generators))
+    with pytest.raises(SackitError, match="^power wants exponent >= 1, got 0$"):
+        SemigroupIdeal(H, H.generators).power(0)
 
 
 def test_principal_ideals_are_ulrich():

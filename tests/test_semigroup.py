@@ -107,6 +107,9 @@ def test_apery_frozen():
     H = NumericalSemigroup.from_generators([8, 11, 12, 14, 18])
     assert H.apery_set(8) == (0, 11, 12, 14, 18, 23, 25, 29)
     assert NumericalSemigroup.from_generators([3, 4, 5]).apery_set(3) == (0, 4, 5)
+    for q in (4, 0):
+        with pytest.raises(SackitError, match=rf"^{q} is not a nonzero member of <3,5>$"):
+            NumericalSemigroup.from_generators([3, 5]).apery_set(q)
 
 
 def test_apery_set_holds_no_second_table():

@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 80 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 84 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -18,7 +18,7 @@ tests run on an unmutated copy, where each must pass.
 Exit status 0 when every mutant is killed; 1 on a survivor (a named test
 that passes on its mutant), a snippet that does not match exactly once, or
 a named test that fails on the unmutated tree.  A refactor that moves a
-snippet updates its row on purpose.  About 4 min (212 s) on 2 vCPU
+snippet updates its row on purpose.  About 3.5 min (209 s) on 2 vCPU
 (Python 3.11).
 """
 
@@ -74,6 +74,8 @@ _SWEEP = "tests/test_ideals.py::test_power_sweep_counts_its_work_before_the_firs
 _POWER_ORACLE = "tests/test_ideals.py::test_power_layers_match_the_generator_oracle"
 _PINNED = "tests/test_ideals.py::test_power_layer_lengths_pinned"
 _UPOW_ORACLE = "tests/test_certify.py::test_upow_atoms_match_the_power_oracle"
+_STEP_CAP = ("tests/test_artinian.py::"
+             "test_a_syzygy_step_past_the_column_cap_is_refused_before_it_is_built")
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -133,7 +135,7 @@ ROWS = [
      [_ROUTED]),
     ("route taken for a non-truncation quotient_algebra", _ART,
      "H, q = algebra.semigroup, algebra.truncation_q",
-     "H, q = algebra.semigroup, algebra.ideal.generators[0]",
+     "H, q = algebra.semigroup, algebra.truncation_q or algebra._ideal.generators[0]",
      ["tests/test_artinian.py::test_radical_square_zero_ext_tor_closed_form",
       "tests/test_acceptance.py::test_ext_closed_forms_through_the_walk"]),
     ("a*g*b_i dropped", _ART,
@@ -437,6 +439,21 @@ ROWS = [
      "    if n > MAX_LEVELS:\n", "    if False:\n",
      ["tests/test_artinian.py::test_walk_depth_is_capped_before_the_first_level",
       "tests/test_cli.py::test_ext_walks_past_the_level_cap_are_refused_at_once"]),
+    # a syzygy step is capped in k-matrix columns before it is built, ext
+    # table checks the digit limit before it formats, and a Miller-Rabin
+    # witness proves a number composite
+    ("walk without its k-matrix cap", _ART,
+     "    if size > MAX_STEP_COLUMNS:\n", "    if False:\n",
+     [_STEP_CAP, "tests/test_cli.py::test_a_syzygy_step_past_the_column_cap_ends_in_one_error_line"]),
+    ("k-matrix cap counts relation columns", _ART,
+     "size = len(cols) * algebra.dim", "size = len(cols)", [_STEP_CAP]),
+    ("ext table formats before its limit check", "_cli_ext.py",
+     ("    str(max(dims))\n", "    widths = "), ("", "    str(max(dims))\n    widths = "),
+     ["tests/test_cli.py::test_ext_table_checks_the_digit_limit_before_it_formats"]),
+    ("Miller-Rabin witness taken for a prime", _ART,
+     "            return False\n    return True", "            return True\n    return True",
+     ["tests/test_artinian.py::test_is_prime_matches_a_sieve_and_refuses_strong_pseudoprimes",
+      "tests/test_cli.py::test_characteristic_flag_and_env"]),
 ]
 
 
