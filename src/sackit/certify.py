@@ -13,9 +13,9 @@ Verdicts are Certified or Unknown, never "fails": the rule set consists of
 sufficient conditions only, so the absence of a derivation proves nothing.
 Unknown nodes carry the trace of attempted rules.
 
-The search is backward chaining over a fixed, per variant rule order, with
-memoization keyed by (descriptor, remaining depth) and a stack guard that
-fails cyclic derivations.  Everything is deterministic: repeated runs emit
+The search is backward chaining over a fixed, per variant rule order.  Each
+goal is searched afresh, and a goal already on the stack derives nothing, so
+no derivation is cyclic.  Everything is deterministic: repeated runs emit
 byte identical JSON.
 """
 
@@ -387,7 +387,7 @@ def validate_descriptor(desc, build_semigroup=None) -> None:
     first, passes its own check (integer slots >= 1, semigroups that build,
     members where a ring needs them, a glued(sgp(H),n,m) that is a gluing).
     build_semigroup(generators), when given, builds each semigroup the checks
-    need; certify() passes the memo of its search.
+    need; certify() passes the semigroup memo of its search.
     """
     try:
         same = parse_ring(str(desc)) == desc
@@ -666,12 +666,11 @@ class Certificate(Record):
 
 
 class _Search:
-    """State of one certify() call: the finished goals, the goals on the
-    stack, and each semigroup built so far, by generator set, so that the
-    validator, the rules and the premises of one call build it once."""
+    """State of one certify() call: the goals on the stack, and each
+    semigroup built so far, by generator set, so that the validator, the
+    rules and the premises of one call build it once."""
 
     def __init__(self):
-        self.memo: dict = {}
         self.stack: set = set()
         self.semigroups: dict = {}
 
@@ -680,10 +679,6 @@ class _Search:
         if key not in self.semigroups:
             self.semigroups[key] = NumericalSemigroup.from_generators(gens)
         return self.semigroups[key]
-
-
-def _unknown(desc, attempted) -> Certificate:
-    return Certificate(goal=str(desc), verdict="Unknown", attempted=tuple(attempted))
 
 
 def _ulrich_candidates(H: NumericalSemigroup):
@@ -698,8 +693,8 @@ def _ulrich_candidates(H: NumericalSemigroup):
 
 def _child(desc, depth, search):
     """The certificate of desc one level down, or None unless Certified (and
-    so None when no depth is left)."""
-    if depth <= 1:
+    so None when no depth is left, or when desc is already on the stack)."""
+    if depth <= 1 or desc in search.stack:
         return None
     cert = _certify_inner(desc, depth - 1, search, _RULES.get(type(desc), ()))
     return cert if cert.verdict == "Certified" else None
@@ -923,19 +918,13 @@ _ROOT_ONLY = {SemigroupRing: (("R-UPOW", _rule_upow), ("R-MODX", _rule_modx))}
 def _certify_inner(desc, depth, search, order):
     """desc's certificate by the first (rule id, rule) of ``order`` that
     derives it; depth is at least 1."""
-    memo_key = (desc, depth)
-    if memo_key in search.memo:
-        return search.memo[memo_key]
-    if desc in search.stack:
-        return _unknown(desc, ("(cyclic goal)",))
-
     search.stack.add(desc)
     try:
         for rule_id, rule in order:
             found = rule(desc, depth, search)
             if found is not None:
                 premises, children = found
-                result = Certificate(
+                return Certificate(
                     goal=str(desc),
                     verdict="Certified",
                     rule=rule_id,
@@ -943,14 +932,10 @@ def _certify_inner(desc, depth, search, order):
                     premises=tuple(premises),
                     children=tuple(children),
                 )
-                break
-        else:
-            result = _unknown(desc, [rule_id for rule_id, _ in order])
+        return Certificate(goal=str(desc), verdict="Unknown",
+                           attempted=tuple(rule_id for rule_id, _ in order))
     finally:
         search.stack.discard(desc)
-
-    search.memo[memo_key] = result
-    return result
 
 
 def certify(goal, depth: int = 8, root_rules=None) -> Certificate:
@@ -970,7 +955,6 @@ def certify(goal, depth: int = 8, root_rules=None) -> Certificate:
         goal = parse_ring(goal)
     search = _Search()
     validate_descriptor(goal, search.semigroup)
-    # children search one level down, so nothing reads the root's memo entry
     order = _RULES.get(type(goal), ())
     if root_rules is not None:
         by_id = dict(order + _ROOT_ONLY.get(type(goal), ()))

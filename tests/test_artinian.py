@@ -32,7 +32,7 @@ basis (scan_invariants).
 
 import hashlib
 import itertools
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log2, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -1011,6 +1011,34 @@ def test_walk_depth_is_capped_before_the_first_level(monkeypatch):
             with pytest.raises(TooLarge, match=rf"^homological degree {cap + 1} is above "
                                                rf"the supported {cap}$"):
                 walk(*args, cap + 1)
+
+
+def test_a_walk_past_the_bit_cap_is_refused_before_the_first_level(monkeypatch):
+    # the cap reads the algebra the walk runs over: k over k[H]/(t^q) walks
+    # A_m, so k over k[3,4,5]/(t^6) walks dimension 3 to MAX_LEVELS, where
+    # dimension 6 would be past the cap; k over k[10,...,19]/(t^20) walks
+    # dimension 10 to the deepest n with n² · log2(10) at the cap, not n + 1
+    class Walked(Exception):
+        pass
+
+    def no_level(module):
+        raise Walked
+
+    monkeypatch.setattr("sackit.artinian._levels", no_level)
+    cap = sackit.artinian.MAX_WALK_BITS
+    deepest = max(n for n in range(isqrt(cap // 4), isqrt(cap // 3) + 1)
+                  if round(n * n * log2(10)) <= cap)
+    k6 = residue_field(trunc([3, 4, 5], 6))
+    k20 = residue_field(trunc(range(10, 20), 20))
+    for M, admitted in ((k6, sackit.artinian.MAX_LEVELS), (k20, deepest)):
+        for walk in (ext_dims, tor_dims):
+            with pytest.raises(Walked):
+                walk(M, M, admitted)
+    for walk, args in ((ext_dims, (k20, k20)), (tor_dims, (k20, k20)), (ext_deg_window, (k20,))):
+        with pytest.raises(TooLarge, match=rf"^Ext or Tor to degree {deepest + 1} over an "
+                                           rf"algebra of dimension 10 would hold about "
+                                           rf"[0-9]+ bits, above the supported {cap}$"):
+            walk(*args, deepest + 1)
 
 
 def test_a_syzygy_step_past_the_column_cap_is_refused_before_it_is_built(monkeypatch):

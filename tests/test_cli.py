@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sackit import CERT_SCHEMA
-from sackit.artinian import MAX_LEVELS, MAX_STEP_COLUMNS
+from sackit.artinian import MAX_LEVELS, MAX_STEP_COLUMNS, MAX_WALK_BITS
 from sackit.certify import RingDescriptor
 from sackit.cli import _JSON, COMMANDS, _int_list, _parse_range, _parser, _read, main
 
@@ -448,6 +448,20 @@ def test_ext_walks_past_the_level_cap_are_refused_at_once():
         assert (done.returncode, done.stdout) == (1, ""), args
         assert done.stderr == (f"error: homological degree {cap + 1} is above the "
                                f"supported {cap}\n")
+
+
+def test_extdeg_past_the_bit_cap_ends_in_one_error_line():
+    # Ext of k over k[200,...,399]/(t^400) is walked over A_200, where its
+    # dimensions grow like 199^i; to degree 30,000 (within MAX_LEVELS) that
+    # walk ended in a MemoryError traceback under 1 GiB after about 9 s
+    start = time.perf_counter()
+    done = _sackit_capped("extdeg", "--H", ",".join(map(str, range(200, 400))),
+                          "--q", "400", "--mod", "k", "--window", "30000")
+    assert time.perf_counter() - start < 1
+    assert (done.returncode, done.stdout) == (1, "")
+    assert re.fullmatch(f"error: Ext or Tor to degree 30000 over an algebra of dimension "
+                        f"200 would hold about [0-9]+ bits, above the supported "
+                        f"{MAX_WALK_BITS}\n", done.stderr), done.stderr
 
 
 def test_ideal_powers_refuses_a_sweep_past_the_work_cap():

@@ -19,13 +19,9 @@ from sackit.certify import (
     AbstractCI,
     Certificate,
     Citation,
-    Glued,
     Premise,
     SemigroupRing,
     Truncation,
-    _certify_inner,
-    _RULES,
-    _Search,
 )
 from sackit._cli_help import descriptor_grammar
 
@@ -159,13 +155,3 @@ def test_grammar_names_the_fields_in_order():
         "powser(ring)", "qpow(ring,power,regseq_len)",
         "upow(ring,(a,b,...),power)", "ci()", "ffd(ring|?,ring|?)",
     ]
-
-
-def test_descriptors_key_the_search_memo():
-    search = _Search()
-    first = _certify_inner(parse_ring("glued(sgp(2,3),2,9)"), 8, search, _RULES[Glued])
-    assert (Glued(SemigroupRing((2, 3)), 2, 9), 8) in search.memo
-    # the child goal was memoized under an equal, separately built descriptor
-    assert (SemigroupRing((2, 3)), 7) in search.memo
-    again = _certify_inner(Glued(SemigroupRing((2, 3)), 2, 9), 8, search, _RULES[Glued])
-    assert again is first

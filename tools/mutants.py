@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 84 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 86 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -76,6 +76,8 @@ _PINNED = "tests/test_ideals.py::test_power_layer_lengths_pinned"
 _UPOW_ORACLE = "tests/test_certify.py::test_upow_atoms_match_the_power_oracle"
 _STEP_CAP = ("tests/test_artinian.py::"
              "test_a_syzygy_step_past_the_column_cap_is_refused_before_it_is_built")
+_BIT_CAP = ("tests/test_artinian.py::"
+            "test_a_walk_past_the_bit_cap_is_refused_before_the_first_level")
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -171,7 +173,7 @@ ROWS = [
      [_GLUE_ORACLE]),
     # one complete-intersection test, and only deciding rules in the default order
     ("cycle guard dropped", _CERT,
-     "    if desc in search.stack:\n", "    if False:\n",
+     "    if depth <= 1 or desc in search.stack:\n", "    if depth <= 1:\n",
      ["tests/test_certify.py::test_the_cycle_guard_stops_a_circular_root_modx_proof"]),
     ("R-UPOW back in the default order", _CERT,
      '        ("R-GLUE", _rule_glue_sgp),\n    ),\n',
@@ -447,6 +449,14 @@ ROWS = [
      [_STEP_CAP, "tests/test_cli.py::test_a_syzygy_step_past_the_column_cap_ends_in_one_error_line"]),
     ("k-matrix cap counts relation columns", _ART,
      "size = len(cols) * algebra.dim", "size = len(cols)", [_STEP_CAP]),
+    # a walk is capped in levels² · log2(dim A) over the algebra it walks
+    ("walk without its bit cap", _ART,
+     "    if bits > MAX_WALK_BITS:\n", "    if False:\n",
+     [_BIT_CAP, "tests/test_cli.py::test_extdeg_past_the_bit_cap_ends_in_one_error_line"]),
+    ("bit cap reads the algebra asked for", _ART,
+     "    _check_levels(upto)\n",
+     "    _check_levels(upto)\n    _check_bits(upto, module.algebra.dim)\n",
+     [_BIT_CAP]),
     ("ext table formats before its limit check", "_cli_ext.py",
      ("    str(max(dims))\n", "    widths = "), ("", "    str(max(dims))\n    widths = "),
      ["tests/test_cli.py::test_ext_table_checks_the_digit_limit_before_it_formats"]),
