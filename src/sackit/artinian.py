@@ -7,8 +7,9 @@ Apery set of q, read off the semigroup without building the ideal.  Products
 come from degree sums: t^a * t^b is t^(a+b) when a + b is a basis degree and
 zero otherwise, read from the degree index: no multiplication table is stored.
 Algebras and modules are ``Record`` values, equal when all their fields are (so
-k[H]/(t^q) and ``quotient_algebra`` of (t^q) differ); an algebra's degree index
-and syzygy cache are made on first access, and a module caches nothing.
+k[H]/(t^q) and ``quotient_algebra`` of (t^q) differ); an algebra's degree index,
+socle positions and syzygy cache are made on first access, and a module caches
+nothing.
 
 Modules are finitely presented by a relation matrix over the algebra
 (columns are relations).  Presentations are minimalized on construction by
@@ -71,23 +72,19 @@ from .semigroup import NumericalSemigroup
 DEFAULT_PRIME = 32003
 # characteristics at or above this are refused: _is_prime is a proof below it
 MAX_PRIME = 2**64
-# Most levels one walk runs, checked before the first.  Ext of k over
-# k[3,4,5]/(t^6), whose dimensions double each level, is the costliest walk
-# timed: at the cap it takes about 1 s and 200 MB on 2 vCPU (Python 3.11),
-# and its memory, quadratic in the depth, reaches 256 MB near 35,000 levels
-MAX_LEVELS = 30_000
-# Most k-matrix columns one syzygy step builds, checked before the step.  Near
-# the cap a step takes about 2 s and 100 MB over an algebra of dimension up to
-# 8 on 2 vCPU (Python 3.11); a column costs more in a larger algebra: 4.7 s
-# for 175,136 columns at dimension 16
-MAX_STEP_COLUMNS = 200_000
-# Most levels² · log2(dim A) one Ext or Tor walk takes, checked before the
-# first level.  Those dimensions grow at most like (dim A - 1)^i, so a table
-# to degree n holds about n²/2 · log2(dim A) bits, and a walk keeps about two
-# tables.  An extdeg walk at the cap takes 0.6 s and 190 MB (k over
-# k[3,4,5]/(t^3), 30,000 levels) to 3.6 s and 316 MB (k over an algebra of
-# dimension 200, 14,008 levels) on 2 vCPU (Python 3.11)
+# Most levels² · max(1, log2(dim A)) one walk takes, checked before the first
+# level.  Those dimensions grow at most like (dim A - 1)^i, so a table to
+# degree n holds about n²/2 · log2(dim A) bits, and a walk keeps about two; a
+# level costs a bit at least, so this caps the depth too: 38,729 for dim A
+# <= 2, 30,763 for 3.  At the cap extdeg of k takes 0.4 s and 18 MB over A_2
+# to 3.8 s and 317 MB over dimension 200, on 2 vCPU (Python 3.11)
 MAX_WALK_BITS = 1_500_000_000
+# Most k-matrix columns, len(cols) · dim A, over the syzygy steps one walk
+# builds (not those cached), checked before each step.  Near the cap a walk
+# takes 3.3 s and 46 MB (498 steps) to 4.4 s and 301 MB (one step, dimension
+# 700) on 2 vCPU (Python 3.11), but a column costs more in some algebras:
+# over dimension 16, 391,456 columns took 20.7 s and 223 MB
+MAX_WALK_COLUMNS = 500_000
 
 
 def _is_prime(n: int) -> bool:
@@ -144,6 +141,12 @@ class MonomialArtinianAlgebra(Record):
     @cached_property
     def _index(self) -> dict[int, int]:  # basis degree -> its position
         return {d: i for i, d in enumerate(self.degrees)}
+
+    @cached_property
+    def _socle(self) -> frozenset[int]:  # positions that every atom sends to zero
+        atoms = self._atoms()
+        return frozenset(i for i, d in enumerate(self.degrees)
+                         if not any(d + a in self._index for a in atoms))
 
     @cached_property
     def _omega_store(self) -> dict:  # the syzygy cache of _levels
@@ -356,10 +359,14 @@ def _nakayama(algebra, vecs):
 
     Those multiples go into one span first; then the columns are taken in
     order, and one is kept when it enlarges the span.  The kept columns
-    minimally generate N.
+    minimally generate N.  A column supported on socle positions has only
+    zero atom multiples, so it adds none.
     """
-    span, atoms = Span(algebra.char), algebra._atoms()
+    span, atoms, socle = Span(algebra.char), algebra._atoms(), algebra._socle
+    dim_a = algebra.dim
     for vec in vecs:
+        if all(pos % dim_a in socle for pos in vec):
+            continue
         for scaled in _multiples(algebra, vec, atoms):
             if scaled:
                 span.add(scaled)
@@ -386,10 +393,6 @@ def _syzygy_columns(algebra, cols):
     """Minimal generating columns of ker(A^s -> A^rank0) for the map with
     the given sparse flattened columns, as sparse flattened columns of
     length s."""
-    size = len(cols) * algebra.dim
-    if size > MAX_STEP_COLUMNS:
-        raise TooLarge(f"a syzygy step of {size} k-matrix columns is above the "
-                       f"supported {MAX_STEP_COLUMNS}")
     # k-matrix of the map, by columns: domain basis (column j, monomial b)
     images = [
         image for col in cols for image in _multiples(algebra, col, algebra.degrees)
@@ -414,7 +417,7 @@ def minimal_resolution(module: PresentedModule, length: int) -> MinimalResolutio
     betti[j+1] counts the relation columns of Omega^j M over ``_levels``."""
     if length < 1:
         raise SackitError(f"resolution length must be >= 1, got {length}")
-    _check_levels(length)
+    _check_bits(length, module.algebra.dim)
     levels = islice(_levels(module), length)
     return MinimalResolution(module, (module.rank0,) + tuple(
         sum(m * len(cols) for (_, cols), m in level.items()) for level in levels
@@ -491,30 +494,36 @@ def _require_same_algebra(left: PresentedModule, right: PresentedModule):
         )
 
 
-def _check_levels(n):
-    if n > MAX_LEVELS:
-        raise TooLarge(f"homological degree {n} is above the supported {MAX_LEVELS}")
-
-
 def _check_bits(n, dim):
-    bits = round(n * n * log2(dim))
+    # at least a bit a level, times n² in integers: no degree overflows a float
+    num, den = log2(max(2, dim)).as_integer_ratio()
+    bits = (n * n * num + den // 2) // den
     if bits > MAX_WALK_BITS:
+        from decimal import Decimal  # its str() is not held to int's digit limit
         raise TooLarge(f"Ext or Tor to degree {n} over an algebra of dimension {dim} "
-                       f"would hold about {bits} bits, above the supported {MAX_WALK_BITS}")
+                       f"would hold about {Decimal(bits)} bits, above the supported "
+                       f"{MAX_WALK_BITS}")
 
 
 def _levels(module):
     """Omega^j M for j = 0, 1, ..., each as a Counter of its incidence
     components, one syzygy step per level asked for.  Each distinct component
     is resolved once into the algebra's ``_omega_store``; a free summand has
-    syzygy module 0, so it leaves the walk after its level."""
+    syzygy module 0, so it leaves the walk after its level.  The steps built
+    are counted in k-matrix columns, and the one that would take the walk
+    past ``MAX_WALK_COLUMNS`` is refused before it is built."""
     algebra, store = module.algebra, module.algebra._omega_store
     level = _component_split(algebra, module.rank0, module.columns)
+    built = 0
     while True:
         yield level
         deeper = Counter()
         for key, m in level.items():
             if key[1] and key not in store:  # no kernel for the free A = (1, ())
+                built += len(key[1]) * algebra.dim
+                if built > MAX_WALK_COLUMNS:
+                    raise TooLarge(f"a syzygy walk of {built} k-matrix columns is above "
+                                   f"the supported {MAX_WALK_COLUMNS}")
                 syz = _syzygy_columns(algebra, [dict(col) for col in key[1]])
                 store[key] = _component_split(algebra, len(key[1]), syz)
             for omega, c in store.get(key, {}).items():
@@ -546,7 +555,8 @@ def _change_of_rings(module, target, upto, transpose):
     e = ext_dims(k, k, upto)
     if q not in H.generators:
         e = tuple(accumulate(e))
-    if transpose:  # Tor_i(k, A) is k at i = 0 and 0 above
+    # Tor_i(k, A) is k at i = 0 and 0 above, and Ext reads b only times a g
+    if transpose or not a * g:
         b = (1,) + (0,) * upto
     else:
         b = ext_dims(k, free_module(base, 1), upto)
@@ -572,7 +582,6 @@ def _derived_dims(module, target, upto, transpose):
     _require_same_algebra(module, target)
     if upto < 0:
         raise SackitError(f"upto must be >= 0, got {upto}")
-    _check_levels(upto)
     routed = _change_of_rings(module, target, upto, transpose)
     if routed is not None:
         return routed

@@ -57,7 +57,7 @@ import sackit.artinian
 from sackit.artinian import ExtWindowReport, _dense_column, _is_prime, _syzygy_columns
 from sackit.certify import _ulrich_candidates, verify_premise
 from sackit.errors import SackitError, TooLarge
-from sackit.modp import Span, rank
+from sackit.modp import Span, rank, sparse_kernel
 from test_modp import solve
 
 
@@ -992,32 +992,48 @@ def test_window_reports():
 
 
 def test_walk_depth_is_capped_before_the_first_level(monkeypatch):
-    # past MAX_LEVELS, Ext, Tor, a resolution and a window end in TooLarge
-    # before any level, routed (k over k[3,4,5]/(t^6)) or walked (cyc(4)
-    # over k[3,4,5]/(t^3)); a walk to the cap runs
-    cap = sackit.artinian.MAX_LEVELS
-    A3, A6 = trunc([3, 4, 5], 3), trunc([3, 4, 5], 6)
-    F = free_module(A3, 1)
-    assert ext_dims(F, F, cap) == (3,) + (0,) * cap
-    assert minimal_resolution(F, cap).length == cap
+    # the bit cap charges a level one bit at least, so it limits the depth:
+    # 38,729 over dim A <= 2 and 30,763 over dim 3.  A walk to the limit
+    # runs; one level more ends in TooLarge before any level for Ext, Tor, a
+    # resolution and a window, routed (k over k[3,4,5]/(t^6) walks A_3) or
+    # walked (cyc(4) over k[3,4,5]/(t^3)), and so does a 4000-digit degree
+    cap = sackit.artinian.MAX_WALK_BITS
+    A1, A2, A3, A6 = trunc([1], 1), trunc([2, 3], 2), trunc([3, 4, 5], 3), trunc([3, 4, 5], 6)
+    for A, deepest in ((A1, 38_729), (A2, 38_729), (A3, 30_763)):
+        F = free_module(A, 1)
+        assert ext_dims(F, F, deepest) == (A.dim,) + (0,) * deepest
+        assert minimal_resolution(F, deepest).length == deepest
 
     def no_level(module):
         raise AssertionError("a level was walked")
 
+    def refused(n, dim):
+        return pytest.raises(TooLarge, match=rf"^Ext or Tor to degree {n} over an algebra of "
+                                             rf"dimension {dim} would hold about [0-9]+ bits, "
+                                             rf"above the supported {cap}$")
+
     monkeypatch.setattr("sackit.artinian._levels", no_level)
     for M in (residue_field(A6), cyclic_quotient(A3, 4)):
-        for walk, args in ((ext_dims, (M, M)), (tor_dims, (M, M)),
-                           (minimal_resolution, (M,)), (ext_deg_window, (M,))):
-            with pytest.raises(TooLarge, match=rf"^homological degree {cap + 1} is above "
-                                               rf"the supported {cap}$"):
-                walk(*args, cap + 1)
+        for walk, args in ((ext_dims, (M, M)), (tor_dims, (M, M)), (ext_deg_window, (M,))):
+            for n in (30_764, 10**3999):
+                with refused(n, 3):
+                    walk(*args, n)
+    for n in (30_764, 10**3999):
+        with refused(n, 3):
+            minimal_resolution(cyclic_quotient(A3, 4), n)
+    for M in (free_module(A1, 1), residue_field(A2)):
+        with refused(38_730, M.algebra.dim):
+            ext_dims(M, M, 38_730)
+        with refused(38_730, M.algebra.dim):
+            minimal_resolution(M, 38_730)
 
 
 def test_a_walk_past_the_bit_cap_is_refused_before_the_first_level(monkeypatch):
     # the cap reads the algebra the walk runs over: k over k[H]/(t^q) walks
-    # A_m, so k over k[3,4,5]/(t^6) walks dimension 3 to MAX_LEVELS, where
+    # A_m, so k over k[3,4,5]/(t^6) walks dimension 3 to 30,763 levels, where
     # dimension 6 would be past the cap; k over k[10,...,19]/(t^20) walks
-    # dimension 10 to the deepest n with n² · log2(10) at the cap, not n + 1
+    # dimension 10 to the deepest n with n² · log2(10) at the cap, not n + 1,
+    # and a resolution over k[10,...,19]/(t^10) holds the same bits
     class Walked(Exception):
         pass
 
@@ -1030,11 +1046,16 @@ def test_a_walk_past_the_bit_cap_is_refused_before_the_first_level(monkeypatch):
                   if round(n * n * log2(10)) <= cap)
     k6 = residue_field(trunc([3, 4, 5], 6))
     k20 = residue_field(trunc(range(10, 20), 20))
-    for M, admitted in ((k6, sackit.artinian.MAX_LEVELS), (k20, deepest)):
+    k10 = residue_field(trunc(range(10, 20), 10))
+    assert round(30_763**2 * log2(6)) > cap
+    for M, admitted in ((k6, 30_763), (k20, deepest)):
         for walk in (ext_dims, tor_dims):
             with pytest.raises(Walked):
                 walk(M, M, admitted)
-    for walk, args in ((ext_dims, (k20, k20)), (tor_dims, (k20, k20)), (ext_deg_window, (k20,))):
+    with pytest.raises(Walked):
+        minimal_resolution(k10, deepest)
+    for walk, args in ((ext_dims, (k20, k20)), (tor_dims, (k20, k20)), (ext_deg_window, (k20,)),
+                       (minimal_resolution, (k10,))):
         with pytest.raises(TooLarge, match=rf"^Ext or Tor to degree {deepest + 1} over an "
                                            rf"algebra of dimension 10 would hold about "
                                            rf"[0-9]+ bits, above the supported {cap}$"):
@@ -1042,35 +1063,85 @@ def test_a_walk_past_the_bit_cap_is_refused_before_the_first_level(monkeypatch):
 
 
 def test_a_syzygy_step_past_the_column_cap_is_refused_before_it_is_built(monkeypatch):
-    # a step's k-matrix has len(cols) * dim A columns, known before it is
-    # built: the cap admits the largest step of a walk at its size and
-    # refuses it one below, before its first k-matrix column
+    # a walk adds len(cols) * dim A for each step it builds, known before the
+    # step: the cap admits a walk at its total and refuses it one below,
+    # before the last step's first k-matrix column; steps the syzygy cache
+    # holds cost nothing
     sizes, multiples = [], sackit.artinian._multiples
 
     def recorded(algebra, cols):
         sizes.append(len(cols) * algebra.dim)
         return _syzygy_columns(algebra, cols)
 
-    def walk():  # a fresh algebra: its syzygy cache starts empty
-        M = cyclic_quotient(trunc([4, 6, 7, 9], 8), 6)
+    def walk(M=None):  # a fresh algebra unless M is given: its syzygy cache starts empty
+        M = M or cyclic_quotient(trunc([4, 6, 7, 9], 8), 6)
         return ext_dims(M, M, 6)
 
     monkeypatch.setattr("sackit.artinian._syzygy_columns", recorded)
     dims = walk()
-    top = max(sizes)
-    monkeypatch.setattr("sackit.artinian.MAX_STEP_COLUMNS", top)
+    total = sum(sizes)
+    assert len(sizes) > 1 and total > max(sizes)
+    monkeypatch.setattr("sackit.artinian.MAX_WALK_COLUMNS", total)
     assert walk() == dims
-    monkeypatch.setattr("sackit.artinian.MAX_STEP_COLUMNS", top - 1)
+    cached = cyclic_quotient(trunc([4, 6, 7, 9], 8), 6)
+    walk(cached)
+    monkeypatch.setattr("sackit.artinian.MAX_WALK_COLUMNS", 0)
+    assert walk(cached) == dims
+    monkeypatch.setattr("sackit.artinian.MAX_WALK_COLUMNS", total - 1)
     del sizes[:]
 
     def step_multiples(algebra, vec, degrees):
-        assert not sizes or sizes[-1] < top, "a k-matrix past the cap was built"
+        assert sum(sizes) < total, "a k-matrix past the cap was built"
         return multiples(algebra, vec, degrees)
 
     monkeypatch.setattr("sackit.artinian._multiples", step_multiples)
-    with pytest.raises(TooLarge, match=rf"^a syzygy step of {top} k-matrix columns is "
-                                       rf"above the supported {top - 1}$"):
+    with pytest.raises(TooLarge, match=rf"^a syzygy walk of {total} k-matrix columns is "
+                                       rf"above the supported {total - 1}$"):
         walk()
+
+
+def test_a_routed_ext_walks_the_bass_numbers_only_when_it_reads_them(monkeypatch):
+    # the Bass numbers dim Ext^i(k, A_m) enter only times a·g, the k summands
+    # of M times the A summands of N: --mod k walks A_m once, k + A twice
+    walks = []
+    inner = sackit.artinian.ext_dims
+
+    def counted(module, target, upto):
+        walks.append(module.algebra.truncation_q)
+        return inner(module, target, upto)
+
+    monkeypatch.setattr("sackit.artinian.ext_dims", counted)
+    A = trunc([4, 6, 7, 9], 8)
+    k, F = residue_field(A), free_module(A, 1)
+    for M, N, count in ((k, k, 1), (direct_sum(k, F), direct_sum(k, F), 2), (k, F, 2),
+                        (F, direct_sum(k, F), 1)):
+        del walks[:]
+        counted(M, N, 6)
+        assert walks == [8] + [4] * count, (M.rank0, N.rank0)
+
+
+def test_nakayama_takes_no_multiple_of_a_socle_column(monkeypatch):
+    # a column supported on socle positions (every atom sends them out of
+    # the basis) has only zero atom multiples; over a radical-square-zero
+    # algebra every kernel column of k's first step is one
+    for gens, q, _ in DEEP_ALGEBRAS:
+        A = trunc(gens, q)
+        positive = [monomial(A, d) for d in A.degrees[1:]]
+        assert A._socle == {i for i, d in enumerate(A.degrees)
+                            if not any(any(A.mul(monomial(A, d), x)) for x in positive)}
+    A = trunc([3, 4, 5], 3)
+    k, multiples = residue_field(A), sackit.artinian._multiples
+    images = [image for col in k.columns for image in multiples(A, col, A.degrees)]
+    kernel = sparse_kernel(images, A.char)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return multiples(*args)
+
+    monkeypatch.setattr("sackit.artinian._multiples", counted)
+    assert sackit.artinian._nakayama(A, kernel) == kernel and len(kernel) == 4
+    assert calls == []
 
 
 coeff = st.integers(0, 2)

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sackit import CERT_SCHEMA
-from sackit.artinian import MAX_LEVELS, MAX_STEP_COLUMNS, MAX_WALK_BITS
+from sackit.artinian import MAX_WALK_BITS, MAX_WALK_COLUMNS
 from sackit.certify import RingDescriptor
 from sackit.cli import _JSON, COMMANDS, _int_list, _parse_range, _parser, _read, main
 
@@ -274,11 +275,12 @@ def test_main_raises_a_value_error_that_is_not_the_digit_limit(monkeypatch):
 
 
 def test_a_syzygy_step_past_the_column_cap_ends_in_one_error_line(monkeypatch):
-    # in process with the cap patched low, on walks that end within it
+    # in process with the walk's cap patched low, on walks that end within it
     # unpatched; then the two lines that ended in a MemoryError traceback
-    # under 1 GiB, spawned there with the real cap
-    refused = "error: a syzygy step of [0-9]+ k-matrix columns is above the supported {}\n"
-    monkeypatch.setattr("sackit.artinian.MAX_STEP_COLUMNS", 1000)
+    # under 1 GiB, spawned there with the real cap: each is refused at a step
+    # of more k-matrix columns than the cap, before it is built
+    refused = "error: a syzygy walk of [0-9]+ k-matrix columns is above the supported {}\n"
+    monkeypatch.setattr("sackit.artinian.MAX_WALK_COLUMNS", 1000)
     for args in (("ext", "table", "--H", "4,6,7,9", "--q", "8", "--mod", "cyc(6)"),
                  ("extdeg", "--H", "7,9,11,13,17", "--q", "14", "--mod", "k", "--window", "6")):
         r = run(*args)
@@ -286,9 +288,34 @@ def test_a_syzygy_step_past_the_column_cap_ends_in_one_error_line(monkeypatch):
         assert re.fullmatch(refused.format(1000), r.stderr), r.stderr
     for args in [("--H", "7,9,11,13,17", "--q", "14", "--mod", "k", "--range", "0..12"),
                  ("--H", "4,6,7,9", "--q", "8", "--mod", "cyc(6)", "--range", "0..13")]:
+        start = time.perf_counter()
         done = _sackit_capped("ext", "table", *args)
+        assert time.perf_counter() - start < 10, args
         assert (done.returncode, done.stdout) == (1, ""), args
-        assert re.fullmatch(refused.format(MAX_STEP_COLUMNS), done.stderr), done.stderr
+        assert re.fullmatch(refused.format(MAX_WALK_COLUMNS), done.stderr), done.stderr
+
+
+def test_walks_of_many_small_steps_end_in_one_error_line():
+    # Ext of k and of cyc(11) over k[4,5,6]/(t^4) store one new, larger
+    # component each level, every step far below the walk's cap; the walk
+    # to degree 3000 ran past 60 s before its columns were counted in total
+    refused = ("error: a syzygy walk of [0-9]+ k-matrix columns is above the supported "
+               f"{MAX_WALK_COLUMNS}\n")
+    ring = ("--H", "4,5,6", "--q", "4")
+    lines = [("ext", "table", *ring, "--mod", "k", "--range", "0..3000"),
+             ("ext", "table", *ring, "--mod", "k", "--range", "0..3000", "--tor"),
+             ("ext", "table", *ring, "--mod", "cyc(11)", "--range", "0..3000"),
+             ("extdeg", *ring, "--mod", "k", "--window", "3000")]
+
+    def timed(args):
+        start = time.perf_counter()
+        return _sackit_capped(*args), time.perf_counter() - start
+
+    with ThreadPoolExecutor(2) as pool:  # two children at a time
+        for args, (done, seconds) in zip(lines, pool.map(timed, lines)):
+            assert seconds < 10, args
+            assert (done.returncode, done.stdout) == (1, ""), args
+            assert re.fullmatch(refused, done.stderr), done.stderr
 
 
 def test_certify_reads_no_characteristic():
@@ -437,17 +464,23 @@ def test_lemma42_sweeps_n_no_further_than_cmax():
 
 
 def test_ext_walks_past_the_level_cap_are_refused_at_once():
-    cap = MAX_LEVELS
-    for args in (("ext", "table", "--H", "3,4,5", "--q", "6", "--mod", "k",
-                  "--range", f"0..{cap + 1}"),
-                 ("extdeg", "--H", "3,4,5", "--q", "6", "--mod", "k",
-                  "--window", str(cap + 1))):
-        start = time.perf_counter()
-        done = _sackit_capped(*args)
-        assert time.perf_counter() - start < 1
-        assert (done.returncode, done.stdout) == (1, ""), args
-        assert done.stderr == (f"error: homological degree {cap + 1} is above the "
-                               f"supported {cap}\n")
+    # the bit cap charges a level one bit at least: k over k[3,4,5]/(t^6)
+    # walks A_3, of dimension 3, to 30,763 levels; one more, and a 400-digit
+    # degree, end in the bit cap's error: line before the first level
+    for depth in ("30764", "1" + "0" * 399):
+        refused = (f"error: Ext or Tor to degree {depth} over an algebra of dimension 3 "
+                   f"would hold about [0-9]+ bits, above the supported {MAX_WALK_BITS}\n")
+        for args in (("ext", "table", "--H", "3,4,5", "--q", "6", "--mod", "k",
+                      "--range", f"0..{depth}"),
+                     ("ext", "table", "--H", "3,4,5", "--q", "6", "--mod", "k",
+                      "--range", f"{depth}..{depth}", "--tor"),
+                     ("extdeg", "--H", "3,4,5", "--q", "6", "--mod", "k",
+                      "--window", depth)):
+            start = time.perf_counter()
+            done = _sackit_capped(*args)
+            assert time.perf_counter() - start < 1
+            assert (done.returncode, done.stdout) == (1, ""), args
+            assert re.fullmatch(refused, done.stderr), done.stderr
 
 
 def test_extdeg_past_the_bit_cap_ends_in_one_error_line():

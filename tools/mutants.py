@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 86 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 89 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -18,7 +18,7 @@ tests run on an unmutated copy, where each must pass.
 Exit status 0 when every mutant is killed; 1 on a survivor (a named test
 that passes on its mutant), a snippet that does not match exactly once, or
 a named test that fails on the unmutated tree.  A refactor that moves a
-snippet updates its row on purpose.  About 3.5 min (209 s) on 2 vCPU
+snippet updates its row on purpose.  About 4 min (238 s) on 2 vCPU
 (Python 3.11).
 """
 
@@ -78,6 +78,7 @@ _STEP_CAP = ("tests/test_artinian.py::"
              "test_a_syzygy_step_past_the_column_cap_is_refused_before_it_is_built")
 _BIT_CAP = ("tests/test_artinian.py::"
             "test_a_walk_past_the_bit_cap_is_refused_before_the_first_level")
+_DEPTH_CAP = "tests/test_artinian.py::test_walk_depth_is_capped_before_the_first_level"
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -426,8 +427,7 @@ ROWS = [
     ("reader declines values that start with - and a digit", _CLI,
      ' and not value[1:2].isdecimal()', "",
      ["tests/test_cli.py::test_a_value_may_start_with_a_minus_and_a_digit"]),
-    # R-CI reads k[H]/I^p off I's generators, lemma42 stops at min(N, cmax),
-    # and a walk is capped before its first level
+    # R-CI reads k[H]/I^p off I's generators, and lemma42 stops at min(N, cmax)
     ("upow premise reads I^p as I", _CERT,
      "ideal.member(g if power == 1 else 0)", "ideal.member(g)",
      [_UPOW_ORACLE, _BYTES]),
@@ -437,26 +437,45 @@ ROWS = [
     ("lemma42 sweeps n past cmax", "_cli_ideal.py",
      "for n in range(2, min(n_max, cmax) + 1):", "for n in range(2, n_max + 1):",
      ["tests/test_cli.py::test_lemma42_sweeps_n_no_further_than_cmax"]),
-    ("walk without its cap", _ART,
-     "    if n > MAX_LEVELS:\n", "    if False:\n",
-     ["tests/test_artinian.py::test_walk_depth_is_capped_before_the_first_level",
-      "tests/test_cli.py::test_ext_walks_past_the_level_cap_are_refused_at_once"]),
-    # a syzygy step is capped in k-matrix columns before it is built, ext
-    # table checks the digit limit before it formats, and a Miller-Rabin
-    # witness proves a number composite
+    # a walk is capped in k-matrix columns summed over the steps it builds,
+    # each charged before it is built
     ("walk without its k-matrix cap", _ART,
-     "    if size > MAX_STEP_COLUMNS:\n", "    if False:\n",
+     "                if built > MAX_WALK_COLUMNS:\n", "                if False:\n",
      [_STEP_CAP, "tests/test_cli.py::test_a_syzygy_step_past_the_column_cap_ends_in_one_error_line"]),
     ("k-matrix cap counts relation columns", _ART,
-     "size = len(cols) * algebra.dim", "size = len(cols)", [_STEP_CAP]),
-    # a walk is capped in levels² · log2(dim A) over the algebra it walks
+     "built += len(key[1]) * algebra.dim", "built += len(key[1])", [_STEP_CAP]),
+    ("k-matrix cap charges a step after it is built", _ART,
+     ("                if built > MAX_WALK_COLUMNS:\n",
+      "                store[key] = _component_split(algebra, len(key[1]), syz)\n"),
+     ("                if False:\n",
+      "                store[key] = _component_split(algebra, len(key[1]), syz)\n"
+      "                if built > MAX_WALK_COLUMNS:\n"
+      "                    raise TooLarge(f\"a syzygy walk of {built} k-matrix columns is \"\n"
+      "                                   f\"above the supported {MAX_WALK_COLUMNS}\")\n"),
+     [_STEP_CAP]),
+    # a walk is capped in levels² · max(1, log2(dim A)) over the algebra it walks
     ("walk without its bit cap", _ART,
      "    if bits > MAX_WALK_BITS:\n", "    if False:\n",
-     [_BIT_CAP, "tests/test_cli.py::test_extdeg_past_the_bit_cap_ends_in_one_error_line"]),
+     [_BIT_CAP, _DEPTH_CAP, "tests/test_cli.py::test_extdeg_past_the_bit_cap_ends_in_one_error_line"]),
     ("bit cap reads the algebra asked for", _ART,
-     "    _check_levels(upto)\n",
-     "    _check_levels(upto)\n    _check_bits(upto, module.algebra.dim)\n",
+     "    routed = _change_of_rings(module, target, upto, transpose)\n",
+     "    _check_bits(upto, module.algebra.dim)\n"
+     "    routed = _change_of_rings(module, target, upto, transpose)\n",
      [_BIT_CAP]),
+    ("bit cap without its one-bit floor", _ART,
+     "log2(max(2, dim))", "log2(dim)", [_DEPTH_CAP]),
+    # the walk skips the Bass numbers a routed Ext does not read, and the
+    # Nakayama pass skips columns on the socle
+    ("Bass walk skipped on no k summand of M only", _ART,
+     "if transpose or not a * g:", "if transpose or not a:",
+     ["tests/test_artinian.py::test_a_routed_ext_walks_the_bass_numbers_only_when_it_reads_them"]),
+    ("socle read over the first atom only", _ART,
+     "if not any(d + a in self._index for a in atoms))",
+     "if not any(d + a in self._index for a in atoms[:1]))",
+     ["tests/test_artinian.py::test_nakayama_takes_no_multiple_of_a_socle_column", _MINIMAL,
+      f"{_UNIT_ROW}[H3,4,5-q6]"]),
+    # ext table checks the digit limit before it formats, and a Miller-Rabin
+    # witness proves a number composite
     ("ext table formats before its limit check", "_cli_ext.py",
      ("    str(max(dims))\n", "    widths = "), ("", "    str(max(dims))\n    widths = "),
      ["tests/test_cli.py::test_ext_table_checks_the_digit_limit_before_it_formats"]),
