@@ -47,9 +47,9 @@ chosen prime field.  Dimension results on the monomial inputs used here are
 characteristic free, which the test suite checks by recomputing tables in a
 second characteristic.
 
-Over a truncation A_q = k[H]/(t^q), q not the multiplicity m, Ext and Tor
-between sums of k and A come by change of rings (``_change_of_rings``) from
-the walk over A_m, of dimension m; every other input walks A_q itself.
+Over a truncation A_q = k[H]/(t^q), Ext and Tor between sums of k and A
+come by change of rings (``_change_of_rings``) from walks over A_m, m the
+multiplicity (A_q itself at q = m); every other input walks A_q itself.
 
 Determinism: pivoting is lexicographic, generator selection is greedy in
 canonical kernel order, and all caches are keyed by exact presentations.
@@ -85,6 +85,11 @@ MAX_WALK_BITS = 1_500_000_000
 # 700) on 2 vCPU (Python 3.11), but a column costs more in some algebras:
 # over dimension 16, 391,456 columns took 20.7 s and 223 MB
 MAX_WALK_COLUMNS = 500_000
+# Most multiples one realization builds, each a k-matrix column as the walk
+# counts them: len(columns) · dim A for the relation span, then dim M · dim A
+# for the action, each counted before it is built.  Realizing the free module
+# over dimension 1024 is at the cap: 1.5-2.1 s and 54 MB on 2 vCPU (Python 3.11)
+MAX_REALIZATION_COLUMNS = 2**20
 
 
 def _is_prime(n: int) -> bool:
@@ -437,14 +442,23 @@ class Realization(Record):
     entries: tuple
 
 
+def _realized(columns):
+    if columns > MAX_REALIZATION_COLUMNS:
+        raise TooLarge(f"a realization of {columns} k-matrix columns is above the "
+                       f"supported {MAX_REALIZATION_COLUMNS}")
+    return columns
+
+
 def _realize(module: PresentedModule) -> Realization:
     algebra = module.algebra
     dim_a = algebra.dim
+    built = _realized(len(module.columns) * dim_a)
     span = _relation_span(algebra, module.columns)
     # the positions that lead no row of the relation span index a k-basis of
     # the module; a vector's coordinates are its remainder modulo the span
     free_pos = [pos for pos in range(module.rank0 * dim_a) if pos not in span.rows]
     coord = {pos: i for i, pos in enumerate(free_pos)}
+    _realized(built + len(free_pos) * dim_a)
     entries = [[] for _ in algebra.degrees]
     for j, pos in enumerate(free_pos):
         for ents, image in zip(entries, _multiples(algebra, {pos: 1}, algebra.degrees)):
@@ -532,17 +546,18 @@ def _levels(module):
 
 
 def _change_of_rings(module, target, upto, transpose):
-    """Ext or Tor of sums of k and A over k[H]/(t^q), q not the multiplicity
-    m, from A_m = k[H]/(t^m); None where that does not apply.  t^q is regular
-    on k[[H]], so (Nagata, Shamash; Avramov, "Infinite free resolutions",
-    ch. 3) P_k over A_q is P_k over A_m, divided by 1 - z when q is no
-    minimal generator, and A_q and A_m have the same Bass numbers.  With e_i = dim
-    Ext^i(k, k) over A_m (prefix sums for such q), b_i = dim Ext^i(k, A_m),
-    M = a k + f A and N = c k + g A: Ext^i(M, N) = a c e_i + a g b_i +
-    [i = 0] f dim N, and Tor_i(M, N) alike with b = (1, 0, 0, ...)."""
+    """Ext or Tor of sums of k and A over k[H]/(t^q) from A_m = k[H]/(t^m),
+    m the multiplicity; None where that does not apply, and over the field
+    A_1 = k, where k is free.  t^q is regular on k[[H]], so (Nagata, Shamash;
+    Avramov, "Infinite free resolutions", ch. 3) P_k over A_q is P_k over A_m,
+    divided by 1 - z when q is no minimal generator, and A_q and A_m have the
+    same Bass numbers.  With e_i = dim Ext^i(k, k) over A_m (prefix sums for
+    such q), b_i = dim Ext^i(k, A_m), M = a k + f A and N = c k + g A:
+    Ext^i(M, N) = a c e_i + a g b_i + [i = 0] f dim N, and Tor_i(M, N) alike
+    with b = (1, 0, 0, ...)."""
     algebra = module.algebra
-    H, q = algebra.semigroup, algebra.truncation_q
-    if q is None or q == H.multiplicity:
+    H, q, m = algebra.semigroup, algebra.truncation_q, algebra.semigroup.multiplicity
+    if q in (None, 1):
         return None
     free = (1, ())
     k_key = next(iter(_component_split(algebra, 1, residue_field(algebra).columns)))
@@ -550,22 +565,23 @@ def _change_of_rings(module, target, upto, transpose):
     if any(split.keys() - {k_key, free} for split in splits):
         return None
     (a, f), (c, g) = ((split[k_key], split[free]) for split in splits)
-    base = truncation_algebra(H, H.multiplicity, algebra.char)
+    _check_bits(upto, m)
+    base = algebra if q == m else truncation_algebra(H, m, algebra.char)
     k = residue_field(base)
-    e = ext_dims(k, k, upto)
+    # e is walked only for a c, and b for a g; Tor_i(k, A) is k at i = 0, 0 above
+    e = _derived_dims(k, k, upto, False, route=False) if a * c else (0,) * (upto + 1)
     if q not in H.generators:
         e = tuple(accumulate(e))
-    # Tor_i(k, A) is k at i = 0 and 0 above, and Ext reads b only times a g
     if transpose or not a * g:
         b = (1,) + (0,) * upto
     else:
-        b = ext_dims(k, free_module(base, 1), upto)
+        b = _derived_dims(k, free_module(base, 1), upto, False, route=False)
     dims = [a * c * x + a * g * y for x, y in zip(e, b)]
     dims[0] += f * (c + g * algebra.dim)
     return tuple(dims)
 
 
-def _derived_dims(module, target, upto, transpose):
+def _derived_dims(module, target, upto, transpose, route=True):
     """dim F^i(module) for i = 0..upto, where F is Hom(-, target), or
     - tensor target when ``transpose``, and F^i its i-th derived functor.
 
@@ -576,14 +592,14 @@ def _derived_dims(module, target, upto, transpose):
       F^i(M) = F^(i-1)(Omega M)          for i >= 2
     so F^(j+1)(M) = F(Omega^(j+1) M) - rank0(Omega^j M) * n + F(Omega^j M),
     with F of each Omega^j M summed over the components of ``_levels``.
-    Sums of k and A over a truncation other than A_m are answered first by
-    ``_change_of_rings``, from the walk over A_m.
+    Sums of k and A over a truncation are answered first by
+    ``_change_of_rings``, from walks over A_m called with ``route=False``.
     """
     _require_same_algebra(module, target)
     if upto < 0:
         raise SackitError(f"upto must be >= 0, got {upto}")
-    routed = _change_of_rings(module, target, upto, transpose)
-    if routed is not None:
+    routed = route and _change_of_rings(module, target, upto, transpose)
+    if routed:
         return routed
     algebra = module.algebra
     _check_bits(upto, algebra.dim)

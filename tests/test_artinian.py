@@ -715,7 +715,8 @@ def test_routed_calls_take_no_syzygy_step_over_the_truncation(monkeypatch):
     # every step went to A_m = k[4,6,7,9]/(t^4), over the same field
     assert seen and all((B.truncation_q, B.char) == (4, 5) for B in seen)
     assert not A._omega_store
-    # the walk answers cyc(c), a quotient_algebra and the truncation at m
+    # cyc(c) and a quotient_algebra walk their own algebra, and at q = m the
+    # change of rings walks A_m, the algebra itself
     for N in (cyclic_quotient(A, 6), residue_field(walking_twin(A)),
               residue_field(trunc([4, 6, 7, 9], 4, char=5))):
         del seen[:]
@@ -784,6 +785,22 @@ def test_free_summands_take_no_syzygy_step(monkeypatch):
 
     monkeypatch.setattr("sackit.artinian._syzygy_columns", recorded)
     A = trunc([4, 5, 6], 4)
+    assert ext_dims(free_module(A, 2), residue_field(A), 3) == (2, 0, 0, 0)
+    assert calls == []
+
+
+def test_free_summands_of_a_walked_module_take_no_syzygy_step(monkeypatch):
+    # the change of rings answers the case above without a walk; over the
+    # walking twin the walk itself meets the free summands
+    calls = []
+    syzygy_columns = sackit.artinian._syzygy_columns
+
+    def recorded(algebra, cols):
+        calls.append(len(cols))
+        return syzygy_columns(algebra, cols)
+
+    monkeypatch.setattr("sackit.artinian._syzygy_columns", recorded)
+    A = walking_twin(trunc([4, 5, 6], 4))
     assert ext_dims(free_module(A, 2), residue_field(A), 3) == (2, 0, 0, 0)
     assert calls == []
 
@@ -1100,24 +1117,70 @@ def test_a_syzygy_step_past_the_column_cap_is_refused_before_it_is_built(monkeyp
         walk()
 
 
-def test_a_routed_ext_walks_the_bass_numbers_only_when_it_reads_them(monkeypatch):
-    # the Bass numbers dim Ext^i(k, A_m) enter only times a·g, the k summands
-    # of M times the A summands of N: --mod k walks A_m once, k + A twice
-    walks = []
-    inner = sackit.artinian.ext_dims
-
-    def counted(module, target, upto):
-        walks.append(module.algebra.truncation_q)
-        return inner(module, target, upto)
-
-    monkeypatch.setattr("sackit.artinian.ext_dims", counted)
+def test_a_realization_past_its_cap_is_refused_before_it_is_built(monkeypatch):
+    # a realization builds len(columns) · dim A multiples for its relation
+    # span, then dim M · dim A for the action, each counted before it is
+    # built: the cap admits a realization at its count and refuses it one
+    # below, before a multiple past the cap; the free module, before the first
     A = trunc([4, 6, 7, 9], 8)
+    modules = [free_module(A, 1), residue_field(A),
+               direct_sum(cyclic_quotient(A, 6), free_module(A, 1))]
+    reals = [realization(M) for M in modules]
+    built, multiples = [], sackit.artinian._multiples
+
+    def counted(algebra, vec, degrees):
+        built.append(len(degrees))
+        assert sum(built) <= sackit.artinian.MAX_REALIZATION_COLUMNS, "a multiple past the cap"
+        return multiples(algebra, vec, degrees)
+
+    monkeypatch.setattr("sackit.artinian._multiples", counted)
+    for M, real in zip(modules, reals):
+        count = (len(M.columns) + real.dim) * A.dim
+        monkeypatch.setattr("sackit.artinian.MAX_REALIZATION_COLUMNS", count)
+        del built[:]
+        assert realization(M) == real and sum(built) == count
+        monkeypatch.setattr("sackit.artinian.MAX_REALIZATION_COLUMNS", count - 1)
+        del built[:]
+        with pytest.raises(TooLarge, match=rf"^a realization of {count} k-matrix columns is "
+                                           rf"above the supported {count - 1}$"):
+            realization(M)
+        assert sum(built) == len(M.columns) * A.dim
+
+
+def test_a_routed_ext_walks_the_bass_numbers_only_when_it_reads_them(monkeypatch):
+    # the change of rings reads e_i = dim Ext^i(k, k) over A_m only times a·c
+    # and the Bass numbers dim Ext^i(k, A_m) only times a·g (a, f the k and A
+    # summands of M; c, g those of N), and walks each only then: at q = 8 and
+    # at q = m = 4 alike, k walks A_4 once, k + A twice, and F walks nothing
+    walks, levels = [], sackit.artinian._levels
+
+    def counted(module):
+        walks.append(module.algebra.truncation_q)
+        return levels(module)
+
+    monkeypatch.setattr("sackit.artinian._levels", counted)
+    for q in (8, 4):
+        A = trunc([4, 6, 7, 9], q)
+        k, F = residue_field(A), free_module(A, 1)
+        for M, N, count in ((k, k, 1), (direct_sum(k, F), direct_sum(k, F), 2), (k, F, 1),
+                            (F, direct_sum(k, F), 0)):
+            del walks[:]
+            ext_dims(M, N, 6)
+            assert walks == [4] * count, (q, M.rank0, N.rank0)
+
+
+def test_a_module_without_a_k_summand_realizes_nothing(monkeypatch):
+    # Ext and Tor of F = A read f · dim N at degree 0 and 0 above: over
+    # <1009, 1011> at q = m no walk starts and no target is realized
+    def no_realization(module):
+        raise AssertionError("a target was realized")
+
+    monkeypatch.setattr("sackit.artinian._realize", no_realization)
+    A = trunc([1009, 1011], 1009)
     k, F = residue_field(A), free_module(A, 1)
-    for M, N, count in ((k, k, 1), (direct_sum(k, F), direct_sum(k, F), 2), (k, F, 2),
-                        (F, direct_sum(k, F), 1)):
-        del walks[:]
-        counted(M, N, 6)
-        assert walks == [8] + [4] * count, (M.rank0, N.rank0)
+    for N, dim_n in ((F, 1009), (direct_sum(k, F), 1010)):
+        for dims in (ext_dims, tor_dims):
+            assert dims(F, N, 3) == (dim_n, 0, 0, 0)
 
 
 def test_nakayama_takes_no_multiple_of_a_socle_column(monkeypatch):

@@ -657,6 +657,24 @@ def test_depth_limit_and_stability():
         assert cert_json(certify(text, depth=8)) == cert_json(certify(text, depth=12))
 
 
+def test_r_min_premises_hold_wherever_min_mult_does():
+    # R-MIN keeps the Ulrich and colength premises on the maximal ideal M
+    # without testing them: M + M = m + M once min_mult holds.  Checked over
+    # every H of minimal multiplicity m <= 8 whose Apery set of m lies below 4m
+    seen = 0
+    for m in range(1, 9):
+        for steps in product((1, 2, 3), repeat=m - 1):
+            H = NumericalSemigroup.from_generators(
+                [m] + [r + k * m for r, k in enumerate(steps, 1)])
+            if not verify_premise("min_mult", semigroup=H)[0]:
+                continue
+            seen += 1
+            for kind in ("ulrich", "colength_le2"):
+                ok, pr = verify_premise(kind, semigroup=H, ideal_gens=H.generators)
+                assert ok and pr.status == "Verified", (H, kind)
+    assert seen == 512
+
+
 def test_verify_premise_vocabulary():
     H = NumericalSemigroup.from_generators([8, 11, 12, 14, 18])
     ok, pr = verify_premise("ulrich", semigroup=H, ideal_gens=[8, 12, 14, 18])

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sackit import CERT_SCHEMA
-from sackit.artinian import MAX_WALK_BITS, MAX_WALK_COLUMNS
+from sackit.artinian import MAX_REALIZATION_COLUMNS, MAX_WALK_BITS, MAX_WALK_COLUMNS
 from sackit.certify import RingDescriptor
 from sackit.cli import _JSON, COMMANDS, _int_list, _parse_range, _parser, _read, main
 
@@ -481,6 +481,44 @@ def test_ext_walks_past_the_level_cap_are_refused_at_once():
             assert time.perf_counter() - start < 1
             assert (done.returncode, done.stdout) == (1, ""), args
             assert re.fullmatch(refused, done.stderr), done.stderr
+
+
+def test_sums_without_a_k_summand_walk_nothing():
+    # Ext and Tor of A over a truncation are dim A at degree 0 and 0 above,
+    # and the change of rings reads them without a walk: lines that the
+    # walk's column cap refused print at once, and a 400-digit degree, at
+    # q = m and elsewhere, still ends in the bit cap's error: line
+    for args, dims in ((("--H", "8,9,11,13", "--q", "16", "--range", "0..11"), [16] + [0] * 11),
+                       (("--H", "8,9,11,13", "--q", "16", "--range", "0..11", "--tor"),
+                        [16] + [0] * 11),
+                       (("--H", "4,5,6", "--q", "5", "--range", "0..3000"), [5] + [0] * 3000)):
+        start = time.perf_counter()
+        done = _sackit_capped("ext", "table", "--mod", "A", "--json", *args)
+        assert time.perf_counter() - start < 1, args
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["dims"] == dims, args
+    depth = "1" + "0" * 399
+    for gens, q, m in (("4001,4003", "4001", 4001), ("4,5,6", "5", 4)):
+        start = time.perf_counter()
+        done = _sackit_capped("ext", "table", "--H", gens, "--q", q, "--mod", "A",
+                              "--range", f"0..{depth}")
+        assert time.perf_counter() - start < 1
+        assert (done.returncode, done.stdout) == (1, ""), gens
+        assert re.fullmatch(f"error: Ext or Tor to degree {depth} over an algebra of dimension "
+                            f"{m} would hold about [0-9]+ bits, above the supported "
+                            f"{MAX_WALK_BITS}\n", done.stderr), done.stderr
+
+
+def test_a_realization_past_its_cap_ends_in_one_error_line():
+    # Ext of k + A into itself realizes A_m for the Bass numbers: over
+    # <10007, 10009> at q = m that is 10007² multiples, refused before the first
+    start = time.perf_counter()
+    done = _sackit_capped("ext", "table", "--H", "10007,10009", "--q", "10007",
+                          "--mod", "k+A", "--range", "0..1")
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (f"error: a realization of {10007**2} k-matrix columns is above "
+                           f"the supported {MAX_REALIZATION_COLUMNS}\n")
 
 
 def test_extdeg_past_the_bit_cap_ends_in_one_error_line():

@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 89 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 96 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -79,6 +79,9 @@ _STEP_CAP = ("tests/test_artinian.py::"
 _BIT_CAP = ("tests/test_artinian.py::"
             "test_a_walk_past_the_bit_cap_is_refused_before_the_first_level")
 _DEPTH_CAP = "tests/test_artinian.py::test_walk_depth_is_capped_before_the_first_level"
+_BASS = "tests/test_artinian.py::test_a_routed_ext_walks_the_bass_numbers_only_when_it_reads_them"
+_REALIZED = ("tests/test_artinian.py::"
+             "test_a_realization_past_its_cap_is_refused_before_it_is_built")
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -110,7 +113,7 @@ ROWS = [
      "for omega, c in store.get(key, {}).items():",
      "for omega, c in store.get(key, {key: 1}).items():",
      ["tests/test_artinian.py::test_free_modules_are_homologically_trivial",
-      "tests/test_artinian.py::test_free_summands_take_no_syzygy_step"]),
+      "tests/test_artinian.py::test_free_summands_of_a_walked_module_take_no_syzygy_step"]),
     ("syzygy step keeps one redundant column", _ART,
      "return _nakayama(algebra, sparse_kernel(images, algebra.char))",
      "return _nakayama(algebra, sparse_kernel(images, algebra.char))"
@@ -133,14 +136,24 @@ ROWS = [
      "if q not in H.generators:", "if q in H.generators:",
      ["tests/test_artinian.py::test_chain_algebra_betti_constant", f"{_WALK}[H3,4,5-q6-3]"]),
     ("A_m in the default characteristic", _ART,
-     "base = truncation_algebra(H, H.multiplicity, algebra.char)",
-     "base = truncation_algebra(H, H.multiplicity)",
+     "truncation_algebra(H, m, algebra.char)", "truncation_algebra(H, m)",
      [_ROUTED]),
     ("route taken for a non-truncation quotient_algebra", _ART,
-     "H, q = algebra.semigroup, algebra.truncation_q",
-     "H, q = algebra.semigroup, algebra.truncation_q or algebra._ideal.generators[0]",
+     "    if q in (None, 1):\n", "    if q == 1:\n",
      ["tests/test_artinian.py::test_radical_square_zero_ext_tor_closed_form",
       "tests/test_acceptance.py::test_ext_closed_forms_through_the_walk"]),
+    ("route taken over the field A_1", _ART,
+     "    if q in (None, 1):\n", "    if q is None:\n",
+     [f"{_WALK}[H1-q5-3]", f"{_WALK}[H1-q5-32003]"]),
+    ("route declines at q = m again", _ART,
+     "    if q in (None, 1):\n", "    if q in (None, 1, m):\n",
+     [_BASS, "tests/test_artinian.py::test_a_module_without_a_k_summand_realizes_nothing"]),
+    ("route without its own bit cap", _ART,
+     "    _check_bits(upto, m)\n", "",
+     ["tests/test_cli.py::test_sums_without_a_k_summand_walk_nothing"]),
+    ("e walked whenever M has a k summand", _ART,
+     "route=False) if a * c else", "route=False) if a else",
+     [_BASS]),
     ("a*g*b_i dropped", _ART,
      "dims = [a * c * x + a * g * y for x, y in zip(e, b)]",
      "dims = [a * c * x for x, y in zip(e, b)]",
@@ -458,9 +471,7 @@ ROWS = [
      "    if bits > MAX_WALK_BITS:\n", "    if False:\n",
      [_BIT_CAP, _DEPTH_CAP, "tests/test_cli.py::test_extdeg_past_the_bit_cap_ends_in_one_error_line"]),
     ("bit cap reads the algebra asked for", _ART,
-     "    routed = _change_of_rings(module, target, upto, transpose)\n",
-     "    _check_bits(upto, module.algebra.dim)\n"
-     "    routed = _change_of_rings(module, target, upto, transpose)\n",
+     "    _check_bits(upto, m)\n", "    _check_bits(upto, algebra.dim)\n",
      [_BIT_CAP]),
     ("bit cap without its one-bit floor", _ART,
      "log2(max(2, dim))", "log2(dim)", [_DEPTH_CAP]),
@@ -468,12 +479,27 @@ ROWS = [
     # Nakayama pass skips columns on the socle
     ("Bass walk skipped on no k summand of M only", _ART,
      "if transpose or not a * g:", "if transpose or not a:",
-     ["tests/test_artinian.py::test_a_routed_ext_walks_the_bass_numbers_only_when_it_reads_them"]),
+     [_BASS]),
     ("socle read over the first atom only", _ART,
      "if not any(d + a in self._index for a in atoms))",
      "if not any(d + a in self._index for a in atoms[:1]))",
      ["tests/test_artinian.py::test_nakayama_takes_no_multiple_of_a_socle_column", _MINIMAL,
       f"{_UNIT_ROW}[H3,4,5-q6]"]),
+    # a realization is capped in the multiples it builds, each counted before
+    # it is built
+    ("realization without its cap", _ART,
+     "    if columns > MAX_REALIZATION_COLUMNS:\n", "    if False:\n",
+     [_REALIZED, "tests/test_cli.py::test_a_realization_past_its_cap_ends_in_one_error_line"]),
+    ("realization charges its action after building it", _ART,
+     ("    _realized(built + len(free_pos) * dim_a)\n",
+      "            ents.extend((coord[i], j, x) for i, x in span.reduce(image).items())\n"),
+     ("",
+      "            ents.extend((coord[i], j, x) for i, x in span.reduce(image).items())\n"
+      "    _realized(built + len(free_pos) * dim_a)\n"),
+     [_REALIZED]),
+    ("realization charges dim M without the factor dim A", _ART,
+     "_realized(built + len(free_pos) * dim_a)", "_realized(built + len(free_pos))",
+     [_REALIZED]),
     # ext table checks the digit limit before it formats, and a Miller-Rabin
     # witness proves a number composite
     ("ext table formats before its limit check", "_cli_ext.py",

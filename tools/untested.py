@@ -33,7 +33,6 @@ PACKAGE = ROOT / "src" / "sackit"
 
 _SPAWNED = "`python -m sackit` runs this module, and only in a spawned process"
 _EXIT = "`_Main.__call__` ends its process by os._exit, so only spawned commands run it"
-_MIN = "R-MIN: once min_mult holds, the maximal ideal is Ulrich and has colength 1"
 
 # (file, snippet, reason): lines that no test can run in its own process.  As
 # in tools/mutants.py, a snippet occurs exactly once in its file; it covers
@@ -64,14 +63,6 @@ ALLOWED = [
      "            raise SystemExit(1)",
      "the reader of stdout gone: tests close the pipe of a spawned process, since "
      "in process the branch would point the test runner's stdout at /dev/null"),
-    ("certify.py",
-     '    ok, p_ulr = verify_premise("ulrich", semigroup=H, ideal_gens=H.generators)\n'
-     "    if not ok:\n"
-     "        return None", _MIN),
-    ("certify.py",
-     '    ok, p_col = verify_premise("colength_le2", semigroup=H, ideal_gens=H.generators)\n'
-     "    if not ok:\n"
-     "        return None", _MIN),
 ]
 
 
