@@ -1183,6 +1183,62 @@ def test_a_module_without_a_k_summand_realizes_nothing(monkeypatch):
             assert dims(F, N, 3) == (dim_n, 0, 0, 0)
 
 
+def test_a_routed_ext_of_k_takes_the_steps_of_its_resolution(monkeypatch):
+    # the change of rings reads dim Ext^i(k, k) over A_m as beta_i(k): a
+    # routed Ext or Tor of k to degree n takes the syzygy steps of
+    # minimal_resolution(k, n) over a fresh A_m, one fewer than a walk of
+    # Ext to degree n, and to degree 0 none.  Over A_8 of <8,9,11,13> each
+    # level of k is one new component, so the cache saves no step
+    steps, syzygy_columns = [], sackit.artinian._syzygy_columns
+
+    def counted(algebra, cols):
+        steps.append(algebra.truncation_q)
+        return syzygy_columns(algebra, cols)
+
+    monkeypatch.setattr("sackit.artinian._syzygy_columns", counted)
+    for n in (0, 1, 6):
+        del steps[:]
+        minimal_resolution(residue_field(trunc([8, 9, 11, 13], 8)), max(n, 1))
+        resolved = len(steps)
+        for q, dims in itertools.product((16, 8), (ext_dims, tor_dims)):
+            del steps[:]
+            k = residue_field(trunc([8, 9, 11, 13], q))
+            dims(k, k, n)
+            assert steps == [8] * resolved, (n, q, dims)
+    del steps[:]
+    k = residue_field(walking_twin(trunc([8, 9, 11, 13], 8)))
+    ext_dims(k, k, 6)
+    assert len(steps) == resolved + 1 == 6
+
+
+def test_a_gorenstein_base_walks_no_bass_numbers(monkeypatch):
+    # <1009, 1011> is symmetric, so A_m is Gorenstein and self-injective:
+    # b = (1, 0, ...), read without realizing A_m.  A_m = k[x]/(x^1009), so
+    # beta_i(k) = 1, with prefix sums at q = 2018, no minimal generator
+    def no_realization(module):
+        raise AssertionError("a target was realized")
+
+    monkeypatch.setattr("sackit.artinian._realize", no_realization)
+    for q, dims in ((1009, (1 + 1 + 1 + 1009, 1, 1, 1)), (2018, (1 + 1 + 1 + 2018, 2, 3, 4))):
+        A = trunc([1009, 1011], q)
+        M = direct_sum(residue_field(A), free_module(A, 1))
+        assert ext_dims(M, M, 3) == tor_dims(M, M, 3) == dims, q
+
+
+def test_routed_and_walked_calls_check_their_arguments_first():
+    # the same-algebra check, then upto >= 0, whether the change of rings
+    # or the walk would answer
+    A, B = trunc([4, 5, 6], 4), trunc([3, 4, 5], 3)
+    for make in (residue_field, lambda C: cyclic_quotient(C, 5)):
+        M, N = make(A), make(B)
+        for dims in (ext_dims, tor_dims):
+            with pytest.raises(SackitError, match="^H=4,5,6; q=4; p=32003 vs "
+                                                  "H=3,4,5; q=3; p=32003$"):
+                dims(M, N, -1)
+            with pytest.raises(SackitError, match="^upto must be >= 0, got -1$"):
+                dims(M, M, -1)
+
+
 def test_nakayama_takes_no_multiple_of_a_socle_column(monkeypatch):
     # a column supported on socle positions (every atom sends them out of
     # the basis) has only zero atom multiples; over a radical-square-zero

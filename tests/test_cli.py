@@ -509,11 +509,30 @@ def test_sums_without_a_k_summand_walk_nothing():
                             f"{MAX_WALK_BITS}\n", done.stderr), done.stderr
 
 
+def test_ext_of_k_reads_the_betti_numbers_of_k():
+    # the change of rings reads dim Ext^i(k, k) over A_m as beta_i(k), a step
+    # short of an Ext walk, so lines the walk's column cap refused print:
+    # over A_8 of <8,9,11,13> the Betti numbers are every second Fibonacci
+    # number (P_k = 1/(1 - 3t + t^2)), summed since 16 is no minimal
+    # generator, and A_4 of <4,5,6> is a complete intersection, beta_i = i + 1
+    betti = [1, 3]
+    while len(betti) < 12:
+        betti.append(3 * betti[-1] - betti[-2])
+    sums = [sum(betti[:i + 1]) for i in range(12)]
+    for args, dims in ((("--H", "8,9,11,13", "--q", "16", "--range", "0..11"), sums),
+                       (("--H", "8,9,11,13", "--q", "16", "--range", "0..11", "--tor"), sums),
+                       (("--H", "4,5,6", "--q", "4", "--range", "499..499"), [500])):
+        done = _sackit_capped("ext", "table", "--mod", "k", "--json", *args)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["dims"] == dims, args
+
+
 def test_a_realization_past_its_cap_ends_in_one_error_line():
-    # Ext of k + A into itself realizes A_m for the Bass numbers: over
-    # <10007, 10009> at q = m that is 10007² multiples, refused before the first
+    # Ext of k + A into itself realizes A_m for the Bass numbers when H is
+    # not symmetric: over <10007, 10008, 10009> at q = m that is 10007²
+    # multiples, refused before the first
     start = time.perf_counter()
-    done = _sackit_capped("ext", "table", "--H", "10007,10009", "--q", "10007",
+    done = _sackit_capped("ext", "table", "--H", "10007,10008,10009", "--q", "10007",
                           "--mod", "k+A", "--range", "0..1")
     assert time.perf_counter() - start < 2
     assert (done.returncode, done.stdout) == (1, "")

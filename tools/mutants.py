@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 96 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 100 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -82,6 +82,8 @@ _DEPTH_CAP = "tests/test_artinian.py::test_walk_depth_is_capped_before_the_first
 _BASS = "tests/test_artinian.py::test_a_routed_ext_walks_the_bass_numbers_only_when_it_reads_them"
 _REALIZED = ("tests/test_artinian.py::"
              "test_a_realization_past_its_cap_is_refused_before_it_is_built")
+_GORENSTEIN = "tests/test_artinian.py::test_a_gorenstein_base_walks_no_bass_numbers"
+_CHECKED = "tests/test_artinian.py::test_routed_and_walked_calls_check_their_arguments_first"
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -152,8 +154,15 @@ ROWS = [
      "    _check_bits(upto, m)\n", "",
      ["tests/test_cli.py::test_sums_without_a_k_summand_walk_nothing"]),
     ("e walked whenever M has a k summand", _ART,
-     "route=False) if a * c else", "route=False) if a else",
+     "betti[:upto + 1] if a * c else", "betti[:upto + 1] if a else",
      [_BASS]),
+    ("e read one level short", _ART,
+     "minimal_resolution(k, max(upto, 1))", "minimal_resolution(k, max(upto - 1, 1))",
+     [_CLOSED, f"{_WALK}[H3,4,5-q8-3]",
+      "tests/test_cli.py::test_ext_of_k_reads_the_betti_numbers_of_k"]),
+    ("the route without the same-algebra check", _ART,
+     "    _require_same_algebra(module, target)\n", "",
+     [_CHECKED]),
     ("a*g*b_i dropped", _ART,
      "dims = [a * c * x + a * g * y for x, y in zip(e, b)]",
      "dims = [a * c * x for x, y in zip(e, b)]",
@@ -478,8 +487,15 @@ ROWS = [
     # the walk skips the Bass numbers a routed Ext does not read, and the
     # Nakayama pass skips columns on the socle
     ("Bass walk skipped on no k summand of M only", _ART,
-     "if transpose or not a * g:", "if transpose or not a:",
+     "if transpose or not a * g or", "if transpose or not a or",
      [_BASS]),
+    # over a Gorenstein A_m, H symmetric, the Bass numbers are (1, 0, ...)
+    ("the Gorenstein case taken for every H", _ART,
+     "or H.is_gap_symmetric():", "or True:",
+     [f"{_WALK}[H3,4,5-q8-3]", _BASS]),
+    ("the Gorenstein case never taken", _ART,
+     "or H.is_gap_symmetric():", "or False:",
+     [_GORENSTEIN]),
     ("socle read over the first atom only", _ART,
      "if not any(d + a in self._index for a in atoms))",
      "if not any(d + a in self._index for a in atoms[:1]))",
