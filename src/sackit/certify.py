@@ -428,9 +428,9 @@ def _asserted(statement: str) -> Premise:
     return Premise(statement, "Asserted", None)
 
 
-def _premise_ulrich(semigroup, ideal_gens):
+def _premise_ulrich(semigroup, ideal_gens, q=None):
     ideal = SemigroupIdeal.from_generators(semigroup, ideal_gens)
-    q = search_reduction(ideal)
+    q = search_reduction(ideal) if q is None else q
     if q is None:
         return False, _asserted("no stable reduction found")
     report = is_ulrich(ideal, q)
@@ -744,7 +744,7 @@ def _rule_min(desc, depth, search):
         return None
     # the two premises below hold once min_mult does: M + M = m + M for M the
     # maximal ideal, so its reduction is m, and its colength is 1
-    _, p_ulr = verify_premise("ulrich", semigroup=H, ideal_gens=H.generators)
+    _, p_ulr = verify_premise("ulrich", semigroup=H, ideal_gens=H.generators, q=H.multiplicity)
     _, p_col = verify_premise("colength_le2", semigroup=H, ideal_gens=H.generators)
     return [p_min, p_ulr, p_col], []
 

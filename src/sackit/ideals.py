@@ -175,19 +175,19 @@ def is_ulrich(ideal: SemigroupIdeal, q: int) -> UlrichReport:
     """Verify the Ulrich property of ``ideal`` against the principal
     reduction (q).
 
-    Two exact checks: stability (every pairwise generator sum minus q stays
-    in the ideal, i.e. the ideal squared equals q plus the ideal) and
-    freeness of ideal/ideal^2 over the quotient via the length criterion
-    layer_length == mu * colength.
+    Two exact length checks on layer_length = l(ideal/ideal^2): stability,
+    ideal^2 = q + ideal, holds exactly when layer_length == q, as q + ideal <=
+    ideal^2 and l(ideal/(q + ideal)) = q; freeness of ideal/ideal^2 over the
+    quotient holds exactly when layer_length == mu * colength.
     """
     if q <= 0:
         raise SackitError(f"reduction witness must be positive, got {q}")
     if not ideal.member(q):
         raise SackitError(f"{q} is not in the ideal ({ideal})")
-    stable = _stable(ideal, q)
     col = ideal.colength()
     c = ideal.mu()
     layer = _length(ideal._least, _plus(ideal._least, ideal.generators))
+    stable = layer == q
     free = stable and layer == c * col
     return UlrichReport(
         is_ulrich=free,
@@ -206,7 +206,8 @@ def search_reduction(ideal: SemigroupIdeal) -> int | None:
     ideal^2 = q + ideal, so q <= min(ideal), and q lies in the ideal, so
     q >= min(ideal).  So one stability test decides, and the unit ideal
     (0) has no witness.  Only the stability half of the Ulrich test is
-    searched; run is_ulrich on the witness for the full verification.
+    searched, pair by pair with no residue table; run is_ulrich on the
+    witness for the full verification.
     """
     q = min(ideal.generators, default=0)
     return q if q > 0 and _stable(ideal, q) else None

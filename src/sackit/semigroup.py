@@ -42,6 +42,13 @@ MAX_MULTIPLICITY = 2**20
 # k[H]/E of dimension 10^6 lists and indexes its basis in 1.6 s, 180 MB (2 vCPU).
 MAX_DIMENSION = MAX_MULTIPLICITY
 
+# Building the table relaxes e edges from each of the m residues, and the
+# minimality scan tests at most about 2 * m * e pairs, so both are charged
+# m * e, the e distinct generators given.  Every set of at most 4 generators
+# with m <= MAX_MULTIPLICITY fits, and <n, ..., 2n - 1> fits up to n = 2048
+# (about 0.5 s spawned on 2 vCPU, Python 3.11).
+MAX_APERY_EDGES = 4 * MAX_MULTIPLICITY
+
 
 class NumericalSemigroup(Record):
     """The submonoid of the nonnegative integers generated by ``generators``.
@@ -60,7 +67,9 @@ class NumericalSemigroup(Record):
 
         Raises SackitError for an empty list, non-positive entries or
         generators whose gcd is not 1 (the complement would be infinite),
-        and TooLarge when the multiplicity is above MAX_MULTIPLICITY.
+        and TooLarge, before the table is built, when the multiplicity is
+        above MAX_MULTIPLICITY or m times the number of distinct generators
+        is above MAX_APERY_EDGES.
         """
         gens = sorted(set(int(g) for g in generators))
         if not gens:
@@ -78,6 +87,9 @@ class NumericalSemigroup(Record):
             raise TooLarge(
                 f"multiplicity {m} is above the supported {MAX_MULTIPLICITY}"
             )
+        if m * len(gens) > MAX_APERY_EDGES:
+            raise TooLarge(f"multiplicity {m} times {len(gens)} generators is above the "
+                           f"supported {MAX_APERY_EDGES}")
         apery = _apery(gens, m)
         # c is redundant exactly when c - h is a member for a smaller
         # generator h: every member below c is a sum of generators below c.

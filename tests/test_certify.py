@@ -8,6 +8,7 @@ used here, not trusted from the engine).
 
 import hashlib
 import json
+import sys
 import time
 import tracemalloc
 from itertools import combinations, product
@@ -822,6 +823,38 @@ def test_an_unstable_ideal_builds_no_table():
         tracemalloc.stop()
     assert (ok, pr.status) == (False, "Asserted")
     assert peak < 64 * 1024, peak
+
+
+def test_r_min_verifies_the_witness_it_knows():
+    # minimal multiplicity gives M + M = m + M, so R-MIN passes the witness m
+    # to is_ulrich: its premise is the searched one, and it holds
+    seen = set()
+    for size in range(3, 7):
+        for gens in combinations(range(3, 13), size):
+            if gcd(*gens) != 1:
+                continue
+            H = NumericalSemigroup.from_generators(gens)
+            if H in seen or not H.has_minimal_multiplicity():
+                continue
+            seen.add(H)
+            searched = verify_premise("ulrich", semigroup=H, ideal_gens=H.generators)
+            ok, witnessed = verify_premise("ulrich", semigroup=H, ideal_gens=H.generators,
+                                           q=H.multiplicity)
+            cert = certify(f"sgp({H})", root_rules=("R-MIN",))
+            assert cert.rule == "R-MIN" and cert.premises[1] == witnessed, H
+            assert (ok, witnessed) == searched, H
+    assert len(seen) == 15, len(seen)
+
+
+def test_r_min_searches_no_reduction(monkeypatch):
+    want = cert_json(certify("sgp(3,4,5)"))
+
+    def refuse(ideal):
+        raise AssertionError("search_reduction was called")
+
+    monkeypatch.setattr(sys.modules["sackit.certify"], "search_reduction", refuse)
+    cert = certify("sgp(3,4,5)")
+    assert cert.rule == "R-MIN" and cert_json(cert) == want
 
 
 def walk(doc):

@@ -633,6 +633,16 @@ def _sackit_capped(*args, timeout=60):
                           preexec_fn=cap)
 
 
+def test_a_wide_ring_of_minimal_multiplicity_is_certified_spawned():
+    # R-MIN passes the witness m, and is_ulrich reads the stability of the
+    # maximal ideal of <1000, ..., 1999> off one length, with no pairwise scan
+    ring = f"sgp({','.join(map(str, range(1000, 2000)))})"
+    done = _sackit_capped("certify", "--ring", ring, "--json", timeout=30)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert (doc["verdict"], doc["rule"]) == ("Certified", "R-MIN")
+
+
 def test_huge_algebra_dimension_is_an_error():
     # an algebra lists one basis degree per dimension, so a colength past
     # MAX_DIMENSION ends in error: before the basis is allocated

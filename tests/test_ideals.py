@@ -350,9 +350,12 @@ def loop_reduction(ideal):
 def test_search_reduction_matches_the_generator_loop():
     # over every semigroup with 2-4 generators in 2..15: the maximal ideal,
     # the unit ideal, the tail from the conductor (always stable) and ideals
-    # on up to three members drawn below 3m + F + 2
+    # on up to three members drawn below 3m + F + 2.  is_ulrich reads
+    # stability as l(I/I^2) = q; that agrees with the pairwise scan at every
+    # member q of I below the same bound, not only at min(I)
     rng = random.Random(27)
     seen, tried, stable = set(), 0, 0
+    checks, lengths = 0, 0
     for size in (2, 3, 4):
         for gens in itertools.combinations(range(2, 16), size):
             if math.gcd(*gens) != 1:
@@ -374,7 +377,13 @@ def test_search_reduction_matches_the_generator_loop():
                 q = search_reduction(I)
                 assert q == loop_reduction(I), (gens, I.generators)
                 tried, stable = tried + 1, stable + (q is not None)
+                for x in filter(I.member, pool):
+                    by_length = is_ulrich(I, x).reduction_q is not None
+                    assert by_length == _stable(I, x), (gens, I.generators, x)
+                    checks, lengths = checks + 1, lengths + by_length
     assert tried == 2244 and 500 < stable < tried - 500, (tried, stable)
+    # a stable I has one witness, min(I), which the pool holds unless I = (0)
+    assert (checks, lengths) == (49457, stable), (checks, lengths)
 
 
 def test_rank_formula_frozen_values():

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from sackit import NumericalSemigroup
 from sackit.errors import SackitError, TooLarge
-from sackit.semigroup import MAX_MULTIPLICITY
+import sackit.semigroup
+from sackit.semigroup import MAX_APERY_EDGES, MAX_MULTIPLICITY
 
 
 def sieve_members(gens, bound):
@@ -258,6 +259,22 @@ def test_from_generators_errors():
         with pytest.raises(TooLarge, match=f"^multiplicity {m} is above the supported "
                                             f"{MAX_MULTIPLICITY}$"):
             NumericalSemigroup.from_generators([m, m + 1])
+
+
+def test_apery_edges_are_capped_before_the_walk(monkeypatch):
+    # the table's walk relaxes e edges from each of m residues, so m * e is
+    # charged first: <n, ..., 2n - 1> is built up to n = 2048, at the cap
+    assert 2048 * 2048 == MAX_APERY_EDGES
+    H = NumericalSemigroup.from_generators(range(2048, 4096))
+    assert (H.multiplicity, H.embedding_dim, H.frobenius) == (2048, 2048, 2047)
+
+    def refuse(gens, q):
+        raise AssertionError("the Apery table was walked")
+
+    monkeypatch.setattr(sackit.semigroup, "_apery", refuse)
+    with pytest.raises(TooLarge, match=f"^multiplicity 2049 times 2049 generators is above "
+                                       f"the supported {MAX_APERY_EDGES}$"):
+        NumericalSemigroup.from_generators(range(2049, 4098))
 
 
 gen_lists = st.lists(st.integers(1, 30), min_size=1, max_size=5).filter(

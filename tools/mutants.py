@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 100 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 104 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -60,6 +60,7 @@ _EXIT = "tests/test_cli.py::test_the_process_exit_writes_what_main_writes"
 _QPOW22 = "qpow(qpow(powser(powser(sgp(2,3))),2,2),1,1)"
 _CAP_BASIS = "tests/test_ideals.py::test_basis_listers_refuse_a_basis_past_the_cap"
 _SIEVE = "tests/test_semigroup.py::test_apery_representation_matches_sieve"
+_APERY_CAP = "tests/test_semigroup.py::test_apery_edges_are_capped_before_the_walk"
 _WINDOW = "tests/test_ideals.py::test_ideal_representation_matches_window"
 _REF_SETS = "tests/test_ideals.py::test_reference_sets_frozen"
 _GLUE_ORACLE = "tests/test_certify.py::test_glue_candidates_match_the_divisor_loop"
@@ -229,6 +230,14 @@ ROWS = [
       "            continue\n        child = _child(SemigroupRing(",
       "return _glue(_glue_decompositions(H), depth, search, desc.generators)"),
      ["tests/test_certify.py::test_a_verdict_does_not_depend_on_the_spelling", _BYTES]),
+    # is_ulrich reads stability as l(I/I^2) = q, and R-MIN verifies the witness
+    # m that minimal multiplicity gives, with no search
+    ("stability read as layer <= q", "ideals.py",
+     "stable = layer == q", "stable = layer <= q",
+     ["tests/test_ideals.py::test_search_reduction_matches_the_generator_loop"]),
+    ("R-MIN's witness passed as m + 1", _CERT,
+     "q=H.multiplicity)", "q=H.multiplicity + 1)",
+     ["tests/test_certify.py::test_r_min_verifies_the_witness_it_knows", _BYTES]),
     # one stability test for the reduction witness, and a root depth of at least 1
     ("search_reduction tries the largest generator", "ideals.py",
      "q = min(ideal.generators, default=0)", "q = max(ideal.generators, default=0)",
@@ -268,6 +277,13 @@ ROWS = [
      '_check_members(semigroup, (q,), "truncation degree")\n'
      "    __import__('sackit.semigroup').semigroup._between((0,), (q,))",
      [_PAST_CAP]),
+    # the Apery walk is charged m * e before it runs
+    ("Apery edge cap compared with >=", _SGP,
+     "if m * len(gens) > MAX_APERY_EDGES:", "if m * len(gens) >= MAX_APERY_EDGES:",
+     [_APERY_CAP]),
+    ("Apery edge cap charges m alone", _SGP,
+     "if m * len(gens) > MAX_APERY_EDGES:", "if m > MAX_APERY_EDGES:",
+     [_APERY_CAP]),
     # one residue-table core for semigroups and ideals
     ("shifted table rotated the wrong way", _SGP,
      "cut = len(self.table) - self.g % len(self.table)", "cut = self.g % len(self.table)",
