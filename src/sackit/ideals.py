@@ -19,13 +19,14 @@ point in this package.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
 
 from ._record import Record
 from .errors import SackitError, TooLarge
-from .semigroup import NumericalSemigroup, _Shifted, _between, _length
+from .semigroup import NumericalSemigroup, _Shifted, _between, _length, _sum_of
 
 # Most steps one power_layer_lengths sweep takes.  It builds up_to + 1
 # tables, each the least of mu rows of m residues; _ROW_STEPS is the fixed
@@ -55,17 +56,16 @@ class SemigroupIdeal(Record):
         for d in degs:
             if not ambient.contains(d):
                 raise SackitError(f"{d} is not a member of <{ambient}>")
-        # d is redundant when d - e is a member for a smaller degree e, and
-        # then also for a smaller minimal one
-        minimal = []
-        for d in degs:
-            if not any(ambient.contains(d - e) for e in minimal):
-                minimal.append(d)
-        return cls(ambient, tuple(minimal))
+        # d is redundant when d - e is a nonzero member for a smaller degree
+        # e, and then also for a smaller minimal one
+        return cls(ambient, tuple(d for d in degs if not _sum_of(ambient._apery, degs, d)))
 
     def member(self, x: int) -> bool:
-        """Whether x = g + h for a generator g and a member h."""
-        return any(self.ambient.contains(x - g) for g in self.generators)
+        """Whether x = g + h for a generator g and a member h: x is a
+        generator, or h is nonzero."""
+        gens = self.generators
+        is_generator = bisect_left(gens, x) < bisect_right(gens, x)
+        return is_generator or _sum_of(self.ambient._apery, gens, x)
 
     def is_empty(self) -> bool:
         return not self.generators

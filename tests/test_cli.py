@@ -2,6 +2,7 @@
 
 import builtins
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -641,6 +642,41 @@ def test_a_wide_ring_of_minimal_multiplicity_is_certified_spawned():
     assert done.returncode == 0, done.stderr
     doc = json.loads(done.stdout)
     assert (doc["verdict"], doc["rule"]) == ("Certified", "R-MIN")
+
+
+def test_a_wide_ring_without_minimal_multiplicity_ends_spawned():
+    # each R-ULCI candidate over <800, ..., 1199> is minimalized and scanned
+    # by membership tests that look up only the generators g <= x - m
+    ring = f"sgp({','.join(map(str, range(800, 1200)))})"
+    done = _sackit_capped("certify", "--ring", ring, "--json", timeout=5)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verdict"] == "Unknown"
+
+
+def test_a_wide_ulrich_ideal_is_searched_spawned():
+    # `ideal ulrich` without --q scans every pair of the 400 generators, each
+    # membership test looking up only the generators g <= x - m: about 0.15 s
+    # spawned on 2 vCPU, against 2 s when every generator is looked up
+    gens = ",".join(map(str, range(400, 800)))
+    done = _sackit_capped("ideal", "ulrich", "--gens", gens, "--ideal", gens, "--json",
+                          timeout=2)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert (doc["is_ulrich"], doc["reduction_q"], doc["mu"]) == (True, 400, 400)
+
+
+def test_the_fuzzer_draws_the_same_command_lines_for_a_seed():
+    # tools/fuzz.py runs outside the suite; its draw is checked here, and no
+    # line is spawned
+    spec = importlib.util.spec_from_file_location(
+        "fuzz", Path(__file__).resolve().parents[1] / "tools" / "fuzz.py")
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    lines = fuzz.draw(1, 400)
+    assert lines == fuzz.draw(1, 400) != fuzz.draw(2, 400)
+    named = {next((p for p in COMMANDS if args[:len(p.split())] == p.split()), None)
+             for args in lines}
+    assert named == set(COMMANDS)
 
 
 def test_huge_algebra_dimension_is_an_error():

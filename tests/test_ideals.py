@@ -85,6 +85,13 @@ IDEAL_CASES = [
     ([8, 11, 12, 14, 18], [8, 12, 14, 18]),
     ([8, 11, 12, 14, 18], [11, 12]),
     ([2, 3], [4]),
+    # c - h = m exactly: 7 - 4 = 3 and 8 - 5 = 3, so 7 and 8 are redundant
+    ([3, 4], [4, 7]),
+    ([3, 5, 6], [5, 6, 8]),
+    # wide rings, each with one generator of H dropped from its maximal ideal
+    (list(range(8, 16)), [8, 9, 10, 12, 13, 14, 15]),
+    (list(range(8, 16)), list(range(9, 16))),
+    (list(range(20, 40)), [g for g in range(20, 40) if g != 31]),
 ]
 
 

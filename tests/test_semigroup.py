@@ -4,7 +4,9 @@ The oracle is a forward dynamic-programming sieve written from scratch
 here; every frozen number below was recomputed with it before pinning.
 """
 
+import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from sackit import NumericalSemigroup
 from sackit.errors import SackitError, TooLarge
 import sackit.semigroup
-from sackit.semigroup import MAX_APERY_EDGES, MAX_MULTIPLICITY
+from sackit.semigroup import MAX_APERY_EDGES, MAX_MULTIPLICITY, _sum_of
 
 
 def sieve_members(gens, bound):
@@ -87,8 +89,34 @@ def test_minimal_generators(gens, frob, genus):
 def test_redundant_generator_examples():
     H = NumericalSemigroup.from_generators([3, 4, 5, 6, 7, 8])
     assert H.generators == (3, 4, 5)
+    # 6 - 3 = 3 = m: the minimality scan looks up the h <= c - m, 3 included
+    assert NumericalSemigroup.from_generators([3, 5, 6]).generators == (3, 5)
     assert NumericalSemigroup.from_generators([5, 10, 6, 9, 7, 8]).generators \
         == (5, 6, 7, 8, 9)
+
+
+def sum_corpus():
+    """Every H with 2-4 generators in 2..15, and the wide families
+    <n, ..., 2n - 1> and <n, n + 1, n + 3, ..., 2n - 1> for n <= 60."""
+    for e in (2, 3, 4):
+        yield from (g for g in itertools.combinations(range(2, 16), e) if math.gcd(*g) == 1)
+    for n in range(2, 61):
+        yield range(n, 2 * n)
+        yield (n, n + 1, *range(n + 3, 2 * n))
+
+
+def test_sum_of_matches_the_unbounded_loop():
+    # _sum_of looks up only the g <= x - m, as a nonzero member is at least m;
+    # the loop looks up every g, over H's generators and over member lists
+    rng = random.Random(45)
+    for gens in sum_corpus():
+        H = NumericalSemigroup.from_generators(gens)
+        bound = H.frobenius + 2 * max(gens)
+        members = [x for x in range(bound + 1) if H.contains(x)]
+        lists = [H.generators, sorted(rng.sample(members, rng.randint(1, 5)))]
+        for g_list, x in itertools.product(lists, range(-1, bound + 1)):
+            expected = any(H.contains(x - g) and x != g for g in g_list)
+            assert _sum_of(H._apery, g_list, x) == expected, (gens, g_list, x)
 
 
 @pytest.mark.parametrize("gens,frob,genus", CASES)

@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 104 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 107 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -61,6 +61,7 @@ _QPOW22 = "qpow(qpow(powser(powser(sgp(2,3))),2,2),1,1)"
 _CAP_BASIS = "tests/test_ideals.py::test_basis_listers_refuse_a_basis_past_the_cap"
 _SIEVE = "tests/test_semigroup.py::test_apery_representation_matches_sieve"
 _APERY_CAP = "tests/test_semigroup.py::test_apery_edges_are_capped_before_the_walk"
+_SUM_OF = "tests/test_semigroup.py::test_sum_of_matches_the_unbounded_loop"
 _WINDOW = "tests/test_ideals.py::test_ideal_representation_matches_window"
 _REF_SETS = "tests/test_ideals.py::test_reference_sets_frozen"
 _GLUE_ORACLE = "tests/test_certify.py::test_glue_candidates_match_the_divisor_loop"
@@ -289,11 +290,22 @@ ROWS = [
      "cut = len(self.table) - self.g % len(self.table)", "cut = self.g % len(self.table)",
      [_SIEVE, _WINDOW, _REF_SETS]),
     # an ideal is its generators; its table is built when a length needs it
-    ("ideal membership tested at x + g", "ideals.py",
-     "any(self.ambient.contains(x - g) for g in self.generators)",
-     "any(self.ambient.contains(x + g) for g in self.generators)",
+    ("ideal membership tested at x + m", "ideals.py",
+     "_sum_of(self.ambient._apery, gens, x)",
+     "_sum_of(self.ambient._apery, gens, x + len(self.ambient._apery))",
      [_WINDOW, "tests/test_ideals.py::test_relative_length_requires_containment",
       "tests/test_ideals.py::test_membership_and_minimal_generators[hgens4-igens4]"]),
+    ("ideal membership without its generator case", "ideals.py",
+     "return is_generator or _sum_of(", "return _sum_of(",
+     [_WINDOW, "tests/test_ideals.py::test_membership_and_minimal_generators[hgens0-igens0]"]),
+    # x - g is a nonzero member, looked up only for the g <= x - m
+    ("generator-plus-member bound made strict", _SGP,
+     "takewhile((x - m).__ge__, gens)", "takewhile((x - m).__gt__, gens)",
+     [_SUM_OF, "tests/test_semigroup.py::test_redundant_generator_examples",
+      "tests/test_ideals.py::test_membership_and_minimal_generators[hgens7-igens7]"]),
+    ("generator-plus-member bound dropped", _SGP,
+     "takewhile((x - m).__ge__, gens)", "gens",
+     [_SUM_OF, _SIEVE, "tests/test_semigroup.py::test_redundant_generator_examples"]),
     ("ideal table built from the first generator only", "ideals.py",
      "rows = [_Shifted(table, g) for g in gens]",
      "rows = [_Shifted(table, g) for g in gens[:1]]",
