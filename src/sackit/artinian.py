@@ -47,9 +47,9 @@ chosen prime field.  Dimension results on the monomial inputs used here are
 characteristic free, which the test suite checks by recomputing tables in a
 second characteristic.
 
-``ext_dims`` and ``tor_dims`` route once: over A_q = k[H]/(t^q), Ext and Tor
-between sums of k and A come by change of rings (``_change_of_rings``) from
-A_m, m the multiplicity; every other input walks A_q (``_derived_dims``).
+``ext_dims`` and ``tor_dims`` each call ``_routed`` once, which sums Ext or
+Tor over the pairs of direct summands, each answered by the first standard
+fact that applies or walked (``_derived_dims``), on one budget per call.
 
 Determinism: pivoting is lexicographic, generator selection is greedy in
 canonical kernel order, and all caches are keyed by exact presentations.
@@ -59,10 +59,11 @@ not be shared between threads that compute with it.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from contextvars import ContextVar, copy_context
 from functools import cached_property
-from itertools import accumulate, islice
-from math import log2
+from itertools import accumulate, islice, product
+from math import gcd, log2
 
 from ._record import Record
 from .errors import SackitError, TooLarge
@@ -90,6 +91,9 @@ MAX_WALK_COLUMNS = 500_000
 # for the action, each counted before it is built.  Realizing the free module
 # over dimension 1024 is at the cap: 1.5-2.1 s and 54 MB on 2 vCPU (Python 3.11)
 MAX_REALIZATION_COLUMNS = 2**20
+# k-matrix columns one ext_dims or tor_dims call built, by kind, against the caps
+# above; _routed sets it in the call's context copy, and unset each walk counts its own
+_SPENT: ContextVar[Counter] = ContextVar("_SPENT")
 
 
 def _is_prime(n: int) -> bool:
@@ -212,9 +216,9 @@ def quotient_algebra(
     """k[H]/E for any cofinite monomial ideal E.
 
     No command builds one for E other than (t^q); it stays as the tests'
-    reference for the walk: over its form of a truncation, which the change
-    of rings does not route, Ext and Tor walk the syzygies, and its m^2
-    quotients have closed forms that no truncation gives."""
+    reference for the walk: its form of a truncation takes no change of
+    rings and no self-injective block, and its m^2 quotients have closed
+    forms that no truncation gives."""
     return MonomialArtinianAlgebra(ideal.ambient, char, ideal=ideal)
 
 
@@ -442,23 +446,22 @@ class Realization(Record):
     entries: tuple
 
 
-def _realized(columns):
-    if columns > MAX_REALIZATION_COLUMNS:
-        raise TooLarge(f"a realization of {columns} k-matrix columns is above the "
-                       f"supported {MAX_REALIZATION_COLUMNS}")
-    return columns
+def _charge(spent, kind, columns, cap):
+    spent[kind] += columns
+    if spent[kind] > cap:
+        raise TooLarge(f"a {kind} of {spent[kind]} k-matrix columns is above the supported {cap}")
 
 
 def _realize(module: PresentedModule) -> Realization:
     algebra = module.algebra
-    dim_a = algebra.dim
-    built = _realized(len(module.columns) * dim_a)
+    dim_a, spent = algebra.dim, _SPENT.get(Counter())
+    _charge(spent, "realization", len(module.columns) * dim_a, MAX_REALIZATION_COLUMNS)
     span = _relation_span(algebra, module.columns)
     # the positions that lead no row of the relation span index a k-basis of
     # the module; a vector's coordinates are its remainder modulo the span
     free_pos = [pos for pos in range(module.rank0 * dim_a) if pos not in span.rows]
     coord = {pos: i for i, pos in enumerate(free_pos)}
-    _realized(built + len(free_pos) * dim_a)
+    _charge(spent, "realization", len(free_pos) * dim_a, MAX_REALIZATION_COLUMNS)
     entries = [[] for _ in algebra.degrees]
     for j, pos in enumerate(free_pos):
         for ents, image in zip(entries, _multiples(algebra, {pos: 1}, algebra.degrees)):
@@ -524,20 +527,17 @@ def _levels(module):
     components, one syzygy step per level asked for.  Each distinct component
     is resolved once into the algebra's ``_omega_store``; a free summand has
     syzygy module 0, so it leaves the walk after its level.  The steps built
-    are counted in k-matrix columns, and the one that would take the walk
-    past ``MAX_WALK_COLUMNS`` is refused before it is built."""
+    are counted in k-matrix columns against the call's budget, and the one
+    that would pass ``MAX_WALK_COLUMNS`` is refused before it is built."""
     algebra, store = module.algebra, module.algebra._omega_store
     level = _component_split(algebra, module.rank0, module.columns)
-    built = 0
+    spent = _SPENT.get(Counter())
     while True:
         yield level
         deeper = Counter()
         for key, m in level.items():
             if key[1] and key not in store:  # no kernel for the free A = (1, ())
-                built += len(key[1]) * algebra.dim
-                if built > MAX_WALK_COLUMNS:
-                    raise TooLarge(f"a syzygy walk of {built} k-matrix columns is above "
-                                   f"the supported {MAX_WALK_COLUMNS}")
+                _charge(spent, "syzygy walk", len(key[1]) * algebra.dim, MAX_WALK_COLUMNS)
                 syz = _syzygy_columns(algebra, [dict(col) for col in key[1]])
                 store[key] = _component_split(algebra, len(key[1]), syz)
             for omega, c in store.get(key, {}).items():
@@ -545,44 +545,57 @@ def _levels(module):
         level = deeper
 
 
-def _change_of_rings(module, target, upto, transpose):
-    """Ext or Tor of sums of k and A over k[H]/(t^q) from A_m = k[H]/(t^m),
-    m the multiplicity; None where that does not apply, and over the field
-    A_1 = k, where k is free.  t^q is regular on k[[H]], so (Nagata, Shamash;
-    Avramov, "Infinite free resolutions", ch. 3) P_k over A_q is P_k over A_m,
-    divided by 1 - z when q is no minimal generator, and A_q and A_m have the
-    same Bass numbers.  A minimal resolution F of k has its maps in m F, so
-    e_i = dim Ext^i(k, k) over A_m is beta_i(k) (prefix sums for such q).
-    A_m, like k[[H]], is Gorenstein exactly when H is symmetric (Kunz;
-    Bruns & Herzog, ch. 3), and then self-injective of type 1: b = (1, 0,
-    ...); else b_i = dim Ext^i(k, A_m).  With M = a k + f A, N = c k + g A:
-    Ext^i(M, N) = a c e_i + a g b_i + [i = 0] f dim N, and Tor_i(M, N) alike
-    with b = (1, 0, 0, ...)."""
+def _module(algebra, components):
+    """The direct sum of a Counter of incidence components."""
+    rank0, cols = 0, []
+    for rank, key_cols in components.elements():
+        cols += ({pos + rank0 * algebra.dim: x for pos, x in col} for col in key_cols)
+        rank0 += rank
+    return PresentedModule(algebra, rank0, tuple(cols))
+
+
+def _routed(module, target, upto, transpose):
+    """Ext (Tor when ``transpose``) to degree upto, summed over the pairs
+    (X, Y) of incidence components by multiplicity, a Tor pair read as
+    (Y, X) when X = k or Y = A.  A pair takes the first fact that applies:
+    A is free; a minimal resolution of X has its maps in its radical, so
+    (X, k) is beta(X); over A_q = k[H]/(t^q), H symmetric, A_q is Gorenstein
+    (Kunz; Bruns & Herzog, ch. 3), so self-injective.  Other pairs walk, one
+    walk into each Y.  (k, k) and (k, A) over A_q come from A_m, m the
+    multiplicity: t^q is regular on k[[H]], so (Nagata, Shamash; Avramov,
+    "Infinite free resolutions", ch. 3) P_k over A_q is P_k over A_m,
+    divided by 1 - z when q is no minimal generator, and the Bass numbers
+    agree; so a sum of k and A walks A_m alone, its bits checked there."""
     _require_same_algebra(module, target)
     if upto < 0:
         raise SackitError(f"upto must be >= 0, got {upto}")
+    _SPENT.set(Counter())
     algebra = module.algebra
     H, q, m = algebra.semigroup, algebra.truncation_q, algebra.semigroup.multiplicity
-    if q in (None, 1):
-        return None
-    free = (1, ())
-    k_key = next(iter(_component_split(algebra, 1, residue_field(algebra).columns)))
+    free, k = (1, ()), next(iter(_component_split(algebra, 1, residue_field(algebra).columns)))
     splits = [_component_split(algebra, M.rank0, M.columns) for M in (module, target)]
-    if any(split.keys() - {k_key, free} for split in splits):
-        return None
-    (a, f), (c, g) = ((split[k_key], split[free]) for split in splits)
-    _check_bits(upto, m)
-    base = algebra if q == m else truncation_algebra(H, m, algebra.char)
-    k = residue_field(base)
-    e = minimal_resolution(k, max(upto, 1)).betti[:upto + 1] if a * c else (0,) * (upto + 1)
-    if q not in H.generators:
-        e = tuple(accumulate(e))
-    if transpose or not a * g or H.is_gap_symmetric():
-        b = (1,) + (0,) * upto
-    else:
-        b = _derived_dims(k, free_module(base, 1), upto, False)
-    dims = [a * c * x + a * g * y for x, y in zip(e, b)]
-    dims[0] += f * (c + g * algebra.dim)
+    _check_bits(upto, algebra.dim if q is None or any(s.keys() - {k, free} for s in splits) else m)
+    base = algebra if q in (None, m) else truncation_algebra(H, m, algebra.char)
+    k_m = next(iter(_component_split(base, 1, residue_field(base).columns)))
+    dims, groups = [0] * (upto + 1), defaultdict(Counter)  # (over A_m, Y) -> X -> weight
+    for (X, a), (Y, c) in product(*(split.items() for split in splits)):
+        X, Y = (Y, X) if transpose and (X == k or Y == free) else (X, Y)
+        if X == free or (Y == free and q is not None and H.is_gap_symmetric()):
+            rank0, cols = other = Y if X == free else X
+            span = 0 if other == k else _relation_span(algebra, map(dict, cols)).dim
+            dims[0] += a * c * (1 if other == k else rank0 * algebra.dim - span)
+        else:
+            shifted = X == k and Y in (k, free) and base is not algebra
+            groups[shifted, Y][k_m if shifted else X] += a * c
+    for (shifted, Y), Xs in groups.items():
+        w = gcd(*Xs.values())  # a weight common to the group, kept out of its module
+        M = _module(base if shifted else algebra, Counter({X: n // w for X, n in Xs.items()}))
+        if Y == k:  # the Betti numbers, summed when q is no minimal generator
+            col = minimal_resolution(M, max(upto, 1)).betti[:upto + 1]
+            col = accumulate(col) if shifted and q not in H.generators else col
+        else:
+            col = _derived_dims(M, _module(M.algebra, Counter([Y])), upto, transpose)
+        dims = [x + w * y for x, y in zip(dims, col)]
     return tuple(dims)
 
 
@@ -599,7 +612,6 @@ def _derived_dims(module, target, upto, transpose):
     with F of each Omega^j M summed over the components of ``_levels``.
     """
     algebra = module.algebra
-    _check_bits(upto, algebra.dim)
     p, dim_a = algebra.char, algebra.dim
     real = _realize(target)
     n, entries = real.dim, real.entries
@@ -638,14 +650,12 @@ def _derived_dims(module, target, upto, transpose):
 
 def ext_dims(module: PresentedModule, target: PresentedModule, upto: int):
     """dim_k Ext^i(module, target) for i = 0..upto, as a tuple."""
-    return (_change_of_rings(module, target, upto, False)
-            or _derived_dims(module, target, upto, False))
+    return copy_context().run(_routed, module, target, upto, False)
 
 
 def tor_dims(module: PresentedModule, target: PresentedModule, upto: int):
     """dim_k Tor_i(module, target) for i = 0..upto, as a tuple."""
-    return (_change_of_rings(module, target, upto, True)
-            or _derived_dims(module, target, upto, True))
+    return copy_context().run(_routed, module, target, upto, True)
 
 
 class ExtWindowReport(Record):

@@ -12,9 +12,10 @@ class SackitError(Exception):
 
 class TooLarge(SackitError):
     """An object or a sweep would be above a size cap (MAX_MULTIPLICITY,
-    MAX_APERY_EDGES, MAX_DIMENSION, MAX_POWER_STEPS, MAX_RATIO_CHECKS,
-    MAX_WALK_BITS, MAX_WALK_COLUMNS, MAX_REALIZATION_COLUMNS); raised before
-    anything of that size is allocated or run."""
+    MAX_APERY_EDGES, MAX_TABLE_BITS, MAX_DIMENSION, MAX_POWER_STEPS,
+    MAX_RATIO_CHECKS, MAX_WALK_BITS, MAX_WALK_COLUMNS,
+    MAX_REALIZATION_COLUMNS); raised before anything of that size is
+    allocated or run."""
 
 
 class MalformedDescriptor(SackitError):

@@ -26,7 +26,7 @@ from math import comb
 
 from ._record import Record
 from .errors import SackitError, TooLarge
-from .semigroup import NumericalSemigroup, _Shifted, _between, _length, _sum_of
+from .semigroup import NumericalSemigroup, _Shifted, _between, _check_table, _length, _sum_of
 
 # Most steps one power_layer_lengths sweep takes.  It builds up_to + 1
 # tables, each the least of mu rows of m residues; _ROW_STEPS is the fixed
@@ -233,6 +233,9 @@ def power_layer_lengths(ideal: SemigroupIdeal, up_to: int) -> tuple[int, ...]:
                        f"{MAX_POWER_STEPS} steps")
     if ideal.is_empty():
         raise SackitError("relative length against the zero ideal is infinite")
+    # the last table, of I^(up_to + 1), has the largest entries
+    _check_table(len(ideal.ambient._apery),
+                 max(ideal.ambient._apery) + (up_to + 1) * ideal.generators[0])
     out, table = [], tuple(ideal._least)
     for _ in range(up_to):
         # a tuple: a chain of lazy views would walk every earlier table again
@@ -246,7 +249,10 @@ def _plus(table, gens):
     """The table of gens + S from that of S: the least of the tables of
     g + S, lazy (_Shifted) for one g."""
     rows = [_Shifted(table, g) for g in gens]
-    return tuple(map(min, *rows)) if len(rows) > 1 else rows[0]
+    if len(rows) == 1:
+        return rows[0]
+    _check_table(len(table), max(table) + min(gens))  # the row of min(gens) bounds the least
+    return tuple(map(min, *rows))
 
 
 def ulrich_rank_formula(n: int, c: int, i: int) -> int:

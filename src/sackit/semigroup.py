@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain, islice, takewhile
+from itertools import accumulate, chain, islice, takewhile
 from math import gcd
 
 from ._record import Record
@@ -49,6 +49,13 @@ MAX_DIMENSION = MAX_MULTIPLICITY
 # 2n - 1> fits up to n = 2048 (about 0.4 s spawned on 2 vCPU, Python 3.11).
 MAX_APERY_EDGES = 4 * MAX_MULTIPLICITY
 
+# A table of m integers below 2^w holds m * w bits, charged before it is built:
+# the Apery table, a listed basis and an ideal's table.  At m = MAX_MULTIPLICITY
+# the Apery table of 127-bit entries took 0.76 s and 77 MB, of 160-bit ones
+# 0.93 s and 93 MB (in process on 2 vCPU, Python 3.11); every set of at most 4
+# generators below 2^64 fits (84 bits an entry).
+MAX_TABLE_BITS = 128 * MAX_MULTIPLICITY
+
 
 class NumericalSemigroup(Record):
     """The submonoid of the nonnegative integers generated by ``generators``.
@@ -68,19 +75,18 @@ class NumericalSemigroup(Record):
         Raises SackitError for an empty list, non-positive entries or
         generators whose gcd is not 1 (the complement would be infinite),
         and TooLarge, before the table is built, when the multiplicity is
-        above MAX_MULTIPLICITY or m times the number of distinct generators
-        is above MAX_APERY_EDGES.
+        above MAX_MULTIPLICITY, m times the number of distinct generators
+        is above MAX_APERY_EDGES, or the table would hold more than
+        MAX_TABLE_BITS bits.
         """
         gens = sorted(set(int(g) for g in generators))
         if not gens:
             raise SackitError("need at least one generator")
         if gens[0] <= 0:
             raise SackitError(f"generators must be positive, got {gens[0]}")
-        g = 0
-        for a in gens:
-            g = gcd(g, a)
-        if g != 1:
-            raise SackitError(f"gcd of generators is {g}, not 1")
+        divisors = list(accumulate(gens, gcd))
+        if divisors[-1] != 1:
+            raise SackitError(f"gcd of generators is {divisors[-1]}, not 1")
 
         m = gens[0]
         if m > MAX_MULTIPLICITY:
@@ -90,6 +96,10 @@ class NumericalSemigroup(Record):
         if m * len(gens) > MAX_APERY_EDGES:
             raise TooLarge(f"multiplicity {m} times {len(gens)} generators is above the "
                            f"supported {MAX_APERY_EDGES}")
+        # the generators up to the first whose prefix has gcd 1 generate a
+        # numerical semigroup inside H, whose Apery entries are sums of at
+        # most m - 1 of them, so no entry is above (m - 1) times that one
+        _check_table(m, (m - 1) * gens[divisors.index(1)])
         apery = _apery(gens, m)
         # c is redundant exactly when c - h is a nonzero member for a
         # generator h: every member below c is a sum of generators below c.
@@ -242,10 +252,20 @@ def _length(lo, hi) -> int:
 
 def _between(lo, hi) -> tuple[int, ...]:
     """The x counted by ``_length(lo, hi)``, sorted; TooLarge, before any
-    is listed, when there are more than MAX_DIMENSION."""
+    is listed, when there are more than MAX_DIMENSION, or more bits than
+    MAX_TABLE_BITS in all."""
     if (dim := _length(lo, hi)) > MAX_DIMENSION:
         raise TooLarge(f"algebra dimension {dim} is above the supported {MAX_DIMENSION}")
+    _check_table(dim, max(hi))
     return _progressions(lo, hi)
+
+
+def _check_table(count: int, top: int) -> None:
+    """TooLarge, before they are built, when ``count`` integers up to
+    ``top`` hold more than MAX_TABLE_BITS bits."""
+    if count * top.bit_length() > MAX_TABLE_BITS:
+        raise TooLarge(f"a table of {count} integers of {top.bit_length()} bits is above the "
+                       f"supported {MAX_TABLE_BITS} bits")
 
 
 def _progressions(lo, hi) -> tuple[int, ...]:

@@ -754,12 +754,14 @@ def test_ext_tor_tables_are_frozen():
 
 def test_syzygies_are_cached_on_the_algebra(monkeypatch):
     # each distinct component is resolved once, and Ext, Tor and every
-    # target on the same algebra share what was resolved
+    # target on the same algebra share what was resolved; the (k, k) block
+    # walks A_3 by change of rings, so only the steps over A are counted
     calls = []
     syzygy_columns = sackit.artinian._syzygy_columns
 
     def counted(algebra, cols):
-        calls.append(len(cols))
+        if algebra is A:
+            calls.append(len(cols))
         return syzygy_columns(algebra, cols)
 
     monkeypatch.setattr("sackit.artinian._syzygy_columns", counted)
@@ -1188,7 +1190,9 @@ def test_a_routed_ext_of_k_takes_the_steps_of_its_resolution(monkeypatch):
     # routed Ext or Tor of k to degree n takes the syzygy steps of
     # minimal_resolution(k, n) over a fresh A_m, one fewer than a walk of
     # Ext to degree n, and to degree 0 none.  Over A_8 of <8,9,11,13> each
-    # level of k is one new component, so the cache saves no step
+    # level of k is one new component, so the cache saves no step.  The
+    # walking twin takes no change of rings, but reads beta(k) over itself
+    # as well: the same steps
     steps, syzygy_columns = [], sackit.artinian._syzygy_columns
 
     def counted(algebra, cols):
@@ -1208,7 +1212,7 @@ def test_a_routed_ext_of_k_takes_the_steps_of_its_resolution(monkeypatch):
     del steps[:]
     k = residue_field(walking_twin(trunc([8, 9, 11, 13], 8)))
     ext_dims(k, k, 6)
-    assert len(steps) == resolved + 1 == 6
+    assert steps == [None] * resolved and resolved == 5
 
 
 def test_a_gorenstein_base_walks_no_bass_numbers(monkeypatch):
@@ -1223,6 +1227,151 @@ def test_a_gorenstein_base_walks_no_bass_numbers(monkeypatch):
         A = trunc([1009, 1011], q)
         M = direct_sum(residue_field(A), free_module(A, 1))
         assert ext_dims(M, M, 3) == tor_dims(M, M, 3) == dims, q
+
+
+def summands(A, c):
+    """k, A and cyc(c) over A: the three kinds of summand a router block reads."""
+    return [residue_field(A), free_module(A, 1), cyclic_quotient(A, c)]
+
+
+def sums_of_two_and_three(A, c):
+    """Every sum of two or three of k, A and cyc(c), repeats allowed."""
+    out = []
+    for size in (2, 3):
+        for parts in itertools.combinations_with_replacement(summands(A, c), size):
+            total = parts[0]
+            for part in parts[1:]:
+                total = direct_sum(total, part)
+            out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("char", [3, 32003])
+@pytest.mark.parametrize("gens,q,c", DEEP_ALGEBRAS, ids=DEEP_IDS)
+def test_the_router_matches_the_walk_of_the_whole_modules(gens, q, c, char):
+    # Ext and Tor summed pair by pair against _derived_dims over the whole
+    # modules, the walk with no route: each sum against itself and against
+    # the next sum in the list, so that M and N differ too
+    walk = sackit.artinian._derived_dims
+    mods = sums_of_two_and_three(trunc(gens, q, char), c)
+    for M, N in itertools.chain(zip(mods, mods), zip(mods, mods[1:] + mods[:1])):
+        case = (M.rank0, len(M.columns), N.rank0, len(N.columns))
+        assert ext_dims(M, N, 5) == walk(M, N, 5, False), case
+        assert tor_dims(M, N, 5) == walk(M, N, 5, True), case
+
+
+def test_the_self_injective_block_matches_the_walk(monkeypatch):
+    # over a symmetric H, A_q is self-injective at q = m and at q != m:
+    # Ext^i(X, A) is (dim X, 0, ...), as the walk finds; over a non-symmetric
+    # H it is not, so the block must not be taken there
+    walk = sackit.artinian._derived_dims
+    for gens, q, c in (((4, 5, 6), 4, 5), ((4, 5, 6), 8, 5), ((3, 7), 3, 7), ((3, 7), 9, 7),
+                       ((2, 5), 10, 5)):
+        A = trunc(gens, q)
+        assert A.semigroup.is_gap_symmetric()
+        F = free_module(A, 1)
+        for X in summands(A, c)[::2] + [direct_sum(cyclic_quotient(A, c), residue_field(A))]:
+            dims = (realization(X).dim,) + (0,) * 4
+            assert walk(X, F, 4, False) == dims, (gens, q)
+            monkeypatch.setattr("sackit.artinian._derived_dims", None)
+            assert ext_dims(X, F, 4) == dims, (gens, q)  # no walk
+            monkeypatch.setattr("sackit.artinian._derived_dims", walk)
+    for gens, q, c in ((3, 4, 5), 6, 4), ((4, 6, 7, 9), 8, 6):
+        A = trunc(gens, q)
+        X, F = cyclic_quotient(A, c), free_module(A, 1)
+        assert ext_dims(X, F, 4) == walk(X, F, 4, False) != (realization(X).dim,) + (0,) * 4
+
+
+def test_a_routed_tor_of_cyc_plus_k_realizes_no_k(monkeypatch):
+    # Tor is symmetric, so Tor(k, cyc) is read as Tor(cyc, k) = beta(cyc),
+    # and Tor(k, k) as beta(k) over A_m: no block realizes a module with a k
+    # summand, where the walk of the whole sum realizes cyc + k
+    A = trunc([4, 6, 7, 9], 8)
+    M = direct_sum(cyclic_quotient(A, 6), residue_field(A))
+    split, realize = sackit.artinian._component_split, sackit.artinian._realize
+    k = next(iter(split(A, 1, residue_field(A).columns)))
+    dims = sackit.artinian._derived_dims(M, M, 5, True)
+
+    def no_k(module):
+        assert k not in split(A, module.rank0, module.columns), "k was realized"
+        return realize(module)
+
+    monkeypatch.setattr("sackit.artinian._realize", no_k)
+    assert tor_dims(M, M, 5) == dims
+    with pytest.raises(AssertionError, match="k was realized"):
+        sackit.artinian._derived_dims(M, M, 5, True)
+
+
+def test_one_call_charges_every_syzygy_step_to_one_budget(monkeypatch):
+    # every step of one Ext call counts against one total, so a call whose
+    # walks each fit under a cap one below that total is refused, and
+    # admitted at the total.  Ext of cyc(4) + cyc(5) over k[3,4,5]/(t^6) to
+    # degree 6 takes the steps that the walk of the whole sum takes, more
+    # than either summand alone; Ext of cyc(6) + k over k[4,6,7,9]/(t^8)
+    # walks A_8 for (k, cyc) and A_4 for (k, k)
+    steps = []
+
+    def recorded(algebra, cols):
+        steps.append((algebra.truncation_q, len(cols) * algebra.dim))
+        return _syzygy_columns(algebra, cols)
+
+    def charged(call):  # the columns of the steps ``call`` builds
+        del steps[:]
+        call()
+        return sum(cols for _, cols in steps)
+
+    def cyc45():  # on a fresh algebra, so its syzygy cache starts empty
+        A = trunc([3, 4, 5], 6)
+        return direct_sum(cyclic_quotient(A, 4), cyclic_quotient(A, 5))
+
+    def cyc6k():
+        A = trunc([4, 6, 7, 9], 8)
+        return direct_sum(cyclic_quotient(A, 6), residue_field(A))
+
+    monkeypatch.setattr("sackit.artinian._syzygy_columns", recorded)
+    cap = sackit.artinian.MAX_WALK_COLUMNS
+    total = charged(lambda: ext_dims(*[cyc45()] * 2, 6))
+    alone = [charged(lambda: ext_dims(*[cyclic_quotient(trunc([3, 4, 5], 6), c)] * 2, 6))
+             for c in (4, 5)]
+    whole = charged(lambda: sackit.artinian._derived_dims(*[cyc45()] * 2, 6, False))
+    assert max(alone) < total == whole
+    mixed = charged(lambda: ext_dims(*[cyc6k()] * 2, 6))
+    walks = [sum(cols for q, cols in steps if q == walked) for walked in (8, 4)]
+    assert sum(walks) == mixed and 0 < min(walks) and max(walks) < mixed
+    for make, total in ((cyc45, total), (cyc6k, mixed)):
+        M = make()
+        dims = ext_dims(M, M, 6)
+        monkeypatch.setattr("sackit.artinian.MAX_WALK_COLUMNS", total)
+        M = make()
+        assert ext_dims(M, M, 6) == dims
+        monkeypatch.setattr("sackit.artinian.MAX_WALK_COLUMNS", total - 1)
+        M = make()
+        with pytest.raises(TooLarge, match=rf"^a syzygy walk of {total} k-matrix columns is "
+                                           rf"above the supported {total - 1}$"):
+            ext_dims(M, M, 6)
+        monkeypatch.setattr("sackit.artinian.MAX_WALK_COLUMNS", cap)
+
+
+def test_one_call_charges_every_realization_to_one_budget(monkeypatch):
+    # Ext of cyc(4) + cyc(5) over k[3,4,5]/(t^6) realizes each summand once,
+    # as many multiples as the realization of the whole sum, more than
+    # either alone: a cap one below their total refuses the call
+    A = trunc([3, 4, 5], 6)
+    parts = [cyclic_quotient(A, c) for c in (4, 5)]
+    M = direct_sum(*parts)
+
+    def cost(N):
+        return (len(N.columns) + realization(N).dim) * A.dim
+
+    total = cost(M)
+    assert sum(map(cost, parts)) == total and max(map(cost, parts)) < total
+    dims = ext_dims(M, M, 2)
+    monkeypatch.setattr("sackit.artinian.MAX_REALIZATION_COLUMNS", total)
+    assert ext_dims(M, M, 2) == dims
+    monkeypatch.setattr("sackit.artinian.MAX_REALIZATION_COLUMNS", total - 1)
+    with pytest.raises(TooLarge, match=rf"^a realization of {total} k-matrix columns is "
+                                       rf"above the supported {total - 1}$"):
+        ext_dims(M, M, 2)
 
 
 def test_routed_and_walked_calls_check_their_arguments_first():

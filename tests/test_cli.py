@@ -23,6 +23,7 @@ from sackit import CERT_SCHEMA
 from sackit.artinian import MAX_REALIZATION_COLUMNS, MAX_WALK_BITS, MAX_WALK_COLUMNS
 from sackit.certify import RingDescriptor
 from sackit.cli import _JSON, COMMANDS, _int_list, _parse_range, _parser, _read, main
+from sackit.semigroup import MAX_TABLE_BITS
 
 from cli_runner import invoke
 
@@ -539,6 +540,35 @@ def test_a_realization_past_its_cap_ends_in_one_error_line():
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == (f"error: a realization of {10007**2} k-matrix columns is above "
                            f"the supported {MAX_REALIZATION_COLUMNS}\n")
+
+
+def test_a_table_past_its_bit_cap_ends_in_one_error_line():
+    # glue --n <4300 nines> builds <23n, 29n, 2^20>, whose 2^20 Apery entries
+    # are multiples of n of about 1.8 KB each: under 1 GiB it ended in a
+    # MemoryError traceback after 5.5 s, and is refused before the walk.  So
+    # are a basis and the ideal tables of entries near 10^4000, which ran out
+    # of memory too, while 2^20 entries of 128 bits, at the cap, still print
+    refused = "error: a table of {} integers of [0-9]+ bits is above the supported {} bits\n"
+    huge, odd = str(10**4000), str(10**4000 + 1)
+    start = time.perf_counter()
+    done = _sackit_capped("glue", "--m", "1048576", "--n", "9" * 4300, "--gens", "29,23")
+    assert time.perf_counter() - start < 1
+    assert (done.returncode, done.stdout) == (1, "")
+    assert re.fullmatch(refused.format(2**20, MAX_TABLE_BITS), done.stderr), done.stderr
+    for args in (("ext", "table", "--H", f"2,{odd}", "--q", "1048576", "--mod", "A",
+                  "--range", "0..0"),
+                 ("ideal", "ulrich", "--gens", "1048576,1048577", "--ideal", f"{huge},{odd}",
+                  "--q", huge),
+                 ("ideal", "powers", "--gens", "1048576,1048577", "--ideal", huge,
+                  "--up-to", "1")):
+        start = time.perf_counter()
+        done = _sackit_capped(*args)
+        assert time.perf_counter() - start < 5, args[:2]
+        assert (done.returncode, done.stdout) == (1, ""), args[:2]
+        assert re.fullmatch(refused.format(2**20, MAX_TABLE_BITS), done.stderr), done.stderr
+    top = -(-2**128 // (2**20 - 1)) | 1
+    done = _sackit_capped("sgp", "info", "--gens", f"1048576,{top - 2}")
+    assert done.returncode == 0 and "multiplicity                 1048576\n" in done.stdout
 
 
 def test_extdeg_past_the_bit_cap_ends_in_one_error_line():

@@ -23,7 +23,7 @@ from sackit import (
 import sackit.ideals
 from sackit.errors import SackitError, TooLarge
 from sackit.ideals import _ROW_STEPS, _stable
-from sackit.semigroup import MAX_DIMENSION
+from sackit.semigroup import MAX_DIMENSION, MAX_TABLE_BITS
 
 from test_semigroup import first_members
 
@@ -188,6 +188,35 @@ def test_basis_listers_refuse_a_basis_past_the_cap():
     with pytest.raises(TooLarge, match=f"^{text}$"):
         I.complement()
     assert len(H.apery_set(MAX_DIMENSION)) == MAX_DIMENSION
+
+
+def test_ideal_tables_of_huge_entries_are_refused_before_they_are_built(monkeypatch):
+    # an ideal's table has one entry per residue mod m, none above the
+    # largest entry of H's table plus its least generator; a power sweep's
+    # last table adds up_to + 1 times that generator.  Over <1024, 1025>, an
+    # ideal two of whose generators are about 2^140000 is refused before its
+    # table, or I^2's, is built; a principal one keeps its lazy table, and
+    # the sweep charges its last table first
+    m, big = 1024, 2**140_000
+    H = NumericalSemigroup.from_generators([m, m + 1])
+    top = max(H._apery)
+
+    def built(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(sackit.ideals, "_length", built)
+    I = SemigroupIdeal.from_generators(H, [big, big + 1])
+    text = f"^a table of {m} integers of {(top + big).bit_length()} bits is above the supported"
+    for ask in (lambda: I._least, lambda: is_ulrich(I, big), lambda: I.colength()):
+        with pytest.raises(TooLarge, match=text):
+            ask()
+    principal = SemigroupIdeal.from_generators(H, [big])
+    assert principal._least is not None
+    for up_to in (1, 3):
+        bits = (top + (up_to + 1) * big).bit_length()
+        with pytest.raises(TooLarge, match=f"^a table of {m} integers of {bits} bits is above "
+                                           f"the supported {MAX_TABLE_BITS} bits$"):
+            power_layer_lengths(principal, up_to)
 
 
 def test_gap_and_relative_listers_refuse_past_the_cap(monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from sackit import NumericalSemigroup
 from sackit.errors import SackitError, TooLarge
 import sackit.semigroup
-from sackit.semigroup import MAX_APERY_EDGES, MAX_MULTIPLICITY, _sum_of
+from sackit.semigroup import MAX_APERY_EDGES, MAX_MULTIPLICITY, MAX_TABLE_BITS, _sum_of
 
 
 def sieve_members(gens, bound):
@@ -303,6 +303,45 @@ def test_apery_edges_are_capped_before_the_walk(monkeypatch):
     with pytest.raises(TooLarge, match=f"^multiplicity 2049 times 2049 generators is above "
                                        f"the supported {MAX_APERY_EDGES}$"):
         NumericalSemigroup.from_generators(range(2049, 4098))
+
+
+def test_apery_table_bits_are_capped_before_the_walk(monkeypatch):
+    # the table holds m integers, none above (m - 1) times the generator at
+    # which the gcd of the sorted generators reaches 1, so m times that bit
+    # length is charged first: every set of at most 4 generators below 2^64
+    # with m <= 2^20 fits, 84 bits an entry; at m = 2^20 entries of 128 bits
+    # are at the cap (spawned in test_cli) and 129 bits past it, and so is
+    # <23n, 29n, 2^20> for n of 4300 nines, whose walk ran out of memory
+    m = MAX_MULTIPLICITY
+    assert m * ((m - 1) * (2**64 - 1)).bit_length() < MAX_TABLE_BITS
+    top = -(-2**128 // (m - 1)) | 1  # the least odd top with (m - 1) * top of 129 bits
+    assert m * ((m - 1) * (top - 2)).bit_length() == MAX_TABLE_BITS
+    # generators past the one where the gcd reaches 1 are not charged
+    assert NumericalSemigroup.from_generators([3, 5, 10**4000 + 1]).generators == (3, 5)
+
+    def refuse(gens, q):
+        raise AssertionError("the Apery table was walked")
+
+    monkeypatch.setattr(sackit.semigroup, "_apery", refuse)
+    n = 10**4300 - 1
+    for gens, bits in (([m, top], 129), ([23 * n, 29 * n, m], ((m - 1) * 23 * n).bit_length())):
+        with pytest.raises(TooLarge, match=f"^a table of {m} integers of {bits} bits is above "
+                                           f"the supported {MAX_TABLE_BITS} bits$"):
+            NumericalSemigroup.from_generators(gens)
+
+
+def test_a_listed_basis_of_huge_entries_is_refused_before_it_is_listed(monkeypatch):
+    # the Apery set of q = 2^20 over <2, 10^4000 + 1> has 2^20 entries, half
+    # of them above 10^4000: charged at the bit length of their bound
+    def listed(*args):
+        raise AssertionError("listed past the cap")
+
+    monkeypatch.setattr(sackit.semigroup, "_progressions", listed)
+    H = NumericalSemigroup.from_generators([2, 10**4000 + 1])
+    bits = (10**4000 + 1 + 2**20).bit_length()
+    with pytest.raises(TooLarge, match=f"^a table of {2**20} integers of {bits} bits is above "
+                                       f"the supported {MAX_TABLE_BITS} bits$"):
+        H.apery_set(2**20)
 
 
 gen_lists = st.lists(st.integers(1, 30), min_size=1, max_size=5).filter(

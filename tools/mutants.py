@@ -5,7 +5,7 @@ Run from anywhere, with the test extras installed:
 
     python tools/mutants.py
 
-The table ``ROWS`` holds 107 rows.  A row is (name, file under src/sackit,
+The table ``ROWS`` holds 117 rows.  A row is (name, file under src/sackit,
 snippet, replacement, test ids); a mutant that breaks two places gives a
 tuple of snippets and a tuple of their replacements.  For each row the
 script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
@@ -18,7 +18,7 @@ tests run on an unmutated copy, where each must pass.
 Exit status 0 when every mutant is killed; 1 on a survivor (a named test
 that passes on its mutant), a snippet that does not match exactly once, or
 a named test that fails on the unmutated tree.  A refactor that moves a
-snippet updates its row on purpose.  About 4 min (238 s) on 2 vCPU
+snippet updates its row on purpose.  About 6 min (341 s) on 2 vCPU
 (Python 3.11).
 """
 
@@ -86,6 +86,12 @@ _REALIZED = ("tests/test_artinian.py::"
              "test_a_realization_past_its_cap_is_refused_before_it_is_built")
 _GORENSTEIN = "tests/test_artinian.py::test_a_gorenstein_base_walks_no_bass_numbers"
 _CHECKED = "tests/test_artinian.py::test_routed_and_walked_calls_check_their_arguments_first"
+_ROUTER = "tests/test_artinian.py::test_the_router_matches_the_walk_of_the_whole_modules"
+_INJECTIVE = "tests/test_artinian.py::test_the_self_injective_block_matches_the_walk"
+_ONE_BUDGET = ("tests/test_artinian.py::test_one_call_charges_every_syzygy_step_to_one_budget",
+               "tests/test_artinian.py::test_one_call_charges_every_realization_to_one_budget")
+_TABLE_BITS = "tests/test_semigroup.py::test_apery_table_bits_are_capped_before_the_walk"
+_TABLE_SPAWNED = "tests/test_cli.py::test_a_table_past_its_bit_cap_ends_in_one_error_line"
 
 # (name, file, snippet, replacement, test ids that must fail)
 ROWS = [
@@ -116,8 +122,7 @@ ROWS = [
     ("free summands carried deeper", _ART,
      "for omega, c in store.get(key, {}).items():",
      "for omega, c in store.get(key, {key: 1}).items():",
-     ["tests/test_artinian.py::test_free_modules_are_homologically_trivial",
-      "tests/test_artinian.py::test_free_summands_of_a_walked_module_take_no_syzygy_step"]),
+     [f"{_ROUTER}[H3,4,5-q6-3]", f"{_ROUTER}[H4,6,7,9-q8-32003]"]),
     ("syzygy step keeps one redundant column", _ART,
      "return _nakayama(algebra, sparse_kernel(images, algebra.char))",
      "return _nakayama(algebra, sparse_kernel(images, algebra.char))"
@@ -130,45 +135,64 @@ ROWS = [
     ("untransposed tensor block", _ART,
      "entries = tuple(tuple((j, i, x) for i, j, x in ents) for ents in entries)",
      "entries = tuple(tuple((i, j, x) for i, j, x in ents) for ents in entries)",
-     ["tests/test_artinian.py::test_deep_ext_tor_match_complex_oracles[H3,4,5-q6-k-cyc]",
+     ["tests/test_artinian.py::test_deep_ext_tor_match_complex_oracles[H3,4,5-q6-cyc-cyc]",
       _FROZEN]),
-    # change of rings for Ext and Tor over truncations
+    # the router over pairs of summands, and the change of rings for (k, k)
+    # and (k, A) over truncations
     ("prefix sums shifted by one", _ART,
-     "e = tuple(accumulate(e))", "e = tuple(accumulate(e, initial=0))[:-1]",
+     "col = accumulate(col) if shifted", "col = tuple(accumulate(col, initial=0))[:-1] if shifted",
      [_CLOSED, _FROZEN, f"{_WALK}[H3,4,5-q8-3]"]),
     ("generator and non-generator swapped", _ART,
-     "if q not in H.generators:", "if q in H.generators:",
+     "if shifted and q not in H.generators", "if shifted and q in H.generators",
      ["tests/test_artinian.py::test_chain_algebra_betti_constant", f"{_WALK}[H3,4,5-q6-3]"]),
+    ("prefix sums taken when q is a generator", _ART,
+     "if shifted and q not in H.generators", "if shifted",
+     [f"{_WALK}[H3,4,5-q6-3]", f"{_WALK}[H3,4,5-q6-32003]"]),
     ("A_m in the default characteristic", _ART,
      "truncation_algebra(H, m, algebra.char)", "truncation_algebra(H, m)",
      [_ROUTED]),
-    ("route taken for a non-truncation quotient_algebra", _ART,
-     "    if q in (None, 1):\n", "    if q == 1:\n",
+    ("change of rings taken for a non-truncation quotient_algebra", _ART,
+     "base = algebra if q in (None, m) else", "base = algebra if q == m else",
      ["tests/test_artinian.py::test_radical_square_zero_ext_tor_closed_form",
       "tests/test_acceptance.py::test_ext_closed_forms_through_the_walk"]),
-    ("route taken over the field A_1", _ART,
-     "    if q in (None, 1):\n", "    if q is None:\n",
-     [f"{_WALK}[H1-q5-3]", f"{_WALK}[H1-q5-32003]"]),
-    ("route declines at q = m again", _ART,
-     "    if q in (None, 1):\n", "    if q in (None, 1, m):\n",
-     [_BASS, "tests/test_artinian.py::test_a_module_without_a_k_summand_realizes_nothing"]),
-    ("route without its own bit cap", _ART,
-     "    _check_bits(upto, m)\n", "",
+    ("A_m built afresh at q = m", _ART,
+     "base = algebra if q in (None, m) else", "base = algebra if q is None else",
+     [_ROUTED]),
+    ("router without its own bit cap", _ART,
+     "    _check_bits(upto, algebra.dim if q is None or", "    (upto, algebra.dim if q is None or",
      ["tests/test_cli.py::test_sums_without_a_k_summand_walk_nothing"]),
-    ("e walked whenever M has a k summand", _ART,
-     "betti[:upto + 1] if a * c else", "betti[:upto + 1] if a else",
-     [_BASS]),
-    ("e read one level short", _ART,
-     "minimal_resolution(k, max(upto, 1))", "minimal_resolution(k, max(upto - 1, 1))",
-     [_CLOSED, f"{_WALK}[H3,4,5-q8-3]",
+    ("k against cyc(c) read over A_m", _ART,
+     "shifted = X == k and Y in (k, free) and", "shifted = X == k and",
+     [_FROZEN]),
+    ("Betti numbers read one level short", _ART,
+     "minimal_resolution(M, max(upto, 1))", "minimal_resolution(M, max(upto - 1, 1))",
+     [_CLOSED, f"{_ROUTER}[H3,4,5-q8-3]",
       "tests/test_cli.py::test_ext_of_k_reads_the_betti_numbers_of_k"]),
-    ("the route without the same-algebra check", _ART,
+    ("the router without the same-algebra check", _ART,
      "    _require_same_algebra(module, target)\n", "",
      [_CHECKED]),
-    ("a*g*b_i dropped", _ART,
-     "dims = [a * c * x + a * g * y for x, y in zip(e, b)]",
-     "dims = [a * c * x for x, y in zip(e, b)]",
+    ("Bass numbers over A_m dropped", _ART,
+     "col = _derived_dims(M, _module(M.algebra, Counter([Y])), upto, transpose)",
+     "col = _derived_dims(M, _module(M.algebra, Counter([Y])), upto, transpose)"
+     " if not shifted else [0] * (upto + 1)",
      [f"{_WALK}[H3,4,5-q6-3]", _ROUTED]),
+    ("Tor's swap applied to Ext", _ART,
+     "if transpose and (X == k or Y == free)", "if (X == k or Y == free)",
+     [f"{_ROUTER}[H3,4,5-q6-3]", _FROZEN]),
+    ("beta(X) read for a block into A", _ART,
+     "if Y == k:  # the Betti numbers", "if Y in (k, free):  # the Betti numbers",
+     [f"{_ROUTER}[H3,4,5-q6-3]", f"{_ROUTER}[H4,6,7,9-q8-32003]"]),
+    ("the self-injective block taken over a non-symmetric H", _ART,
+     "and q is not None and H.is_gap_symmetric()):",
+     "and q is not None and (X != k or H.is_gap_symmetric())):",
+     [_INJECTIVE, f"{_ROUTER}[H3,4,5-q6-3]"]),
+    ("the free block answered with dim X", _ART,
+     "rank0, cols = other = Y if X == free else X", "rank0, cols = other = X",
+     ["tests/test_artinian.py::test_free_modules_are_homologically_trivial",
+      "tests/test_artinian.py::test_a_module_without_a_k_summand_realizes_nothing"]),
+    ("one budget per block instead of per call", _ART,
+     "    _SPENT.set(Counter())\n", "",
+     list(_ONE_BUDGET)),
     # certificate premises from the generators
     ("cube test checks pairs only", _CERT,
      "for r in (1, 2, 3):", "for r in (1, 2):",
@@ -490,39 +514,38 @@ ROWS = [
     # a walk is capped in k-matrix columns summed over the steps it builds,
     # each charged before it is built
     ("walk without its k-matrix cap", _ART,
-     "                if built > MAX_WALK_COLUMNS:\n", "                if False:\n",
+     "len(key[1]) * algebra.dim, MAX_WALK_COLUMNS)", "len(key[1]) * algebra.dim, float(\"inf\"))",
      [_STEP_CAP, "tests/test_cli.py::test_a_syzygy_step_past_the_column_cap_ends_in_one_error_line"]),
     ("k-matrix cap counts relation columns", _ART,
-     "built += len(key[1]) * algebra.dim", "built += len(key[1])", [_STEP_CAP]),
+     "len(key[1]) * algebra.dim, MAX_WALK_COLUMNS)", "len(key[1]), MAX_WALK_COLUMNS)",
+     [_STEP_CAP]),
     ("k-matrix cap charges a step after it is built", _ART,
-     ("                if built > MAX_WALK_COLUMNS:\n",
+     ("                _charge(spent, \"syzygy walk\", len(key[1]) * algebra.dim, MAX_WALK_COLUMNS)\n",
       "                store[key] = _component_split(algebra, len(key[1]), syz)\n"),
-     ("                if False:\n",
+     ("",
       "                store[key] = _component_split(algebra, len(key[1]), syz)\n"
-      "                if built > MAX_WALK_COLUMNS:\n"
-      "                    raise TooLarge(f\"a syzygy walk of {built} k-matrix columns is \"\n"
-      "                                   f\"above the supported {MAX_WALK_COLUMNS}\")\n"),
+      "                _charge(spent, \"syzygy walk\", len(key[1]) * algebra.dim, MAX_WALK_COLUMNS)\n"),
      [_STEP_CAP]),
     # a walk is capped in levels² · max(1, log2(dim A)) over the algebra it walks
     ("walk without its bit cap", _ART,
      "    if bits > MAX_WALK_BITS:\n", "    if False:\n",
      [_BIT_CAP, _DEPTH_CAP, "tests/test_cli.py::test_extdeg_past_the_bit_cap_ends_in_one_error_line"]),
     ("bit cap reads the algebra asked for", _ART,
-     "    _check_bits(upto, m)\n", "    _check_bits(upto, algebra.dim)\n",
+     "for s in splits) else m)", "for s in splits) else algebra.dim)",
      [_BIT_CAP]),
     ("bit cap without its one-bit floor", _ART,
      "log2(max(2, dim))", "log2(dim)", [_DEPTH_CAP]),
-    # the walk skips the Bass numbers a routed Ext does not read, and the
-    # Nakayama pass skips columns on the socle
-    ("Bass walk skipped on no k summand of M only", _ART,
-     "if transpose or not a * g or", "if transpose or not a or",
+    # the Bass numbers are walked over A_m, not A_q, and the Nakayama pass
+    # skips columns on the socle
+    ("Bass walk over A_q, not A_m", _ART,
+     "shifted = X == k and Y in (k, free) and", "shifted = X == k and Y == k and",
      [_BASS]),
-    # over a Gorenstein A_m, H symmetric, the Bass numbers are (1, 0, ...)
+    # over a Gorenstein A_q, H symmetric, Ext(X, A) is (dim X, 0, ...)
     ("the Gorenstein case taken for every H", _ART,
-     "or H.is_gap_symmetric():", "or True:",
+     "H.is_gap_symmetric()):", "True):",
      [f"{_WALK}[H3,4,5-q8-3]", _BASS]),
     ("the Gorenstein case never taken", _ART,
-     "or H.is_gap_symmetric():", "or False:",
+     "H.is_gap_symmetric()):", "False):",
      [_GORENSTEIN]),
     ("socle read over the first atom only", _ART,
      "if not any(d + a in self._index for a in atoms))",
@@ -532,18 +555,42 @@ ROWS = [
     # a realization is capped in the multiples it builds, each counted before
     # it is built
     ("realization without its cap", _ART,
-     "    if columns > MAX_REALIZATION_COLUMNS:\n", "    if False:\n",
+     ("len(module.columns) * dim_a, MAX_REALIZATION_COLUMNS)",
+      "len(free_pos) * dim_a, MAX_REALIZATION_COLUMNS)"),
+     ("len(module.columns) * dim_a, float(\"inf\"))", "len(free_pos) * dim_a, float(\"inf\"))"),
      [_REALIZED, "tests/test_cli.py::test_a_realization_past_its_cap_ends_in_one_error_line"]),
     ("realization charges its action after building it", _ART,
-     ("    _realized(built + len(free_pos) * dim_a)\n",
+     ("    _charge(spent, \"realization\", len(free_pos) * dim_a, MAX_REALIZATION_COLUMNS)\n",
       "            ents.extend((coord[i], j, x) for i, x in span.reduce(image).items())\n"),
      ("",
       "            ents.extend((coord[i], j, x) for i, x in span.reduce(image).items())\n"
-      "    _realized(built + len(free_pos) * dim_a)\n"),
+      "    _charge(spent, \"realization\", len(free_pos) * dim_a, MAX_REALIZATION_COLUMNS)\n"),
      [_REALIZED]),
     ("realization charges dim M without the factor dim A", _ART,
-     "_realized(built + len(free_pos) * dim_a)", "_realized(built + len(free_pos))",
+     "len(free_pos) * dim_a, MAX_REALIZATION_COLUMNS)", "len(free_pos), MAX_REALIZATION_COLUMNS)",
      [_REALIZED]),
+    # a table of integers is charged its bits before it is built: the Apery
+    # table, a listed basis, an ideal's table and a power sweep's last table
+    ("table bits charged as m alone", _SGP,
+     "if count * top.bit_length() > MAX_TABLE_BITS:", "if count > MAX_TABLE_BITS:",
+     [_TABLE_BITS, _TABLE_SPAWNED]),
+    ("table bits charged after the walk", _SGP,
+     ("        _check_table(m, (m - 1) * gens[divisors.index(1)])\n",
+      "        apery = _apery(gens, m)\n"),
+     ("", "        apery = _apery(gens, m)\n"
+          "        _check_table(m, (m - 1) * gens[divisors.index(1)])\n"),
+     [_TABLE_BITS]),
+    ("listed basis not charged its bits", _SGP,
+     "    _check_table(dim, max(hi))\n", "",
+     ["tests/test_semigroup.py::test_a_listed_basis_of_huge_entries_is_refused_before_it_is_listed",
+      _TABLE_SPAWNED]),
+    ("ideal table not charged its bits", "ideals.py",
+     "    _check_table(len(table), max(table) + min(gens))", "    (len(table), max(table) + min(gens))",
+     ["tests/test_ideals.py::test_ideal_tables_of_huge_entries_are_refused_before_they_are_built"]),
+    ("power sweep charges its first table only", "ideals.py",
+     "max(ideal.ambient._apery) + (up_to + 1) * ideal.generators[0])",
+     "max(ideal.ambient._apery) + ideal.generators[0])",
+     ["tests/test_ideals.py::test_ideal_tables_of_huge_entries_are_refused_before_they_are_built"]),
     # ext table checks the digit limit before it formats, and a Miller-Rabin
     # witness proves a number composite
     ("ext table formats before its limit check", "_cli_ext.py",
